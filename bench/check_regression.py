@@ -14,7 +14,10 @@ against, so the script warns, optionally seeds the history, and passes.
 
 Only metrics present in both the baseline and the fresh files are
 compared, so CI smoke runs (tiny budgets, fewer thread points) still
-line up with fuller sweeps.
+line up with fuller sweeps. An availability of 0 is kept, not dropped:
+a fresh value of 0 against a positive baseline is a collapse and fails
+the gate by name, whatever the geomean says. A baseline of 0 gives no
+ratio, so that metric is skipped with a warning.
 
 Usage:
   check_regression.py [--history-dir DIR] [--fresh-dir DIR]
@@ -97,7 +100,7 @@ def scale_metrics(doc):
     if sps:
         out["scale/sessions_per_sec"] = float(sps)
     p99 = doc.get("p99_availability")
-    if p99:
+    if p99 is not None:
         out["scale/p99_availability"] = float(p99)
     return out
 
@@ -109,7 +112,7 @@ def microrec_metrics(doc):
     crashes it used to, which is exactly the regression to catch."""
     out = {}
     avail = doc.get("availability_at_base_rate")
-    if avail:
+    if avail is not None:
         out["microrec/availability_at_base_rate"] = float(avail)
     return out
 
@@ -122,7 +125,7 @@ def crashscale_metrics(doc):
     steady unplanned VMM failures."""
     out = {}
     p99 = doc.get("p99_availability_at_base_rate")
-    if p99:
+    if p99 is not None:
         out["crashscale/p99_availability_at_base_rate"] = float(p99)
     return out
 
@@ -239,15 +242,24 @@ def main():
               "snapshot exists.")
     else:
         pairs = []
+        collapsed = []
         for key in sorted(baseline.keys() & fresh.keys()):
+            if baseline[key] <= 0:
+                print(f"  WARNING: {key} has a baseline of "
+                      f"{baseline[key]:g}; no ratio, skipped")
+                continue
             ratio = fresh[key] / baseline[key]
-            pairs.append((key, ratio))
             print(f"  {key:<28} baseline {baseline[key]:>12.2f}  "
                   f"fresh {fresh[key]:>12.2f}  ratio {ratio:.3f}")
-        if not pairs:
-            print("WARNING: history exists but shares no metrics with the "
-                  "fresh run; passing (soft)")
-        else:
+            if ratio <= 0:
+                collapsed.append(key)
+            else:
+                pairs.append((key, ratio))
+        if collapsed:
+            print(f"REGRESSION (hard gate): {', '.join(collapsed)} fell to "
+                  f"0 from a positive baseline")
+            status = 1
+        if pairs:
             geomean = math.exp(
                 sum(math.log(r) for _, r in pairs) / len(pairs))
             floor = 1.0 - args.threshold
@@ -259,8 +271,11 @@ def main():
                 print(f"REGRESSION (hard gate): geomean below floor; worst "
                       f"metric {worst[0]} at {worst[1]:.3f}")
                 status = 1
-            else:
+            elif not collapsed:
                 print("OK: within threshold")
+        elif not collapsed:
+            print("WARNING: history exists but shares no metrics with the "
+                  "fresh run; passing (soft)")
 
     if args.append_history is not None and status == 0:
         append_history(args.history_dir, args.fresh_dir,

@@ -115,9 +115,10 @@ hw::ContentToken GuestOs::mem_read(mm::Pfn pfn) const {
 }
 
 void GuestOs::rebind_host(vmm::Host& new_host) {
-  ensure(state_ == OsState::kSuspended,
-         "rebind_host: guest must be suspended for migration (is " +
-             std::string(to_string(state_)) + ")");
+  ensure(state_ == OsState::kSuspended, [this] {
+    return "rebind_host: guest must be suspended for migration (is " +
+           std::string(to_string(state_)) + ")";
+  });
   ensure(new_host.up(), "rebind_host: destination host is not up");
   host_ = &new_host;
   domain_id_ = kNoDomain;  // the destination assigns a new domain id
@@ -126,8 +127,10 @@ void GuestOs::rebind_host(vmm::Host& new_host) {
 
 void GuestOs::create_and_boot(std::function<void()> on_up) {
   ensure(static_cast<bool>(on_up), "create_and_boot: callback required");
-  ensure(state_ == OsState::kHalted,
-         "create_and_boot: OS must be halted (is " + std::string(to_string(state_)) + ")");
+  ensure(state_ == OsState::kHalted, [this] {
+    return "create_and_boot: OS must be halted (is " +
+           std::string(to_string(state_)) + ")";
+  });
   ensure(host_->up(), "create_and_boot: host is not up");
   state_ = OsState::kBooting;
   host_->vmm().create_domain(name_, memory_, this,
@@ -206,8 +209,10 @@ void GuestOs::stop_services_from(std::size_t index, std::function<void()> done) 
 
 void GuestOs::shutdown(std::function<void()> on_halted) {
   ensure(static_cast<bool>(on_halted), "shutdown: callback required");
-  ensure(state_ == OsState::kRunning || state_ == OsState::kCrashed,
-         "shutdown: OS not running (is " + std::string(to_string(state_)) + ")");
+  ensure(state_ == OsState::kRunning || state_ == OsState::kCrashed, [this] {
+    return "shutdown: OS not running (is " + std::string(to_string(state_)) +
+           ")";
+  });
   state_ = OsState::kShuttingDown;
   trace("shutting down");
   const Calibration& calib = host_->calib();
@@ -262,9 +267,10 @@ void GuestOs::force_power_off() {
 }
 
 void GuestOs::interrupt_for_vmm_failure() {
-  ensure(state_ == OsState::kRunning,
-         "interrupt_for_vmm_failure: OS not running (is " +
-             std::string(to_string(state_)) + ")");
+  ensure(state_ == OsState::kRunning, [this] {
+    return "interrupt_for_vmm_failure: OS not running (is " +
+           std::string(to_string(state_)) + ")";
+  });
   ++epoch_;  // abandon in-flight continuations; the vCPUs stopped cold
   domain_id_ = kNoDomain;  // the domain object died with the VMM
   state_ = OsState::kSuspended;
@@ -272,8 +278,10 @@ void GuestOs::interrupt_for_vmm_failure() {
 }
 
 void GuestOs::on_suspend_event(std::function<void()> suspend_hypercall) {
-  ensure(state_ == OsState::kRunning,
-         "on_suspend_event: OS not running (is " + std::string(to_string(state_)) + ")");
+  ensure(state_ == OsState::kRunning, [this] {
+    return "on_suspend_event: OS not running (is " +
+           std::string(to_string(state_)) + ")";
+  });
   state_ = OsState::kSuspending;
   trace("suspend handler: detaching devices");
   host_->sim().after(host_->calib().suspend_handler,
@@ -284,8 +292,10 @@ void GuestOs::on_suspend_event(std::function<void()> suspend_hypercall) {
 }
 
 void GuestOs::on_resume(DomainId new_id, std::function<void()> done) {
-  ensure(state_ == OsState::kSuspended,
-         "on_resume: OS not suspended (is " + std::string(to_string(state_)) + ")");
+  ensure(state_ == OsState::kSuspended, [this] {
+    return "on_resume: OS not suspended (is " +
+           std::string(to_string(state_)) + ")";
+  });
   domain_id_ = new_id;
   state_ = OsState::kResuming;
   host_->sim().after(host_->calib().resume_handler, [this, done = std::move(done)] {

@@ -12,23 +12,6 @@ MachineMemory::MachineMemory(sim::Bytes total_size) {
   frames_.assign(static_cast<std::size_t>(frame_count_), kScrubbed);
 }
 
-void MachineMemory::check_mfn(FrameNumber mfn) const {
-  ensure(mfn >= 0 && mfn < frame_count_, "MachineMemory: MFN out of range");
-}
-
-ContentToken MachineMemory::read(FrameNumber mfn) const {
-  check_mfn(mfn);
-  return frames_[static_cast<std::size_t>(mfn)];
-}
-
-void MachineMemory::write(FrameNumber mfn, ContentToken content) {
-  check_mfn(mfn);
-  auto& slot = frames_[static_cast<std::size_t>(mfn)];
-  if (slot == kScrubbed && content != kScrubbed) ++populated_;
-  if (slot != kScrubbed && content == kScrubbed) --populated_;
-  slot = content;
-}
-
 void MachineMemory::power_cycle() {
   std::fill(frames_.begin(), frames_.end(), kScrubbed);
   populated_ = 0;

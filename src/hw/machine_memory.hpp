@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "simcore/check.hpp"
 #include "simcore/types.hpp"
 
 namespace rh::hw {
@@ -33,8 +34,20 @@ class MachineMemory {
   [[nodiscard]] sim::Bytes size() const { return frame_count_ * sim::kPageSize; }
   [[nodiscard]] std::int64_t frame_count() const { return frame_count_; }
 
-  [[nodiscard]] ContentToken read(FrameNumber mfn) const;
-  void write(FrameNumber mfn, ContentToken content);
+  // Inline: scrubbing, domain construction and image copies call these
+  // once per frame.
+  [[nodiscard]] ContentToken read(FrameNumber mfn) const {
+    check_mfn(mfn);
+    return frames_[static_cast<std::size_t>(mfn)];
+  }
+
+  void write(FrameNumber mfn, ContentToken content) {
+    check_mfn(mfn);
+    auto& slot = frames_[static_cast<std::size_t>(mfn)];
+    if (slot == kScrubbed && content != kScrubbed) ++populated_;
+    if (slot != kScrubbed && content == kScrubbed) --populated_;
+    slot = content;
+  }
 
   /// Destroys the frame's contents.
   void scrub(FrameNumber mfn) { write(mfn, kScrubbed); }
@@ -51,7 +64,9 @@ class MachineMemory {
   [[nodiscard]] std::int64_t populated_frames() const { return populated_; }
 
  private:
-  void check_mfn(FrameNumber mfn) const;
+  void check_mfn(FrameNumber mfn) const {
+    ensure(mfn >= 0 && mfn < frame_count_, "MachineMemory: MFN out of range");
+  }
 
   std::vector<ContentToken> frames_;
   std::int64_t frame_count_ = 0;

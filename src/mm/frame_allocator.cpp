@@ -6,47 +6,64 @@
 
 namespace rh::mm {
 
+namespace {
+
+/// Owners a frame can be given to: the VMM itself or a domain.
+bool valid_owner(DomainId owner) {
+  return owner >= kVmmOwner && owner != kNoDomain;
+}
+
+/// Index of `owner`'s slot in the per-owner count table. Computed in 64
+/// bits so that any DomainId maps without overflow; owners below
+/// kVmmOwner map past every slot.
+std::size_t slot_of(DomainId owner) {
+  return static_cast<std::size_t>(std::int64_t{owner} - kVmmOwner);
+}
+
+}  // namespace
+
 FrameAllocator::FrameAllocator(std::int64_t frame_count)
     : total_(frame_count), free_(frame_count) {
   ensure(frame_count > 0, "FrameAllocator: no frames");
   owner_.assign(static_cast<std::size_t>(frame_count), kNoDomain);
 }
 
-void FrameAllocator::check_mfn(hw::FrameNumber mfn) const {
-  ensure(mfn >= 0 && mfn < total_, "FrameAllocator: MFN out of range");
+std::int64_t& FrameAllocator::count_of(DomainId owner) {
+  const std::size_t slot = slot_of(owner);
+  if (slot >= owned_counts_.size()) owned_counts_.resize(slot + 1, 0);
+  return owned_counts_[slot];
 }
 
 std::vector<hw::FrameNumber> FrameAllocator::allocate(DomainId owner,
                                                       std::int64_t count) {
-  ensure(owner != kNoDomain, "FrameAllocator::allocate: invalid owner");
+  ensure(valid_owner(owner), "FrameAllocator::allocate: invalid owner");
   ensure(count >= 0, "FrameAllocator::allocate: negative count");
   if (count > free_) {
     throw OutOfMachineMemory("FrameAllocator: requested " + std::to_string(count) +
                              " frames, only " + std::to_string(free_) + " free");
   }
-  std::vector<hw::FrameNumber> out;
-  out.reserve(static_cast<std::size_t>(count));
+  std::vector<hw::FrameNumber> out(static_cast<std::size_t>(count));
+  std::size_t got = 0;
   // Next-fit scan from the cursor; wraps at most once.
-  std::int64_t scanned = 0;
-  while (std::int64_t(out.size()) < count && scanned <= total_) {
+  for (std::int64_t scanned = 0; got < out.size() && scanned <= total_;
+       ++scanned, ++cursor_) {
     if (cursor_ >= total_) cursor_ = 0;
-    if (owner_[static_cast<std::size_t>(cursor_)] == kNoDomain) {
-      owner_[static_cast<std::size_t>(cursor_)] = owner;
-      out.push_back(cursor_);
+    DomainId& slot = owner_[static_cast<std::size_t>(cursor_)];
+    if (slot == kNoDomain) {
+      slot = owner;
+      out[got++] = cursor_;
     }
-    ++cursor_;
-    ++scanned;
   }
-  ensure(std::int64_t(out.size()) == count,
+  ensure(got == out.size(),
          "FrameAllocator: free count inconsistent with owner map");
   free_ -= count;
-  owned_counts_[owner] += count;
+  count_of(owner) += count;
   return out;
 }
 
 std::vector<hw::FrameNumber> FrameAllocator::allocate_contiguous(
     DomainId owner, std::int64_t count) {
-  ensure(owner != kNoDomain, "FrameAllocator::allocate_contiguous: invalid owner");
+  ensure(valid_owner(owner), "FrameAllocator::allocate_contiguous: invalid owner");
   ensure(count >= 0, "FrameAllocator::allocate_contiguous: negative count");
   if (count == 0) return {};
   if (count > free_) {
@@ -68,7 +85,7 @@ std::vector<hw::FrameNumber> FrameAllocator::allocate_contiguous(
           out.push_back(f);
         }
         free_ -= count;
-        owned_counts_[owner] += count;
+        count_of(owner) += count;
         return out;
       }
     } else {
@@ -82,62 +99,50 @@ std::vector<hw::FrameNumber> FrameAllocator::allocate_contiguous(
 }
 
 void FrameAllocator::claim(DomainId owner, std::span<const hw::FrameNumber> frames) {
-  ensure(owner != kNoDomain, "FrameAllocator::claim: invalid owner");
+  ensure(valid_owner(owner), "FrameAllocator::claim: invalid owner");
   for (const auto mfn : frames) {
     check_mfn(mfn);
-    ensure(owner_[static_cast<std::size_t>(mfn)] == kNoDomain,
-           "FrameAllocator::claim: frame " + std::to_string(mfn) + " not free");
+    ensure(owner_[static_cast<std::size_t>(mfn)] == kNoDomain, [mfn] {
+      return "FrameAllocator::claim: frame " + std::to_string(mfn) + " not free";
+    });
   }
   for (const auto mfn : frames) owner_[static_cast<std::size_t>(mfn)] = owner;
   free_ -= static_cast<std::int64_t>(frames.size());
-  owned_counts_[owner] += static_cast<std::int64_t>(frames.size());
+  count_of(owner) += static_cast<std::int64_t>(frames.size());
 }
 
 void FrameAllocator::release(hw::FrameNumber mfn) {
   check_mfn(mfn);
-  const DomainId owner = owner_[static_cast<std::size_t>(mfn)];
+  DomainId& owner = owner_[static_cast<std::size_t>(mfn)];
   ensure(owner != kNoDomain, "FrameAllocator::release: frame already free");
-  owner_[static_cast<std::size_t>(mfn)] = kNoDomain;
+  --owned_counts_[slot_of(owner)];
+  owner = kNoDomain;
   ++free_;
-  --owned_counts_[owner];
 }
 
 std::int64_t FrameAllocator::release_all(DomainId owner) {
   std::int64_t freed = 0;
-  for (std::size_t i = 0; i < owner_.size(); ++i) {
-    if (owner_[i] == owner) {
-      owner_[i] = kNoDomain;
+  for (DomainId& o : owner_) {
+    if (o == owner) {
+      o = kNoDomain;
       ++freed;
     }
   }
   free_ += freed;
-  owned_counts_.erase(owner);
+  const std::size_t slot = slot_of(owner);
+  if (slot < owned_counts_.size()) owned_counts_[slot] = 0;
   return freed;
 }
 
-DomainId FrameAllocator::owner_of(hw::FrameNumber mfn) const {
-  check_mfn(mfn);
-  return owner_[static_cast<std::size_t>(mfn)];
-}
-
 std::int64_t FrameAllocator::owned_frames(DomainId owner) const {
-  const auto it = owned_counts_.find(owner);
-  return it == owned_counts_.end() ? 0 : it->second;
+  const std::size_t slot = slot_of(owner);
+  return slot < owned_counts_.size() ? owned_counts_[slot] : 0;
 }
 
 std::vector<hw::FrameNumber> FrameAllocator::frames_owned_by(DomainId owner) const {
   std::vector<hw::FrameNumber> out;
   for (std::size_t i = 0; i < owner_.size(); ++i) {
     if (owner_[i] == owner) out.push_back(static_cast<hw::FrameNumber>(i));
-  }
-  return out;
-}
-
-std::vector<hw::FrameNumber> FrameAllocator::free_frame_list() const {
-  std::vector<hw::FrameNumber> out;
-  out.reserve(static_cast<std::size_t>(free_));
-  for (std::size_t i = 0; i < owner_.size(); ++i) {
-    if (owner_[i] == kNoDomain) out.push_back(static_cast<hw::FrameNumber>(i));
   }
   return out;
 }
@@ -169,27 +174,27 @@ hw::FrameNumber FrameAllocator::lowest_free_from(hw::FrameNumber hint) const {
 }
 
 bool FrameAllocator::accounting_ok() const {
+  // Count runs of equal owners: frames of one owner are mostly contiguous,
+  // so the table is touched once per run rather than once per frame.
   std::int64_t seen_free = 0;
-  std::unordered_map<DomainId, std::int64_t> seen_counts;
-  for (std::size_t i = 0; i < owner_.size(); ++i) {
-    if (owner_[i] == kNoDomain) {
-      ++seen_free;
+  std::vector<std::int64_t> seen(owned_counts_.size(), 0);
+  for (std::size_t i = 0; i < owner_.size();) {
+    const DomainId owner = owner_[i];
+    std::size_t end = i + 1;
+    while (end < owner_.size() && owner_[end] == owner) ++end;
+    const auto run = static_cast<std::int64_t>(end - i);
+    if (owner == kNoDomain) {
+      seen_free += run;
     } else {
-      ++seen_counts[owner_[i]];
+      const std::size_t slot = slot_of(owner);
+      if (slot >= seen.size()) return false;  // an owner with no count
+      seen[slot] += run;
     }
+    i = end;
   }
-  if (seen_free != free_) return false;
-  for (const auto& [owner, count] : seen_counts) {
-    const auto it = owned_counts_.find(owner);
-    if (it == owned_counts_.end() || it->second != count) return false;
-  }
-  // No phantom owners: every cached non-zero count must be backed by frames.
-  for (const auto& [owner, count] : owned_counts_) {
-    if (count == 0) continue;
-    const auto it = seen_counts.find(owner);
-    if (it == seen_counts.end() || it->second != count) return false;
-  }
-  return true;
+  // Equal tables also rule out phantom owners: a cached non-zero count
+  // with no frames behind it.
+  return seen_free == free_ && seen == owned_counts_;
 }
 
 }  // namespace rh::mm

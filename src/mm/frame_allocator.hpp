@@ -8,11 +8,11 @@
 
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/machine_memory.hpp"
 #include "mm/domain_id.hpp"
+#include "simcore/check.hpp"
 #include "simcore/types.hpp"
 
 namespace rh::mm {
@@ -40,8 +40,9 @@ class FrameAllocator {
                                                    std::int64_t count);
 
   /// Claims the exact given frames for `owner`. Every frame must currently
-  /// be free; throws InvariantViolation otherwise. Used after quick reload
-  /// to re-attach preserved memory images.
+  /// be free; throws InvariantViolation naming the first busy frame
+  /// otherwise, with nothing claimed. Used after quick reload to re-attach
+  /// preserved memory images.
   void claim(DomainId owner, std::span<const hw::FrameNumber> frames);
 
   /// Returns one frame to the free pool. It must be owned.
@@ -50,7 +51,10 @@ class FrameAllocator {
   /// Frees every frame owned by `owner`; returns how many were freed.
   std::int64_t release_all(DomainId owner);
 
-  [[nodiscard]] DomainId owner_of(hw::FrameNumber mfn) const;
+  [[nodiscard]] DomainId owner_of(hw::FrameNumber mfn) const {
+    check_mfn(mfn);
+    return owner_[static_cast<std::size_t>(mfn)];
+  }
   [[nodiscard]] std::int64_t total_frames() const { return total_; }
   [[nodiscard]] std::int64_t free_frames() const { return free_; }
   [[nodiscard]] std::int64_t owned_frames(DomainId owner) const;
@@ -58,9 +62,9 @@ class FrameAllocator {
   /// All frames currently owned by `owner`, in ascending MFN order.
   [[nodiscard]] std::vector<hw::FrameNumber> frames_owned_by(DomainId owner) const;
 
-  /// All currently-free frames, in ascending MFN order. Used by the VMM's
-  /// boot-time scrubber.
-  [[nodiscard]] std::vector<hw::FrameNumber> free_frame_list() const;
+  /// Owner of every frame, indexed by MFN (kNoDomain == free), for
+  /// whole-host passes such as the boot-time scrubber to walk in place.
+  [[nodiscard]] std::span<const DomainId> owners() const { return owner_; }
 
   /// Length of the longest run of consecutive free MFNs.
   [[nodiscard]] std::int64_t largest_free_run() const;
@@ -75,17 +79,26 @@ class FrameAllocator {
   [[nodiscard]] hw::FrameNumber lowest_free_from(hw::FrameNumber hint) const;
 
   /// Conservation check: the cached free counter and per-owner counts
-  /// agree with the owner map. Cheap enough to run after every reload.
+  /// agree with the owner map, and every owner in the map has a count.
+  /// One pass over the owner map; cheap enough to run after every reload.
   [[nodiscard]] bool accounting_ok() const;
 
  private:
-  void check_mfn(hw::FrameNumber mfn) const;
+  void check_mfn(hw::FrameNumber mfn) const {
+    ensure(mfn >= 0 && mfn < total_, "FrameAllocator: MFN out of range");
+  }
+  /// `owner`'s count slot, growing the table to reach it. The caller has
+  /// checked the owner (an id below kVmmOwner would have no slot).
+  std::int64_t& count_of(DomainId owner);
 
   std::vector<DomainId> owner_;  // indexed by MFN; kNoDomain == free
   std::int64_t total_ = 0;
   std::int64_t free_ = 0;
   std::int64_t cursor_ = 0;  // next-fit allocation cursor
-  std::unordered_map<DomainId, std::int64_t> owned_counts_;
+  // Frames held per owner, indexed by owner - kVmmOwner: domain ids are
+  // small and dense (a VMM numbers them from 0). The kNoDomain slot
+  // stays 0.
+  std::vector<std::int64_t> owned_counts_;
 };
 
 }  // namespace rh::mm

@@ -9,22 +9,9 @@ P2mTable::P2mTable(Pfn pfn_count) {
   map_.assign(static_cast<std::size_t>(pfn_count), kNoFrame);
 }
 
-void P2mTable::check_pfn(Pfn pfn) const {
-  ensure(pfn >= 0 && pfn < pfn_count(), "P2mTable: PFN out of range");
-}
-
 void P2mTable::grow(Pfn new_pfn_count) {
   ensure(new_pfn_count >= pfn_count(), "P2mTable::grow: cannot shrink");
   map_.resize(static_cast<std::size_t>(new_pfn_count), kNoFrame);
-}
-
-void P2mTable::add(Pfn pfn, hw::FrameNumber mfn) {
-  check_pfn(pfn);
-  ensure(mfn >= 0, "P2mTable::add: invalid MFN");
-  ensure(map_[static_cast<std::size_t>(pfn)] == kNoFrame,
-         "P2mTable::add: PFN already mapped");
-  map_[static_cast<std::size_t>(pfn)] = mfn;
-  ++populated_;
 }
 
 hw::FrameNumber P2mTable::remove(Pfn pfn) {
@@ -34,11 +21,6 @@ hw::FrameNumber P2mTable::remove(Pfn pfn) {
   map_[static_cast<std::size_t>(pfn)] = kNoFrame;
   --populated_;
   return mfn;
-}
-
-hw::FrameNumber P2mTable::mfn_of(Pfn pfn) const {
-  check_pfn(pfn);
-  return map_[static_cast<std::size_t>(pfn)];
 }
 
 std::vector<hw::FrameNumber> P2mTable::mapped_frames() const {
@@ -64,11 +46,14 @@ void P2mTable::serialize(ByteWriter& w) const {
 P2mTable P2mTable::deserialize(ByteReader& r) {
   P2mTable t;
   t.map_ = r.i64_vector();
-  t.populated_ = 0;
+  // One branch-free pass validates and counts: an entry is a hole
+  // (kNoFrame) or a machine frame (>= 0); anything below kNoFrame is bad.
+  bool bad = false;
   for (const auto mfn : t.map_) {
-    ensure(mfn == kNoFrame || mfn >= 0, "P2mTable::deserialize: bad MFN");
-    if (mfn != kNoFrame) ++t.populated_;
+    bad |= mfn < kNoFrame;
+    t.populated_ += mfn != kNoFrame;
   }
+  ensure(!bad, "P2mTable::deserialize: bad MFN");
   return t;
 }
 

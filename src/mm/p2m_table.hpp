@@ -11,10 +11,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hw/machine_memory.hpp"
 #include "mm/serde.hpp"
+#include "simcore/check.hpp"
 #include "simcore/types.hpp"
 
 namespace rh::mm {
@@ -41,20 +43,34 @@ class P2mTable {
   void grow(Pfn new_pfn_count);
 
   /// Records that `pfn` is backed by machine frame `mfn`. The slot must be
-  /// a hole.
-  void add(Pfn pfn, hw::FrameNumber mfn);
+  /// a hole. Inline: domain construction calls it once per frame.
+  void add(Pfn pfn, hw::FrameNumber mfn) {
+    check_pfn(pfn);
+    ensure(mfn >= 0, "P2mTable::add: invalid MFN");
+    auto& slot = map_[static_cast<std::size_t>(pfn)];
+    ensure(slot == kNoFrame, "P2mTable::add: PFN already mapped");
+    slot = mfn;
+    ++populated_;
+  }
 
   /// Removes the mapping at `pfn` (e.g. the balloon driver returned the
   /// page); returns the machine frame that backed it.
   hw::FrameNumber remove(Pfn pfn);
 
   /// Machine frame backing `pfn`, or kNoFrame for a hole.
-  [[nodiscard]] hw::FrameNumber mfn_of(Pfn pfn) const;
+  [[nodiscard]] hw::FrameNumber mfn_of(Pfn pfn) const {
+    check_pfn(pfn);
+    return map_[static_cast<std::size_t>(pfn)];
+  }
 
   [[nodiscard]] bool is_hole(Pfn pfn) const { return mfn_of(pfn) == kNoFrame; }
 
   /// All mapped machine frames in PFN order (the domain's memory image).
   [[nodiscard]] std::vector<hw::FrameNumber> mapped_frames() const;
+
+  /// The table itself, indexed by PFN (kNoFrame for a hole), for passes
+  /// that check every mapping in place.
+  [[nodiscard]] std::span<const hw::FrameNumber> entries() const { return map_; }
 
   /// First populated PFN, or -1 when empty. (The VMM stamps a signature
   /// token into this frame at suspend time.)
@@ -72,7 +88,9 @@ class P2mTable {
   bool operator==(const P2mTable&) const = default;
 
  private:
-  void check_pfn(Pfn pfn) const;
+  void check_pfn(Pfn pfn) const {
+    ensure(pfn >= 0 && pfn < pfn_count(), "P2mTable: PFN out of range");
+  }
 
   std::vector<hw::FrameNumber> map_;
   std::int64_t populated_ = 0;

@@ -2,24 +2,37 @@
 
 #include <algorithm>
 
+#include "mm/serde.hpp"
 #include "simcore/check.hpp"
 
 namespace rh::mm {
 
 std::uint64_t payload_checksum(const std::vector<std::byte>& payload) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-  for (const std::byte b : payload) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 1099511628211ULL;  // FNV prime
+  // FNV-1a over 64-bit little-endian words, then the tail bytes one at a
+  // time. Each step (xor an input, multiply by the odd prime) is a
+  // bijection of the state, so changing any one byte changes the sum.
+  constexpr std::uint64_t kPrime = 1099511628211ULL;  // FNV prime
+  std::uint64_t h = 1469598103934665603ULL;           // FNV offset basis
+  const std::byte* p = payload.data();
+  const std::byte* const words_end = p + payload.size() / 8 * 8;
+  for (; p != words_end; p += 8) {
+    h ^= load_le64(p);
+    h *= kPrime;
+  }
+  for (const std::byte* const end = payload.data() + payload.size(); p != end;
+       ++p) {
+    h ^= static_cast<std::uint64_t>(*p);
+    h *= kPrime;
   }
   return h;
 }
 
 void PreservedRegionRegistry::put(PreservedRegion region) {
   ensure(!region.name.empty(), "PreservedRegionRegistry: region needs a name");
-  ensure(regions_.find(region.name) == regions_.end(),
-         "PreservedRegionRegistry::put: duplicate region '" + region.name +
-             "' (use replace() to overwrite deliberately)");
+  ensure(regions_.find(region.name) == regions_.end(), [&] {
+    return "PreservedRegionRegistry::put: duplicate region '" + region.name +
+           "' (use replace() to overwrite deliberately)";
+  });
   check_budget(region, /*replaced_frames=*/0);
   region.checksum = payload_checksum(region.payload);
   order_.push_back(region.name);
@@ -29,8 +42,9 @@ void PreservedRegionRegistry::put(PreservedRegion region) {
 void PreservedRegionRegistry::replace(PreservedRegion region) {
   ensure(!region.name.empty(), "PreservedRegionRegistry: region needs a name");
   const auto it = regions_.find(region.name);
-  ensure(it != regions_.end(),
-         "PreservedRegionRegistry::replace: no region '" + region.name + "'");
+  ensure(it != regions_.end(), [&] {
+    return "PreservedRegionRegistry::replace: no region '" + region.name + "'";
+  });
   check_budget(region, frames_of(it->second));
   region.checksum = payload_checksum(region.payload);
   it->second = std::move(region);
@@ -62,17 +76,6 @@ bool PreservedRegionRegistry::erase(const std::string& name) {
   regions_.erase(it);
   order_.erase(std::remove(order_.begin(), order_.end(), name), order_.end());
   return true;
-}
-
-std::vector<std::string> PreservedRegionRegistry::names() const { return order_; }
-
-std::vector<hw::FrameNumber> PreservedRegionRegistry::all_frozen_frames() const {
-  std::vector<hw::FrameNumber> out;
-  for (const auto& name : order_) {
-    const auto& r = regions_.at(name);
-    out.insert(out.end(), r.frozen_frames.begin(), r.frozen_frames.end());
-  }
-  return out;
 }
 
 sim::Bytes PreservedRegionRegistry::payload_bytes() const {

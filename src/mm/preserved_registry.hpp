@@ -30,13 +30,15 @@ struct PreservedRegion {
   std::string name;
   std::vector<std::byte> payload;
   std::vector<hw::FrameNumber> frozen_frames;
-  /// FNV-1a over the payload, stamped by the registry at put() time. A
+  /// payload_checksum(payload), stamped by the registry at put() time. A
   /// reader that recomputes a different value is looking at a record that
   /// rotted (or was tampered with) after it was preserved.
   std::uint64_t checksum = 0;
 };
 
-/// FNV-1a over a payload; the checksum PreservedRegionRegistry stamps.
+/// The checksum PreservedRegionRegistry stamps: FNV-1a steps over the
+/// payload's 64-bit little-endian words, then over its tail bytes one at
+/// a time. Any single changed byte changes the result.
 [[nodiscard]] std::uint64_t payload_checksum(const std::vector<std::byte>& payload);
 
 /// Thrown when a put()/replace() would push the registry past its
@@ -81,14 +83,12 @@ class PreservedRegionRegistry {
   /// Removes a region; returns true if it existed.
   bool erase(const std::string& name);
 
-  /// All region names, in insertion order.
-  [[nodiscard]] std::vector<std::string> names() const;
+  /// All region names, in insertion order. Invalidated by put() and
+  /// erase(); copy it to mutate the registry while walking the names.
+  [[nodiscard]] const std::vector<std::string>& names() const { return order_; }
 
   [[nodiscard]] bool empty() const { return regions_.empty(); }
   [[nodiscard]] std::size_t size() const { return regions_.size(); }
-
-  /// Union of all regions' frozen frames.
-  [[nodiscard]] std::vector<hw::FrameNumber> all_frozen_frames() const;
 
   /// Total metadata bytes held (payloads only, not frozen frames).
   [[nodiscard]] sim::Bytes payload_bytes() const;

@@ -7,17 +7,26 @@ void ByteWriter::u32(std::uint32_t v) {
 }
 
 void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  const std::size_t at = buf_.size();
+  buf_.resize(at + 8);
+  store_le64(buf_.data() + at, v);
 }
 
 void ByteWriter::str(const std::string& s) {
   u32(static_cast<std::uint32_t>(s.size()));
-  for (char c : s) u8(static_cast<std::uint8_t>(c));
+  const auto* bytes = reinterpret_cast<const std::byte*>(s.data());
+  buf_.insert(buf_.end(), bytes, bytes + s.size());
 }
 
 void ByteWriter::i64_vector(const std::vector<std::int64_t>& v) {
   u64(v.size());
-  for (auto x : v) i64(x);
+  const std::size_t at = buf_.size();
+  buf_.resize(at + v.size() * 8);
+  std::byte* out = buf_.data() + at;
+  for (const auto x : v) {
+    store_le64(out, static_cast<std::uint64_t>(x));
+    out += 8;
+  }
 }
 
 std::uint8_t ByteReader::u8() {
@@ -32,26 +41,31 @@ std::uint32_t ByteReader::u32() {
 }
 
 std::uint64_t ByteReader::u64() {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
+  need(8);
+  const std::uint64_t v = load_le64(buf_.data() + pos_);
+  pos_ += 8;
   return v;
 }
 
 std::string ByteReader::str() {
   const std::uint32_t n = u32();
   need(n);
-  std::string s;
-  s.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) s.push_back(static_cast<char>(u8()));
+  std::string s(reinterpret_cast<const char*>(buf_.data() + pos_), n);
+  pos_ += n;
   return s;
 }
 
 std::vector<std::int64_t> ByteReader::i64_vector() {
   const std::uint64_t n = u64();
-  need(static_cast<std::size_t>(n) * 8);
-  std::vector<std::int64_t> v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(i64());
+  // Divide rather than multiply: n * 8 wraps for a corrupt n >= 2^61.
+  ensure(n <= (buf_.size() - pos_) / 8, "ByteReader: truncated payload");
+  std::vector<std::int64_t> v(static_cast<std::size_t>(n));
+  const std::byte* in = buf_.data() + pos_;
+  for (auto& x : v) {
+    x = static_cast<std::int64_t>(load_le64(in));
+    in += 8;
+  }
+  pos_ += v.size() * 8;
   return v;
 }
 

@@ -4,15 +4,19 @@
 // invariants as checked expressions that throw on violation. Exceptions
 // (rather than abort) let tests assert that violations are detected.
 //
-// ensure() sits on the simulator's hottest paths (every event push/pop runs
-// through it), so the success path must cost exactly one predicted branch:
-// the message stays a const char* and the exception is materialized only in
-// the out-of-line, cold throw helper. Passing a std::string temporary here
-// would tax every call even when the invariant holds.
+// ensure() sits on the simulator's hottest paths (every event push/pop and
+// every frame a VMM claims or releases runs through it), so the success
+// path must cost exactly one predicted branch whatever the message. A
+// fixed message stays a const char*. A message built at run time (naming a
+// frame, a domain, a path) is passed as a callable that returns it; the
+// callable runs, and its std::string is built, only when the check fails.
+// Either way the exception is materialized in the out-of-line, cold throw
+// helper.
 #pragma once
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace rh {
 
@@ -33,11 +37,14 @@ inline void ensure(bool condition, const char* message) {
   }
 }
 
-/// Overload for call sites that build the message dynamically; those are
-/// all cold paths, so eager message construction there is acceptable.
-inline void ensure(bool condition, const std::string& message) {
+/// Throws InvariantViolation with the message `make_message()` returns
+/// unless `condition` holds. The message is built only on failure:
+///   ensure(free, [&] { return "frame " + std::to_string(mfn) + " busy"; });
+template <typename MakeMessage>
+  requires std::is_invocable_r_v<std::string, MakeMessage&>
+inline void ensure(bool condition, MakeMessage&& make_message) {
   if (!condition) [[unlikely]] {
-    throw_invariant_violation(message.c_str());
+    throw_invariant_violation(std::string(make_message()).c_str());
   }
 }
 

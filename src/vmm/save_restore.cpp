@@ -28,7 +28,8 @@ void Vmm::save_domain_to_disk(DomainId id, ImageStore& store,
   ensure(static_cast<bool>(done), "save: callback required");
   Domain& d = domain(id);
   ensure(!d.privileged(), "save: cannot save domain 0");
-  ensure(d.running(), "save: domain '" + d.name() + "' is not running");
+  ensure(d.running(),
+         [&] { return "save: domain '" + d.name() + "' is not running"; });
   ensure(d.hooks() != nullptr, "save: domain has no guest hooks");
   d.set_state(DomainState::kSuspending);
   if (tracer_.enabled()) trace("xm save -> domain '" + d.name() + "'");
@@ -89,7 +90,8 @@ void Vmm::restore_domain_from_disk(const std::string& name, ImageStore& store,
   ensure(static_cast<bool>(done), "restore: callback required");
   ensure(hooks != nullptr, "restore: guest hooks required");
   const SavedImage* img = store.find(name);
-  ensure(img != nullptr, "restore: no saved image for domain '" + name + "'");
+  ensure(img != nullptr,
+         [&] { return "restore: no saved image for domain '" + name + "'"; });
   const sim::Bytes memory = img->memory_size;
 
   // Domain creation is serialised through xend; the image read then
@@ -162,10 +164,12 @@ SavedImage Vmm::capture_image(DomainId id) const {
   img.exec = d.exec();
   img.exec.event_channels = d.event_channels().state_token();
   img.event_channels = d.event_channels();
-  for (mm::Pfn pfn = 0; pfn < d.p2m().pfn_count(); ++pfn) {
-    const auto mfn = d.p2m().mfn_of(pfn);
-    if (mfn != mm::kNoFrame) {
-      img.pages.emplace_back(pfn, machine_.memory().read(mfn));
+  const auto entries = d.p2m().entries();
+  const auto& memory = machine_.memory();
+  img.pages.reserve(static_cast<std::size_t>(d.p2m().populated()));
+  for (std::size_t pfn = 0; pfn < entries.size(); ++pfn) {
+    if (entries[pfn] != mm::kNoFrame) {
+      img.pages.emplace_back(static_cast<mm::Pfn>(pfn), memory.read(entries[pfn]));
     }
   }
   return img;
@@ -202,8 +206,13 @@ void Vmm::apply_image(DomainId id, const SavedImage& img) {
       d.p2m().add(missing[i], frames[i]);
     }
   }
+  // Write the contents back through the P2M (guest_write's path, without
+  // looking the domain up again for every page).
+  auto& memory = machine_.memory();
   for (const auto& [pfn, token] : img.pages) {
-    guest_write(id, pfn, token);
+    const auto mfn = d.p2m().mfn_of(pfn);
+    ensure(mfn != mm::kNoFrame, "apply_image: PFN is ballooned out");
+    memory.write(mfn, token);
   }
   d.exec() = img.exec;
   d.event_channels() = img.event_channels;

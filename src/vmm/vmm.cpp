@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <queue>
 #include <utility>
 
 #include "simcore/check.hpp"
@@ -108,10 +107,16 @@ void Vmm::build_dom0() {
 void Vmm::scrub_free_memory() {
   // Frozen frames are owned (claimed by reserve_preserved_regions), so the
   // scrubber never touches them.
-  const auto free_frames = allocator_.free_frame_list();
-  for (const auto mfn : free_frames) machine_.memory().scrub(mfn);
+  const auto owners = allocator_.owners();
+  auto& memory = machine_.memory();
+  std::int64_t scrubbed = 0;
+  for (std::size_t mfn = 0; mfn < owners.size(); ++mfn) {
+    if (owners[mfn] != kNoDomain) continue;
+    memory.scrub(static_cast<hw::FrameNumber>(mfn));
+    ++scrubbed;
+  }
   if (tracer_.enabled()) {
-    trace("scrubbed " + std::to_string(free_frames.size()) + " free frames");
+    trace("scrubbed " + std::to_string(scrubbed) + " free frames");
   }
 }
 
@@ -155,7 +160,7 @@ Domain& Vmm::make_domain(const std::string& name, sim::Bytes memory,
                          GuestHooks* hooks, bool privileged,
                          sim::Bytes initial_allocation) {
   ensure(find_domain_by_name(name) == nullptr,
-         "Vmm: domain '" + name + "' already exists");
+         [&] { return "Vmm: domain '" + name + "' already exists"; });
   ensure(initial_allocation >= 0 && initial_allocation <= memory,
          "Vmm: initial_allocation out of [0, memory]");
   const DomainId id = next_domain_id_++;
@@ -273,14 +278,14 @@ void Vmm::destroy_domain(DomainId id) {
 }
 
 Domain& Vmm::domain(DomainId id) {
-  Domain* d = find_domain(id);
-  ensure(d != nullptr, "Vmm::domain: no such domain " + std::to_string(id));
-  return *d;
+  return const_cast<Domain&>(std::as_const(*this).domain(id));
 }
 
 const Domain& Vmm::domain(DomainId id) const {
   const auto it = domains_.find(id);
-  ensure(it != domains_.end(), "Vmm::domain: no such domain " + std::to_string(id));
+  ensure(it != domains_.end(), [id] {
+    return "Vmm::domain: no such domain " + std::to_string(id);
+  });
   return *it->second;
 }
 
@@ -320,14 +325,12 @@ sim::Bytes Vmm::trigger_error_path() {
 }
 
 std::int64_t Vmm::compact_memory() {
-  // Min-heap of free MFNs: each relocation consumes the lowest candidate
-  // and returns the vacated (higher) frame to the pool, so later pages can
-  // slide into it. Iteration order -- domains ascending by id, PFNs
-  // ascending -- is fixed, so the pass is deterministic.
-  std::priority_queue<hw::FrameNumber, std::vector<hw::FrameNumber>,
-                      std::greater<hw::FrameNumber>>
-      free_pool;
-  for (const auto mfn : allocator_.free_frame_list()) free_pool.push(mfn);
+  // Each relocation moves a page into the lowest free MFN and frees the
+  // (higher) frame it vacated, so the lowest free MFN only rises during
+  // the pass: one forward walk of the owner map finds every target.
+  // Iteration order -- domains ascending by id, PFNs ascending -- is
+  // fixed, so the pass is deterministic.
+  hw::FrameNumber lowest_free = allocator_.lowest_free_from(0);
   std::int64_t moved = 0;
   for (auto& [id, dom] : domains_) {
     if (dom->state() == DomainState::kDead) continue;
@@ -335,16 +338,15 @@ std::int64_t Vmm::compact_memory() {
     for (mm::Pfn pfn = 0; pfn < pages; ++pfn) {
       const auto mfn = dom->p2m().mfn_of(pfn);
       if (mfn == mm::kNoFrame) continue;
-      if (free_pool.empty() || free_pool.top() >= mfn) continue;
-      const hw::FrameNumber target = free_pool.top();
-      free_pool.pop();
+      if (lowest_free < 0 || lowest_free >= mfn) continue;
+      const hw::FrameNumber target = lowest_free;
       const hw::FrameNumber single[] = {target};
       allocator_.claim(id, single);
       machine_.memory().write(target, machine_.memory().read(mfn));
       dom->p2m().remove(pfn);
       dom->p2m().add(pfn, target);
       allocator_.release(mfn);
-      free_pool.push(mfn);
+      lowest_free = allocator_.lowest_free_from(target + 1);
       ++moved;
     }
   }
@@ -362,11 +364,13 @@ Vmm::ConservationReport Vmm::frame_conservation_report() const {
   // itself -- neither free (the scrubber would eat it) nor handed to a
   // domain (double ownership).
   r.frozen_frames_reserved = true;
-  for (const auto mfn : preserved_.all_frozen_frames()) {
-    if (allocator_.owner_of(mfn) != kVmmOwner) {
-      r.frozen_frames_reserved = false;
-      break;
-    }
+  for (const auto& name : preserved_.names()) {
+    const auto& frozen = preserved_.find(name)->frozen_frames;
+    r.frozen_frames_reserved =
+        std::all_of(frozen.begin(), frozen.end(), [this](hw::FrameNumber mfn) {
+          return allocator_.owner_of(mfn) == kVmmOwner;
+        });
+    if (!r.frozen_frames_reserved) break;
   }
   // Every live domain's mapped MFNs must be owned by that domain, and its
   // allocator count must equal its populated page count -- no orphaned or
@@ -374,16 +378,15 @@ Vmm::ConservationReport Vmm::frame_conservation_report() const {
   r.p2m_ownership_consistent = true;
   for (const auto& [id, dom] : domains_) {
     if (dom->state() == DomainState::kDead) continue;
-    if (allocator_.owned_frames(id) != dom->p2m().populated()) {
-      r.p2m_ownership_consistent = false;
-      break;
-    }
-    for (const auto mfn : dom->p2m().mapped_frames()) {
-      if (allocator_.owner_of(mfn) != id) {
-        r.p2m_ownership_consistent = false;
-        break;
-      }
-    }
+    const DomainId owner = id;
+    const auto entries = dom->p2m().entries();
+    r.p2m_ownership_consistent =
+        allocator_.owned_frames(owner) == dom->p2m().populated() &&
+        std::all_of(entries.begin(), entries.end(),
+                    [this, owner](hw::FrameNumber mfn) {
+                      return mfn == mm::kNoFrame ||
+                             allocator_.owner_of(mfn) == owner;
+                    });
     if (!r.p2m_ownership_consistent) break;
   }
   return r;

@@ -22,8 +22,10 @@ void VmmHeap::allocate(const std::string& tag, sim::Bytes size) {
 void VmmHeap::free(const std::string& tag, sim::Bytes size) {
   ensure(size >= 0, "VmmHeap::free: negative size");
   const auto it = tags_.find(tag);
-  ensure(it != tags_.end() && it->second >= size,
-         "VmmHeap::free: freeing more than allocated under tag '" + tag + "'");
+  ensure(it != tags_.end() && it->second >= size, [&] {
+    return "VmmHeap::free: freeing more than allocated under tag '" + tag +
+           "'";
+  });
   it->second -= size;
   if (it->second == 0) tags_.erase(it);
   used_ -= size;

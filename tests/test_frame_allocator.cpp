@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mm/frame_allocator.hpp"
 #include "simcore/check.hpp"
 
@@ -64,10 +66,18 @@ TEST(FrameAllocator, ClaimTakesExactFrames) {
   a.claim(7, wanted);
   for (const auto f : wanted) EXPECT_EQ(a.owner_of(f), 7);
   EXPECT_EQ(a.free_frames(), 97);
-  // Claiming an owned frame fails atomically (nothing is taken).
-  EXPECT_THROW(a.claim(8, std::vector<hw::FrameNumber>{1, 17}),
-               InvariantViolation);
+  // Claiming an owned frame fails atomically (nothing is taken), and the
+  // message names the frame.
+  try {
+    a.claim(8, std::vector<hw::FrameNumber>{1, 17});
+    FAIL() << "expected InvariantViolation";
+  } catch (const InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("frame 17 not free"), std::string::npos)
+        << e.what();
+  }
   EXPECT_EQ(a.owner_of(1), kNoDomain);
+  EXPECT_EQ(a.owned_frames(8), 0);
+  EXPECT_TRUE(a.accounting_ok());
 }
 
 TEST(FrameAllocator, ReusesReleasedFramesAfterWrap) {
@@ -94,10 +104,33 @@ TEST(FrameAllocator, FrameConservationInvariant) {
   a.allocate(1, 100);
   a.allocate(2, 200);
   a.claim(3, std::vector<hw::FrameNumber>{900, 901});
+  EXPECT_TRUE(a.accounting_ok());
   a.release_all(2);
-  EXPECT_EQ(a.free_frames() + a.owned_frames(1) + a.owned_frames(2) +
-                a.owned_frames(3),
+  EXPECT_TRUE(a.accounting_ok());
+  // The resume path: a reload re-reserves frozen frames for the VMM, which
+  // releases them one by one as the resumed domain claims them.
+  const std::vector<hw::FrameNumber> frozen{950, 951, 952};
+  a.claim(kVmmOwner, frozen);
+  EXPECT_EQ(a.owned_frames(kVmmOwner), 3);
+  EXPECT_TRUE(a.accounting_ok());
+  for (const auto f : frozen) a.release(f);
+  EXPECT_EQ(a.owned_frames(kVmmOwner), 0);
+  EXPECT_TRUE(a.accounting_ok());
+  a.claim(4, frozen);
+  EXPECT_TRUE(a.accounting_ok());
+  EXPECT_EQ(a.free_frames() + a.owned_frames(kVmmOwner) + a.owned_frames(1) +
+                a.owned_frames(2) + a.owned_frames(3) + a.owned_frames(4),
             a.total_frames());
+}
+
+TEST(FrameAllocator, RejectsInvalidOwners) {
+  mm::FrameAllocator a(10);
+  EXPECT_THROW(a.allocate(kNoDomain, 1), InvariantViolation);
+  EXPECT_THROW(a.claim(kVmmOwner - 1, std::vector<hw::FrameNumber>{0}),
+               InvariantViolation);
+  EXPECT_EQ(a.free_frames(), 10);
+  EXPECT_EQ(a.owned_frames(kVmmOwner - 1), 0);
+  EXPECT_TRUE(a.accounting_ok());
 }
 
 }  // namespace

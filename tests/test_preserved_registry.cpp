@@ -57,8 +57,8 @@ TEST(PreservedRegistry, AggregatesFrozenFramesAndPayload) {
   mm::PreservedRegionRegistry reg;
   reg.put(make_region("a", 100, {1, 2}));
   reg.put(make_region("b", 50, {7}));
-  EXPECT_EQ(reg.all_frozen_frames(),
-            (std::vector<hw::FrameNumber>{1, 2, 7}));
+  // Three frozen frames, plus one frame for each (sub-page) payload.
+  EXPECT_EQ(reg.reserved_frames(), 5);
   EXPECT_EQ(reg.payload_bytes(), 150);
 }
 
@@ -69,6 +69,34 @@ TEST(PreservedRegistry, ClearModelsPowerLoss) {
   EXPECT_TRUE(reg.empty());
   EXPECT_EQ(reg.payload_bytes(), 0);
   EXPECT_TRUE(reg.names().empty());
+}
+
+TEST(PreservedRegistry, CorruptionDetectedAtEveryPayloadLength) {
+  // The checksum hashes 8-byte words and then the tail bytes; lengths 1 to
+  // 24 put the flipped middle byte in a tail, a first word and a later word.
+  for (std::size_t len = 1; len <= 24; ++len) {
+    mm::PreservedRegionRegistry reg;
+    reg.put(make_region("r", len, {}));
+    ASSERT_TRUE(reg.intact("r")) << "length " << len;
+    reg.corrupt_payload("r");
+    EXPECT_FALSE(reg.intact("r")) << "length " << len;
+  }
+}
+
+TEST(PreservedRegistry, ChecksumSeesEveryByte) {
+  for (std::size_t len = 1; len <= 24; ++len) {
+    std::vector<std::byte> payload(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      payload[i] = static_cast<std::byte>(i * 37 + 1);
+    }
+    const std::uint64_t sum = mm::payload_checksum(payload);
+    for (std::size_t i = 0; i < len; ++i) {
+      auto flipped = payload;
+      flipped[i] ^= std::byte{0x80};
+      EXPECT_NE(mm::payload_checksum(flipped), sum)
+          << "length " << len << ", byte " << i;
+    }
+  }
 }
 
 TEST(PreservedRegistry, RejectsUnnamedRegion) {

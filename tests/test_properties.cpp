@@ -3,6 +3,7 @@
 
 #include <map>
 #include <set>
+#include <type_traits>
 
 #include "mm/balloon.hpp"
 #include "net/tcp.hpp"
@@ -146,11 +147,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BalloonChaos,
 // client timeout -- swept across outage durations.
 // ---------------------------------------------------------------------
 
+// CTest names each case after gtest's byte dump of the parameter, so the
+// struct must have no padding: padding bytes are uninitialised and would put
+// stack garbage into the test name. Hence `survives` is int-wide (1 or 0).
 struct TcpCase {
   int outage_s;
   int timeout_s;
-  bool survives;
+  int survives;
 };
+static_assert(std::has_unique_object_representations_v<TcpCase>);
 
 class TcpSurvival : public ::testing::TestWithParam<TcpCase> {};
 
@@ -169,7 +174,7 @@ TEST_P(TcpSurvival, MatchesPrediction) {
   s.after(static_cast<sim::Duration>(c.outage_s) * sim::kSecond,
           [&] { server_up = true; });
   s.run_until(s.now() + 3 * sim::kMinute);
-  EXPECT_EQ(conn.alive(), c.survives)
+  EXPECT_EQ(conn.alive(), c.survives != 0)
       << "outage " << c.outage_s << " s, timeout " << c.timeout_s << " s";
 }
 

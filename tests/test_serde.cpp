@@ -54,6 +54,21 @@ TEST(Serde, TruncatedStringLengthThrows) {
   EXPECT_THROW(r.str(), InvariantViolation);
 }
 
+TEST(Serde, CorruptVectorCountThrowsInvariantViolation) {
+  // Counts beyond the two elements carried: one too many, and 2^61, which
+  // would be 2^64 bytes -- a check that multiplies the count by 8 wraps to
+  // 0 and lets the allocation fail with std::length_error.
+  for (const std::uint64_t count : {std::uint64_t{3}, std::uint64_t{1} << 61}) {
+    mm::ByteWriter w;
+    w.u64(count);
+    w.i64(1);
+    w.i64(2);
+    const auto blob = w.take();
+    mm::ByteReader r(blob);
+    EXPECT_THROW(r.i64_vector(), InvariantViolation) << "count " << count;
+  }
+}
+
 TEST(Serde, LittleEndianLayout) {
   mm::ByteWriter w;
   w.u32(0x01020304);
@@ -61,6 +76,19 @@ TEST(Serde, LittleEndianLayout) {
   ASSERT_EQ(blob.size(), std::size_t{4});
   EXPECT_EQ(std::to_integer<int>(blob[0]), 0x04);
   EXPECT_EQ(std::to_integer<int>(blob[3]), 0x01);
+
+  // Vectors: the u64 count, then each element, all little-endian.
+  mm::ByteWriter vw;
+  vw.i64_vector({0x0102030405060708, -1});
+  const auto vblob = vw.take();
+  const std::vector<int> expected{
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // count
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // 0x0102030405060708
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // -1
+  };
+  std::vector<int> got;
+  for (const std::byte b : vblob) got.push_back(std::to_integer<int>(b));
+  EXPECT_EQ(got, expected);
 }
 
 }  // namespace

@@ -62,6 +62,26 @@ TEST(VmmDomains, DestroyReleasesEverything) {
   EXPECT_THROW((void)vmm.domain(id), InvariantViolation);
 }
 
+TEST(VmmDomains, UnknownDomainErrorNamesTheId) {
+  HostFixture fx(0);
+  auto& vmm = fx.host->vmm();
+  const auto& const_vmm = vmm;
+  for (const bool use_const : {false, true}) {
+    try {
+      if (use_const) {
+        (void)const_vmm.domain(4242);
+      } else {
+        (void)vmm.domain(4242);
+      }
+      FAIL() << "expected InvariantViolation";
+    } catch (const InvariantViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("no such domain 4242"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(VmmDomains, CannotDestroyDom0) {
   HostFixture fx(0);
   EXPECT_THROW(fx.host->vmm().destroy_domain(kDomain0), InvariantViolation);
