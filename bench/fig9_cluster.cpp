@@ -90,7 +90,8 @@ SimRow simulated_once(std::uint64_t seed, const std::string& trace_path = "") {
       t0 - 20 * sim::kSecond, t0);
 
   bool done = false;
-  cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [&done] { done = true; });
+  cl.rolling_rejuvenation_waves(
+      {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
   while (!done) s.step();
   const sim::SimTime t1 = s.now();
   s.run_for(60 * sim::kSecond);
@@ -139,7 +140,8 @@ void parallel_once(std::size_t workers, std::uint64_t seed) {
   engine.run_until(engine.partition(0).now() + 30 * sim::kSecond);
   bool done = false;
   engine.run_on(0, [&cl, &done] {
-    cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [&done] { done = true; });
+    cl.rolling_rejuvenation_waves(
+        {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
   });
   engine.run_while([&done] { return !done; });
   engine.run_until(engine.partition(0).now() + 60 * sim::kSecond);

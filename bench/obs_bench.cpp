@@ -133,7 +133,8 @@ ClusterRun cluster_once(bool observe) {
   fleet.start();
   s.run_for(30 * sim::kSecond);
   bool done = false;
-  cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [&done] { done = true; });
+  cl.rolling_rejuvenation_waves(
+      {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
   while (!done) s.step();
   s.run_for(60 * sim::kSecond);
   fleet.stop();
@@ -141,6 +142,7 @@ ClusterRun cluster_once(bool observe) {
   ClusterRun run;
   run.wall_seconds = seconds_since(t0);
   mix(run.digest, static_cast<std::uint64_t>(s.now()));
+  mix(run.digest, s.executed_events());
   mix(run.digest, static_cast<std::uint64_t>(fleet.completions().total()));
   mix(run.digest, cl.balancer().rejected());
   for (const auto d : cl.rejuvenation_durations()) {
@@ -217,7 +219,7 @@ int main(int argc, char** argv) {
   }
   const bool digest_equal = off.digest == on.digest;
   std::printf("\n  fig9 cluster pass: observer off %.3f s, on %.3f s "
-              "(+%.1f %%), digests %s\n",
+              "(%+.1f %%), digests %s\n",
               off.wall_seconds, on.wall_seconds,
               (on.wall_seconds / off.wall_seconds - 1.0) * 100.0,
               digest_equal ? "EQUAL" : "DIFFER");

@@ -29,9 +29,8 @@ Cluster::Cluster(sim::Simulation& sim, Config config)
     balancer_.bind_parallel(*config_.engine, /*self_partition=*/0,
                             config_.calib.link.latency);
   }
-  // Waves launch several drivers/supervisors concurrently, so per-host
-  // slots are needed in sequential mode too.
-  host_drivers_.resize(static_cast<std::size_t>(config_.hosts));
+  // Waves launch several supervisors concurrently, so per-host slots are
+  // needed in sequential mode too.
   host_supervisors_.resize(static_cast<std::size_t>(config_.hosts));
   steady_slots_.resize(static_cast<std::size_t>(config_.hosts));
   crash_down_.assign(static_cast<std::size_t>(config_.hosts), 0);
@@ -120,18 +119,13 @@ void Cluster::start(std::function<void()> on_ready) {
     hosts_[static_cast<std::size_t>(h)]->instant_start();
     for (auto& g : guests_[static_cast<std::size_t>(h)]) {
       guest::GuestOs* os = g.get();
+      // Boot completion fires on the host's partition; registration
+      // mutates balancer state, so it crosses to the control plane
+      // through the mailboxes (merge order makes it deterministic).
       os->create_and_boot([this, os, remaining, shared_ready] {
-        if (config_.engine != nullptr) {
-          // Boot completion fires on the host's partition; registration
-          // mutates balancer state, so it crosses to the control plane
-          // through the mailboxes (merge order makes it deterministic).
-          config_.engine->post(0, config_.calib.link.latency,
-                               [this, os, remaining, shared_ready] {
-            register_backend(os, remaining, shared_ready);
-          });
-          return;
-        }
-        register_backend(os, remaining, shared_ready);
+        to_control([this, os, remaining, shared_ready] {
+          register_backend(os, remaining, shared_ready);
+        });
       });
     }
   }
@@ -153,270 +147,6 @@ void Cluster::register_backend(
   if (--*remaining == 0) (*ready)();
 }
 
-void Cluster::rolling_rejuvenation(rejuv::RebootKind kind,
-                                   std::function<void()> on_done) {
-  ensure(static_cast<bool>(on_done), "rolling_rejuvenation: callback required");
-  ensure(!rolling_in_progress_,
-         "rolling_rejuvenation: a rolling pass is already in progress");
-  rolling_in_progress_ = true;
-  durations_.clear();
-  rejuvenate_from(0, kind, std::move(on_done));
-}
-
-void Cluster::rejuvenate_from(std::size_t host_index, rejuv::RebootKind kind,
-                              std::function<void()> on_done) {
-  if (host_index == hosts_.size()) {
-    active_driver_.reset();
-    rolling_in_progress_ = false;
-    on_done();
-    return;
-  }
-  if (config_.engine != nullptr) {
-    rejuvenate_remote(host_index, kind, std::move(on_done));
-    return;
-  }
-  vmm::Host& h = *hosts_[host_index];
-  obs::SpanId turn = obs::kNoSpan;
-  if (h.obs().enabled()) {
-    turn = h.obs().span_open(sim_.now(), obs::Phase::kRollingPass,
-                             "rolling turn host " + std::to_string(host_index));
-    h.obs().set_ambient(turn);
-  }
-  active_driver_ = rejuv::make_reboot_driver(
-      kind, h, guests_of(static_cast<int>(host_index)));
-  active_driver_->run([this, host_index, kind, turn,
-                       on_done = std::move(on_done)]() mutable {
-    durations_.push_back(active_driver_->total_duration());
-    vmm::Host& done_host = *hosts_[host_index];
-    done_host.obs().span_close(turn, sim_.now());
-    done_host.obs().set_ambient(obs::kNoSpan);
-    rejuvenate_from(host_index + 1, kind, std::move(on_done));
-  });
-}
-
-void Cluster::rejuvenate_remote(std::size_t host_index, rejuv::RebootKind kind,
-                                std::function<void()> on_done) {
-  // Control partition -> host partition hop. The driver is constructed,
-  // run and destroyed only in the host's partition context; the reply
-  // carries the measured duration by value so the control plane never
-  // reads driver state across the boundary.
-  config_.engine->post(
-      partition_of(static_cast<int>(host_index)), config_.calib.link.latency,
-      [this, host_index, kind, on_done = std::move(on_done)]() mutable {
-        vmm::Host& h = *hosts_[host_index];
-        obs::SpanId turn = obs::kNoSpan;
-        if (h.obs().enabled()) {
-          turn = h.obs().span_open(
-              h.sim().now(), obs::Phase::kRollingPass,
-              "rolling turn host " + std::to_string(host_index));
-          h.obs().set_ambient(turn);
-        }
-        auto& slot = host_drivers_[host_index];
-        slot = rejuv::make_reboot_driver(
-            kind, h, guests_of(static_cast<int>(host_index)));
-        slot->run([this, host_index, kind, turn,
-                   on_done = std::move(on_done)]() mutable {
-          vmm::Host& done_host = *hosts_[host_index];
-          done_host.obs().span_close(turn, done_host.sim().now());
-          done_host.obs().set_ambient(obs::kNoSpan);
-          const sim::Duration took =
-              host_drivers_[host_index]->total_duration();
-          config_.engine->post(0, config_.calib.link.latency,
-                               [this, host_index, kind, took,
-                                on_done = std::move(on_done)]() mutable {
-            durations_.push_back(took);
-            rejuvenate_from(host_index + 1, kind, std::move(on_done));
-          });
-        });
-      });
-}
-
-void Cluster::rolling_rejuvenation_supervised(
-    SupervisionConfig config,
-    std::function<void(const RollingReport&)> on_done) {
-  ensure(static_cast<bool>(on_done),
-         "rolling_rejuvenation_supervised: callback required");
-  ensure(!rolling_in_progress_,
-         "rolling_rejuvenation_supervised: a rolling pass is already in progress");
-  ensure(config.max_host_retries >= 0,
-         "rolling_rejuvenation_supervised: negative retry budget");
-  ensure(config.host_retry_base > 0 &&
-             config.host_retry_cap >= config.host_retry_base,
-         "rolling_rejuvenation_supervised: need cap >= base > 0");
-  rolling_in_progress_ = true;
-  supervision_ = config;
-  rolling_report_ = {};
-  retry_queue_.clear();
-  durations_.clear();
-  supervise_from(0, std::move(on_done));
-}
-
-void Cluster::supervise_from(std::size_t host_index,
-                             std::function<void(const RollingReport&)> on_done) {
-  if (host_index == hosts_.size()) {
-    if (retry_queue_.empty()) {
-      finish_rolling(std::move(on_done));
-    } else {
-      retry_evicted(0, 0, std::move(on_done));
-    }
-    return;
-  }
-  if (config_.engine != nullptr) {
-    supervise_remote(host_index, std::move(on_done));
-    return;
-  }
-  vmm::Host& h = *hosts_[host_index];
-  obs::SpanId turn = obs::kNoSpan;
-  if (h.obs().enabled()) {
-    turn = h.obs().span_open(sim_.now(), obs::Phase::kRollingPass,
-                             "rolling turn host " + std::to_string(host_index));
-    h.obs().set_ambient(turn);
-  }
-  active_supervisor_ = std::make_unique<rejuv::Supervisor>(
-      h, guests_of(static_cast<int>(host_index)), supervision_.supervisor);
-  active_supervisor_->run([this, host_index, turn,
-                           on_done = std::move(on_done)](
-                              const rejuv::SupervisorReport& report) mutable {
-    hosts_[host_index]->obs().span_close(turn, sim_.now());
-    hosts_[host_index]->obs().set_ambient(obs::kNoSpan);
-    rolling_report_.passes.push_back(report);
-    durations_.push_back(report.total_duration());
-    if (!report.success) {
-      // The ladder exhausted on this host: take its backends out of
-      // rotation and queue it for an end-of-pass retry. The pass goes on.
-      set_host_out_of_rotation(host_index, true);
-      rolling_report_.evicted_hosts.push_back(host_index);
-      retry_queue_.push_back(host_index);
-    } else if (report.pressure.pressured) {
-      // The host came back, but only by shedding preserved memory: its
-      // admission controller had to reclaim or demote. Drain load away
-      // from it rather than feeding the overcommit.
-      set_host_backpressured(host_index, true);
-      rolling_report_.pressured_hosts.push_back(host_index);
-    }
-    supervise_from(host_index + 1, std::move(on_done));
-  });
-}
-
-void Cluster::supervise_remote(std::size_t host_index,
-                               std::function<void(const RollingReport&)> on_done) {
-  config_.engine->post(
-      partition_of(static_cast<int>(host_index)), config_.calib.link.latency,
-      [this, host_index, on_done = std::move(on_done)]() mutable {
-        vmm::Host& h = *hosts_[host_index];
-        obs::SpanId turn = obs::kNoSpan;
-        if (h.obs().enabled()) {
-          turn = h.obs().span_open(
-              h.sim().now(), obs::Phase::kRollingPass,
-              "rolling turn host " + std::to_string(host_index));
-          h.obs().set_ambient(turn);
-        }
-        auto& slot = host_supervisors_[host_index];
-        slot = std::make_unique<rejuv::Supervisor>(
-            h, guests_of(static_cast<int>(host_index)),
-            supervision_.supervisor);
-        slot->run([this, host_index, turn, on_done = std::move(on_done)](
-                      const rejuv::SupervisorReport& report) mutable {
-          vmm::Host& done_host = *hosts_[host_index];
-          done_host.obs().span_close(turn, done_host.sim().now());
-          done_host.obs().set_ambient(obs::kNoSpan);
-          // Reply carries the report by value: eviction/pressure flags
-          // and the rolling report are control-plane state.
-          config_.engine->post(0, config_.calib.link.latency,
-                               [this, host_index, report,
-                                on_done = std::move(on_done)]() mutable {
-            rolling_report_.passes.push_back(report);
-            durations_.push_back(report.total_duration());
-            if (!report.success) {
-              set_host_out_of_rotation(host_index, true);
-              rolling_report_.evicted_hosts.push_back(host_index);
-              retry_queue_.push_back(host_index);
-            } else if (report.pressure.pressured) {
-              set_host_backpressured(host_index, true);
-              rolling_report_.pressured_hosts.push_back(host_index);
-            }
-            supervise_from(host_index + 1, std::move(on_done));
-          });
-        });
-      });
-}
-
-void Cluster::retry_evicted(std::size_t queue_index, int attempt,
-                            std::function<void(const RollingReport&)> on_done) {
-  if (queue_index == retry_queue_.size()) {
-    finish_rolling(std::move(on_done));
-    return;
-  }
-  const std::size_t host_index = retry_queue_[queue_index];
-  sim_.after(host_retry_backoff(attempt), [this, queue_index, attempt,
-                                           host_index,
-                                           on_done = std::move(on_done)]() mutable {
-    if (config_.engine != nullptr) {
-      recover_remote(queue_index, attempt, host_index, std::move(on_done));
-      return;
-    }
-    active_supervisor_ = std::make_unique<rejuv::Supervisor>(
-        *hosts_[host_index], guests_of(static_cast<int>(host_index)),
-        supervision_.supervisor);
-    active_supervisor_->recover(
-        [this, queue_index, attempt, host_index, on_done = std::move(on_done)](
-            const rejuv::SupervisorReport& report) mutable {
-          rolling_report_.passes.push_back(report);
-          if (report.success) {
-            set_host_out_of_rotation(host_index, false);
-            rolling_report_.recovered_hosts.push_back(host_index);
-            retry_evicted(queue_index + 1, 0, std::move(on_done));
-          } else if (attempt < supervision_.max_host_retries) {
-            retry_evicted(queue_index, attempt + 1, std::move(on_done));
-          } else {
-            rolling_report_.failed_hosts.push_back(host_index);
-            retry_evicted(queue_index + 1, 0, std::move(on_done));
-          }
-        });
-  });
-}
-
-void Cluster::recover_remote(std::size_t queue_index, int attempt,
-                             std::size_t host_index,
-                             std::function<void(const RollingReport&)> on_done) {
-  config_.engine->post(
-      partition_of(static_cast<int>(host_index)), config_.calib.link.latency,
-      [this, queue_index, attempt, host_index,
-       on_done = std::move(on_done)]() mutable {
-        auto& slot = host_supervisors_[host_index];
-        slot = std::make_unique<rejuv::Supervisor>(
-            *hosts_[host_index], guests_of(static_cast<int>(host_index)),
-            supervision_.supervisor);
-        slot->recover([this, queue_index, attempt, host_index,
-                       on_done = std::move(on_done)](
-                          const rejuv::SupervisorReport& report) mutable {
-          config_.engine->post(
-              0, config_.calib.link.latency,
-              [this, queue_index, attempt, host_index, report,
-               on_done = std::move(on_done)]() mutable {
-                rolling_report_.passes.push_back(report);
-                if (report.success) {
-                  set_host_out_of_rotation(host_index, false);
-                  rolling_report_.recovered_hosts.push_back(host_index);
-                  retry_evicted(queue_index + 1, 0, std::move(on_done));
-                } else if (attempt < supervision_.max_host_retries) {
-                  retry_evicted(queue_index, attempt + 1, std::move(on_done));
-                } else {
-                  rolling_report_.failed_hosts.push_back(host_index);
-                  retry_evicted(queue_index + 1, 0, std::move(on_done));
-                }
-              });
-        });
-      });
-}
-
-void Cluster::finish_rolling(std::function<void(const RollingReport&)> on_done) {
-  active_supervisor_.reset();
-  retry_queue_.clear();
-  rolling_in_progress_ = false;
-  on_done(rolling_report_);
-}
-
 void Cluster::set_host_out_of_rotation(std::size_t host_index, bool evicted) {
   admin_evicted_[host_index] = evicted ? 1 : 0;
   // The single balancer has one membership flag, so administrative and
@@ -433,12 +163,21 @@ void Cluster::apply_crash_rotation(std::size_t host_index, bool crashed) {
   if (sharded_ != nullptr) sharded_->set_host_crashed(host_index, crashed);
 }
 
-void Cluster::to_control(std::function<void()> fn) {
+void Cluster::to_control(sim::InlineCallback fn) {
   if (config_.engine == nullptr) {
     fn();
     return;
   }
   config_.engine->post(0, config_.calib.link.latency, std::move(fn));
+}
+
+void Cluster::to_host(std::size_t host_index, sim::InlineCallback fn) {
+  if (config_.engine == nullptr) {
+    fn();
+    return;
+  }
+  config_.engine->post(partition_of(static_cast<int>(host_index)),
+                       config_.calib.link.latency, std::move(fn));
 }
 
 void Cluster::start_steady_faults(const SteadyFaultsConfig& config) {
@@ -579,7 +318,7 @@ void Cluster::set_host_backpressured(std::size_t host_index, bool pressured) {
 }
 
 std::pair<std::uint64_t, std::int64_t> Cluster::host_signals(
-    std::size_t host_index) {
+    std::size_t host_index, bool mirror) {
   vmm::Host& h = *hosts_[host_index];
   std::uint64_t load = 0;
   for (auto& g : guests_[host_index]) {
@@ -593,9 +332,10 @@ std::pair<std::uint64_t, std::int64_t> Cluster::host_signals(
   const std::int64_t headroom =
       budget == 0 ? std::numeric_limits<std::int64_t>::max()
                   : budget - h.preserved().reserved_frames();
-  if (h.obs().enabled()) {
-    h.obs().metrics().gauge("host.load") = static_cast<double>(load);
-    h.obs().metrics().gauge("host.preserved_headroom") =
+  if (mirror) {
+    auto& m = h.obs().metrics();
+    m.gauge("host.load") = static_cast<double>(load);
+    m.gauge("host.preserved_headroom") =
         headroom == std::numeric_limits<std::int64_t>::max()
             ? std::numeric_limits<double>::infinity()
             : static_cast<double>(headroom);
@@ -603,30 +343,13 @@ std::pair<std::uint64_t, std::int64_t> Cluster::host_signals(
   return {load, headroom};
 }
 
-// Exporter collect hook, on the host's partition. Same signal math as
-// host_signals, but writes the registry unconditionally: scraping may run
-// with Config::observe off, where host_signals would skip the mirror, and
-// the scraped samples ARE the control plane's only view of the host.
+// Exporter collect hook, on the host's partition. Mirrors the signals
+// unconditionally: scraping may run with Config::observe off, and the
+// scraped samples ARE the control plane's only view of the host.
 void Cluster::collect_host_metrics(std::size_t host_index) {
-  vmm::Host& h = *hosts_[host_index];
-  std::uint64_t load = 0;
-  for (auto& g : guests_[host_index]) {
-    auto* apache =
-        static_cast<guest::ApacheService*>(g->find_service("httpd"));
-    if (apache != nullptr) load += apache->requests_served();
-  }
-  const std::int64_t budget = h.preserved().frame_budget();
-  const std::int64_t headroom =
-      budget == 0 ? std::numeric_limits<std::int64_t>::max()
-                  : budget - h.preserved().reserved_frames();
-  auto& m = h.obs().metrics();
-  m.gauge("host.load") = static_cast<double>(load);
-  m.gauge("host.preserved_headroom") =
-      headroom == std::numeric_limits<std::int64_t>::max()
-          ? std::numeric_limits<double>::infinity()
-          : static_cast<double>(headroom);
-  m.counter("host.vmm_generation") =
-      static_cast<std::uint64_t>(h.vmm_generation());
+  (void)host_signals(host_index, /*mirror=*/true);
+  hosts_[host_index]->obs().metrics().counter("host.vmm_generation") =
+      static_cast<std::uint64_t>(hosts_[host_index]->vmm_generation());
 }
 
 void Cluster::start_scraping(const ScrapeConfig& config) {
@@ -651,16 +374,25 @@ void Cluster::rolling_rejuvenation_waves(
     WaveConfig config, std::function<void(const WaveReport&)> on_done) {
   ensure(static_cast<bool>(on_done),
          "rolling_rejuvenation_waves: callback required");
-  ensure(!rolling_in_progress_,
+  ensure(wave_ == nullptr,
          "rolling_rejuvenation_waves: a rolling pass is already in progress");
   ensure(config.wave_size >= 1, "rolling_rejuvenation_waves: wave_size >= 1");
   ensure(config.max_concurrent_down >= 0,
          "rolling_rejuvenation_waves: negative downtime budget");
-  rolling_in_progress_ = true;
+  ensure(config.max_host_retries >= 0,
+         "rolling_rejuvenation_waves: negative retry budget");
+  ensure(config.host_retry_base > 0 &&
+             config.host_retry_cap >= config.host_retry_base,
+         "rolling_rejuvenation_waves: need retry cap >= base > 0");
+  ensure(config.signals != WaveSignalSource::kScraped || scraper_ != nullptr,
+         "rolling_rejuvenation_waves: scraped signals require "
+         "start_scraping()");
   durations_.clear();
   wave_report_ = {};
   wave_ = std::make_unique<WaveState>();
   wave_->config = config;
+  // The wave's reboot kind overrides the supervisor's preferred mechanism.
+  wave_->config.supervisor.preferred = config.kind;
   wave_->on_done = std::move(on_done);
   const auto n = hosts_.size();
   wave_->scheduled.assign(n, 0);
@@ -675,11 +407,7 @@ void Cluster::rolling_rejuvenation_waves(
 // mailboxes, so the schedule derived from them is worker-count invariant.
 void Cluster::wave_gather() {
   if (wave_->remaining == 0) {
-    wave_report_.hosts_rejuvenated = hosts_.size();
-    rolling_in_progress_ = false;
-    auto on_done = std::move(wave_->on_done);
-    wave_.reset();
-    on_done(wave_report_);
+    wave_retry(0);
     return;
   }
   if (wave_->config.signals == WaveSignalSource::kScraped) {
@@ -687,9 +415,6 @@ void Cluster::wave_gather() {
     // straight off the control partition's TimeSeriesStore. No
     // host-partition probe at all -- the scheduler sees exactly what the
     // telemetry plane saw, up to one scrape interval old.
-    ensure(scraper_ != nullptr,
-           "rolling_rejuvenation_waves: scraped signals require "
-           "start_scraping()");
     for (std::size_t h = 0; h < hosts_.size(); ++h) {
       if (wave_->scheduled[h] != 0) continue;
       const auto [load, headroom] = scraper_->wave_signals(h);
@@ -702,16 +427,10 @@ void Cluster::wave_gather() {
   wave_->replies_pending = wave_->remaining;
   for (std::size_t h = 0; h < hosts_.size(); ++h) {
     if (wave_->scheduled[h] != 0) continue;
-    if (config_.engine == nullptr) {
-      const auto [load, headroom] = host_signals(h);
-      wave_collect(h, load, headroom);
-      continue;
-    }
-    config_.engine->post(partition_of(static_cast<int>(h)),
-                         config_.calib.link.latency, [this, h] {
-      const auto [load, headroom] = host_signals(h);
-      config_.engine->post(0, config_.calib.link.latency,
-                           [this, h, load, headroom] {
+    to_host(h, [this, h] {
+      const auto [load, headroom] =
+          host_signals(h, hosts_[h]->obs().enabled());
+      to_control([this, h, load, headroom] {
         wave_collect(h, load, headroom);
       });
     });
@@ -799,72 +518,36 @@ void Cluster::wave_kick() {
 
 void Cluster::wave_run_host(std::size_t host_index) {
   // Every wave turn is supervised: a mid-wave VMM failure walks the
-  // degradation ladder instead of aborting the pass. The wave's reboot
-  // kind overrides the supervisor's preferred mechanism.
-  rejuv::SupervisorConfig scfg = wave_->config.supervisor;
-  scfg.preferred = wave_->config.kind;
-  if (config_.engine == nullptr) {
+  // degradation ladder instead of aborting the pass. The supervisor lives
+  // and dies on the host's partition; the reply carries the report by
+  // value.
+  to_host(host_index, [this, host_index, scfg = wave_->config.supervisor] {
     vmm::Host& h = *hosts_[host_index];
     if (!h.up() || h.recovery_in_progress()) {
-      wave_host_deferred(host_index);
+      // An unplanned ladder took the host between launch and arrival
+      // (the crash notification may still be in flight): hand the turn
+      // back instead of colliding with the overlap guard.
+      to_control([this, host_index] { wave_host_deferred(host_index); });
       return;
     }
     obs::SpanId turn = obs::kNoSpan;
     if (h.obs().enabled()) {
-      turn = h.obs().span_open(sim_.now(), obs::Phase::kRollingPass,
+      turn = h.obs().span_open(h.sim().now(), obs::Phase::kRollingPass,
                                "wave turn host " + std::to_string(host_index));
       h.obs().set_ambient(turn);
     }
     auto& slot = host_supervisors_[host_index];
     slot = std::make_unique<rejuv::Supervisor>(
         h, guests_of(static_cast<int>(host_index)), scfg);
-    slot->run([this, host_index,
-               turn](const rejuv::SupervisorReport& report) {
+    slot->run([this, host_index, turn](const rejuv::SupervisorReport& report) {
       vmm::Host& done_host = *hosts_[host_index];
-      done_host.obs().span_close(turn, sim_.now());
+      done_host.obs().span_close(turn, done_host.sim().now());
       done_host.obs().set_ambient(obs::kNoSpan);
-      wave_host_done(host_index, report);
-    });
-    return;
-  }
-  // Control partition -> host partition hop, same discipline as
-  // supervise_remote: the supervisor lives and dies on the host's
-  // partition, the reply carries the report by value.
-  config_.engine->post(
-      partition_of(static_cast<int>(host_index)), config_.calib.link.latency,
-      [this, host_index, scfg] {
-        vmm::Host& h = *hosts_[host_index];
-        if (!h.up() || h.recovery_in_progress()) {
-          // An unplanned ladder took the host between launch and arrival
-          // (the crash notification is still in flight): hand the turn
-          // back instead of colliding with the overlap guard.
-          config_.engine->post(0, config_.calib.link.latency,
-                               [this, host_index] {
-            wave_host_deferred(host_index);
-          });
-          return;
-        }
-        obs::SpanId turn = obs::kNoSpan;
-        if (h.obs().enabled()) {
-          turn = h.obs().span_open(
-              h.sim().now(), obs::Phase::kRollingPass,
-              "wave turn host " + std::to_string(host_index));
-          h.obs().set_ambient(turn);
-        }
-        auto& slot = host_supervisors_[host_index];
-        slot = std::make_unique<rejuv::Supervisor>(
-            h, guests_of(static_cast<int>(host_index)), scfg);
-        slot->run([this, host_index,
-                   turn](const rejuv::SupervisorReport& report) {
-          vmm::Host& done_host = *hosts_[host_index];
-          done_host.obs().span_close(turn, done_host.sim().now());
-          done_host.obs().set_ambient(obs::kNoSpan);
-          config_.engine->post(0, config_.calib.link.latency,
-                               [this, host_index, report] {
-            wave_host_done(host_index, report);
-          });
-        });
+      to_control([this, host_index, report]() mutable {
+        wave_host_done(host_index, std::move(report));
       });
+    });
+  });
 }
 
 void Cluster::wave_host_deferred(std::size_t host_index) {
@@ -885,11 +568,21 @@ void Cluster::wave_host_done(std::size_t host_index,
   wave.outcome_hosts.push_back(host_index);
   if (!report.success) {
     // The ladder exhausted mid-wave: take the host's backends out of
-    // rotation. Waves have no retry queue; the eviction is the outcome.
+    // rotation and queue it for an end-of-pass retry. The pass goes on.
     set_host_out_of_rotation(host_index, true);
-    wave_report_.unrecovered_hosts.push_back(host_index);
-  } else if (report.completed != report.attempted) {
-    wave_report_.degraded_hosts.push_back(host_index);
+    wave_->retry_queue.push_back(host_index);
+  } else {
+    ++wave_report_.hosts_rejuvenated;
+    if (report.completed != report.attempted) {
+      wave_report_.degraded_hosts.push_back(host_index);
+    }
+    if (report.pressure.pressured) {
+      // The host came back, but only by shedding preserved memory: its
+      // admission controller had to reclaim or demote. Drain load away
+      // from it rather than feeding the overcommit.
+      set_host_backpressured(host_index, true);
+      wave_report_.pressured_hosts.push_back(host_index);
+    }
   }
   wave.outcomes.push_back(std::move(report));
   if (--wave_->inflight == 0) {
@@ -900,13 +593,70 @@ void Cluster::wave_host_done(std::size_t host_index,
   }
 }
 
-sim::Duration Cluster::host_retry_backoff(int attempt) const {
-  sim::Duration delay = supervision_.host_retry_base;
-  for (int k = 0; k < attempt && delay < supervision_.host_retry_cap; ++k) {
-    delay *= 2;
+// Runs once the last wave is done: each evicted host in turn gets
+// Supervisor::recover (boots only its halted VMs) after a capped
+// exponential backoff, then the pass reports.
+void Cluster::wave_retry(int attempt) {
+  if (wave_->retry_next == wave_->retry_queue.size()) {
+    ensure(wave_report_.hosts_rejuvenated +
+                   wave_report_.recovered_hosts.size() +
+                   wave_report_.unrecovered_hosts.size() ==
+               hosts_.size(),
+           "rolling_rejuvenation_waves: every host must end the pass "
+           "rejuvenated, recovered or unrecovered");
+    auto on_done = std::move(wave_->on_done);
+    wave_.reset();
+    on_done(wave_report_);
+    return;
   }
-  return delay < supervision_.host_retry_cap ? delay
-                                             : supervision_.host_retry_cap;
+  const std::size_t host_index = wave_->retry_queue[wave_->retry_next];
+  sim_.after(host_retry_backoff(attempt), [this, host_index, attempt,
+                                           scfg = wave_->config.supervisor] {
+    to_host(host_index, [this, host_index, attempt, scfg] {
+      vmm::Host& h = *hosts_[host_index];
+      if (!h.up() || h.recovery_in_progress()) {
+        // Steady faults: the host is down or an unplanned ladder owns it.
+        // Supervisor::recover would trip the overlap guard, so this
+        // attempt fails and backs off like any other.
+        to_control([this, host_index, attempt] {
+          wave_retry_done(host_index, attempt, nullptr);
+        });
+        return;
+      }
+      auto& slot = host_supervisors_[host_index];
+      slot = std::make_unique<rejuv::Supervisor>(
+          h, guests_of(static_cast<int>(host_index)), scfg);
+      slot->recover([this, host_index,
+                     attempt](const rejuv::SupervisorReport& report) {
+        to_control([this, host_index, attempt, report] {
+          wave_retry_done(host_index, attempt, &report);
+        });
+      });
+    });
+  });
+}
+
+void Cluster::wave_retry_done(std::size_t host_index, int attempt,
+                              const rejuv::SupervisorReport* report) {
+  if (report != nullptr) wave_report_.retries.push_back(*report);
+  if (report != nullptr && report->success) {
+    set_host_out_of_rotation(host_index, false);
+    wave_report_.recovered_hosts.push_back(host_index);
+  } else if (attempt < wave_->config.max_host_retries) {
+    wave_retry(attempt + 1);
+    return;
+  } else {
+    wave_report_.unrecovered_hosts.push_back(host_index);
+  }
+  ++wave_->retry_next;
+  wave_retry(0);
+}
+
+sim::Duration Cluster::host_retry_backoff(int attempt) const {
+  const WaveConfig& c = wave_->config;
+  sim::Duration delay = c.host_retry_base;
+  for (int k = 0; k < attempt && delay < c.host_retry_cap; ++k) delay *= 2;
+  return std::min(delay, c.host_retry_cap);
 }
 
 }  // namespace rh::cluster

@@ -17,6 +17,7 @@
 #include "rejuv/reboot_driver.hpp"
 #include "rejuv/recovery_driver.hpp"
 #include "rejuv/supervisor.hpp"
+#include "simcore/inline_callback.hpp"
 
 namespace rh::cluster {
 
@@ -62,39 +63,8 @@ class Cluster {
     /// with its host's shard (host h's backends belong to shard
     /// h % shards); under the engine each shard gets its own partition
     /// so dispatch is parallel-in-run. Eviction/pressure decisions from
-    /// supervised rolling passes propagate to both balancers.
+    /// the rolling pass propagate to both balancers.
     int shards = 0;
-  };
-
-  /// Knobs for the supervised rolling pass (rolling_rejuvenation_supervised).
-  struct SupervisionConfig {
-    rejuv::SupervisorConfig supervisor;
-    /// A host whose pass left VMs unrecovered is evicted from the balancer
-    /// and retried at the end of the pass, up to this many times, with
-    /// capped exponential backoff between attempts.
-    int max_host_retries = 2;
-    sim::Duration host_retry_base = 30 * sim::kMinute;
-    sim::Duration host_retry_cap = 2 * sim::kHour;
-  };
-
-  /// Outcome of one supervised rolling pass.
-  struct RollingReport {
-    /// One report per supervisor run, in execution order (initial pass
-    /// over every host, then end-of-pass host retries).
-    std::vector<rejuv::SupervisorReport> passes;
-    /// Hosts evicted mid-pass because their ladder exhausted.
-    std::vector<std::size_t> evicted_hosts;
-    /// Evicted hosts brought back by the end-of-pass retries.
-    std::vector<std::size_t> recovered_hosts;
-    /// Hosts still evicted when the pass ended (retries exhausted too).
-    std::vector<std::size_t> failed_hosts;
-    /// Hosts whose pass succeeded but whose admission controller reported
-    /// preserved-memory pressure (demand over budget). They stay in
-    /// service as a last resort, but the balancer stops preferring them
-    /// (LoadBalancer::set_host_pressured) -- backpressure instead of
-    /// deepening the overcommit.
-    std::vector<std::size_t> pressured_hosts;
-    [[nodiscard]] bool fully_recovered() const { return failed_hosts.empty(); }
   };
 
   Cluster(sim::Simulation& sim, Config config);
@@ -122,24 +92,6 @@ class Cluster {
   [[nodiscard]] LoadBalancer& balancer() { return balancer_; }
   /// The sharded control plane; null unless Config::shards > 0.
   [[nodiscard]] ShardedBalancer* sharded_balancer() { return sharded_.get(); }
-
-  /// Rejuvenates every host's VMM in turn (never two at once), using the
-  /// given reboot strategy. `on_done` fires after the last host is back.
-  /// Overlapping passes are an invariant violation: a second call while a
-  /// pass is in flight would silently drop the first pass's driver
-  /// mid-reboot, so it fails fast instead. Partitioned mode: invoke from
-  /// control-partition context (engine.run_on(0, ...)) -- each turn hops
-  /// to the host's partition and back through the mailboxes.
-  void rolling_rejuvenation(rejuv::RebootKind kind, std::function<void()> on_done);
-
-  /// Fault-tolerant rolling pass: each host runs under a rejuv::Supervisor
-  /// (watchdogs, retries, the warm->saved->cold degradation ladder). A
-  /// host whose ladder exhausts is evicted from the balancer and the pass
-  /// continues; evicted hosts are retried with backoff once the pass has
-  /// covered every other host. Same overlap rule as the plain pass.
-  void rolling_rejuvenation_supervised(
-      SupervisionConfig config,
-      std::function<void(const RollingReport&)> on_done);
 
   /// Where rolling_rejuvenation_waves reads its per-host ordering
   /// signals from.
@@ -171,6 +123,13 @@ class Cluster {
     rejuv::SupervisorConfig supervisor;
     /// Signal source for the wave ordering (DESIGN.md §15).
     WaveSignalSource signals = WaveSignalSource::kWireTap;
+    /// A host whose wave turn left VMs unrecovered is evicted from the
+    /// balancers and retried with Supervisor::recover once the last wave
+    /// is done: one attempt, then up to this many more, with capped
+    /// exponential backoff (base * 2^attempt, at most cap) before each.
+    int max_host_retries = 2;
+    sim::Duration host_retry_base = 30 * sim::kMinute;
+    sim::Duration host_retry_cap = 2 * sim::kHour;
   };
 
   /// Knobs for the telemetry plane (DESIGN.md §15): per-host /metrics
@@ -255,16 +214,26 @@ class Cluster {
       sim::SimTime finished = 0;
     };
     std::vector<Wave> waves;
+    /// Hosts whose wave turn succeeded. Every host ends the pass in
+    /// exactly one of this count, recovered_hosts and unrecovered_hosts.
     std::size_t hosts_rejuvenated = 0;
     /// Hosts that came back, but on a lower rung than the wave asked for
     /// (completed != attempted: a mid-wave ladder descent).
     std::vector<std::size_t> degraded_hosts;
-    /// Hosts whose ladder exhausted with VMs unrecovered; evicted from
-    /// every balancer (waves have no end-of-pass retry queue). With steady
-    /// faults armed this also lists hosts an *unplanned* ladder lost while
-    /// they were still pending -- the pass skips them instead of running a
-    /// turn on a dead host.
+    /// Hosts whose turn succeeded but whose admission controller reported
+    /// preserved-memory pressure (demand over budget). They stay in
+    /// service as a last resort, but the balancers stop preferring them
+    /// -- backpressure instead of deepening the overcommit.
+    std::vector<std::size_t> pressured_hosts;
+    /// Hosts a wave turn evicted that an end-of-pass retry brought back.
+    std::vector<std::size_t> recovered_hosts;
+    /// Hosts still out of rotation when the pass ended: their turn and
+    /// every retry left VMs unrecovered, or (with steady faults armed) an
+    /// *unplanned* ladder lost them while they were still pending -- the
+    /// pass skips those instead of running a turn on a dead host.
     std::vector<std::size_t> unrecovered_hosts;
+    /// One report per end-of-pass retry that ran, in execution order.
+    std::vector<rejuv::SupervisorReport> retries;
     /// Planned host-level downtime: summed wave-turn ladder durations
     /// (the unplanned share lives in Cluster::unplanned_report()).
     sim::Duration planned_downtime = 0;
@@ -280,22 +249,26 @@ class Cluster {
     }
   };
 
-  /// Wave-based rolling pass: rejuvenates wave_size hosts per wave, a
-  /// barrier between waves, under the concurrent-downtime budget. Each
-  /// host's turn runs under a rejuv::Supervisor, so a mid-wave fault walks
-  /// the degradation ladder (micro-recovery, warm->saved->cold) instead of
-  /// aborting the pass; outcomes land in the WaveReport and a host left
-  /// unrecovered is evicted from every balancer. Before
-  /// each wave the scheduler gathers live signals from every pending host
+  /// Rolling rejuvenation (the paper's Section 6 scenario): rejuvenates
+  /// wave_size hosts per wave (one by default), a barrier between waves,
+  /// under the concurrent-downtime budget. Each host's turn runs under a
+  /// rejuv::Supervisor, so a mid-wave fault walks the degradation ladder
+  /// (micro-recovery, warm->saved->cold) instead of aborting the pass;
+  /// outcomes land in the WaveReport. A host left unrecovered is evicted
+  /// from every balancer and retried after the last wave; a pressured
+  /// host is marked on every balancer. Before each wave the scheduler
+  /// gathers live signals from every pending host
   /// -- served-request load and preserved-budget headroom, mirrored into
   /// the host's MetricsRegistry when observability is on -- and
   /// rejuvenates the least-loaded hosts first (tie-break: smaller
   /// headroom, then host index), so the wave drains as few active
   /// sessions as possible while prioritising memory-tight hosts.
   /// Signals are gathered over the mailboxes under the engine, so the
-  /// schedule is bitwise reproducible for any worker count. Same overlap
-  /// rule as the other passes. Partitioned mode: invoke from
-  /// control-partition context (engine.run_on(0, ...)).
+  /// schedule is bitwise reproducible for any worker count. Overlapping
+  /// passes are an invariant violation: a second call while a pass is in
+  /// flight would drop the first pass's state mid-reboot, so it fails
+  /// fast instead. Partitioned mode: invoke from control-partition
+  /// context (engine.run_on(0, ...)).
   void rolling_rejuvenation_waves(
       WaveConfig config, std::function<void(const WaveReport&)> on_done);
 
@@ -304,13 +277,8 @@ class Cluster {
     return wave_report_;
   }
 
-  /// True while either flavour of rolling pass is in flight.
-  [[nodiscard]] bool rolling_in_progress() const { return rolling_in_progress_; }
-
-  /// Report of the last supervised rolling pass (valid after it completes).
-  [[nodiscard]] const RollingReport& last_rolling_report() const {
-    return rolling_report_;
-  }
+  /// True while a rolling pass is in flight.
+  [[nodiscard]] bool rolling_in_progress() const { return wave_ != nullptr; }
 
   /// Duration of each host's rejuvenation in the last rolling pass.
   [[nodiscard]] const std::vector<sim::Duration>& rejuvenation_durations() const {
@@ -323,38 +291,20 @@ class Cluster {
   void register_backend(guest::GuestOs* os,
                         const std::shared_ptr<std::size_t>& remaining,
                         const std::shared_ptr<std::function<void()>>& ready);
-  void rejuvenate_from(std::size_t host_index, rejuv::RebootKind kind,
-                       std::function<void()> on_done);
-  /// Partitioned rolling turn: hops to the host's partition, runs the
-  /// reboot driver there, and posts the completion (with the measured
-  /// duration) back to the control partition.
-  void rejuvenate_remote(std::size_t host_index, rejuv::RebootKind kind,
-                         std::function<void()> on_done);
-  void supervise_from(std::size_t host_index,
-                      std::function<void(const RollingReport&)> on_done);
-  void supervise_remote(std::size_t host_index,
-                        std::function<void(const RollingReport&)> on_done);
-  void recover_remote(std::size_t queue_index, int attempt,
-                      std::size_t host_index,
-                      std::function<void(const RollingReport&)> on_done);
-  void retry_evicted(std::size_t queue_index, int attempt,
-                     std::function<void(const RollingReport&)> on_done);
-  void finish_rolling(std::function<void(const RollingReport&)> on_done);
-  [[nodiscard]] sim::Duration host_retry_backoff(int attempt) const;
   /// Applies an administrative eviction / pressure decision to every
   /// balancer the cluster runs (the single LoadBalancer and, when
   /// sharded, every shard's membership view).
   void set_host_out_of_rotation(std::size_t host_index, bool evicted);
   void set_host_backpressured(std::size_t host_index, bool pressured);
-  /// (served-request load, preserved-budget headroom) for one host; runs
-  /// on the host's partition under the engine and mirrors the signals
-  /// into the host's MetricsRegistry when observability is on.
+  /// (served-request load, preserved-budget headroom) for one host, on
+  /// the host's partition; `mirror` also writes both into the host's
+  /// MetricsRegistry gauges.
   [[nodiscard]] std::pair<std::uint64_t, std::int64_t> host_signals(
-      std::size_t host_index);
-  /// Exporter-side collection hook: recomputes the wave signals (and a
-  /// few host facts) into the host's MetricsRegistry unconditionally --
-  /// scraping may run with Config::observe off, where host_signals()
-  /// would skip the mirror. Runs on the host's partition.
+      std::size_t host_index, bool mirror);
+  /// Exporter-side collection hook: writes the wave signals (and a few
+  /// host facts) into the host's MetricsRegistry unconditionally --
+  /// scraping may run with Config::observe off, where the wire-tap probe
+  /// skips the mirror. Runs on the host's partition.
   void collect_host_metrics(std::size_t host_index);
   /// The scraper's SLO gate (control partition): while blocked,
   /// wave_launch admits nothing; clearing the block kicks a paused pass.
@@ -370,7 +320,10 @@ class Cluster {
                             sim::Duration took);
   /// Runs `fn` on the control partition (posted under the engine, inline
   /// on the single calendar).
-  void to_control(std::function<void()> fn);
+  void to_control(sim::InlineCallback fn);
+  /// Runs `fn` on host `host_index`'s partition (posted with link latency
+  /// under the engine, inline on the single calendar).
+  void to_host(std::size_t host_index, sim::InlineCallback fn);
   void wave_gather();
   void wave_collect(std::size_t host_index, std::uint64_t load,
                     std::int64_t headroom);
@@ -379,6 +332,14 @@ class Cluster {
   void wave_host_done(std::size_t host_index, rejuv::SupervisorReport report);
   /// A launched turn found its host owned by an unplanned ladder: requeue.
   void wave_host_deferred(std::size_t host_index);
+  /// End-of-pass retry queue: recovers the next evicted host after
+  /// host_retry_backoff(attempt), then finishes the pass.
+  void wave_retry(int attempt);
+  /// Control-side outcome of one retry; null `report` means the host was
+  /// down or owned by an unplanned ladder, so no retry ran.
+  void wave_retry_done(std::size_t host_index, int attempt,
+                       const rejuv::SupervisorReport* report);
+  [[nodiscard]] sim::Duration host_retry_backoff(int attempt) const;
   /// Resumes a paused pass after an unplanned recovery (replans from the
   /// next signal gather).
   void wave_kick();
@@ -389,18 +350,11 @@ class Cluster {
   std::vector<std::vector<std::unique_ptr<guest::GuestOs>>> guests_;
   LoadBalancer balancer_;
   std::unique_ptr<ShardedBalancer> sharded_;
-  std::unique_ptr<rejuv::RebootDriver> active_driver_;
-  std::unique_ptr<rejuv::Supervisor> active_supervisor_;
-  /// Partitioned mode: per-host driver/supervisor slots, created and
-  /// destroyed only in the owning host's partition context (the window
-  /// barriers order those accesses against the control partition).
-  std::vector<std::unique_ptr<rejuv::RebootDriver>> host_drivers_;
+  /// Per-host supervisor slots, created and destroyed only in the owning
+  /// host's partition context (the window barriers order those accesses
+  /// against the control partition).
   std::vector<std::unique_ptr<rejuv::Supervisor>> host_supervisors_;
   std::vector<sim::Duration> durations_;
-  bool rolling_in_progress_ = false;
-  SupervisionConfig supervision_;
-  RollingReport rolling_report_;
-  std::vector<std::size_t> retry_queue_;
   /// In-flight wave pass. The gather fan-out and the wave barrier both
   /// count down control-side, so all mutation happens on partition 0.
   struct WaveState {
@@ -412,6 +366,9 @@ class Cluster {
     std::size_t replies_pending = 0;
     std::size_t inflight = 0;
     std::size_t remaining = 0;
+    /// Hosts a wave turn evicted, retried in order after the last wave.
+    std::vector<std::size_t> retry_queue;
+    std::size_t retry_next = 0;
     /// Admission paused on an exhausted crash budget; an unplanned
     /// recovery clears it and re-gathers.
     bool paused = false;

@@ -106,9 +106,9 @@ void RejuvenationPolicy::run_vmm_rejuvenation(bool heap_triggered) {
   const sim::SimTime start = host_.sim().now();
   const std::uint64_t deferrals = vmm_deferrals_;
   vmm_deferrals_ = 0;
-  active_driver_ =
+  vmm_driver_ =
       make_reboot_driver(config_.vmm_reboot_kind, host_, guests_);
-  active_driver_->run([this, start, heap_triggered, deferrals] {
+  vmm_driver_->run([this, start, heap_triggered, deferrals] {
     vmm_busy_ = false;
     ++vmm_count_;
     events_.push_back({start, host_.sim().now() - start, /*is_vmm=*/true, 0,

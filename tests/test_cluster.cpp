@@ -112,22 +112,58 @@ TEST(Cluster, DispatchFailsOnlyWhenAllDown) {
   EXPECT_EQ(rig.cl.balancer().rejected(), std::uint64_t{1});
 }
 
+/// Runs one rolling pass with `config` to completion and returns its report.
+cluster::Cluster::WaveReport run_pass(ClusterRig& rig,
+                                      cluster::Cluster::WaveConfig config = {}) {
+  bool done = false;
+  cluster::Cluster::WaveReport report;
+  rig.cl.rolling_rejuvenation_waves(
+      config, [&](const cluster::Cluster::WaveReport& r) {
+        report = r;
+        done = true;
+      });
+  while (!done) rig.sim.step();
+  return report;
+}
+
+/// Hosts whose wave turn left VMs unrecovered (and so were evicted).
+std::vector<std::size_t> evicted_hosts(
+    const cluster::Cluster::WaveReport& report) {
+  std::vector<std::size_t> out;
+  for (const auto& w : report.waves) {
+    for (std::size_t i = 0; i < w.outcomes.size(); ++i) {
+      if (!w.outcomes[i].success) out.push_back(w.outcome_hosts[i]);
+    }
+  }
+  return out;
+}
+
+/// Every ladder the pass ran: wave turns, then end-of-pass retries.
+std::size_t ladder_runs(const cluster::Cluster::WaveReport& report) {
+  std::size_t n = report.retries.size();
+  for (const auto& w : report.waves) n += w.outcomes.size();
+  return n;
+}
+
 TEST(Cluster, RollingWarmRejuvenationKeepsServiceAvailable) {
   ClusterRig rig;
   cluster::ClusterClientFleet fleet(rig.sim, rig.cl.balancer(), {});
   fleet.start();
   rig.sim.run_for(10 * sim::kSecond);
-  bool done = false;
-  rig.cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [&done] { done = true; });
-  while (!done) rig.sim.step();
+  const sim::SimTime t0 = rig.sim.now();
+  const auto report = run_pass(rig);
+  const sim::Duration pass = rig.sim.now() - t0;
   rig.sim.run_for(10 * sim::kSecond);
   fleet.stop();
-  // Two hosts rejuvenated sequentially (~50 s each) -- throughout, the
-  // other host kept answering: there is never a window with zero backends.
-  ASSERT_EQ(rig.cl.rejuvenation_durations().size(), std::size_t{2});
-  for (const auto d : rig.cl.rejuvenation_durations()) {
-    EXPECT_NEAR(sim::to_seconds(d), 52.0, 8.0);
-  }
+  // Two hosts rejuvenated one at a time (the default wave is one host) --
+  // throughout, the other host kept answering: there is never a window
+  // with zero backends. The single calendar is deterministic, so the
+  // durations are exact.
+  EXPECT_EQ(report.waves.size(), std::size_t{2});
+  EXPECT_EQ(report.hosts_rejuvenated, std::size_t{2});
+  EXPECT_EQ(pass, sim::Duration{106257582});
+  EXPECT_EQ(rig.cl.rejuvenation_durations(),
+            (std::vector<sim::Duration>{53128791, 53128791}));
   EXPECT_EQ(rig.cl.balancer().rejected(), std::uint64_t{0});
   // All guests everywhere survived with state intact.
   for (int h = 0; h < 2; ++h) {
@@ -147,42 +183,32 @@ TEST(Cluster, GuestsOfValidatesIndex) {
 
 TEST(Cluster, OverlappingRollingPassesAreRejected) {
   // A second rolling pass while one is in flight would silently drop the
-  // first pass's driver mid-reboot; it must fail fast instead.
+  // first pass's supervisors mid-reboot; it must fail fast instead.
   ClusterRig rig;
   bool done = false;
-  rig.cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [&done] { done = true; });
+  rig.cl.rolling_rejuvenation_waves(
+      {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
   EXPECT_TRUE(rig.cl.rolling_in_progress());
-  EXPECT_THROW(
-      rig.cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [] {}),
-      InvariantViolation);
-  EXPECT_THROW(rig.cl.rolling_rejuvenation_supervised({}, [](auto&) {}),
+  EXPECT_THROW(rig.cl.rolling_rejuvenation_waves({}, [](auto&) {}),
                InvariantViolation);
   while (!done) rig.sim.step();
   EXPECT_FALSE(rig.cl.rolling_in_progress());
   // Once the pass finished, a new one is welcome again.
-  bool again = false;
-  rig.cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [&again] { again = true; });
-  while (!again) rig.sim.step();
-  EXPECT_TRUE(again);
+  EXPECT_EQ(run_pass(rig).hosts_rejuvenated, std::size_t{2});
 }
 
 TEST(Cluster, SupervisedRollingPassIsCleanWithoutFaults) {
   ClusterRig rig;
-  bool done = false;
-  cluster::Cluster::RollingReport report;
-  rig.cl.rolling_rejuvenation_supervised(
-      {}, [&](const cluster::Cluster::RollingReport& r) {
-        report = r;
-        done = true;
-      });
-  while (!done) rig.sim.step();
+  const auto report = run_pass(rig);
   EXPECT_TRUE(report.fully_recovered());
-  ASSERT_EQ(report.passes.size(), std::size_t{2});  // one per host, no retries
-  for (const auto& pass : report.passes) {
-    EXPECT_TRUE(pass.success);
-    EXPECT_EQ(pass.resumed_vms, std::size_t{2});
+  ASSERT_EQ(ladder_runs(report), std::size_t{2});  // one per host, no retries
+  for (const auto& w : report.waves) {
+    for (const auto& pass : w.outcomes) {
+      EXPECT_TRUE(pass.success);
+      EXPECT_EQ(pass.resumed_vms, std::size_t{2});
+    }
   }
-  EXPECT_TRUE(report.evicted_hosts.empty());
+  EXPECT_TRUE(evicted_hosts(report).empty());
   EXPECT_EQ(rig.cl.balancer().evicted_backends(), std::size_t{0});
   EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{4});
 }
@@ -194,13 +220,13 @@ TEST(Cluster, SupervisedRollingEvictsFailedHostAndRetriesIt) {
   faults.boot_hang_rate = 1.0;
   rig.cl.host(1).configure_faults(faults);
 
-  cluster::Cluster::SupervisionConfig cfg;
-  cfg.supervisor.preferred = rejuv::RebootKind::kCold;
+  cluster::Cluster::WaveConfig cfg;
+  cfg.kind = rejuv::RebootKind::kCold;
   cfg.supervisor.max_step_retries = 0;
   bool done = false;
-  cluster::Cluster::RollingReport report;
-  rig.cl.rolling_rejuvenation_supervised(
-      cfg, [&](const cluster::Cluster::RollingReport& r) {
+  cluster::Cluster::WaveReport report;
+  rig.cl.rolling_rejuvenation_waves(
+      cfg, [&](const cluster::Cluster::WaveReport& r) {
         report = r;
         done = true;
       });
@@ -220,9 +246,10 @@ TEST(Cluster, SupervisedRollingEvictsFailedHostAndRetriesIt) {
   while (!done) rig.sim.step();
 
   EXPECT_TRUE(report.fully_recovered());
-  ASSERT_EQ(report.evicted_hosts, (std::vector<std::size_t>{1}));
+  ASSERT_EQ(evicted_hosts(report), (std::vector<std::size_t>{1}));
   EXPECT_EQ(report.recovered_hosts, (std::vector<std::size_t>{1}));
-  EXPECT_TRUE(report.failed_hosts.empty());
+  EXPECT_TRUE(report.unrecovered_hosts.empty());
+  EXPECT_EQ(report.hosts_rejuvenated, std::size_t{1});
   EXPECT_EQ(rig.cl.balancer().evicted_backends(), std::size_t{0});
   EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{4});
   for (int v = 0; v < 2; ++v) {
@@ -236,27 +263,41 @@ TEST(Cluster, SupervisedRollingGivesUpAfterHostRetryBudget) {
   faults.boot_hang_rate = 1.0;  // never fixed this time
   rig.cl.host(0).configure_faults(faults);
 
-  cluster::Cluster::SupervisionConfig cfg;
-  cfg.supervisor.preferred = rejuv::RebootKind::kCold;
+  cluster::Cluster::WaveConfig cfg;
+  cfg.kind = rejuv::RebootKind::kCold;
   cfg.supervisor.max_step_retries = 0;
   cfg.max_host_retries = 1;
-  bool done = false;
-  cluster::Cluster::RollingReport report;
-  rig.cl.rolling_rejuvenation_supervised(
-      cfg, [&](const cluster::Cluster::RollingReport& r) {
-        report = r;
-        done = true;
-      });
-  while (!done) rig.sim.step();
+  const auto report = run_pass(rig, cfg);
   EXPECT_FALSE(report.fully_recovered());
-  EXPECT_EQ(report.evicted_hosts, (std::vector<std::size_t>{0}));
-  EXPECT_EQ(report.failed_hosts, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(evicted_hosts(report), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(report.unrecovered_hosts, (std::vector<std::size_t>{0}));
   EXPECT_TRUE(report.recovered_hosts.empty());
   // The dead host stays out of rotation; the healthy one still serves.
   EXPECT_EQ(rig.cl.balancer().evicted_backends(), std::size_t{2});
   EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{2});
-  // Initial pass on each host + 2 recovery attempts on host 0.
-  EXPECT_EQ(report.passes.size(), std::size_t{4});
+  // One turn on each host + 2 recovery attempts on host 0.
+  EXPECT_EQ(ladder_runs(report), std::size_t{4});
+  EXPECT_EQ(report.retries.size(), std::size_t{2});
+}
+
+TEST(Cluster, LostHostIsNotCountedAsRejuvenated) {
+  // Every host ends the pass in exactly one bucket: rejuvenated,
+  // recovered by a retry, or unrecovered. Host 1's boots always hang and
+  // it gets no retry budget beyond the first attempt, so it is lost.
+  ClusterRig rig;
+  fault::FaultConfig faults;
+  faults.boot_hang_rate = 1.0;
+  rig.cl.host(1).configure_faults(faults);
+
+  cluster::Cluster::WaveConfig cfg;
+  cfg.kind = rejuv::RebootKind::kCold;
+  cfg.supervisor.max_step_retries = 0;
+  cfg.max_host_retries = 0;
+  const auto report = run_pass(rig, cfg);
+  EXPECT_EQ(report.hosts_rejuvenated, std::size_t{1});
+  EXPECT_TRUE(report.recovered_hosts.empty());
+  EXPECT_EQ(report.unrecovered_hosts, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(report.retries.size(), std::size_t{1});
 }
 
 TEST(Cluster, EvictionExcludesBackendsFromDispatchUntilLifted) {

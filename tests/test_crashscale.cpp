@@ -4,6 +4,7 @@
 // admission (unplanned outages count against the downtime budget), and
 // the session fleet's planned-vs-unplanned downtime attribution.
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -135,6 +136,55 @@ TEST(SteadyFaultsAtScale, FaultsDuringAnOwnedLadderAreAbsorbed) {
   const auto& rep = rig.cl.unplanned_report();
   EXPECT_GT(rep.absorbed, std::uint64_t{0});
   EXPECT_EQ(rep.failures, rep.recoveries + rep.unrecovered);
+}
+
+TEST(SteadyFaultsAtScale, RetryOntoAnUnplannedLadderBacksOff) {
+  // Host 1's turn fails (its boots hang), so it is queued for an
+  // end-of-pass retry. Before the retry lands, steady crashes strike it
+  // and unplanned ladders own the host (each one waits out the boot
+  // watchdog). A retry that finds the host owned must count as a failed
+  // attempt and back off, not trip the host's overlap guard.
+  CrashRig rig(2, 1, /*rate=*/0.0);
+  fault::FaultConfig hang;
+  hang.boot_hang_rate = 1.0;
+  rig.cl.host(1).configure_faults(hang);
+
+  bool done = false;
+  cluster::Cluster::WaveReport report;
+  cluster::Cluster::WaveConfig wcfg;
+  wcfg.kind = rejuv::RebootKind::kCold;
+  wcfg.supervisor.max_step_retries = 0;
+  wcfg.max_host_retries = 1;
+  wcfg.host_retry_base = sim::kMinute;
+  wcfg.host_retry_cap = 2 * sim::kMinute;
+  rig.cl.rolling_rejuvenation_waves(
+      wcfg, [&](const cluster::Cluster::WaveReport& r) {
+        report = r;
+        done = true;
+      });
+  while (!done && rig.cl.sharded_balancer()->evicted_backends() == 0) {
+    rig.sim.step();
+  }
+  ASSERT_FALSE(done);
+
+  fault::FaultConfig crash = hang;
+  crash.vmm_crash_rate = 1.0;
+  rig.cl.host(1).configure_faults(crash);
+  cluster::Cluster::SteadyFaultsConfig sfc;
+  sfc.process.check_interval = sim::kSecond;
+  rig.cl.start_steady_faults(sfc);
+
+  // Both attempts (after 1 and then 2 more minutes) land inside an
+  // unplanned ladder: no recovery runs, and the host ends unrecovered.
+  EXPECT_NO_THROW(rig.sim.run_for(10 * sim::kMinute));
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(report.retries.empty());
+  EXPECT_TRUE(report.recovered_hosts.empty());
+  EXPECT_EQ(report.unrecovered_hosts, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(report.hosts_rejuvenated, std::size_t{1});
+  EXPECT_GT(rig.cl.unplanned_report().failures, std::uint64_t{0});
+  rig.cl.stop_steady_faults();
+  EXPECT_FALSE(rig.cl.rolling_in_progress());
 }
 
 TEST(SteadyFaultsAtScale, FleetSplitsPlannedFromUnplannedDowntime) {

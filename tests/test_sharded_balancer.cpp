@@ -349,8 +349,6 @@ TEST(ClusterWaves, OverlappingPassesAreRejected) {
   EXPECT_TRUE(rig.cl.rolling_in_progress());
   EXPECT_THROW(rig.cl.rolling_rejuvenation_waves({}, [](auto&) {}),
                InvariantViolation);
-  EXPECT_THROW(rig.cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [] {}),
-               InvariantViolation);
   while (!done) rig.sim.step();
   EXPECT_FALSE(rig.cl.rolling_in_progress());
   // The concurrent wave ran both hosts together (one wave, two durations).
