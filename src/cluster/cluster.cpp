@@ -12,7 +12,9 @@
 namespace rh::cluster {
 
 Cluster::Cluster(sim::Simulation& sim, Config config)
-    : sim_(sim), config_(config) {
+    : sim_(sim),
+      config_(config),
+      balancer_(static_cast<std::size_t>(std::max(config.shards, 1))) {
   ensure(config_.hosts >= 1, "Cluster: need at least one host");
   ensure(config_.vms_per_host >= 1, "Cluster: need at least one VM per host");
   ensure(config_.shards >= 0, "Cluster: negative shard count");
@@ -26,7 +28,10 @@ Cluster::Cluster(sim::Simulation& sim, Config config)
     // Every host reaches the control plane over its calibrated link; the
     // minimum of those latencies is the engine's lookahead.
     config_.engine->register_link(config_.calib.link.latency);
-    balancer_.bind_parallel(*config_.engine, /*self_partition=*/0,
+    // With shards == 0 the one shard shares the control partition, so
+    // the client fleet's dispatches start inline there.
+    const std::int32_t first_shard_partition = config_.shards > 0 ? 1 : 0;
+    balancer_.bind_parallel(*config_.engine, first_shard_partition,
                             config_.calib.link.latency);
   }
   // Waves launch several supervisors concurrently, so per-host slots are
@@ -34,17 +39,7 @@ Cluster::Cluster(sim::Simulation& sim, Config config)
   host_supervisors_.resize(static_cast<std::size_t>(config_.hosts));
   steady_slots_.resize(static_cast<std::size_t>(config_.hosts));
   crash_down_.assign(static_cast<std::size_t>(config_.hosts), 0);
-  crash_evicted_.assign(static_cast<std::size_t>(config_.hosts), 0);
-  admin_evicted_.assign(static_cast<std::size_t>(config_.hosts), 0);
   recently_recovered_.assign(static_cast<std::size_t>(config_.hosts), 0);
-  if (config_.shards > 0) {
-    sharded_ =
-        std::make_unique<ShardedBalancer>(static_cast<std::size_t>(config_.shards));
-    if (config_.engine != nullptr) {
-      sharded_->bind_parallel(*config_.engine, /*first_shard_partition=*/1,
-                              config_.calib.link.latency);
-    }
-  }
   for (int h = 0; h < config_.hosts; ++h) {
     sim::Simulation& host_sim = config_.engine != nullptr
                                     ? config_.engine->partition(partition_of(h))
@@ -71,19 +66,16 @@ Cluster::Cluster(sim::Simulation& sim, Config config)
       for (int f = 0; f < config_.files_per_vm; ++f) {
         g->vfs().create_file("doc" + std::to_string(f), config_.file_size);
       }
-      if (sharded_ != nullptr) {
-        // The sharded balancer probes reachability live (a request to a
-        // still-booting VM fails and the session retries), so backends
-        // register at construction instead of boot completion.
-        auto* apache =
-            static_cast<guest::ApacheService*>(g->find_service("httpd"));
-        std::vector<std::int64_t> files;
-        for (int f = 0; f < config_.files_per_vm; ++f) files.push_back(f);
-        sharded_->add_backend({g.get(), apache, std::move(files),
-                               static_cast<std::size_t>(h),
-                               config_.engine != nullptr ? partition_of(h)
-                                                         : -1});
-      }
+      // The balancer probes reachability live (a request to a
+      // still-booting VM fails and the client retries), so backends
+      // register at construction instead of boot completion.
+      auto* apache =
+          static_cast<guest::ApacheService*>(g->find_service("httpd"));
+      std::vector<std::int64_t> files;
+      for (int f = 0; f < config_.files_per_vm; ++f) files.push_back(f);
+      balancer_.add_backend({g.get(), apache, std::move(files),
+                             static_cast<std::size_t>(h),
+                             config_.engine != nullptr ? partition_of(h) : -1});
       guests_.back().push_back(std::move(g));
     }
   }
@@ -118,49 +110,16 @@ void Cluster::start(std::function<void()> on_ready) {
   for (int h = 0; h < config_.hosts; ++h) {
     hosts_[static_cast<std::size_t>(h)]->instant_start();
     for (auto& g : guests_[static_cast<std::size_t>(h)]) {
-      guest::GuestOs* os = g.get();
-      // Boot completion fires on the host's partition; registration
-      // mutates balancer state, so it crosses to the control plane
-      // through the mailboxes (merge order makes it deterministic).
-      os->create_and_boot([this, os, remaining, shared_ready] {
-        to_control([this, os, remaining, shared_ready] {
-          register_backend(os, remaining, shared_ready);
+      // Boot completion fires on the host's partition; the countdown is
+      // control-plane state, so it crosses through the mailboxes (merge
+      // order makes it deterministic).
+      g->create_and_boot([this, remaining, shared_ready] {
+        to_control([remaining, shared_ready] {
+          if (--*remaining == 0) (*shared_ready)();
         });
       });
     }
   }
-}
-
-void Cluster::register_backend(
-    guest::GuestOs* os, const std::shared_ptr<std::size_t>& remaining,
-    const std::shared_ptr<std::function<void()>>& ready) {
-  auto* apache = static_cast<guest::ApacheService*>(os->find_service("httpd"));
-  std::vector<std::int64_t> files;
-  for (std::size_t f = 0; f < os->vfs().file_count(); ++f) {
-    files.push_back(static_cast<std::int64_t>(f));
-  }
-  std::int32_t partition = -1;
-  if (config_.engine != nullptr) {
-    partition = os->host().sim().partition_id();
-  }
-  balancer_.add_backend({os, apache, std::move(files), partition});
-  if (--*remaining == 0) (*ready)();
-}
-
-void Cluster::set_host_out_of_rotation(std::size_t host_index, bool evicted) {
-  admin_evicted_[host_index] = evicted ? 1 : 0;
-  // The single balancer has one membership flag, so administrative and
-  // crash eviction compose by OR; the sharded balancer keeps them apart.
-  balancer_.set_host_evicted(hosts_[host_index].get(),
-                             evicted || crash_evicted_[host_index] != 0);
-  if (sharded_ != nullptr) sharded_->set_host_evicted(host_index, evicted);
-}
-
-void Cluster::apply_crash_rotation(std::size_t host_index, bool crashed) {
-  crash_evicted_[host_index] = crashed ? 1 : 0;
-  balancer_.set_host_evicted(hosts_[host_index].get(),
-                             crashed || admin_evicted_[host_index] != 0);
-  if (sharded_ != nullptr) sharded_->set_host_crashed(host_index, crashed);
 }
 
 void Cluster::to_control(sim::InlineCallback fn) {
@@ -281,8 +240,9 @@ void Cluster::on_unplanned_down(std::size_t host_index) {
   // Ground truth for the telemetry plane's detection-latency metric.
   if (scraper_ != nullptr) scraper_->note_host_down(host_index);
   // Crash-evict: federated spillover absorbs the outage like a planned
-  // wave; the readmit rides the recovery outcome.
-  apply_crash_rotation(host_index, true);
+  // wave; the readmit rides the recovery outcome. The crash flag is kept
+  // apart from administrative eviction, so neither cancels the other.
+  balancer_.set_host_crashed(host_index, true);
 }
 
 void Cluster::on_unplanned_outcome(std::size_t host_index, bool success,
@@ -292,7 +252,7 @@ void Cluster::on_unplanned_outcome(std::size_t host_index, bool success,
   if (success) {
     ++unplanned_.recoveries;
     if (micro) ++unplanned_.micro_recoveries;
-    apply_crash_rotation(host_index, false);
+    balancer_.set_host_crashed(host_index, false);
     recently_recovered_[host_index] = 1;
     if (scraper_ != nullptr) scraper_->note_host_up(host_index);
   } else {
@@ -310,11 +270,6 @@ void Cluster::on_unplanned_outcome(std::size_t host_index, bool success,
     if (scraper_ != nullptr) scraper_->note_unrecovered(host_index);
   }
   wave_kick();
-}
-
-void Cluster::set_host_backpressured(std::size_t host_index, bool pressured) {
-  balancer_.set_host_pressured(hosts_[host_index].get(), pressured);
-  if (sharded_ != nullptr) sharded_->set_host_pressured(host_index, pressured);
 }
 
 std::pair<std::uint64_t, std::int64_t> Cluster::host_signals(
@@ -569,7 +524,7 @@ void Cluster::wave_host_done(std::size_t host_index,
   if (!report.success) {
     // The ladder exhausted mid-wave: take the host's backends out of
     // rotation and queue it for an end-of-pass retry. The pass goes on.
-    set_host_out_of_rotation(host_index, true);
+    balancer_.set_host_evicted(host_index, true);
     wave_->retry_queue.push_back(host_index);
   } else {
     ++wave_report_.hosts_rejuvenated;
@@ -580,7 +535,7 @@ void Cluster::wave_host_done(std::size_t host_index,
       // The host came back, but only by shedding preserved memory: its
       // admission controller had to reclaim or demote. Drain load away
       // from it rather than feeding the overcommit.
-      set_host_backpressured(host_index, true);
+      balancer_.set_host_pressured(host_index, true);
       wave_report_.pressured_hosts.push_back(host_index);
     }
   }
@@ -640,7 +595,7 @@ void Cluster::wave_retry_done(std::size_t host_index, int attempt,
                               const rejuv::SupervisorReport* report) {
   if (report != nullptr) wave_report_.retries.push_back(*report);
   if (report != nullptr && report->success) {
-    set_host_out_of_rotation(host_index, false);
+    balancer_.set_host_evicted(host_index, false);
     wave_report_.recovered_hosts.push_back(host_index);
   } else if (attempt < wave_->config.max_host_retries) {
     wave_retry(attempt + 1);

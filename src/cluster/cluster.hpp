@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/load_balancer.hpp"
 #include "cluster/sharded_balancer.hpp"
 #include "fault/fault.hpp"
 #include "obs/slo.hpp"
@@ -46,24 +45,24 @@ class Cluster {
     bool observe = false;
     /// Conservative parallel-in-run engine (DESIGN.md §11), non-owning.
     /// When set it must have exactly 1 + shards + hosts partitions:
-    /// partition 0 is the control plane (balancer + client fleet +
-    /// rolling-pass control, driven by the engine's partition(0)
-    /// Simulation, which must be the `sim` passed to the constructor),
-    /// balancer shard s lives on partition 1 + s, and host h lives on
-    /// partition 1 + shards + h. All cross-host interaction then flows
-    /// through the engine's mailboxes; results are bitwise identical for
-    /// any worker count, but not byte-identical to the null-engine fast
-    /// path (balancer RPCs gain real link latency). Null (default):
-    /// today's single-calendar behaviour, byte-identical to historical
-    /// runs.
+    /// partition 0 is the control plane (client fleet + rolling-pass
+    /// control, driven by the engine's partition(0) Simulation, which
+    /// must be the `sim` passed to the constructor), balancer shard s
+    /// lives on partition 1 + s (with shards == 0 the one shard shares
+    /// partition 0), and host h lives on partition 1 + shards + h. All
+    /// cross-host interaction then flows through the engine's mailboxes;
+    /// results are bitwise identical for any worker count, but not
+    /// byte-identical to the null-engine fast path (balancer RPCs and
+    /// membership broadcasts gain real link latency). Null (default):
+    /// everything runs inline on the single calendar.
     sim::ParallelSimulation* engine = nullptr;
-    /// Balancer shards (DESIGN.md §12). 0 (default): the single
-    /// LoadBalancer only, byte-identical to historical runs. > 0: a
-    /// ShardedBalancer is built alongside it, every VM pre-registered
-    /// with its host's shard (host h's backends belong to shard
-    /// h % shards); under the engine each shard gets its own partition
-    /// so dispatch is parallel-in-run. Eviction/pressure decisions from
-    /// the rolling pass propagate to both balancers.
+    /// Balancer shards (DESIGN.md §12). The cluster owns one
+    /// ShardedBalancer with max(shards, 1) shards; every VM registers at
+    /// construction with its host's shard (host h's backends belong to
+    /// shard h % shards). 0 (default): one shard sharing partition 0 with
+    /// the control plane, the paper's single balancer. > 0: under the
+    /// engine each shard gets its own partition so dispatch is
+    /// parallel-in-run.
     int shards = 0;
   };
 
@@ -73,10 +72,10 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   /// Starts every host instantly, then creates and boots all VMs (taking
-  /// simulated time); registers each VM's web server with the balancer.
-  /// `on_ready` fires when every backend answers. Call while the engine
-  /// (if any) is quiescent, then drive the engine: on_ready fires on the
-  /// control partition once the boot events have run.
+  /// simulated time). `on_ready` fires when every backend answers. Call
+  /// while the engine (if any) is quiescent, then drive the engine:
+  /// on_ready fires on the control partition once the boot events have
+  /// run.
   void start(std::function<void()> on_ready);
 
   /// Partition carrying host `i` under the parallel engine
@@ -89,9 +88,8 @@ class Cluster {
   [[nodiscard]] vmm::Host& host(int i);
   [[nodiscard]] guest::GuestOs& guest(int host, int vm);
   [[nodiscard]] std::vector<guest::GuestOs*> guests_of(int host);
-  [[nodiscard]] LoadBalancer& balancer() { return balancer_; }
-  /// The sharded control plane; null unless Config::shards > 0.
-  [[nodiscard]] ShardedBalancer* sharded_balancer() { return sharded_.get(); }
+  /// The cluster's balancer, max(Config::shards, 1) shards; never null.
+  [[nodiscard]] ShardedBalancer* sharded_balancer() { return &balancer_; }
 
   /// Where rolling_rejuvenation_waves reads its per-host ordering
   /// signals from.
@@ -120,11 +118,11 @@ class Cluster {
     /// the full degradation ladder incl. micro-recovery). `kind` above
     /// overrides `supervisor.preferred`, so historical call sites keep
     /// their meaning.
-    rejuv::SupervisorConfig supervisor;
+    rejuv::SupervisorConfig supervisor{};
     /// Signal source for the wave ordering (DESIGN.md §15).
     WaveSignalSource signals = WaveSignalSource::kWireTap;
     /// A host whose wave turn left VMs unrecovered is evicted from the
-    /// balancers and retried with Supervisor::recover once the last wave
+    /// balancer and retried with Supervisor::recover once the last wave
     /// is done: one attempt, then up to this many more, with capped
     /// exponential backoff (base * 2^attempt, at most cap) before each.
     int max_host_retries = 2;
@@ -186,10 +184,10 @@ class Cluster {
   /// failure is answered by a fresh supervised ladder (or absorbed when a
   /// planned wave turn already owns the host), and outcomes are notified
   /// to the control plane over the mailboxes -- crash-evicting/readmitting
-  /// the host's backends on every balancer and steering wave admission.
-  /// With both steady rates zero nothing is scheduled and no RNG is drawn,
-  /// so fault-free runs stay digest-identical. Call while the engine (if
-  /// any) is quiescent.
+  /// the host's backends on every balancer shard and steering wave
+  /// admission. With both steady rates zero nothing is scheduled and no
+  /// RNG is drawn, so fault-free runs stay digest-identical. Call while
+  /// the engine (if any) is quiescent.
   void start_steady_faults(const SteadyFaultsConfig& config);
   /// Disarms every host's steady process. Quiescent callers only.
   void stop_steady_faults();
@@ -222,7 +220,7 @@ class Cluster {
     std::vector<std::size_t> degraded_hosts;
     /// Hosts whose turn succeeded but whose admission controller reported
     /// preserved-memory pressure (demand over budget). They stay in
-    /// service as a last resort, but the balancers stop preferring them
+    /// service as a last resort, but the balancer stops preferring them
     /// -- backpressure instead of deepening the overcommit.
     std::vector<std::size_t> pressured_hosts;
     /// Hosts a wave turn evicted that an end-of-pass retry brought back.
@@ -255,8 +253,8 @@ class Cluster {
   /// rejuv::Supervisor, so a mid-wave fault walks the degradation ladder
   /// (micro-recovery, warm->saved->cold) instead of aborting the pass;
   /// outcomes land in the WaveReport. A host left unrecovered is evicted
-  /// from every balancer and retried after the last wave; a pressured
-  /// host is marked on every balancer. Before each wave the scheduler
+  /// from the balancer and retried after the last wave; a pressured
+  /// host is marked on the balancer. Before each wave the scheduler
   /// gathers live signals from every pending host
   /// -- served-request load and preserved-budget headroom, mirrored into
   /// the host's MetricsRegistry when observability is on -- and
@@ -288,14 +286,6 @@ class Cluster {
  private:
   friend class MetricsScraper;
 
-  void register_backend(guest::GuestOs* os,
-                        const std::shared_ptr<std::size_t>& remaining,
-                        const std::shared_ptr<std::function<void()>>& ready);
-  /// Applies an administrative eviction / pressure decision to every
-  /// balancer the cluster runs (the single LoadBalancer and, when
-  /// sharded, every shard's membership view).
-  void set_host_out_of_rotation(std::size_t host_index, bool evicted);
-  void set_host_backpressured(std::size_t host_index, bool pressured);
   /// (served-request load, preserved-budget headroom) for one host, on
   /// the host's partition; `mirror` also writes both into the host's
   /// MetricsRegistry gauges.
@@ -309,9 +299,6 @@ class Cluster {
   /// The scraper's SLO gate (control partition): while blocked,
   /// wave_launch admits nothing; clearing the block kicks a paused pass.
   void set_scrape_admission_blocked(bool blocked);
-  /// Crash-evict/readmit: unplanned membership changes compose with
-  /// administrative evictions instead of overwriting them.
-  void apply_crash_rotation(std::size_t host_index, bool crashed);
   /// Host-partition handler for one steady fault arrival.
   void steady_fault(std::size_t host_index, fault::FaultKind kind);
   /// Control-partition notifications from the per-host recovery drivers.
@@ -348,8 +335,7 @@ class Cluster {
   Config config_;
   std::vector<std::unique_ptr<vmm::Host>> hosts_;
   std::vector<std::vector<std::unique_ptr<guest::GuestOs>>> guests_;
-  LoadBalancer balancer_;
-  std::unique_ptr<ShardedBalancer> sharded_;
+  ShardedBalancer balancer_;
   /// Per-host supervisor slots, created and destroyed only in the owning
   /// host's partition context (the window barriers order those accesses
   /// against the control partition).
@@ -385,9 +371,7 @@ class Cluster {
   bool steady_started_ = false;
   /// Control-plane crash state (all mutated on partition 0 only).
   UnplannedReport unplanned_;
-  std::vector<std::uint8_t> crash_down_;       ///< unplanned ladder in flight
-  std::vector<std::uint8_t> crash_evicted_;    ///< crash-evicted from rotation
-  std::vector<std::uint8_t> admin_evicted_;    ///< planned/ladder eviction
+  std::vector<std::uint8_t> crash_down_;  ///< unplanned ladder in flight
   /// Hosts that just micro-recovered; deprioritised in the next wave sort
   /// (cleared once the pass schedules them).
   std::vector<std::uint8_t> recently_recovered_;

@@ -32,12 +32,6 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-// JSON number: finite doubles bare, inf/nan quoted (JSON has no literal
-// for them; fmt_double spells them "inf"/"-inf"/"nan").
-std::string json_number(double v) {
-  return std::isfinite(v) ? obs::fmt_double(v) : "\"" + obs::fmt_double(v) + "\"";
-}
-
 }  // namespace
 
 MetricsScraper::MetricsScraper(Cluster& cluster, Cluster::ScrapeConfig config)
@@ -221,7 +215,7 @@ void MetricsScraper::write_flight_record(std::ostream& os,
         os << "    {\"name\": \"" << json_escape(name) << "\", \"samples\": [";
         for (std::size_t i = 0; i < window.size(); ++i) {
           os << (i == 0 ? "" : ", ") << "[" << window[i].time << ", "
-             << json_number(window[i].value) << "]";
+             << obs::json_number(window[i].value) << "]";
         }
         os << "], \"sketch\": {\"count\": " << sketch.count()
            << ", \"p50_us\": " << sketch.percentile(50)

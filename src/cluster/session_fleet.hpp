@@ -1,13 +1,14 @@
-// Batched closed-loop session store for the datacenter-scale fig9 run.
+// Closed-loop clients driving the cluster through its ShardedBalancer.
 //
-// ClusterClientFleet keeps one heap-allocated callback chain alive per
-// connection, which tops out around thousands of sessions. SessionFleet
-// holds a million-session closed loop as struct-of-arrays: per shard, a
-// flat slice of (next_due, issued_at, down_since, downtime, counters)
-// columns, walked once per tick by a single batched scan that issues
-// every due request through the session's pinned balancer shard. No
-// per-session allocations, no per-session timers: one ticker event per
-// shard drives the whole slice (DESIGN.md §12).
+// ClusterClientFleet is the paper-scale fleet behind Fig. 9: a handful of
+// connections, each one heap-allocated callback chain, so it tops out
+// around thousands of sessions. SessionFleet holds a million-session
+// closed loop as struct-of-arrays: per shard, a flat slice of (next_due,
+// issued_at, down_since, downtime, counters) columns, walked once per
+// tick by a single batched scan that issues every due request through the
+// session's pinned balancer shard. No per-session allocations, no
+// per-session timers: one ticker event per shard drives the whole slice
+// (DESIGN.md §12).
 //
 // Sessions are block-assigned to shards; under the parallel engine each
 // slice lives on its shard's partition, so the scans themselves are
@@ -21,8 +22,43 @@
 #include "cluster/sharded_balancer.hpp"
 #include "simcore/histogram.hpp"
 #include "simcore/simulation.hpp"
+#include "simcore/time_series.hpp"
 
 namespace rh::cluster {
+
+/// Closed-loop client fleet driving the whole cluster through the
+/// balancer; completions feed the Fig. 9-style throughput timeline.
+/// Connection c dispatches every request with session key c, so on a
+/// one-shard balancer all connections share the one round-robin cursor.
+/// Under the engine, start it from `sim`'s partition: every reply lands
+/// back on the calling partition.
+class ClusterClientFleet {
+ public:
+  struct Config {
+    int connections = 16;
+    sim::Duration retry_interval = 500 * sim::kMillisecond;
+  };
+
+  ClusterClientFleet(sim::Simulation& sim, ShardedBalancer& balancer,
+                     Config config);
+  ClusterClientFleet(const ClusterClientFleet&) = delete;
+  ClusterClientFleet& operator=(const ClusterClientFleet&) = delete;
+
+  void start();
+  void stop();
+
+  [[nodiscard]] const sim::RateRecorder& completions() const { return completions_; }
+
+ private:
+  void issue(int connection);
+
+  sim::Simulation& sim_;
+  ShardedBalancer& balancer_;
+  Config config_;
+  sim::RateRecorder completions_;
+  bool started_ = false;
+  bool stopped_ = false;
+};
 
 class SessionFleet {
  public:

@@ -7,6 +7,25 @@
 
 namespace rh::cluster {
 
+namespace {
+
+/// Sets `view`'s flag on every backend of `host_index`; true when any
+/// flag flipped.
+bool mark_host(const std::vector<ShardedBalancer::Backend>& backends,
+               std::vector<std::uint8_t>& view, std::size_t host_index,
+               bool on) {
+  const std::uint8_t want = on ? 1 : 0;
+  bool changed = false;
+  for (std::size_t b = 0; b < backends.size(); ++b) {
+    if (backends[b].host_index != host_index || view[b] == want) continue;
+    view[b] = want;
+    changed = true;
+  }
+  return changed;
+}
+
+}  // namespace
+
 ShardedBalancer::ShardedBalancer(std::size_t shards) {
   ensure(shards >= 1, "ShardedBalancer: need at least one shard");
   shards_.resize(shards);
@@ -54,77 +73,41 @@ void ShardedBalancer::bind_parallel(sim::ParallelSimulation& engine,
   rpc_latency_ = rpc_latency;
 }
 
-void ShardedBalancer::set_host_evicted(std::size_t host_index, bool evicted) {
+// Mid-run, each shard's view is partition-local state, so the change is
+// broadcast through the mailboxes and applied shard-side.
+template <class Update>
+void ShardedBalancer::broadcast(const Update& update) {
   if (quiescent()) {
-    for (std::size_t b = 0; b < backends_.size(); ++b) {
-      if (backends_[b].host_index != host_index) continue;
-      for (auto& sh : shards_) sh.evicted[b] = evicted ? 1 : 0;
-    }
+    for (auto& sh : shards_) update(sh);
     return;
   }
-  // Mid-run: each shard's view is partition-local state, so the change is
-  // broadcast through the mailboxes and applied shard-side.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     engine_->post(shard_partition(s), rpc_latency_,
-                  [this, s, host_index, evicted] {
-      Shard& sh = shards_[s];
-      for (std::size_t b = 0; b < backends_.size(); ++b) {
-        if (backends_[b].host_index == host_index) {
-          sh.evicted[b] = evicted ? 1 : 0;
-        }
-      }
-    });
+                  [this, s, update] { update(shards_[s]); });
   }
+}
+
+void ShardedBalancer::set_host_evicted(std::size_t host_index, bool evicted) {
+  broadcast([this, host_index, evicted](Shard& sh) {
+    mark_host(backends_, sh.evicted, host_index, evicted);
+  });
 }
 
 void ShardedBalancer::set_host_pressured(std::size_t host_index,
                                          bool pressured) {
-  if (quiescent()) {
-    for (std::size_t b = 0; b < backends_.size(); ++b) {
-      if (backends_[b].host_index != host_index) continue;
-      for (auto& sh : shards_) sh.pressured[b] = pressured ? 1 : 0;
-    }
-    return;
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    engine_->post(shard_partition(s), rpc_latency_,
-                  [this, s, host_index, pressured] {
-      Shard& sh = shards_[s];
-      for (std::size_t b = 0; b < backends_.size(); ++b) {
-        if (backends_[b].host_index == host_index) {
-          sh.pressured[b] = pressured ? 1 : 0;
-        }
-      }
-    });
-  }
+  broadcast([this, host_index, pressured](Shard& sh) {
+    mark_host(backends_, sh.pressured, host_index, pressured);
+  });
 }
 
 void ShardedBalancer::set_host_crashed(std::size_t host_index, bool crashed) {
-  // Shard-side application; tracks whether the host's membership actually
-  // flipped so crashed_hosts stays balanced under repeated broadcasts.
-  auto apply = [this, host_index, crashed](Shard& sh) {
-    const std::uint8_t want = crashed ? 1 : 0;
-    bool changed = false;
-    for (std::size_t b = 0; b < backends_.size(); ++b) {
-      if (backends_[b].host_index != host_index) continue;
-      if (sh.crashed[b] != want) {
-        sh.crashed[b] = want;
-        changed = true;
-      }
-    }
-    if (changed) {
-      sh.crashed_hosts += crashed ? 1u : -1u;
-      ++sh.crash_events;
-    }
-  };
-  if (quiescent()) {
-    for (auto& sh : shards_) apply(sh);
-    return;
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    engine_->post(shard_partition(s), rpc_latency_,
-                  [this, s, apply] { apply(shards_[s]); });
-  }
+  // Counts only real flips, so crashed_hosts stays balanced under
+  // repeated broadcasts.
+  broadcast([this, host_index, crashed](Shard& sh) {
+    if (!mark_host(backends_, sh.crashed, host_index, crashed)) return;
+    sh.crashed_hosts += crashed ? 1u : -1u;
+    ++sh.crash_events;
+  });
 }
 
 void ShardedBalancer::dispatch(std::uint64_t key,
@@ -318,6 +301,12 @@ std::uint64_t ShardedBalancer::federated() const {
 std::size_t ShardedBalancer::evicted_backends() const {
   std::size_t n = 0;
   for (const auto e : shards_.front().evicted) n += e != 0 ? 1 : 0;
+  return n;
+}
+
+std::size_t ShardedBalancer::pressured_backends() const {
+  std::size_t n = 0;
+  for (const auto p : shards_.front().pressured) n += p != 0 ? 1 : 0;
   return n;
 }
 

@@ -1,21 +1,21 @@
-// Sharded, federated request dispatch for the datacenter-scale fig9 run.
+// The cluster's load balancer (Section 6: "a load balancer dispatches
+// requests to one of these hosts"), sharded and federated so it scales to
+// the datacenter-size fig9 run.
 //
-// One LoadBalancer is a scaling bottleneck past tens of hosts: every
-// dispatch serialises through a single round-robin cursor on the control
-// partition. The ShardedBalancer partitions the session space by
-// session-key hash across N shards. Each shard owns a disjoint subset of
-// the backends (host h's VMs belong to shard h % N), keeps its own
-// round-robin cursor and per-backend file cursors, and -- under the
-// parallel engine -- lives on its own event partition so dispatch is
-// parallel-in-run (DESIGN.md §12).
+// The balancer partitions the session space by session-key hash across N
+// shards. Each shard owns a disjoint subset of the backends (host h's VMs
+// belong to shard h % N), keeps its own round-robin cursor and
+// per-backend file cursors, and -- under the parallel engine -- lives on
+// its own event partition so dispatch is parallel-in-run (DESIGN.md §12).
+// With one shard it is the paper's single round-robin balancer; the
+// cluster then binds that shard to its control partition.
 //
 // Federation: when a shard's own backends are all evicted, pressured or
 // unreachable, the request spills over to the next shard in ring order,
 // first refusing pressured backends everywhere, then (second lap)
-// accepting them as a last resort -- the same two-phase policy as the
-// single LoadBalancer, lifted to the ring. Ring order from the home
-// shard is a pure function of the session key, so failover is
-// deterministic and bitwise identical for any worker count.
+// accepting them as a last resort. Ring order from the home shard is a
+// pure function of the session key, so failover is deterministic and
+// bitwise identical for any worker count.
 #pragma once
 
 #include <cstdint>
@@ -94,7 +94,9 @@ class ShardedBalancer {
 
   /// Dispatches one request for `key` starting at its home shard.
   /// Sequential mode: runs inline. Engine mode: call from inside
-  /// partition execution; `done` fires on the calling partition.
+  /// partition execution; `done` fires on the calling partition. A caller
+  /// already on the home shard's partition (the one-shard cluster's
+  /// control plane) starts inline; any other pays one routing hop.
   void dispatch(std::uint64_t key, std::function<void(bool)> done);
 
   /// Fast path for callers already executing on `shard`'s partition (the
@@ -119,6 +121,8 @@ class ShardedBalancer {
   }
   /// Backends evicted on shard 0's view (all views agree when quiescent).
   [[nodiscard]] std::size_t evicted_backends() const;
+  /// Backends marked pressured on shard 0's view. Quiescent reads only.
+  [[nodiscard]] std::size_t pressured_backends() const;
   /// Backends crash-evicted on shard 0's view. Quiescent reads only.
   [[nodiscard]] std::size_t crashed_backends() const;
   /// Hosts this shard's view currently knows to be crash-down. Safe to
@@ -165,6 +169,12 @@ class ShardedBalancer {
     bool allow_pressured = false;    ///< second-lap last-resort flag
   };
 
+  /// Applies `update(shard)` to every shard's membership view: directly
+  /// when quiescent, otherwise posted to each shard's partition in shard
+  /// order, landing one RPC latency later (deterministically, like any
+  /// other message).
+  template <class Update>
+  void broadcast(const Update& update);
   void start_on(std::size_t shard, std::function<void(bool)> done);
   void try_shard(std::shared_ptr<Request> state);
   void probe_reply(bool up, std::uint32_t b, std::shared_ptr<Request> state);

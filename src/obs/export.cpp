@@ -19,6 +19,15 @@ std::string fmt_double(double v) {
   return std::string(buf, end);
 }
 
+std::string json_number(double v) {
+  std::string out = fmt_double(v);
+  if (!std::isfinite(v)) {
+    out.insert(out.begin(), '"');
+    out.push_back('"');
+  }
+  return out;
+}
+
 namespace {
 
 /// Escapes the few characters our labels can legally contain. Labels come
@@ -119,12 +128,6 @@ void write_metrics_json(std::ostream& os, const MetricsRegistry& m) {
   }
   os << (m.counters().empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
-  // JSON has no literal for non-finite numbers; gauges can legitimately
-  // hold infinity (e.g. unlimited-budget headroom), so those render as
-  // quoted strings rather than producing invalid JSON.
-  const auto json_number = [](double v) {
-    return std::isfinite(v) ? fmt_double(v) : "\"" + fmt_double(v) + "\"";
-  };
   for (const auto& e : m.gauges()) {
     os << (first ? "" : ",") << "\n    \"" << json_escape(e.name)
        << "\": " << json_number(e.value);

@@ -19,6 +19,11 @@ namespace rh::obs {
 /// embedding the result in JSON must quote or gate non-finite values).
 [[nodiscard]] std::string fmt_double(double v);
 
+/// fmt_double for JSON: finite values bare, inf/nan quoted (JSON has no
+/// literal for them, and gauges can legitimately hold infinity, e.g.
+/// unlimited-budget headroom).
+[[nodiscard]] std::string json_number(double v);
+
 /// Appends one process's spans and events to a Chrome trace. Spans become
 /// async "b"/"e" pairs (async events tolerate the overlapping siblings a
 /// parallel resume produces); typed events become instants. Call once per

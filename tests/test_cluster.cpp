@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
+#include "cluster/session_fleet.hpp"
 #include "cluster/throughput_model.hpp"
 #include "test_util.hpp"
 
@@ -72,12 +73,47 @@ struct ClusterRig {
     while (!ready && sim.pending_events() > 0) sim.step();
     EXPECT_TRUE(ready);
   }
+
+  cluster::ShardedBalancer& lb() { return *cl.sharded_balancer(); }
+
+  /// Dispatches `n` requests (key i for the i-th) and runs 5 s; returns
+  /// how many were served.
+  int serve(int n) {
+    int served = 0;
+    for (int i = 0; i < n; ++i) {
+      lb().dispatch(static_cast<std::uint64_t>(i),
+                    [&served](bool ok) { served += ok ? 1 : 0; });
+    }
+    sim.run_for(5 * sim::kSecond);
+    return served;
+  }
+
+  /// Requests host `h`'s web servers have served so far.
+  std::uint64_t served_by(int h) {
+    std::uint64_t n = 0;
+    for (auto* g : cl.guests_of(h)) {
+      n += static_cast<guest::ApacheService*>(g->find_service("httpd"))
+               ->requests_served();
+    }
+    return n;
+  }
+
+  /// VMs whose web server answers right now, on any host.
+  std::size_t reachable_vms() {
+    std::size_t n = 0;
+    for (int h = 0; h < cl.host_count(); ++h) {
+      for (auto* g : cl.guests_of(h)) {
+        n += g->service_reachable(*g->find_service("httpd")) ? 1 : 0;
+      }
+    }
+    return n;
+  }
 };
 
 TEST(Cluster, StartBringsAllBackendsUp) {
   ClusterRig rig;
-  EXPECT_EQ(rig.cl.balancer().backend_count(), std::size_t{4});
-  EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{4});
+  EXPECT_EQ(rig.lb().backend_count(), std::size_t{4});
+  EXPECT_EQ(rig.reachable_vms(), std::size_t{4});
   for (int h = 0; h < 2; ++h) {
     EXPECT_TRUE(rig.cl.host(h).up());
     for (int v = 0; v < 2; ++v) {
@@ -92,13 +128,8 @@ TEST(Cluster, BalancerSkipsUnreachableBackends) {
   bool down = false;
   rig.cl.host(0).shutdown_dom0([&down] { down = true; });
   while (!down) rig.sim.step();
-  EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{2});
-  int served = 0;
-  for (int i = 0; i < 10; ++i) {
-    rig.cl.balancer().dispatch([&](bool ok) { served += ok ? 1 : 0; });
-  }
-  rig.sim.run_for(5 * sim::kSecond);
-  EXPECT_EQ(served, 10);  // host 1 carried everything
+  EXPECT_EQ(rig.reachable_vms(), std::size_t{2});
+  EXPECT_EQ(rig.serve(10), 10);  // host 1 carried everything
 }
 
 TEST(Cluster, DispatchFailsOnlyWhenAllDown) {
@@ -107,9 +138,9 @@ TEST(Cluster, DispatchFailsOnlyWhenAllDown) {
   rig.cl.host(0).shutdown_dom0([&down] { down = true; });
   while (!down) rig.sim.step();
   bool ok = true;
-  rig.cl.balancer().dispatch([&](bool served) { ok = served; });
+  rig.lb().dispatch(0, [&](bool served) { ok = served; });
   EXPECT_FALSE(ok);
-  EXPECT_EQ(rig.cl.balancer().rejected(), std::uint64_t{1});
+  EXPECT_EQ(rig.lb().rejected(), std::uint64_t{1});
 }
 
 /// Runs one rolling pass with `config` to completion and returns its report.
@@ -147,7 +178,7 @@ std::size_t ladder_runs(const cluster::Cluster::WaveReport& report) {
 
 TEST(Cluster, RollingWarmRejuvenationKeepsServiceAvailable) {
   ClusterRig rig;
-  cluster::ClusterClientFleet fleet(rig.sim, rig.cl.balancer(), {});
+  cluster::ClusterClientFleet fleet(rig.sim, rig.lb(), {});
   fleet.start();
   rig.sim.run_for(10 * sim::kSecond);
   const sim::SimTime t0 = rig.sim.now();
@@ -164,7 +195,7 @@ TEST(Cluster, RollingWarmRejuvenationKeepsServiceAvailable) {
   EXPECT_EQ(pass, sim::Duration{106257582});
   EXPECT_EQ(rig.cl.rejuvenation_durations(),
             (std::vector<sim::Duration>{53128791, 53128791}));
-  EXPECT_EQ(rig.cl.balancer().rejected(), std::uint64_t{0});
+  EXPECT_EQ(rig.lb().rejected(), std::uint64_t{0});
   // All guests everywhere survived with state intact.
   for (int h = 0; h < 2; ++h) {
     for (int v = 0; v < 2; ++v) {
@@ -209,8 +240,8 @@ TEST(Cluster, SupervisedRollingPassIsCleanWithoutFaults) {
     }
   }
   EXPECT_TRUE(evicted_hosts(report).empty());
-  EXPECT_EQ(rig.cl.balancer().evicted_backends(), std::size_t{0});
-  EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{4});
+  EXPECT_EQ(rig.lb().evicted_backends(), std::size_t{0});
+  EXPECT_EQ(rig.reachable_vms(), std::size_t{4});
 }
 
 TEST(Cluster, SupervisedRollingEvictsFailedHostAndRetriesIt) {
@@ -231,16 +262,11 @@ TEST(Cluster, SupervisedRollingEvictsFailedHostAndRetriesIt) {
         done = true;
       });
   // Step until host 1's ladder exhausts and it is evicted mid-pass...
-  while (!done && rig.cl.balancer().evicted_backends() == 0) rig.sim.step();
+  while (!done && rig.lb().evicted_backends() == 0) rig.sim.step();
   ASSERT_FALSE(done);
-  EXPECT_EQ(rig.cl.balancer().evicted_backends(), std::size_t{2});
+  EXPECT_EQ(rig.lb().evicted_backends(), std::size_t{2});
   // ...the balancer keeps serving from host 0 in the meantime...
-  int served = 0;
-  for (int i = 0; i < 8; ++i) {
-    rig.cl.balancer().dispatch([&](bool ok) { served += ok ? 1 : 0; });
-  }
-  rig.sim.run_for(5 * sim::kSecond);
-  EXPECT_EQ(served, 8);
+  EXPECT_EQ(rig.serve(8), 8);
   // ...then the root cause is fixed, and the end-of-pass retry succeeds.
   rig.cl.host(1).configure_faults(fault::FaultConfig{});
   while (!done) rig.sim.step();
@@ -250,8 +276,8 @@ TEST(Cluster, SupervisedRollingEvictsFailedHostAndRetriesIt) {
   EXPECT_EQ(report.recovered_hosts, (std::vector<std::size_t>{1}));
   EXPECT_TRUE(report.unrecovered_hosts.empty());
   EXPECT_EQ(report.hosts_rejuvenated, std::size_t{1});
-  EXPECT_EQ(rig.cl.balancer().evicted_backends(), std::size_t{0});
-  EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{4});
+  EXPECT_EQ(rig.lb().evicted_backends(), std::size_t{0});
+  EXPECT_EQ(rig.reachable_vms(), std::size_t{4});
   for (int v = 0; v < 2; ++v) {
     EXPECT_EQ(rig.cl.guest(1, v).state(), guest::OsState::kRunning);
   }
@@ -273,8 +299,8 @@ TEST(Cluster, SupervisedRollingGivesUpAfterHostRetryBudget) {
   EXPECT_EQ(report.unrecovered_hosts, (std::vector<std::size_t>{0}));
   EXPECT_TRUE(report.recovered_hosts.empty());
   // The dead host stays out of rotation; the healthy one still serves.
-  EXPECT_EQ(rig.cl.balancer().evicted_backends(), std::size_t{2});
-  EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{2});
+  EXPECT_EQ(rig.lb().evicted_backends(), std::size_t{2});
+  EXPECT_EQ(rig.reachable_vms(), std::size_t{2});
   // One turn on each host + 2 recovery attempts on host 0.
   EXPECT_EQ(ladder_runs(report), std::size_t{4});
   EXPECT_EQ(report.retries.size(), std::size_t{2});
@@ -302,18 +328,13 @@ TEST(Cluster, LostHostIsNotCountedAsRejuvenated) {
 
 TEST(Cluster, EvictionExcludesBackendsFromDispatchUntilLifted) {
   ClusterRig rig;
-  rig.cl.balancer().set_host_evicted(&rig.cl.host(0), true);
-  EXPECT_EQ(rig.cl.balancer().evicted_backends(), std::size_t{2});
-  EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{2});
-  int served = 0;
-  for (int i = 0; i < 6; ++i) {
-    rig.cl.balancer().dispatch([&](bool ok) { served += ok ? 1 : 0; });
-  }
-  rig.sim.run_for(5 * sim::kSecond);
-  EXPECT_EQ(served, 6);  // host 1 carried everything
-  rig.cl.balancer().set_host_evicted(&rig.cl.host(0), false);
-  EXPECT_EQ(rig.cl.balancer().evicted_backends(), std::size_t{0});
-  EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{4});
+  rig.lb().set_host_evicted(0, true);
+  EXPECT_EQ(rig.lb().evicted_backends(), std::size_t{2});
+  EXPECT_EQ(rig.serve(6), 6);  // host 1 carried everything...
+  EXPECT_EQ(rig.served_by(0), std::uint64_t{0});  // ...host 0 served none
+  rig.lb().set_host_evicted(0, false);
+  EXPECT_EQ(rig.lb().evicted_backends(), std::size_t{0});
+  EXPECT_EQ(rig.reachable_vms(), std::size_t{4});
 }
 
 }  // namespace

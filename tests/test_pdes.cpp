@@ -249,8 +249,8 @@ std::uint64_t cluster_digest(std::size_t workers, Variant variant) {
   cl.start([&ready] { ready = true; });
   engine.run_while([&ready] { return !ready; });
 
-  cluster::ClusterClientFleet fleet(engine.partition(0), cl.balancer(),
-                                    {.connections = 8});
+  cluster::ClusterClientFleet fleet(
+      engine.partition(0), *cl.sharded_balancer(), {.connections = 8});
   std::unique_ptr<cluster::SessionFleet> sessions;
   if (variant == Variant::kSharded || variant == Variant::kCrashScale ||
       variant == Variant::kScrape) {
@@ -331,8 +331,8 @@ std::uint64_t cluster_digest(std::size_t workers, Variant variant) {
     d.mix(engine.partition(p).executed_events());
   }
   d.mix(static_cast<std::uint64_t>(fleet.completions().total()));
-  d.mix(cl.balancer().dispatched());
-  d.mix(cl.balancer().rejected());
+  d.mix(cl.sharded_balancer()->dispatched());
+  d.mix(cl.sharded_balancer()->rejected());
   for (const auto dur : cl.rejuvenation_durations()) {
     d.mix(static_cast<std::uint64_t>(dur));
   }
@@ -436,9 +436,9 @@ INSTANTIATE_TEST_SUITE_P(Fig9Topology, PdesClusterDigestGrid,
                          });
 
 // A backend evicted while its reachability probe is in flight must not be
-// served by the stale "up" reply: the balancer re-checks membership on the
-// balancer partition when the reply lands (regression -- the probe reply
-// used to dispatch directly, resurrecting evicted backends).
+// served by the stale "up" reply: the shard re-checks its membership view
+// when the reply lands (regression -- the probe reply used to dispatch
+// directly, resurrecting evicted backends).
 TEST(PdesCluster, EvictedMidProbeBackendIsNotServed) {
   sim::ParallelSimulation engine({.partitions = 3, .workers = 1});
   cluster::Cluster::Config cfg;
@@ -454,22 +454,23 @@ TEST(PdesCluster, EvictedMidProbeBackendIsNotServed) {
   engine.run_while([&ready] { return !ready; });
 
   bool done = false, served = false;
+  auto& lb = *cl.sharded_balancer();
   engine.run_on(0, [&] {
-    // The round-robin cursor starts at host 0's backend, so the first
-    // probe targets host 0. Evict it while that probe is in flight
-    // (probe out +1ms, reply back +1ms; eviction lands at +1.5ms).
-    cl.balancer().dispatch([&](bool ok) {
+    // The one shard shares partition 0 and its round-robin cursor starts
+    // at host 0's backend, so the first probe targets host 0 (out at
+    // +1ms, reply back at +2ms). Evict it while that probe is in flight:
+    // the eviction is broadcast with link latency, so issued at +0.5ms it
+    // lands at +1.5ms.
+    lb.dispatch(0, [&](bool ok) {
       served = ok;
       done = true;
     });
-    engine.partition(0).after(1500, [&cl] {
-      cl.balancer().set_host_evicted(&cl.host(0), true);
-    });
+    engine.partition(0).after(500, [&lb] { lb.set_host_evicted(0, true); });
   });
   engine.run_while([&done] { return !done; });
 
   EXPECT_TRUE(served);  // host 1 picked it up
-  EXPECT_EQ(cl.balancer().dispatched(), std::uint64_t{1});
+  EXPECT_EQ(lb.dispatched(), std::uint64_t{1});
   auto served_by = [&cl](int h) {
     return static_cast<guest::ApacheService*>(
                cl.guest(h, 0).find_service("httpd"))
