@@ -136,9 +136,9 @@ void driver_domains() {
     tb.add_vms(4, sim::kGiB, Testbed::ServiceMix::kSsh);
     for (int i = 0; i < drivers; ++i) tb.guests[static_cast<std::size_t>(i)]
         ->set_driver_domain(true);
-    auto driver = tb.rejuvenate(rejuv::RebootKind::kWarm);
+    const auto report = tb.rejuvenate(rejuv::RebootKind::kWarm);
     std::printf("    %d driver domain(s) -> warm reboot takes %6.1f s\n",
-                drivers, sim::to_seconds(driver->total_duration()));
+                drivers, sim::to_seconds(report.total_duration()));
   }
 }
 

@@ -10,7 +10,6 @@
 // dip from file-cache misses.
 #include <cstdio>
 #include <cstring>
-#include <memory>
 
 #include "bench_util.hpp"
 #include "obs/observer.hpp"
@@ -23,12 +22,12 @@ using namespace rh;
 using bench::Testbed;
 
 /// The breakdown as recorded by the observability layer: the kStep
-/// children of the driver's pass span, in open order. Cross-checked
-/// against the driver's own bespoke accounting -- the span tree and
-/// RebootDriver::breakdown() must agree to the microsecond, or the
+/// children of the pass span's ladder rungs, in open order. Cross-checked
+/// against the Supervisor's own step records -- the span tree and
+/// SupervisorReport::steps must agree to the microsecond, or the
 /// instrumentation has drifted from the control flow it claims to mirror.
 std::vector<const obs::SpanRecord*> span_breakdown(
-    const obs::SpanRecorder& spans, const rejuv::RebootDriver& driver) {
+    const obs::SpanRecorder& spans, const rejuv::SupervisorReport& report) {
   obs::SpanId pass = obs::kNoSpan;
   for (std::size_t i = 0; i < spans.records().size(); ++i) {
     if (spans.records()[i].phase == obs::Phase::kPass) {
@@ -37,19 +36,21 @@ std::vector<const obs::SpanRecord*> span_breakdown(
   }
   ensure(pass != obs::kNoSpan, "fig7: no pass span recorded");
   std::vector<const obs::SpanRecord*> steps;
-  for (obs::SpanId c : spans.children_of(pass)) {
-    if (spans.records()[c].phase == obs::Phase::kStep) {
-      steps.push_back(&spans.records()[c]);
+  for (obs::SpanId rung : spans.children_of(pass)) {
+    for (obs::SpanId c : spans.children_of(rung)) {
+      if (spans.records()[c].phase == obs::Phase::kStep) {
+        steps.push_back(&spans.records()[c]);
+      }
     }
   }
-  const auto& legacy = driver.breakdown();
-  ensure(steps.size() == legacy.size(),
-         "fig7: span step count != driver breakdown count");
+  const auto& recorded = report.steps;
+  ensure(steps.size() == recorded.size(),
+         "fig7: span step count != recorded step count");
   for (std::size_t i = 0; i < steps.size(); ++i) {
-    ensure(steps[i]->start == legacy[i].start &&
-               steps[i]->end == legacy[i].end &&
-               std::strcmp(steps[i]->label, legacy[i].label.c_str()) == 0,
-           "fig7: span step disagrees with driver breakdown");
+    ensure(steps[i]->start == recorded[i].start &&
+               steps[i]->end == recorded[i].end &&
+               std::strcmp(steps[i]->label, recorded[i].label.c_str()) == 0,
+           "fig7: span step disagrees with the recorded step");
   }
   return steps;
 }
@@ -78,17 +79,14 @@ void run(rejuv::RebootKind kind) {
   tb.sim.run_for(60 * sim::kSecond);
   const sim::SimTime t0 = tb.sim.now() - 20 * sim::kSecond;
 
-  auto driver = rejuv::make_reboot_driver(kind, *tb.host, tb.guest_ptrs());
-  bool done = false;
-  driver->run([&done] { done = true; });
-  while (!done) tb.sim.step();
+  const auto pass = tb.rejuvenate(kind);
   const sim::SimTime restored = tb.sim.now();
   tb.sim.run_for(60 * sim::kSecond);
   fleet.stop();
 
   std::printf("\n--- %s ---\n", rejuv::to_string(kind));
   std::printf("  operation breakdown (reboot command at t=20 s):\n");
-  for (const auto* s : span_breakdown(tb.host->obs().spans(), *driver)) {
+  for (const auto* s : span_breakdown(tb.host->obs().spans(), pass)) {
     std::printf("    %-36s t=%6.1f .. %6.1f  (%6.2f s)\n", s->label,
                 sim::to_seconds(s->start - t0), sim::to_seconds(s->end - t0),
                 sim::to_seconds(s->duration()));

@@ -50,9 +50,9 @@ exp::ReplicationResult replicate(const exp::ReplicationContext& ctx, int vms) {
   Testbed tb(ctx.seed);
   tb.add_vms(vms, sim::kGiB, Testbed::ServiceMix::kSsh);
   const sim::SimTime start = tb.sim.now();
-  auto driver = tb.rejuvenate(rejuv::RebootKind::kWarm);
+  const auto report = tb.rejuvenate(rejuv::RebootKind::kWarm);
   exp::ReplicationResult out;
-  out.values = {sim::to_seconds(driver->total_duration()),
+  out.values = {sim::to_seconds(report.total_duration()),
                 sim::to_seconds(tb.sim.now() - start)};
   return out;
 }

@@ -26,10 +26,9 @@ void measure_at(int n, Measurements& out) {
   {
     Testbed tb;
     tb.add_vms(n, sim::kGiB, Testbed::ServiceMix::kSsh);
-    auto driver = tb.rejuvenate(rejuv::RebootKind::kWarm);
-    const auto& steps = driver->breakdown();
+    const auto report = tb.rejuvenate(rejuv::RebootKind::kWarm);
     double suspend_s = 0, reload_s = 0, resume_s = 0;
-    for (const auto& s : steps) {
+    for (const auto& s : report.steps) {
       if (s.label == "on-memory suspend") suspend_s = sim::to_seconds(s.duration());
       if (s.label == "quick reload + VMM/dom0 boot")
         reload_s = sim::to_seconds(s.duration());

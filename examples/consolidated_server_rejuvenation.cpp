@@ -13,7 +13,7 @@
 #include "guest/jboss.hpp"
 #include "guest/sshd.hpp"
 #include "net/tcp.hpp"
-#include "rejuv/reboot_driver.hpp"
+#include "rejuv/supervisor.hpp"
 #include "vmm/host.hpp"
 #include "workload/prober.hpp"
 
@@ -77,9 +77,11 @@ void run_strategy(rejuv::RebootKind kind) {
   box.sim.run_for(2 * sim::kSecond);
   const sim::SimTime start = box.sim.now();
 
-  auto driver = rejuv::make_reboot_driver(kind, *box.host, box.vm_ptrs());
+  rejuv::SupervisorConfig config;
+  config.preferred = kind;
+  rejuv::Supervisor pass(*box.host, box.vm_ptrs(), config);
   bool done = false;
-  driver->run([&done] { done = true; });
+  pass.run([&done](const rejuv::SupervisorReport&) { done = true; });
   while (!done) box.sim.step();
   box.sim.run_for(10 * sim::kSecond);
 
@@ -100,7 +102,7 @@ void run_strategy(rejuv::RebootKind kind) {
 
   std::printf("\n=== %s ===\n", rejuv::to_string(kind));
   std::printf("  total procedure: %.1f s\n",
-              sim::to_seconds(driver->total_duration()));
+              sim::to_seconds(pass.report().total_duration()));
   std::printf("  ssh downtime: mean %.1f s, worst %.1f s\n", total / 11.0, worst);
   std::printf("  live ssh session: %s\n",
               session.alive() ? "SURVIVED (TCP retransmission)" : "lost");

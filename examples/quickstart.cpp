@@ -10,7 +10,7 @@
 
 #include "guest/guest_os.hpp"
 #include "guest/sshd.hpp"
-#include "rejuv/reboot_driver.hpp"
+#include "rejuv/supervisor.hpp"
 #include "vmm/host.hpp"
 #include "workload/prober.hpp"
 
@@ -44,17 +44,20 @@ int main() {
   const sim::SimTime reboot_start = sim.now();
   std::vector<guest::GuestOs*> guest_ptrs;
   for (auto& v : vms) guest_ptrs.push_back(v.get());
-  rejuv::WarmVmReboot reboot(host, guest_ptrs);
+  rejuv::SupervisorConfig config;
+  config.preferred = rejuv::RebootKind::kWarm;
+  rejuv::Supervisor reboot(host, guest_ptrs, config);
   bool done = false;
-  reboot.run([&done] { done = true; });
+  reboot.run([&done](const rejuv::SupervisorReport&) { done = true; });
   while (!done) sim.step();
   sim.run_for(5 * sim::kSecond);
 
   // 5. Report.
+  const rejuv::SupervisorReport& report = reboot.report();
   std::printf("\n--- warm-VM reboot completed in %.1f s ---\n",
-              sim::to_seconds(reboot.total_duration()));
+              sim::to_seconds(report.total_duration()));
   std::printf("operation breakdown:\n");
-  for (const auto& step : reboot.breakdown()) {
+  for (const auto& step : report.steps) {
     std::printf("  %-32s %7.2f s\n", step.label.c_str(),
                 sim::to_seconds(step.duration()));
   }

@@ -13,7 +13,6 @@
 #include "fault/fault.hpp"
 #include "obs/slo.hpp"
 #include "obs/tsdb.hpp"
-#include "rejuv/reboot_driver.hpp"
 #include "rejuv/recovery_driver.hpp"
 #include "rejuv/supervisor.hpp"
 #include "simcore/inline_callback.hpp"

@@ -9,17 +9,10 @@ const char* to_string(Phase p) {
     case Phase::kPass: return "pass";
     case Phase::kStep: return "step";
     case Phase::kAdmission: return "admission";
-    case Phase::kXexecLoad: return "xexec-load";
-    case Phase::kSuspend: return "suspend";
     case Phase::kDom0Shutdown: return "dom0-shutdown";
     case Phase::kQuickReload: return "quick-reload";
     case Phase::kVmmInit: return "vmm-init";
     case Phase::kHardwareReset: return "hardware-reset";
-    case Phase::kResume: return "resume";
-    case Phase::kRestore: return "restore";
-    case Phase::kSaveToDisk: return "save-to-disk";
-    case Phase::kGuestShutdown: return "guest-shutdown";
-    case Phase::kGuestBoot: return "guest-boot";
     case Phase::kCacheRewarm: return "cache-rewarm";
     case Phase::kPreCopyRound: return "pre-copy-round";
     case Phase::kStopAndCopy: return "stop-and-copy";

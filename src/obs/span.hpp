@@ -1,13 +1,15 @@
 // Phase spans: nested [start, end] windows over simulated time.
 //
-// The rejuvenation pipeline is a tree of phases -- a pass contains an
-// admission phase, a suspend, the xexec quick reload (which itself
-// contains the VMM re-init), the resume, the cache re-warm -- and Fig. 7's
-// downtime breakdown is exactly the first level of that tree. Spans record
-// it directly: every span has a phase tag, a short inline label, a start
-// and end in simulated microseconds, and an explicit parent, so the tree
-// survives the callback-driven control flow (RAII scoping cannot: most
-// phases end inside a completion callback, not at scope exit).
+// The rejuvenation pipeline is a tree of phases -- a pass contains one
+// ladder rung per mechanism it tried, each rung the steps it ran (load
+// xexec image, on-memory suspend, the quick reload, the resume, ...), and
+// the host's own phases (dom0 shutdown, the quick reload with the VMM
+// re-init inside it, the cache re-warm) -- and Fig. 7's downtime breakdown
+// is exactly the step level of that tree. Spans record it directly: every
+// span has a phase tag, a short inline label, a start and end in simulated
+// microseconds, and an explicit parent, so the tree survives the
+// callback-driven control flow (RAII scoping cannot: most phases end
+// inside a completion callback, not at scope exit).
 //
 // Records are POD (no heap per span) and append-only; open/close are
 // checked (no double close, no close of an unknown span, monotonic time),
@@ -25,20 +27,13 @@ namespace rh::obs {
 
 /// Taxonomy of rejuvenation/migration phases (DESIGN.md §10).
 enum class Phase : std::uint8_t {
-  kPass,           ///< one whole rejuvenation pass (driver or supervised)
-  kStep,           ///< one sim::Script step of a reboot driver
+  kPass,           ///< one whole rejuvenation pass (supervised)
+  kStep,           ///< one named step of a pass (SupervisorReport::steps)
   kAdmission,      ///< pre-suspend preserved-memory admission
-  kXexecLoad,      ///< loading the new VMM image via xexec
-  kSuspend,        ///< on-memory suspend of all domains
   kDom0Shutdown,   ///< domain 0 userland shutdown
   kQuickReload,    ///< xexec jump + new VMM + dom0 boot (no hardware reset)
   kVmmInit,        ///< new VMM instance boot + dom0 userland (re-)init
   kHardwareReset,  ///< power cycle + POST + boot loader
-  kResume,         ///< on-memory resume of preserved domains
-  kRestore,        ///< disk restore of saved domains
-  kSaveToDisk,     ///< disk save of domains
-  kGuestShutdown,  ///< guest OS shutdowns
-  kGuestBoot,      ///< guest OS cold boots
   kCacheRewarm,    ///< post-resume degradation window (creation artifact)
   kPreCopyRound,   ///< one live-migration pre-copy round
   kStopAndCopy,    ///< live-migration stop-and-copy

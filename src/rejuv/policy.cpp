@@ -106,9 +106,11 @@ void RejuvenationPolicy::run_vmm_rejuvenation(bool heap_triggered) {
   const sim::SimTime start = host_.sim().now();
   const std::uint64_t deferrals = vmm_deferrals_;
   vmm_deferrals_ = 0;
-  vmm_driver_ =
-      make_reboot_driver(config_.vmm_reboot_kind, host_, guests_);
-  vmm_driver_->run([this, start, heap_triggered, deferrals] {
+  SupervisorConfig supervisor;
+  supervisor.preferred = config_.vmm_reboot_kind;
+  vmm_supervisor_ = std::make_unique<Supervisor>(host_, guests_, supervisor);
+  vmm_supervisor_->run([this, start, heap_triggered, deferrals](
+                           const SupervisorReport&) {
     vmm_busy_ = false;
     ++vmm_count_;
     events_.push_back({start, host_.sim().now() - start, /*is_vmm=*/true, 0,

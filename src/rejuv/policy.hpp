@@ -13,7 +13,7 @@
 #include <memory>
 #include <vector>
 
-#include "rejuv/reboot_driver.hpp"
+#include "rejuv/supervisor.hpp"
 
 namespace rh::rejuv {
 
@@ -95,7 +95,7 @@ class RejuvenationPolicy {
   std::vector<std::uint64_t> os_deferrals_;
   std::uint64_t vmm_deferrals_ = 0;
   sim::EventId vmm_timer_ = sim::kInvalidEventId;
-  std::unique_ptr<RebootDriver> vmm_driver_;
+  std::unique_ptr<Supervisor> vmm_supervisor_;
   bool vmm_busy_ = false;
   std::size_t os_busy_count_ = 0;
   std::uint64_t os_count_ = 0;

@@ -10,6 +10,15 @@
 
 namespace rh::rejuv {
 
+const char* to_string(RebootKind k) {
+  switch (k) {
+    case RebootKind::kWarm: return "warm-VM reboot";
+    case RebootKind::kSaved: return "saved-VM reboot";
+    case RebootKind::kCold: return "cold-VM reboot";
+  }
+  return "unknown";
+}
+
 const char* to_string(RecoveryAction a) {
   switch (a) {
     case RecoveryAction::kStepRetry: return "step-retry";
@@ -141,23 +150,52 @@ void Supervisor::for_each_parallel(
   }
 }
 
-void Supervisor::run(std::function<void(const SupervisorReport&)> done) {
-  ensure(static_cast<bool>(done), "Supervisor::run: callback required");
-  ensure(!started_, "Supervisor::run: supervisors are one-shot");
-  ensure(host_.up(), "Supervisor::run: host is not up");
+void Supervisor::step(const char* label, const std::function<void(Done)>& body,
+                      Done next) {
+  const std::size_t i = report_.steps.size();
+  const sim::SimTime now = host_.sim().now();
+  report_.steps.push_back({label, now, now});
+  body([this, i, parent = host_.obs().ambient(), next = std::move(next)] {
+    StepRecord& rec = report_.steps[i];
+    rec.end = host_.sim().now();
+    host_.obs().span_complete_under(rec.start, rec.end, obs::Phase::kStep,
+                                    rec.label, parent);
+    next();
+  });
+}
+
+void Supervisor::begin_pass(const char* entry,
+                            std::function<void(const SupervisorReport&)> done,
+                            const std::string& begin_text,
+                            const std::string& pass_label,
+                            bool vmm_failure_kind) {
+  const auto message = [entry](const char* what) {
+    return [entry, what] {
+      return std::string("Supervisor::") + entry + ": " + what;
+    };
+  };
+  ensure(static_cast<bool>(done), message("callback required"));
+  ensure(!started_, message("supervisors are one-shot"));
+  ensure(host_.up(), message("host is not up"));
+  ensure(vmm_failure_kind, message("not a VMM failure kind"));
   host_.begin_recovery();
   started_ = true;
   done_ = std::move(done);
   report_.attempted = config_.preferred;
   report_.started_at = host_.sim().now();
-  trace(std::string("begin supervised ") + to_string(config_.preferred));
+  trace(begin_text);
   if (host_.obs().enabled()) {
     outer_ambient_ = host_.obs().ambient();
-    pass_span_ = host_.obs().span_open(
-        report_.started_at, obs::Phase::kPass,
-        std::string("supervised ") + to_string(config_.preferred));
+    pass_span_ = host_.obs().span_open(report_.started_at, obs::Phase::kPass,
+                                       pass_label);
     host_.obs().set_ambient(pass_span_);
   }
+}
+
+void Supervisor::run(std::function<void(const SupervisorReport&)> done) {
+  const std::string pass =
+      std::string("supervised ") + to_string(config_.preferred);
+  begin_pass("run", std::move(done), "begin " + pass, pass);
 
   // Aging can win the race against the rejuvenation timer: the VMM dies
   // right as (or before) the pass begins, taking every domain with it.
@@ -186,56 +224,27 @@ void Supervisor::run(std::function<void(const SupervisorReport&)> done) {
 }
 
 void Supervisor::recover(std::function<void(const SupervisorReport&)> done) {
-  ensure(static_cast<bool>(done), "Supervisor::recover: callback required");
-  ensure(!started_, "Supervisor::recover: supervisors are one-shot");
-  ensure(host_.up(), "Supervisor::recover: host is not up");
-  host_.begin_recovery();
-  started_ = true;
-  done_ = std::move(done);
-  report_.attempted = config_.preferred;
-  report_.started_at = host_.sim().now();
   GuestList halted;
   for (auto* g : guests_) {
     if (g->state() == guest::OsState::kHalted) halted.push_back(g);
   }
-  if (host_.tracer().enabled()) {
-    trace("begin recovery of " + std::to_string(halted.size()) +
-          " halted guest(s)");
-  }
-  if (host_.obs().enabled()) {
-    outer_ambient_ = host_.obs().ambient();
-    pass_span_ = host_.obs().span_open(report_.started_at, obs::Phase::kPass,
-                                       "supervised recovery");
-    host_.obs().set_ambient(pass_span_);
-  }
-  boot_cold(halted, [this] { finish(config_.preferred); });
+  begin_pass("recover", std::move(done),
+             "begin recovery of " + std::to_string(halted.size()) +
+                 " halted guest(s)",
+             "supervised recovery");
+  boot_then_finish("halted VM boot", halted, config_.preferred);
 }
 
 // ----------------------------------------------------------- VMM failure
 
 void Supervisor::respond_to_failure(
     fault::FaultKind kind, std::function<void(const SupervisorReport&)> done) {
-  ensure(static_cast<bool>(done),
-         "Supervisor::respond_to_failure: callback required");
-  ensure(!started_, "Supervisor::respond_to_failure: supervisors are one-shot");
-  ensure(host_.up(), "Supervisor::respond_to_failure: host is not up");
-  ensure(kind == fault::FaultKind::kVmmCrash ||
-             kind == fault::FaultKind::kVmmHang,
-         "Supervisor::respond_to_failure: not a VMM failure kind");
-  host_.begin_recovery();
-  started_ = true;
-  done_ = std::move(done);
-  report_.attempted = config_.preferred;
-  report_.started_at = host_.sim().now();
-  trace(std::string("begin failure response (") + fault::to_string(kind) +
-        ")");
-  if (host_.obs().enabled()) {
-    outer_ambient_ = host_.obs().ambient();
-    pass_span_ = host_.obs().span_open(
-        report_.started_at, obs::Phase::kPass,
-        std::string("failure response (") + fault::to_string(kind) + ")");
-    host_.obs().set_ambient(pass_span_);
-  }
+  const std::string response =
+      std::string("failure response (") + fault::to_string(kind) + ")";
+  begin_pass("respond_to_failure", std::move(done), "begin " + response,
+             response,
+             kind == fault::FaultKind::kVmmCrash ||
+                 kind == fault::FaultKind::kVmmHang);
   handle_vmm_failure(kind);
 }
 
@@ -283,8 +292,8 @@ void Supervisor::crash_fallback(fault::FaultKind kind, bool micro_exhausted) {
                  : "VMM crashed before rejuvenation could run; hardware "
                    "reboot and cold boot of every VM");
   record(RecoveryAction::kHardwareRebootAfterCrash, "vmm", detail);
-  host_.hardware_reboot([this] {
-    boot_cold(guests_, [this] { finish(RebootKind::kCold); });
+  hardware_reset_step([this] {
+    boot_then_finish("guest OS boot", guests_, RebootKind::kCold);
   });
 }
 
@@ -378,45 +387,12 @@ void Supervisor::micro_resume_phase() {
   }
   // Same per-VM ladder as the warm resume: a missing or corrupt snapshot
   // degrades that VM alone to a cold boot while its siblings resume.
-  GuestList intact;
+  GuestList frozen;
   for (auto* g : suspendable_guests()) {
-    if (g->state() != guest::OsState::kSuspended) continue;
-    if (!host_.vmm().has_preserved_image(g->name())) {
-      record(RecoveryAction::kPreservedImageLost, g->name(),
-             "no crash snapshot survived the failure; cold-booting this VM "
-             "only");
-      g->force_power_off();
-      cold_list_.push_back(g);
-    } else if (host_.vmm().preserved_image_intact(g->name())) {
-      intact.push_back(g);
-    } else {
-      record(RecoveryAction::kColdBootSingleVm, g->name(),
-             "crash snapshot failed its checksum; cold-booting this VM "
-             "only");
-      discard_preserved_image(g->name());
-      g->force_power_off();
-      cold_list_.push_back(g);
-    }
+    if (g->state() == guest::OsState::kSuspended) frozen.push_back(g);
   }
-  const int count = static_cast<int>(intact.size());
-  const obs::SpanId resume = host_.obs().span_open(
-      host_.sim().now(), obs::Phase::kResume, "micro-recovery resume");
-  for_each_parallel(
-      intact,
-      [this](guest::GuestOs& g, std::function<void()> guest_done) {
-        host_.vmm().resume_domain_on_memory(
-            g.name(), &g,
-            [guest_done = std::move(guest_done)](DomainId) { guest_done(); });
-      },
-      [this, count, resume] {
-        host_.note_simultaneous_creations(count);
-        report_.resumed_vms = static_cast<std::size_t>(count);
-        host_.obs().span_close(resume, host_.sim().now());
-        GuestList to_boot = cold_list_;
-        const GuestList drivers = driver_domain_guests();
-        to_boot.insert(to_boot.end(), drivers.begin(), drivers.end());
-        boot_cold(to_boot, [this] { finish(RebootKind::kWarm); });
-      });
+  resume_verified(frozen, "crash snapshot", "failure",
+                  [this] { boot_rest(RebootKind::kWarm); });
 }
 
 // ------------------------------------------------------------------ warm
@@ -427,65 +403,48 @@ void Supervisor::start_warm() {
 }
 
 void Supervisor::attempt_xexec(int attempt) {
-  const obs::SpanId load = host_.obs().span_open(
-      host_.sim().now(), obs::Phase::kXexecLoad, "xexec load");
-  host_.vmm().xexec_load([this, load, attempt] {
-    host_.obs().span_close(load, host_.sim().now());
-    if (host_.vmm().xexec_loaded()) {
-      warm_after_xexec();
-      return;
-    }
-    if (attempt < config_.max_step_retries) {
-      record(RecoveryAction::kStepRetry, "xexec",
-             "image load failed (attempt " + std::to_string(attempt + 1) +
-                 "); retrying after backoff");
-      host_.sim().after(backoff(attempt),
-                        [this, attempt] { attempt_xexec(attempt + 1); });
-      return;
-    }
-    // Nothing has been disturbed yet -- every guest still answers -- so
-    // degrading to the saved-VM reboot is a clean restart of the ladder.
-    record(RecoveryAction::kFallbackToSaved, "xexec",
-           "image load failed " + std::to_string(attempt + 1) +
-               " times; degrading to saved-VM reboot");
-    start_saved();
-  });
+  // dom0 loads the new VMM image via the xexec system call while
+  // everything still runs.
+  step(
+      "load xexec image",
+      [this](Done done) { host_.vmm().xexec_load(std::move(done)); },
+      [this, attempt] {
+        if (host_.vmm().xexec_loaded()) {
+          warm_after_xexec();
+          return;
+        }
+        if (attempt < config_.max_step_retries) {
+          record(RecoveryAction::kStepRetry, "xexec",
+                 "image load failed (attempt " + std::to_string(attempt + 1) +
+                     "); retrying after backoff");
+          host_.sim().after(backoff(attempt),
+                            [this, attempt] { attempt_xexec(attempt + 1); });
+          return;
+        }
+        // Nothing has been disturbed yet -- every guest still answers -- so
+        // degrading to the saved-VM reboot is a clean restart of the ladder.
+        record(RecoveryAction::kFallbackToSaved, "xexec",
+               "image load failed " + std::to_string(attempt + 1) +
+                   " times; degrading to saved-VM reboot");
+        start_saved();
+      });
 }
 
 void Supervisor::warm_after_xexec() {
   auto proceed = [this] {
-    auto after_drivers = [this] {
-      if (host_.calib().suspend_by_vmm_after_dom0_shutdown) {
-        host_.shutdown_dom0([this] {
-          const obs::SpanId susp = host_.obs().span_open(
-              host_.sim().now(), obs::Phase::kSuspend, "on-memory suspend");
-          host_.vmm().suspend_all_on_memory([this, susp] {
-            host_.obs().span_close(susp, host_.sim().now());
-            host_.quick_reload([this] { warm_resume_phase(); });
-          });
-        });
-      } else {
-        const obs::SpanId susp = host_.obs().span_open(
-            host_.sim().now(), obs::Phase::kSuspend, "on-memory suspend");
-        host_.vmm().suspend_all_on_memory([this, susp] {
-          host_.obs().span_close(susp, host_.sim().now());
-          host_.shutdown_dom0([this] {
-            host_.quick_reload([this] { warm_resume_phase(); });
-          });
-        });
-      }
-    };
+    // Driver domains cannot be suspended (Sec. 7): they get a cold
+    // shutdown/boot even in the warm path.
     const GuestList drivers = driver_domain_guests();
     if (drivers.empty()) {
-      after_drivers();
+      warm_suspend();
       return;
     }
-    for_each_parallel(
-        drivers,
-        [](guest::GuestOs& g, std::function<void()> guest_done) {
-          g.shutdown(std::move(guest_done));
+    step(
+        "driver domain shutdown",
+        [this, drivers](Done done) {
+          shutdown_guests(drivers, std::move(done));
         },
-        std::move(after_drivers));
+        [this] { warm_suspend(); });
   };
   // Preserved-memory admission happens before anything is disturbed:
   // reclaims and demotions need xend (and for saves, the disk path)
@@ -495,6 +454,34 @@ void Supervisor::warm_after_xexec() {
     run_admission(std::move(proceed));
   } else {
     proceed();
+  }
+}
+
+void Supervisor::warm_suspend() {
+  const auto suspend = [this](Done next) {
+    step(
+        "on-memory suspend",
+        [this](Done done) {
+          host_.vmm().suspend_all_on_memory(std::move(done));
+        },
+        std::move(next));
+  };
+  // Quick reload: a new VMM instance without a hardware reset; RAM (and
+  // the frozen images) survive. Includes the dom0 kernel + userland boot.
+  const auto reload = [this] {
+    step(
+        "quick reload + VMM/dom0 boot",
+        [this](Done done) { host_.quick_reload(std::move(done)); },
+        [this] { warm_resume_phase(); });
+  };
+  if (host_.calib().suspend_by_vmm_after_dom0_shutdown) {
+    // RootHammer ordering: dom0 shuts down first (services in domUs keep
+    // answering), then the VMM itself suspends the domains.
+    dom0_shutdown_step([suspend, reload] { suspend(reload); });
+  } else {
+    // Original-Xen ordering (ablation): domain 0 must suspend the domains
+    // while it is still up, so services go down earlier.
+    suspend([this, reload] { dom0_shutdown_step(reload); });
   }
 }
 
@@ -560,30 +547,11 @@ void Supervisor::run_admission(std::function<void()> done) {
   }
 
   auto execute_demotions = [this, done = std::move(done)]() mutable {
-    for_each_parallel(
-        admit_saved_,
-        [this](guest::GuestOs& g, std::function<void()> guest_done) {
-          host_.vmm().save_domain_to_disk(
-              g.domain_id(), host_.images(),
-              [this, &g, guest_done = std::move(guest_done)] {
-                if (host_.images().find(g.name()) == nullptr) {
-                  record(RecoveryAction::kFallbackToCold, g.name(),
-                         "demotion save lost to a disk write error; VM "
-                         "will cold boot");
-                  g.force_power_off();
-                  cold_list_.push_back(&g);
-                }
-                guest_done();
-              });
-        },
-        [this, done = std::move(done)]() mutable {
-          for_each_parallel(
-              admit_cold_,
-              [this](guest::GuestOs& g, std::function<void()> guest_done) {
-                g.shutdown(std::move(guest_done));
-              },
-              std::move(done));
-        });
+    save_to_disk(admit_saved_,
+                 "demotion save lost to a disk write error; VM will cold boot",
+                 [this, done = std::move(done)]() mutable {
+                   shutdown_guests(admit_cold_, std::move(done));
+                 });
   };
 
   report_.pressure.demoted_saved = plan.demote_saved.size();
@@ -686,100 +654,88 @@ void Supervisor::warm_resume_phase() {
   ensure(host_.vmm().frame_conservation_report().ok(),
          "Supervisor: frame conservation violated after quick reload");
   sweep_stale_regions();
+  GuestList preserved;
+  for (auto* g : suspendable_guests()) {
+    // Demoted VMs take the disk or cold path below.
+    const bool demoted =
+        std::find(admit_saved_.begin(), admit_saved_.end(), g) !=
+            admit_saved_.end() ||
+        std::find(admit_cold_.begin(), admit_cold_.end(), g) !=
+            admit_cold_.end();
+    if (!demoted) preserved.push_back(g);
+  }
+  resume_verified(preserved, "preserved image", "reload",
+                  [this] { warm_restore_demoted(); });
+}
 
+void Supervisor::resume_verified(const GuestList& candidates, const char* image,
+                                 const char* lost_in, Done next) {
   // Verify every preserved image before resuming anything: a checksum
   // mismatch means that VM's image rotted in RAM, and resuming it would
   // hand the guest corrupted state. The ladder for that VM alone is a
   // fresh cold boot; its siblings still get the fast on-memory resume.
   GuestList intact;
-  const auto demoted = [this](guest::GuestOs* g) {
-    return std::find(admit_saved_.begin(), admit_saved_.end(), g) !=
-               admit_saved_.end() ||
-           std::find(admit_cold_.begin(), admit_cold_.end(), g) !=
-               admit_cold_.end();
-  };
-  for (auto* g : suspendable_guests()) {
-    if (demoted(g)) continue;  // takes the disk or cold path below
+  for (auto* g : candidates) {
     if (!host_.vmm().has_preserved_image(g->name())) {
       // The suspend never recorded an image (injected allocation failure
       // or a budget rejection): this VM's RAM state is gone, but only
       // this VM's.
       record(RecoveryAction::kPreservedImageLost, g->name(),
-             "no preserved image survived the reload; cold-booting this "
-             "VM only");
+             std::string("no ") + image + " survived the " + lost_in +
+                 "; cold-booting this VM only");
       g->force_power_off();
       cold_list_.push_back(g);
     } else if (host_.vmm().preserved_image_intact(g->name())) {
       intact.push_back(g);
     } else {
       record(RecoveryAction::kColdBootSingleVm, g->name(),
-             "preserved image failed its checksum; cold-booting this VM "
-             "only");
+             std::string(image) +
+                 " failed its checksum; cold-booting this VM only");
       discard_preserved_image(g->name());
       g->force_power_off();
       cold_list_.push_back(g);
     }
   }
-  const int count = static_cast<int>(intact.size());
-  const obs::SpanId resume = host_.obs().span_open(
-      host_.sim().now(), obs::Phase::kResume, "on-memory resume");
-  for_each_parallel(
-      intact,
-      [this](guest::GuestOs& g, std::function<void()> guest_done) {
-        host_.vmm().resume_domain_on_memory(
-            g.name(), &g,
-            [guest_done = std::move(guest_done)](DomainId) { guest_done(); });
+  step(
+      "on-memory resume",
+      [this, intact](Done done) {
+        const int count = static_cast<int>(intact.size());
+        for_each_parallel(
+            intact,
+            [this](guest::GuestOs& g, Done guest_done) {
+              host_.vmm().resume_domain_on_memory(
+                  g.name(), &g,
+                  [guest_done = std::move(guest_done)](DomainId) {
+                    guest_done();
+                  });
+            },
+            [this, count, done = std::move(done)] {
+              host_.note_simultaneous_creations(count);
+              report_.resumed_vms = static_cast<std::size_t>(count);
+              done();
+            });
       },
-      [this, count, resume] {
-        host_.note_simultaneous_creations(count);
-        report_.resumed_vms = static_cast<std::size_t>(count);
-        host_.obs().span_close(resume, host_.sim().now());
-        warm_restore_demoted();
-      });
+      std::move(next));
 }
 
 void Supervisor::warm_restore_demoted() {
-  GuestList to_restore;
-  for (auto* g : admit_saved_) {
-    if (host_.images().find(g->name()) != nullptr) to_restore.push_back(g);
-  }
-  auto boot_rest = [this] {
-    GuestList to_boot = cold_list_;
-    const GuestList drivers = driver_domain_guests();
-    to_boot.insert(to_boot.end(), drivers.begin(), drivers.end());
-    boot_cold(to_boot, [this] { finish(RebootKind::kWarm); });
-  };
+  const GuestList to_restore = with_disk_image(admit_saved_);
   if (to_restore.empty()) {
     // Nothing took the disk path (in particular: admission disabled). Go
     // straight to the cold boots -- no extra event, the exact schedule
     // from before admission existed.
-    boot_rest();
+    boot_rest(RebootKind::kWarm);
     return;
   }
-  const obs::SpanId restore = host_.obs().span_open(
-      host_.sim().now(), obs::Phase::kRestore, "restore demoted");
-  for_each_parallel(
-      to_restore,
-      [this](guest::GuestOs& g, std::function<void()> guest_done) {
-        host_.vmm().restore_domain_from_disk(
-            g.name(), host_.images(), &g,
-            [this, &g, guest_done = std::move(guest_done)](DomainId id) {
-              if (id == kNoDomain) {
-                record(RecoveryAction::kFallbackToCold, g.name(),
-                       "demotion restore failed with a disk read error; VM "
-                       "will cold boot");
-                g.force_power_off();
-                cold_list_.push_back(&g);
-              } else {
-                ++report_.restored_vms;
-              }
-              guest_done();
-            });
+  step(
+      "restore demoted VMs from disk",
+      [this, to_restore](Done done) {
+        restore_from_disk(to_restore,
+                          "demotion restore failed with a disk read error; "
+                          "VM will cold boot",
+                          std::move(done));
       },
-      [this, restore, boot_rest = std::move(boot_rest)] {
-        host_.obs().span_close(restore, host_.sim().now());
-        boot_rest();
-      });
+      [this] { boot_rest(RebootKind::kWarm); });
 }
 
 // ----------------------------------------------------------------- saved
@@ -788,58 +744,132 @@ void Supervisor::start_saved() {
   // Reached either as the preferred mechanism or as the fallback from a
   // failed warm attempt; in both cases every guest is still running.
   open_rung("saved-VM reboot");
-  const obs::SpanId save = host_.obs().span_open(
-      host_.sim().now(), obs::Phase::kSaveToDisk, "save VMs to disk");
+  // Every suspendable domain is suspended (down) almost immediately; the
+  // memory images then stream out through the single disk, serially.
+  step(
+      "save VMs to disk",
+      [this](Done done) {
+        save_to_disk(suspendable_guests(),
+                     "saved image lost to a disk write error; VM will cold "
+                     "boot",
+                     std::move(done));
+      },
+      [this] {
+        // Plain reboot: hardware reset (POST), boot loader, fresh VMM,
+        // dom0; then every image is read back.
+        auto reboot = [this] {
+          dom0_shutdown_step([this] {
+            hardware_reset_step([this] { saved_restore_phase(); });
+          });
+        };
+        // Driver domains cannot be suspended: plain shutdown. Without any,
+        // no step is recorded, but the empty shutdown keeps its zero-delay
+        // hop.
+        const GuestList drivers = driver_domain_guests();
+        if (drivers.empty()) {
+          shutdown_guests(drivers, std::move(reboot));
+          return;
+        }
+        step(
+            "driver domain shutdown",
+            [this, drivers](Done done) {
+              shutdown_guests(drivers, std::move(done));
+            },
+            std::move(reboot));
+      });
+}
+
+void Supervisor::saved_restore_phase() {
+  step(
+      "restore VMs from disk",
+      [this](Done done) {
+        restore_from_disk(
+            with_disk_image(suspendable_guests()),
+            "restore failed with a disk read error; VM will cold boot",
+            std::move(done));
+      },
+      [this] { boot_rest(RebootKind::kSaved); });
+}
+
+// ------------------------------------------------------------------ cold
+
+void Supervisor::start_cold() {
+  open_rung("cold-VM reboot");
+  // Every guest OS shuts down cleanly (services stop; sessions close),
+  // then the whole stack reboots and every OS boots from scratch.
+  step(
+      "guest OS shutdown",
+      [this](Done done) { shutdown_guests(guests_, std::move(done)); },
+      [this] {
+        dom0_shutdown_step([this] {
+          hardware_reset_step([this] {
+            boot_then_finish("guest OS boot", guests_, RebootKind::kCold);
+          });
+        });
+      });
+}
+
+// ------------------------------------------------------ shared step bodies
+
+void Supervisor::dom0_shutdown_step(Done next) {
+  step(
+      "dom0 shutdown",
+      [this](Done done) { host_.shutdown_dom0(std::move(done)); },
+      std::move(next));
+}
+
+void Supervisor::hardware_reset_step(Done next) {
+  step(
+      "hardware reset + VMM/dom0 boot",
+      [this](Done done) { host_.hardware_reboot(std::move(done)); },
+      std::move(next));
+}
+
+void Supervisor::shutdown_guests(const GuestList& guests, Done done) {
   for_each_parallel(
-      suspendable_guests(),
-      [this](guest::GuestOs& g, std::function<void()> guest_done) {
+      guests,
+      [](guest::GuestOs& g, Done guest_done) {
+        g.shutdown(std::move(guest_done));
+      },
+      std::move(done));
+}
+
+void Supervisor::save_to_disk(const GuestList& guests, const char* lost_detail,
+                              Done done) {
+  for_each_parallel(
+      guests,
+      [this, lost_detail](guest::GuestOs& g, Done guest_done) {
         host_.vmm().save_domain_to_disk(
             g.domain_id(), host_.images(),
-            [this, &g, guest_done = std::move(guest_done)] {
+            [this, &g, lost_detail, guest_done = std::move(guest_done)] {
               if (host_.images().find(g.name()) == nullptr) {
                 // The write failed after the domain was torn down: the
                 // VM's state is gone. Next rung: cold boot that VM.
-                record(RecoveryAction::kFallbackToCold, g.name(),
-                       "saved image lost to a disk write error; VM will "
-                       "cold boot");
+                record(RecoveryAction::kFallbackToCold, g.name(), lost_detail);
                 g.force_power_off();
                 cold_list_.push_back(&g);
               }
               guest_done();
             });
       },
-      [this, save] {
-        host_.obs().span_close(save, host_.sim().now());
-        for_each_parallel(
-            driver_domain_guests(),
-            [](guest::GuestOs& g, std::function<void()> guest_done) {
-              g.shutdown(std::move(guest_done));
-            },
-            [this] {
-              host_.shutdown_dom0([this] {
-                host_.hardware_reboot([this] { saved_restore_phase(); });
-              });
-            });
-      });
+      std::move(done));
 }
 
-void Supervisor::saved_restore_phase() {
-  GuestList to_restore;
-  for (auto* g : suspendable_guests()) {
-    if (host_.images().find(g->name()) != nullptr) to_restore.push_back(g);
-  }
-  const obs::SpanId restore = host_.obs().span_open(
-      host_.sim().now(), obs::Phase::kRestore, "restore VMs from disk");
+void Supervisor::restore_from_disk(const GuestList& guests,
+                                   const char* failed_detail, Done done) {
+  // Unlike on-memory resume, restores are spread out by their (long) disk
+  // reads, so the domains are not created "simultaneously" and the Xen
+  // creation artifact does not trigger.
   for_each_parallel(
-      to_restore,
-      [this](guest::GuestOs& g, std::function<void()> guest_done) {
+      guests,
+      [this, failed_detail](guest::GuestOs& g, Done guest_done) {
         host_.vmm().restore_domain_from_disk(
             g.name(), host_.images(), &g,
-            [this, &g, guest_done = std::move(guest_done)](DomainId id) {
+            [this, &g, failed_detail,
+             guest_done = std::move(guest_done)](DomainId id) {
               if (id == kNoDomain) {
                 record(RecoveryAction::kFallbackToCold, g.name(),
-                       "restore failed with a disk read error; VM will "
-                       "cold boot");
+                       failed_detail);
                 g.force_power_off();
                 cold_list_.push_back(&g);
               } else {
@@ -848,31 +878,39 @@ void Supervisor::saved_restore_phase() {
               guest_done();
             });
       },
-      [this, restore] {
-        host_.obs().span_close(restore, host_.sim().now());
-        GuestList to_boot = cold_list_;
-        const GuestList drivers = driver_domain_guests();
-        to_boot.insert(to_boot.end(), drivers.begin(), drivers.end());
-        boot_cold(to_boot, [this] { finish(RebootKind::kSaved); });
-      });
+      std::move(done));
 }
 
-// ------------------------------------------------------------------ cold
+Supervisor::GuestList Supervisor::with_disk_image(
+    const GuestList& guests) const {
+  GuestList out;
+  for (auto* g : guests) {
+    if (host_.images().find(g->name()) != nullptr) out.push_back(g);
+  }
+  return out;
+}
 
-void Supervisor::start_cold() {
-  open_rung("cold-VM reboot");
-  for_each_parallel(
-      guests_,
-      [](guest::GuestOs& g, std::function<void()> guest_done) {
-        g.shutdown(std::move(guest_done));
-      },
-      [this] {
-        host_.shutdown_dom0([this] {
-          host_.hardware_reboot([this] {
-            boot_cold(guests_, [this] { finish(RebootKind::kCold); });
-          });
-        });
-      });
+void Supervisor::boot_rest(RebootKind kind) {
+  GuestList to_boot = cold_list_;
+  const GuestList drivers = driver_domain_guests();
+  to_boot.insert(to_boot.end(), drivers.begin(), drivers.end());
+  boot_then_finish(
+      cold_list_.empty() ? "driver domain boot" : "degraded VM boot", to_boot,
+      kind);
+}
+
+void Supervisor::boot_then_finish(const char* label, const GuestList& guests,
+                                  RebootKind kind) {
+  Done finish_pass = [this, kind] { finish(kind); };
+  // Nothing to boot records no step, but keeps boot_cold's zero-delay hop.
+  if (guests.empty()) {
+    boot_cold(guests, std::move(finish_pass));
+    return;
+  }
+  step(
+      label,
+      [this, guests](Done done) { boot_cold(guests, std::move(done)); },
+      std::move(finish_pass));
 }
 
 // --------------------------------------------------- supervised booting
@@ -911,13 +949,10 @@ void Supervisor::supervised_boot(guest::GuestOs& g, int attempt,
   });
 }
 
-void Supervisor::boot_cold(const GuestList& guests,
-                           std::function<void()> done) {
-  obs::SpanId boot = obs::kNoSpan;
-  if (!guests.empty()) {
-    boot = host_.obs().span_open(host_.sim().now(), obs::Phase::kGuestBoot,
-                                 "supervised guest boots");
-  }
+void Supervisor::boot_cold(const GuestList& guests, Done done) {
+  // Cold boots are serialised by disk I/O (~3.4 s apart), so creation is
+  // not simultaneous and the Xen creation artifact does not trigger (the
+  // paper's cold-reboot dip comes from cache misses alone).
   for_each_parallel(
       guests,
       [this](guest::GuestOs& g, std::function<void()> guest_done) {
@@ -927,10 +962,7 @@ void Supervisor::boot_cold(const GuestList& guests,
           guest_done();
         });
       },
-      [this, boot, done = std::move(done)] {
-        host_.obs().span_close(boot, host_.sim().now());
-        done();
-      });
+      std::move(done));
 }
 
 // ---------------------------------------------------------------- finish
@@ -941,12 +973,12 @@ void Supervisor::finish(RebootKind completed_kind) {
   report_.finished_at = host_.sim().now();
   completed_ = true;
   if (host_.tracer().enabled()) {
-    trace(std::string("completed (") + to_string(completed_kind) + ", " +
+    trace(std::string("completed ") + to_string(completed_kind) + " in " +
+          std::to_string(sim::to_seconds(report_.total_duration())) + " s (" +
           (report_.success ? "all VMs recovered" :
                              std::to_string(report_.unrecovered_vms.size()) +
                                  " VM(s) unrecovered") +
-          ", " + std::to_string(report_.recoveries.size()) + " recoveries, " +
-          std::to_string(sim::to_seconds(report_.total_duration())) + " s)");
+          ", " + std::to_string(report_.recoveries.size()) + " recoveries)");
   }
   obs::Observer& obs = host_.obs();
   if (obs.enabled()) {

@@ -1,12 +1,21 @@
-// Supervised rejuvenation: the recovery layer over the reboot drivers.
+// Rejuvenation of one host's VMM: the paper's three reboot mechanisms and
+// the recovery ladder around them.
 //
-// The RebootDriver classes assume a cooperating world: xexec images load,
-// disks read back what was written, preserved images stay intact and
-// guests finish booting. The Supervisor assumes none of that. It runs the
-// same phases as the drivers but checks every postcondition, retries
-// failing steps with capped jittered exponential backoff, arms a watchdog
-// over every guest boot, and -- when a mechanism is beyond retry -- walks
-// a graceful-degradation ladder:
+//  - warm-VM reboot  (RootHammer): on-memory suspend + quick reload
+//  - saved-VM reboot (original Xen): save/restore via disk + hardware reset
+//  - cold-VM reboot  (plain): shut down & reboot every OS + hardware reset
+//
+// A Supervisor runs one pass as a chain of named steps; their timing
+// records (SupervisorReport::steps) are the operation breakdown the paper
+// superimposes on Figure 7. A fault-free pass with `preferred = kind` is
+// the plain mechanism, which is how the paper figures run it.
+//
+// The Supervisor does not assume a cooperating world: xexec images may
+// fail to load, disks may not read back what was written, preserved
+// images may rot and guests may hang while booting. It checks every
+// postcondition, retries failing steps with capped jittered exponential
+// backoff, arms a watchdog over every guest boot, and -- when a mechanism
+// is beyond retry -- walks a graceful-degradation ladder:
 //
 //   warm-VM reboot   --xexec load keeps failing-->   saved-VM reboot
 //   saved-VM reboot  --image lost/unreadable---->    cold boot (that VM)
@@ -24,10 +33,24 @@
 #include <string>
 #include <vector>
 
+#include "guest/guest_os.hpp"
 #include "rejuv/admission.hpp"
-#include "rejuv/reboot_driver.hpp"
+#include "vmm/host.hpp"
 
 namespace rh::rejuv {
+
+enum class RebootKind : std::uint8_t { kWarm, kSaved, kCold };
+
+[[nodiscard]] const char* to_string(RebootKind k);
+
+/// Timing record of one executed step of a pass.
+struct StepRecord {
+  std::string label;
+  sim::SimTime start = 0;
+  sim::SimTime end = 0;
+
+  [[nodiscard]] sim::Duration duration() const { return end - start; }
+};
 
 /// What the supervisor did to keep the pass alive.
 enum class RecoveryAction : std::uint8_t {
@@ -132,12 +155,14 @@ struct SupervisorReport {
   std::vector<std::string> unrecovered_vms;
   std::vector<RecoveryEvent> recoveries;
   MemoryPressure pressure;
+  /// Every step the pass ran, in order (Fig. 7's operation breakdown).
+  std::vector<StepRecord> steps;
 
   [[nodiscard]] std::size_t recovery_count(RecoveryAction a) const;
 };
 
 /// Runs one supervised rejuvenation pass over a host and its guests.
-/// One-shot, like the drivers it supersedes.
+/// One-shot.
 class Supervisor {
  public:
   Supervisor(vmm::Host& host, std::vector<guest::GuestOs*> guests,
@@ -170,15 +195,38 @@ class Supervisor {
 
  private:
   using GuestList = std::vector<guest::GuestOs*>;
+  using Done = std::function<void()>;
 
-  // ---- phase drivers (one per rung of the ladder)
+  /// The entry prologue of run(), recover() and respond_to_failure(): checks
+  /// the callback, the one-shot rule, that the host is up and
+  /// `vmm_failure_kind` (each message names `entry`), takes the host's
+  /// recovery guard, stamps the report, traces `begin_text` and opens the
+  /// pass span `pass_label` as the ambient parent.
+  void begin_pass(const char* entry,
+                  std::function<void(const SupervisorReport&)> done,
+                  const std::string& begin_text, const std::string& pass_label,
+                  bool vmm_failure_kind = true);
+  /// Runs `body` inline as the step `label`: appends {label, start, end}
+  /// to report_.steps and, with the observer on, one kStep span under the
+  /// current rung. `next` runs when the body calls its continuation. Adds
+  /// no event and draws no random number.
+  void step(const char* label, const std::function<void(Done)>& body,
+            Done next);
+
+  // ---- rungs of the ladder, each a chain of steps
   void handle_vmm_failure(fault::FaultKind kind);
   void start_warm();
   void attempt_xexec(int attempt);
   void warm_after_xexec();
+  /// dom0 shutdown and on-memory suspend, in the order the calibration
+  /// picks, then the quick reload.
+  void warm_suspend();
   void warm_resume_phase();
   void warm_restore_demoted();
   void start_saved();
+  void saved_restore_phase();
+  void start_cold();
+  void finish(RebootKind completed_kind);
 
   // ---- preserved-memory admission (DESIGN.md §9)
   /// Plans and executes admission before the warm suspend: balloon
@@ -186,7 +234,7 @@ class Supervisor {
   /// (charging moved-bytes/mem_copy_bps), then the demotions -- saves to
   /// disk while dom0 is still up, graceful shutdowns for cold. `done`
   /// fires when the surviving warm set is ready to suspend.
-  void run_admission(std::function<void()> done);
+  void run_admission(Done done);
   /// Demotes one more warm VM (largest first) when an executed reclaim
   /// under-delivered; returns the freed demand (0 = nothing left).
   std::int64_t escalate_demotion(AdmissionPlan& plan);
@@ -195,9 +243,6 @@ class Supervisor {
   void sweep_stale_regions();
   /// Frees a registry region's re-reserved frames and erases the record.
   void discard_region(const std::string& region_name);
-  void saved_restore_phase();
-  void start_cold();
-  void finish(RebootKind completed_kind);
 
   // ---- in-place micro-recovery rung (DESIGN.md §13)
   /// Freezes the guests in RAM (fail_vmm + interrupt) and starts attempt 0.
@@ -218,6 +263,38 @@ class Supervisor {
   /// plus per-domain heap metadata.
   [[nodiscard]] sim::Bytes micro_repair_bytes() const;
 
+  // ---- shared step bodies
+  /// The "dom0 shutdown" step, then `next`.
+  void dom0_shutdown_step(Done next);
+  /// The "hardware reset + VMM/dom0 boot" step, then `next`.
+  void hardware_reset_step(Done next);
+  /// Gracefully shuts down guest OSes (parallel).
+  void shutdown_guests(const GuestList& guests, Done done);
+  /// Saves guests' domains to disk (image writes serialise on the disk). A
+  /// VM whose image is lost to a write error falls to a cold boot,
+  /// recorded with `lost_detail`.
+  void save_to_disk(const GuestList& guests, const char* lost_detail,
+                    Done done);
+  /// Restores guests from their disk images. A VM whose read fails falls
+  /// to a cold boot, recorded with `failed_detail`.
+  void restore_from_disk(const GuestList& guests, const char* failed_detail,
+                         Done done);
+  /// The guests among `guests` that have a disk image.
+  [[nodiscard]] GuestList with_disk_image(const GuestList& guests) const;
+  /// Verifies each candidate's preserved `image` ("preserved image" or
+  /// "crash snapshot"); a lost or corrupt one sends that VM alone to a
+  /// cold boot. Then resumes the intact ones as the "on-memory resume"
+  /// step and notes their simultaneous creation.
+  void resume_verified(const GuestList& candidates, const char* image,
+                       const char* lost_in, Done next);
+  /// Boots the degraded VMs plus the driver domains, then finishes as
+  /// `kind`.
+  void boot_rest(RebootKind kind);
+  /// Boots `guests` as the step `label` (no step when the list is empty),
+  /// then finishes as `kind`.
+  void boot_then_finish(const char* label, const GuestList& guests,
+                        RebootKind kind);
+
   // ---- supervised building blocks
   /// Boots one guest under a watchdog; retries hung boots with backoff.
   /// `done(false)` means retries were exhausted (VM left unrecovered).
@@ -225,16 +302,20 @@ class Supervisor {
                        std::function<void(bool)> done);
   /// Boots a list in parallel (each under its own watchdog); successful
   /// boots are counted as cold-booted VMs.
-  void boot_cold(const GuestList& guests, std::function<void()> done);
+  void boot_cold(const GuestList& guests, Done done);
   /// Drops a corrupt preserved image: frees the frozen frames the new VMM
   /// re-reserved for it and erases the registry record.
   void discard_preserved_image(const std::string& guest_name);
 
+  /// Runs `fn(guest, done)` for every guest in parallel; `done` fires when
+  /// the last completes (after a zero-delay hop when there are none).
   void for_each_parallel(
       const GuestList& guests,
-      const std::function<void(guest::GuestOs&, std::function<void()>)>& fn,
-      std::function<void()> done);
+      const std::function<void(guest::GuestOs&, Done)>& fn, Done done);
+  /// Guests whose images can be preserved (everything but driver domains).
   [[nodiscard]] GuestList suspendable_guests() const;
+  /// Driver domains: must be shut down and rebooted even by warm/saved
+  /// reboots (they cannot be suspended; Sec. 7).
   [[nodiscard]] GuestList driver_domain_guests() const;
   [[nodiscard]] sim::Duration backoff(int attempt);
   void record(RecoveryAction action, const std::string& subject,

@@ -19,13 +19,13 @@ TEST(DriverDomains, WarmRebootMustRebootThem) {
   fx.guests[1]->set_driver_domain(true);
   const auto gen0 = fx.guests[0]->find_service("sshd")->generation();
   const auto gen1 = fx.guests[1]->find_service("sshd")->generation();
-  auto driver = fx.rejuvenate(rejuv::RebootKind::kWarm);
+  const auto report = fx.rejuvenate(rejuv::RebootKind::kWarm);
   // The normal guest kept its service; the driver domain was restarted.
   EXPECT_EQ(fx.guests[0]->find_service("sshd")->generation(), gen0);
   EXPECT_EQ(fx.guests[1]->find_service("sshd")->generation(), gen1 + 1);
   // The breakdown shows the extra steps.
   bool saw_shutdown = false, saw_boot = false;
-  for (const auto& s : driver->breakdown()) {
+  for (const auto& s : report.steps) {
     saw_shutdown |= s.label == "driver domain shutdown";
     saw_boot |= s.label == "driver domain boot";
   }
@@ -37,8 +37,7 @@ TEST(DriverDomains, TheirPresenceIncreasesWarmDowntime) {
   auto total_time = [](bool with_driver) {
     HostFixture fx(3);
     if (with_driver) fx.guests[2]->set_driver_domain(true);
-    auto driver = fx.rejuvenate(rejuv::RebootKind::kWarm);
-    return driver->total_duration();
+    return fx.rejuvenate(rejuv::RebootKind::kWarm).total_duration();
   };
   const auto plain = total_time(false);
   const auto with_driver = total_time(true);

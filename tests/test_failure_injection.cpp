@@ -174,26 +174,12 @@ TEST(FailureInjection, ResumeOfWrongGuestObjectStillChecksIntegrity) {
 
 // --------------------------------------------- the supervised ladder
 
-/// Runs a supervised warm pass over the fixture; returns the report.
-rejuv::SupervisorReport supervised_pass(HostFixture& fx,
-                                        rejuv::SupervisorConfig cfg = {}) {
-  rejuv::Supervisor sup(*fx.host, fx.guest_ptrs(), cfg);
-  bool done = false;
-  sup.run([&done](const rejuv::SupervisorReport&) { done = true; });
-  const sim::SimTime deadline = fx.sim.now() + 12 * sim::kHour;
-  while (!done && fx.sim.pending_events() > 0 && fx.sim.now() < deadline) {
-    fx.sim.step();
-  }
-  EXPECT_TRUE(done) << "supervised pass did not complete";
-  return sup.report();
-}
-
 TEST(FailureInjection, LadderWarmFallsBackToSavedAfterXexecFailure) {
   HostFixture fx(2);
   fault::FaultConfig faults;
   faults.xexec_failure_rate = 1.0;
   fx.host->configure_faults(faults);
-  const auto report = supervised_pass(fx);
+  const auto report = fx.supervise();
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.completed, rejuv::RebootKind::kSaved);
   EXPECT_EQ(report.recovery_count(rejuv::RecoveryAction::kFallbackToSaved),
@@ -210,7 +196,7 @@ TEST(FailureInjection, LadderSavedFallsBackToColdAfterDiskWriteError) {
   fx.host->configure_faults(faults);
   rejuv::SupervisorConfig cfg;
   cfg.preferred = rejuv::RebootKind::kSaved;
-  const auto report = supervised_pass(fx, cfg);
+  const auto report = fx.supervise(cfg);
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.recovery_count(rejuv::RecoveryAction::kFallbackToCold),
             std::size_t{2});
@@ -229,7 +215,7 @@ TEST(FailureInjection, CorruptImageColdBootsThatVmWhileSiblingsResume) {
   fault::FaultConfig faults;
   faults.image_corruption_rate = 0.5;
   fx.host->configure_faults(faults);
-  const auto report = supervised_pass(fx);
+  const auto report = fx.supervise();
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.completed, rejuv::RebootKind::kWarm);
   const auto corrupted =

@@ -52,23 +52,6 @@ void add_standard_vms(HostFixture& fx) {
   }
 }
 
-rejuv::SupervisorReport supervise(HostFixture& fx,
-                                  rejuv::SupervisorConfig cfg = {}) {
-  rejuv::Supervisor sup(*fx.host, fx.guest_ptrs(), cfg);
-  bool done = false;
-  rejuv::SupervisorReport out;
-  sup.run([&](const rejuv::SupervisorReport& r) {
-    out = r;
-    done = true;
-  });
-  const sim::SimTime deadline = fx.sim.now() + 12 * sim::kHour;
-  while (!done && fx.sim.pending_events() > 0 && fx.sim.now() < deadline) {
-    fx.sim.step();
-  }
-  EXPECT_TRUE(done) << "supervised pass did not complete";
-  return out;
-}
-
 rejuv::AdmissionConfig enabled_admission() {
   rejuv::AdmissionConfig a;
   a.enabled = true;
@@ -250,7 +233,7 @@ TEST(MemoryPressure, SupervisedPassBalloonsUnderMildPressureAndStaysWarm) {
   add_standard_vms(fx);
   rejuv::SupervisorConfig cfg;
   cfg.admission = enabled_admission();
-  const auto report = supervise(fx, cfg);
+  const auto report = fx.supervise(cfg);
   EXPECT_TRUE(report.success);
   EXPECT_TRUE(report.pressure.consulted);
   EXPECT_TRUE(report.pressure.pressured);
@@ -274,7 +257,7 @@ TEST(MemoryPressure, SupervisedPassDemotesOneVmToDiskUnderHeavyPressure) {
   add_standard_vms(fx);
   rejuv::SupervisorConfig cfg;
   cfg.admission = enabled_admission();
-  const auto report = supervise(fx, cfg);
+  const auto report = fx.supervise(cfg);
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.pressure.demoted_saved, std::size_t{1});
   EXPECT_EQ(report.resumed_vms, std::size_t{2});
@@ -295,7 +278,7 @@ TEST(MemoryPressure, SupervisedPassDemotesToColdWhenDiskPathDisallowed) {
   rejuv::SupervisorConfig cfg;
   cfg.admission = enabled_admission();
   cfg.admission.demote_to_saved = false;
-  const auto report = supervise(fx, cfg);
+  const auto report = fx.supervise(cfg);
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.pressure.demoted_saved, std::size_t{0});
   EXPECT_EQ(report.pressure.demoted_cold, std::size_t{1});
@@ -311,7 +294,7 @@ TEST(MemoryPressure, AbsurdBudgetDemotesEveryVmAndStillRecovers) {
   add_standard_vms(fx);
   rejuv::SupervisorConfig cfg;
   cfg.admission = enabled_admission();
-  const auto report = supervise(fx, cfg);
+  const auto report = fx.supervise(cfg);
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.pressure.demoted_saved, std::size_t{3});
   EXPECT_EQ(report.resumed_vms, std::size_t{0});
@@ -328,7 +311,7 @@ TEST(MemoryPressure, CompactionPassRunsBeforeSuspendWhenRequested) {
   rejuv::SupervisorConfig cfg;
   cfg.admission = enabled_admission();
   cfg.admission.compact_before_suspend = true;
-  const auto report = supervise(fx, cfg);
+  const auto report = fx.supervise(cfg);
   EXPECT_TRUE(report.success);
   // Admission ballooned pages out of the middle of the VMs' ranges, so
   // compaction has real holes to squeeze out.
@@ -344,7 +327,7 @@ TEST(MemoryPressure, CompactionPassRunsBeforeSuspendWhenRequested) {
 TEST(MemoryPressure, DisabledAdmissionDrawsNothingAndConsultsNothing) {
   HostFixture fx(0, pressure_calib(0));
   add_standard_vms(fx);
-  const auto report = supervise(fx, {});
+  const auto report = fx.supervise({});
   EXPECT_TRUE(report.success);
   EXPECT_FALSE(report.pressure.consulted);
   EXPECT_EQ(report.resumed_vms, std::size_t{3});
@@ -360,7 +343,7 @@ TEST(MemoryPressure, PressuredPassWithZeroRatesDrawsNoFaults) {
   add_standard_vms(fx);
   rejuv::SupervisorConfig cfg;
   cfg.admission = enabled_admission();
-  const auto report = supervise(fx, cfg);
+  const auto report = fx.supervise(cfg);
   EXPECT_TRUE(report.success);
   EXPECT_TRUE(report.pressure.pressured);
   // roll() at rate 0 never draws: the whole ladder ran without touching
@@ -376,7 +359,7 @@ TEST(MemoryPressure, FrameAllocFailureLosesOnlyThatImage) {
   fault::FaultConfig faults;
   faults.frame_alloc_failure_rate = 1.0;
   fx.host->configure_faults(faults);
-  const auto report = supervise(fx, {});
+  const auto report = fx.supervise({});
   EXPECT_TRUE(report.success);
   // Every suspend failed to allocate its image; every VM lost RAM state
   // and cold-booted, but the pass itself kept going.
@@ -394,7 +377,7 @@ TEST(MemoryPressure, BudgetRejectionAtSuspendDegradesLikeALostImage) {
   // like the injected allocation failure -- per-VM cold boot, no crash.
   HostFixture fx(0, pressure_calib(10 * sim::kMiB));
   add_standard_vms(fx);
-  const auto report = supervise(fx, {});
+  const auto report = fx.supervise({});
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.resumed_vms, std::size_t{0});
   EXPECT_EQ(report.recovery_count(rejuv::RecoveryAction::kPreservedImageLost),
@@ -410,7 +393,7 @@ TEST(MemoryPressure, BalloonReclaimFailureEscalatesToDemotion) {
   fx.host->configure_faults(faults);
   rejuv::SupervisorConfig cfg;
   cfg.admission = enabled_admission();
-  const auto report = supervise(fx, cfg);
+  const auto report = fx.supervise(cfg);
   EXPECT_TRUE(report.success);
   // The planned reclaim would have covered the shortfall, but it failed;
   // the residual escalated into a demotion instead of a lost image.
@@ -431,7 +414,7 @@ TEST(MemoryPressure, LeakedRegionsParkAsStaleAndEatTheBudget) {
   faults.image_corruption_rate = 1.0;      // every image rots...
   faults.preserved_region_leak_rate = 1.0; // ...and every discard leaks
   fx.host->configure_faults(faults);
-  const auto report = supervise(fx, {});
+  const auto report = fx.supervise({});
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.cold_booted_vms, std::size_t{3});
   // The corrupt images could not be released: they survive as stale/*

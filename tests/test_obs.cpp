@@ -1,7 +1,7 @@
 // Observability subsystem tests (ctest label `obs`): event ring bounds,
 // span-nesting invariants, metrics-merge determinism across thread
 // counts, the zero-work-when-disabled contract, and the span tree's
-// agreement with the reboot drivers' bespoke accounting.
+// agreement with the Supervisor's step records.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,7 +14,6 @@
 #include "obs/export.hpp"
 #include "obs/observer.hpp"
 #include "rejuv/supervisor.hpp"
-#include "simcore/script.hpp"
 #include "test_util.hpp"
 
 namespace rh::test {
@@ -243,30 +242,12 @@ TEST(MetricsRegistry, GridMergeIsThreadCountInvariant) {
   EXPECT_EQ(one.point(0).merged_metrics().counter_value("runs"), 8u);
 }
 
-// ----------------------------------------------- integration: script
-
-TEST(ScriptObserver, MirrorsCompletedSteps) {
-  sim::Simulation sim;
-  sim::Script script(sim);
-  std::vector<std::string> seen;
-  script.set_step_observer(
-      [&seen](const sim::StepRecord& r) { seen.push_back(r.label); });
-  script.step("one", [] { return sim::Duration{5}; });
-  script.step_async("two", [](std::function<void()> done) { done(); });
-  bool done = false;
-  script.run([&done] { done = true; });
-  run_until_flag(sim, done);
-  ASSERT_EQ(seen.size(), std::size_t{2});
-  EXPECT_EQ(seen[0], "one");
-  EXPECT_EQ(seen[1], "two");
-}
-
-// ----------------------------------------------- integration: driver
+// ------------------------------------ integration: fault-free pass
 
 TEST(DriverSpans, StepChildrenMatchBespokeBreakdown) {
   HostFixture fx(2);
   fx.host->obs().set_enabled(true);
-  const auto driver = fx.rejuvenate(rejuv::RebootKind::kWarm);
+  const auto report = fx.rejuvenate(rejuv::RebootKind::kWarm);
   const auto& spans = fx.host->obs().spans();
   EXPECT_EQ(spans.open_count(), std::size_t{0});
   obs::SpanId pass = obs::kNoSpan;
@@ -276,18 +257,21 @@ TEST(DriverSpans, StepChildrenMatchBespokeBreakdown) {
     }
   }
   ASSERT_NE(pass, obs::kNoSpan);
+  // Steps hang off the ladder rung that ran them.
   std::vector<const obs::SpanRecord*> steps;
-  for (const auto c : spans.children_of(pass)) {
-    if (spans.records()[c].phase == obs::Phase::kStep) {
-      steps.push_back(&spans.records()[c]);
+  for (const auto rung : spans.children_of(pass)) {
+    for (const auto c : spans.children_of(rung)) {
+      if (spans.records()[c].phase == obs::Phase::kStep) {
+        steps.push_back(&spans.records()[c]);
+      }
     }
   }
-  const auto& legacy = driver->breakdown();
-  ASSERT_EQ(steps.size(), legacy.size());
+  const auto& recorded = report.steps;
+  ASSERT_EQ(steps.size(), recorded.size());
   for (std::size_t i = 0; i < steps.size(); ++i) {
-    EXPECT_EQ(steps[i]->start, legacy[i].start);
-    EXPECT_EQ(steps[i]->end, legacy[i].end);
-    EXPECT_STREQ(steps[i]->label, legacy[i].label.c_str());
+    EXPECT_EQ(steps[i]->start, recorded[i].start);
+    EXPECT_EQ(steps[i]->end, recorded[i].end);
+    EXPECT_STREQ(steps[i]->label, recorded[i].label.c_str());
   }
   // The pipeline's inner phases hang off the pass span too (via the
   // ambient-parent chain): the quick reload and the VMM re-init under it.
@@ -362,7 +346,8 @@ TEST(Exporters, ChromeTraceAndMetricsJsonSmoke) {
   obs.set_enabled(true);
   const auto pass = obs.span_open(1'000'000, obs::Phase::kPass, "pass");
   obs.set_ambient(pass);
-  obs.span_complete(1'100'000, 1'200'000, obs::Phase::kSuspend, "suspend");
+  obs.span_complete(1'100'000, 1'200'000, obs::Phase::kStep,
+                    "on-memory suspend");
   obs.emit(1'150'000, obs::Category::kSupervisor, obs::EventKind::kRecovery,
            "step-retry");
   obs.span_close(pass, 2'000'000);

@@ -16,22 +16,9 @@ using rejuv::Supervisor;
 using rejuv::SupervisorConfig;
 using rejuv::SupervisorReport;
 
-/// Runs a supervisor to completion; returns its report.
-SupervisorReport supervise(HostFixture& fx, SupervisorConfig cfg = {}) {
-  Supervisor sup(*fx.host, fx.guest_ptrs(), cfg);
-  bool done = false;
-  sup.run([&done](const SupervisorReport&) { done = true; });
-  const sim::SimTime deadline = fx.sim.now() + 12 * sim::kHour;
-  while (!done && fx.sim.pending_events() > 0 && fx.sim.now() < deadline) {
-    fx.sim.step();
-  }
-  EXPECT_TRUE(done) << "supervised pass did not complete";
-  return sup.report();
-}
-
 TEST(Supervisor, FaultFreeWarmPassResumesEveryVm) {
   HostFixture fx(2);
-  const auto report = supervise(fx);
+  const auto report = fx.supervise();
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.attempted, rejuv::RebootKind::kWarm);
   EXPECT_EQ(report.completed, rejuv::RebootKind::kWarm);
@@ -51,7 +38,7 @@ TEST(Supervisor, XexecFailureRetriesThenFallsBackToSaved) {
   faults.xexec_failure_rate = 1.0;  // the warm path can never start
   fx.host->configure_faults(faults);
 
-  const auto report = supervise(fx);
+  const auto report = fx.supervise();
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.attempted, rejuv::RebootKind::kWarm);
   EXPECT_EQ(report.completed, rejuv::RebootKind::kSaved);
@@ -75,7 +62,7 @@ TEST(Supervisor, DiskWriteErrorDegradesThatVmToColdBoot) {
 
   SupervisorConfig cfg;
   cfg.preferred = rejuv::RebootKind::kSaved;
-  const auto report = supervise(fx, cfg);
+  const auto report = fx.supervise(cfg);
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.completed, rejuv::RebootKind::kSaved);
   EXPECT_EQ(report.recovery_count(RecoveryAction::kFallbackToCold),
@@ -93,7 +80,7 @@ TEST(Supervisor, CorruptPreservedImagesAreCaughtAndColdBooted) {
   faults.image_corruption_rate = 1.0;  // every preserved image rots
   fx.host->configure_faults(faults);
 
-  const auto report = supervise(fx);
+  const auto report = fx.supervise();
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.completed, rejuv::RebootKind::kWarm);
   EXPECT_EQ(report.recovery_count(RecoveryAction::kColdBootSingleVm),
@@ -111,7 +98,7 @@ TEST(Supervisor, VmmCrashForcesHardwareRebootAndColdBoots) {
   faults.vmm_crash_rate = 1.0;  // aging wins the race
   fx.host->configure_faults(faults);
 
-  const auto report = supervise(fx);
+  const auto report = fx.supervise();
   EXPECT_TRUE(report.success);
   EXPECT_TRUE(report.vmm_crashed);
   EXPECT_EQ(report.completed, rejuv::RebootKind::kCold);
@@ -133,7 +120,7 @@ TEST(Supervisor, BootHangTriggersWatchdogThenGivesUp) {
   SupervisorConfig cfg;
   cfg.preferred = rejuv::RebootKind::kCold;
   cfg.max_step_retries = 1;
-  const auto report = supervise(fx, cfg);
+  const auto report = fx.supervise(cfg);
   EXPECT_FALSE(report.success);
   EXPECT_EQ(report.unrecovered_vms.size(), std::size_t{2});
   // Per VM: initial attempt + 1 retry, each reaped by the watchdog.
@@ -153,7 +140,7 @@ TEST(Supervisor, RecoverBootsTheVmsAFailedPassLeftDown) {
   SupervisorConfig cfg;
   cfg.preferred = rejuv::RebootKind::kCold;
   cfg.max_step_retries = 0;
-  const auto failed = supervise(fx, cfg);
+  const auto failed = fx.supervise(cfg);
   ASSERT_FALSE(failed.success);
 
   // The operator fixed the root cause; a recovery-only pass brings the

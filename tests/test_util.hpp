@@ -11,7 +11,7 @@
 #include "guest/guest_os.hpp"
 #include "guest/jboss.hpp"
 #include "guest/sshd.hpp"
-#include "rejuv/reboot_driver.hpp"
+#include "rejuv/supervisor.hpp"
 #include "vmm/host.hpp"
 
 namespace rh::test {
@@ -45,15 +45,31 @@ class HostFixture {
     return out;
   }
 
-  /// Runs a full rejuvenation with the given driver kind; returns the
-  /// driver (completed). Advances simulated time.
-  std::unique_ptr<rejuv::RebootDriver> rejuvenate(rejuv::RebootKind kind) {
-    auto driver = rejuv::make_reboot_driver(kind, *host, guest_ptrs());
+  /// Runs a fault-free rejuvenation of the given kind, then simulates a
+  /// fixed 2 hours; returns the pass's report.
+  rejuv::SupervisorReport rejuvenate(rejuv::RebootKind kind) {
+    rejuv::SupervisorConfig config;
+    config.preferred = kind;
+    rejuv::Supervisor pass(*host, guest_ptrs(), config);
     bool done = false;
-    driver->run([&done] { done = true; });
+    pass.run([&done](const rejuv::SupervisorReport&) { done = true; });
     sim.run_until(sim.now() + 2 * sim::kHour);
     EXPECT_TRUE(done) << "rejuvenation did not complete";
-    return driver;
+    return pass.report();
+  }
+
+  /// Runs one supervised pass step by step until it completes (at most 12
+  /// simulated hours); returns its report.
+  rejuv::SupervisorReport supervise(rejuv::SupervisorConfig config = {}) {
+    rejuv::Supervisor pass(*host, guest_ptrs(), config);
+    bool done = false;
+    pass.run([&done](const rejuv::SupervisorReport&) { done = true; });
+    const sim::SimTime deadline = sim.now() + 12 * sim::kHour;
+    while (!done && sim.pending_events() > 0 && sim.now() < deadline) {
+      sim.step();
+    }
+    EXPECT_TRUE(done) << "supervised pass did not complete";
+    return pass.report();
   }
 
   sim::Simulation sim;
