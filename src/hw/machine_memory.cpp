@@ -1,7 +1,5 @@
 #include "hw/machine_memory.hpp"
 
-#include <algorithm>
-
 #include "simcore/check.hpp"
 
 namespace rh::hw {
@@ -9,12 +7,24 @@ namespace rh::hw {
 MachineMemory::MachineMemory(sim::Bytes total_size) {
   ensure(total_size >= sim::kPageSize, "MachineMemory: size below one frame");
   frame_count_ = total_size / sim::kPageSize;
-  frames_.assign(static_cast<std::size_t>(frame_count_), kScrubbed);
+}
+
+void MachineMemory::write(FrameNumber mfn, ContentToken content) {
+  check_mfn(mfn);
+  if (content == kScrubbed) {
+    tokens_.erase(mfn);
+  } else {
+    tokens_.insert_or_assign(mfn, content);
+  }
+}
+
+void MachineMemory::scrub(FrameRun run) {
+  check_run(run);
+  tokens_.erase(tokens_.lower_bound(run.first), tokens_.lower_bound(run.end()));
 }
 
 void MachineMemory::power_cycle() {
-  std::fill(frames_.begin(), frames_.end(), kScrubbed);
-  populated_ = 0;
+  tokens_.clear();
   ++power_cycles_;
 }
 

@@ -5,13 +5,17 @@
 namespace rh::mm {
 
 std::int64_t BalloonDriver::inflate(std::int64_t frames) {
+  // Highest populated PFNs first: trim the top run until the request is
+  // met or nothing is populated.
   std::int64_t released = 0;
-  for (Pfn pfn = p2m_.pfn_count() - 1; pfn >= 0 && released < frames; --pfn) {
-    if (!p2m_.is_hole(pfn)) {
-      const hw::FrameNumber mfn = p2m_.remove(pfn);
-      allocator_.release(mfn);
-      ++released;
+  while (released < frames && !p2m_.runs().empty()) {
+    const auto& top = *std::prev(p2m_.runs().end());
+    const std::int64_t take = std::min(frames - released, top.count);
+    for (const auto& run : p2m_.remove(PfnRange{top.end() - take, take})) {
+      ensure(allocator_.release_owned(domain_, run) == run.count,
+             "BalloonDriver::inflate: a ballooned page is not the domain's");
     }
+    released += take;
   }
   return released;
 }
@@ -23,15 +27,11 @@ std::int64_t BalloonDriver::deflate(std::int64_t frames) {
   // every allocated frame or not at all (the documented partial-success
   // guarantee -- no half-updated P2M, no OutOfMachineMemory escaping).
   const std::int64_t want = std::min(frames, allocator_.free_frames());
-  std::vector<Pfn> holes;
-  for (Pfn pfn = 0;
-       pfn < p2m_.pfn_count() && std::int64_t(holes.size()) < want; ++pfn) {
-    if (p2m_.is_hole(pfn)) holes.push_back(pfn);
-  }
-  const auto got =
-      allocator_.allocate(domain_, static_cast<std::int64_t>(holes.size()));
-  for (std::size_t i = 0; i < holes.size(); ++i) p2m_.add(holes[i], got[i]);
-  return static_cast<std::int64_t>(holes.size());
+  const auto holes = p2m_.holes(want);
+  std::int64_t count = 0;
+  for (const auto& range : holes) count += range.count;
+  p2m_.add(holes, allocator_.allocate(domain_, count));
+  return count;
 }
 
 }  // namespace rh::mm

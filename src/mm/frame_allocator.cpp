@@ -1,5 +1,6 @@
 #include "mm/frame_allocator.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "simcore/check.hpp"
@@ -25,7 +26,7 @@ std::size_t slot_of(DomainId owner) {
 FrameAllocator::FrameAllocator(std::int64_t frame_count)
     : total_(frame_count), free_(frame_count) {
   ensure(frame_count > 0, "FrameAllocator: no frames");
-  owner_.assign(static_cast<std::size_t>(frame_count), kNoDomain);
+  owners_.assign(0, frame_count, kNoDomain);
 }
 
 std::int64_t& FrameAllocator::count_of(DomainId owner) {
@@ -34,34 +35,58 @@ std::int64_t& FrameAllocator::count_of(DomainId owner) {
   return owned_counts_[slot];
 }
 
-std::vector<hw::FrameNumber> FrameAllocator::allocate(DomainId owner,
-                                                      std::int64_t count) {
+FrameAllocator::OwnerRuns::Iterator FrameAllocator::first_overlap(
+    hw::FrameRun run) const {
+  return run.count > 0 ? owners_.from(run.first) : owners_.end();
+}
+
+std::vector<hw::FrameRun> FrameAllocator::pieces_of(DomainId owner,
+                                                    hw::FrameRun run) const {
+  std::vector<hw::FrameRun> out;
+  for (auto it = first_overlap(run); it != owners_.end() && it->first < run.end();
+       ++it) {
+    if (it->value != owner) continue;
+    const std::int64_t first = std::max(it->first, run.first);
+    out.push_back({first, std::min(it->end(), run.end()) - first});
+  }
+  return out;
+}
+
+std::vector<hw::FrameRun> FrameAllocator::allocate(DomainId owner,
+                                                   std::int64_t count) {
   ensure(valid_owner(owner), "FrameAllocator::allocate: invalid owner");
   ensure(count >= 0, "FrameAllocator::allocate: negative count");
   if (count > free_) {
     throw OutOfMachineMemory("FrameAllocator: requested " + std::to_string(count) +
                              " frames, only " + std::to_string(free_) + " free");
   }
-  std::vector<hw::FrameNumber> out(static_cast<std::size_t>(count));
-  std::size_t got = 0;
-  // Next-fit scan from the cursor; wraps at most once.
-  for (std::int64_t scanned = 0; got < out.size() && scanned <= total_;
-       ++scanned, ++cursor_) {
-    if (cursor_ >= total_) cursor_ = 0;
-    DomainId& slot = owner_[static_cast<std::size_t>(cursor_)];
-    if (slot == kNoDomain) {
-      slot = owner;
-      out[got++] = cursor_;
+  std::vector<hw::FrameRun> out;
+  if (count == 0) return out;
+  // Next-fit scan from the cursor to the top, then wrap once to scan the
+  // frames below the cursor.
+  if (cursor_ >= total_) cursor_ = 0;
+  std::int64_t need = count;
+  const auto scan = [&](std::int64_t lo, std::int64_t hi) {
+    for (auto it = owners_.from(lo);
+         need > 0 && it != owners_.end() && it->first < hi; ++it) {
+      if (it->value != kNoDomain) continue;
+      const std::int64_t first = std::max(it->first, lo);
+      const std::int64_t take = std::min(need, std::min(it->end(), hi) - first);
+      out.push_back({first, take});
+      need -= take;
     }
-  }
-  ensure(got == out.size(),
-         "FrameAllocator: free count inconsistent with owner map");
+  };
+  scan(cursor_, total_);
+  scan(0, cursor_);
+  ensure(need == 0, "FrameAllocator: free count inconsistent with owner map");
+  for (const auto& run : out) owners_.assign(run.first, run.count, owner);
+  cursor_ = out.back().end();
   free_ -= count;
   count_of(owner) += count;
   return out;
 }
 
-std::vector<hw::FrameNumber> FrameAllocator::allocate_contiguous(
+std::vector<hw::FrameRun> FrameAllocator::allocate_contiguous(
     DomainId owner, std::int64_t count) {
   ensure(valid_owner(owner), "FrameAllocator::allocate_contiguous: invalid owner");
   ensure(count >= 0, "FrameAllocator::allocate_contiguous: negative count");
@@ -71,26 +96,15 @@ std::vector<hw::FrameNumber> FrameAllocator::allocate_contiguous(
         "FrameAllocator: requested " + std::to_string(count) +
         " contiguous frames, only " + std::to_string(free_) + " free");
   }
-  // First-fit over ascending MFN runs.
-  std::int64_t run_start = -1;
-  std::int64_t run_len = 0;
-  for (std::int64_t mfn = 0; mfn < total_; ++mfn) {
-    if (owner_[static_cast<std::size_t>(mfn)] == kNoDomain) {
-      if (run_len == 0) run_start = mfn;
-      if (++run_len == count) {
-        std::vector<hw::FrameNumber> out;
-        out.reserve(static_cast<std::size_t>(count));
-        for (std::int64_t f = run_start; f < run_start + count; ++f) {
-          owner_[static_cast<std::size_t>(f)] = owner;
-          out.push_back(f);
-        }
-        free_ -= count;
-        count_of(owner) += count;
-        return out;
-      }
-    } else {
-      run_len = 0;
-    }
+  // First fit over ascending MFN runs. Free runs are coalesced, so each is
+  // a maximal run of free frames.
+  for (const auto& run : owners_) {
+    if (run.value != kNoDomain || run.count < count) continue;
+    const hw::FrameRun got{run.first, count};
+    owners_.assign(got.first, got.count, owner);
+    free_ -= count;
+    count_of(owner) += count;
+    return {got};
   }
   throw OutOfMachineMemory(
       "FrameAllocator: no contiguous run of " + std::to_string(count) +
@@ -98,40 +112,76 @@ std::vector<hw::FrameNumber> FrameAllocator::allocate_contiguous(
       std::to_string(largest_free_run()) + "): machine memory is fragmented");
 }
 
-void FrameAllocator::claim(DomainId owner, std::span<const hw::FrameNumber> frames) {
+void FrameAllocator::claim(DomainId owner, std::span<const hw::FrameRun> frames) {
   ensure(valid_owner(owner), "FrameAllocator::claim: invalid owner");
-  for (const auto mfn : frames) {
-    check_mfn(mfn);
-    ensure(owner_[static_cast<std::size_t>(mfn)] == kNoDomain, [mfn] {
-      return "FrameAllocator::claim: frame " + std::to_string(mfn) + " not free";
+  std::int64_t total = 0;
+  for (const auto& run : frames) {
+    check_run(run);
+    for (auto it = first_overlap(run);
+         it != owners_.end() && it->first < run.end(); ++it) {
+      const hw::FrameNumber mfn = std::max(it->first, run.first);
+      ensure(it->value == kNoDomain, [mfn] {
+        return "FrameAllocator::claim: frame " + std::to_string(mfn) + " not free";
+      });
+    }
+    total += run.count;
+  }
+  // Every frame is free; now make sure none is named twice, or the counts
+  // would charge one frame twice.
+  std::vector<hw::FrameRun> sorted;
+  for (const auto& run : frames) {
+    if (run.count > 0) sorted.push_back(run);
+  }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const hw::FrameRun& a, const hw::FrameRun& b) {
+              return a.first < b.first;
+            });
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    const hw::FrameNumber mfn = sorted[i].first;
+    ensure(mfn >= sorted[i - 1].end(), [mfn] {
+      return "FrameAllocator::claim: frame " + std::to_string(mfn) +
+             " named twice";
     });
   }
-  for (const auto mfn : frames) owner_[static_cast<std::size_t>(mfn)] = owner;
-  free_ -= static_cast<std::int64_t>(frames.size());
-  count_of(owner) += static_cast<std::int64_t>(frames.size());
+  for (const auto& run : frames) owners_.assign(run.first, run.count, owner);
+  free_ -= total;
+  count_of(owner) += total;
 }
 
 void FrameAllocator::release(hw::FrameNumber mfn) {
   check_mfn(mfn);
-  DomainId& owner = owner_[static_cast<std::size_t>(mfn)];
+  const DomainId owner = owners_.find(mfn)->value;
   ensure(owner != kNoDomain, "FrameAllocator::release: frame already free");
   --owned_counts_[slot_of(owner)];
-  owner = kNoDomain;
+  owners_.assign(mfn, 1, kNoDomain);
   ++free_;
 }
 
-std::int64_t FrameAllocator::release_all(DomainId owner) {
+std::int64_t FrameAllocator::release_owned(DomainId owner, hw::FrameRun run) {
+  ensure(valid_owner(owner), "FrameAllocator::release_owned: invalid owner");
+  check_run(run);
   std::int64_t freed = 0;
-  for (DomainId& o : owner_) {
-    if (o == owner) {
-      o = kNoDomain;
-      ++freed;
-    }
+  for (const auto& piece : pieces_of(owner, run)) {
+    owners_.assign(piece.first, piece.count, kNoDomain);
+    freed += piece.count;
   }
   free_ += freed;
-  const std::size_t slot = slot_of(owner);
-  if (slot < owned_counts_.size()) owned_counts_[slot] = 0;
+  count_of(owner) -= freed;
   return freed;
+}
+
+std::int64_t FrameAllocator::release_all(DomainId owner) {
+  ensure(valid_owner(owner), "FrameAllocator::release_all: invalid owner");
+  return release_owned(owner, {0, total_});
+}
+
+bool FrameAllocator::holds(DomainId owner, hw::FrameRun run) const {
+  check_run(run);
+  for (auto it = first_overlap(run);
+       it != owners_.end() && it->first < run.end(); ++it) {
+    if (it->value != owner) return false;
+  }
+  return true;
 }
 
 std::int64_t FrameAllocator::owned_frames(DomainId owner) const {
@@ -141,21 +191,17 @@ std::int64_t FrameAllocator::owned_frames(DomainId owner) const {
 
 std::vector<hw::FrameNumber> FrameAllocator::frames_owned_by(DomainId owner) const {
   std::vector<hw::FrameNumber> out;
-  for (std::size_t i = 0; i < owner_.size(); ++i) {
-    if (owner_[i] == owner) out.push_back(static_cast<hw::FrameNumber>(i));
+  for (const auto& run : owners_) {
+    if (run.value != owner) continue;
+    for (hw::FrameNumber mfn = run.first; mfn < run.end(); ++mfn) out.push_back(mfn);
   }
   return out;
 }
 
 std::int64_t FrameAllocator::largest_free_run() const {
   std::int64_t best = 0;
-  std::int64_t run = 0;
-  for (std::size_t i = 0; i < owner_.size(); ++i) {
-    if (owner_[i] == kNoDomain) {
-      if (++run > best) best = run;
-    } else {
-      run = 0;
-    }
+  for (const auto& run : owners_) {
+    if (run.value == kNoDomain) best = std::max(best, run.count);
   }
   return best;
 }
@@ -167,34 +213,31 @@ double FrameAllocator::fragmentation() const {
 }
 
 hw::FrameNumber FrameAllocator::lowest_free_from(hw::FrameNumber hint) const {
-  for (std::int64_t mfn = hint < 0 ? 0 : hint; mfn < total_; ++mfn) {
-    if (owner_[static_cast<std::size_t>(mfn)] == kNoDomain) return mfn;
+  const hw::FrameNumber from = hint < 0 ? 0 : hint;
+  for (auto it = owners_.from(from); it != owners_.end(); ++it) {
+    if (it->value == kNoDomain) return std::max(it->first, from);
   }
   return -1;
 }
 
 bool FrameAllocator::accounting_ok() const {
-  // Count runs of equal owners: frames of one owner are mostly contiguous,
-  // so the table is touched once per run rather than once per frame.
+  std::int64_t next = 0;  // the runs must tile [0, total_) in order
   std::int64_t seen_free = 0;
   std::vector<std::int64_t> seen(owned_counts_.size(), 0);
-  for (std::size_t i = 0; i < owner_.size();) {
-    const DomainId owner = owner_[i];
-    std::size_t end = i + 1;
-    while (end < owner_.size() && owner_[end] == owner) ++end;
-    const auto run = static_cast<std::int64_t>(end - i);
-    if (owner == kNoDomain) {
-      seen_free += run;
+  for (const auto& run : owners_) {
+    if (run.first != next || run.count <= 0) return false;
+    next = run.end();
+    if (run.value == kNoDomain) {
+      seen_free += run.count;
     } else {
-      const std::size_t slot = slot_of(owner);
+      const std::size_t slot = slot_of(run.value);
       if (slot >= seen.size()) return false;  // an owner with no count
-      seen[slot] += run;
+      seen[slot] += run.count;
     }
-    i = end;
   }
   // Equal tables also rule out phantom owners: a cached non-zero count
   // with no frames behind it.
-  return seen_free == free_ && seen == owned_counts_;
+  return next == total_ && seen_free == free_ && seen == owned_counts_;
 }
 
 }  // namespace rh::mm

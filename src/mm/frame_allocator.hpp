@@ -4,6 +4,11 @@
 // destruction, and -- after a quick reload -- *re-claims* the exact frames
 // recorded in each suspended domain's P2M table, so the new VMM instance
 // never hands a frozen frame to anyone else and never scrubs it.
+//
+// Ownership is stored as runs of frames with one owner (free runs carry
+// kNoDomain), covering every MFN. Next-fit allocation keeps a domain's
+// frames in a few long runs, so every operation here costs O(log runs)
+// or O(runs), never O(frames).
 #pragma once
 
 #include <span>
@@ -12,6 +17,7 @@
 
 #include "hw/machine_memory.hpp"
 #include "mm/domain_id.hpp"
+#include "mm/run_map.hpp"
 #include "simcore/check.hpp"
 #include "simcore/types.hpp"
 
@@ -25,46 +31,61 @@ class OutOfMachineMemory : public std::runtime_error {
 
 class FrameAllocator {
  public:
+  /// Owner runs by MFN; free frames are runs owned by kNoDomain.
+  using OwnerRuns = RunMap<DomainId, RunShape::kConstant>;
+
   explicit FrameAllocator(std::int64_t frame_count);
 
   /// Allocates `count` free frames to `owner`; throws OutOfMachineMemory if
-  /// fewer than `count` frames are free.
-  std::vector<hw::FrameNumber> allocate(DomainId owner, std::int64_t count);
+  /// fewer than `count` frames are free. Next fit: the scan starts at the
+  /// cursor, wraps at most once, and leaves the cursor one past the last
+  /// frame taken. Returns the frames as runs in allocation order.
+  std::vector<hw::FrameRun> allocate(DomainId owner, std::int64_t count);
 
-  /// Allocates `count` *contiguous* free frames (one ascending MFN run) to
-  /// `owner`. Throws OutOfMachineMemory when no run is long enough -- the
+  /// Allocates `count` *contiguous* free frames (one ascending MFN run,
+  /// first fit from MFN 0) to `owner`; returns that run, or nothing for
+  /// count 0. Throws OutOfMachineMemory when no run is long enough -- the
   /// message distinguishes genuine exhaustion from fragmentation, since a
   /// preserved-region metadata placement can fail with plenty of scattered
   /// free frames (DESIGN.md §9).
-  std::vector<hw::FrameNumber> allocate_contiguous(DomainId owner,
-                                                   std::int64_t count);
+  std::vector<hw::FrameRun> allocate_contiguous(DomainId owner,
+                                                std::int64_t count);
 
   /// Claims the exact given frames for `owner`. Every frame must currently
-  /// be free; throws InvariantViolation naming the first busy frame
-  /// otherwise, with nothing claimed. Used after quick reload to re-attach
-  /// preserved memory images.
-  void claim(DomainId owner, std::span<const hw::FrameNumber> frames);
+  /// be free and named once; throws InvariantViolation naming the first
+  /// busy (or repeated) frame otherwise, with nothing claimed. Used after
+  /// quick reload to re-attach preserved memory images.
+  void claim(DomainId owner, std::span<const hw::FrameRun> frames);
 
   /// Returns one frame to the free pool. It must be owned.
   void release(hw::FrameNumber mfn);
+
+  /// Frees the frames of `run` that `owner` holds (others are left as
+  /// they are); returns how many were freed.
+  std::int64_t release_owned(DomainId owner, hw::FrameRun run);
 
   /// Frees every frame owned by `owner`; returns how many were freed.
   std::int64_t release_all(DomainId owner);
 
   [[nodiscard]] DomainId owner_of(hw::FrameNumber mfn) const {
     check_mfn(mfn);
-    return owner_[static_cast<std::size_t>(mfn)];
+    return owners_.find(mfn)->value;
   }
+  /// Whether `owner` holds every frame of `run`.
+  [[nodiscard]] bool holds(DomainId owner, hw::FrameRun run) const;
+
   [[nodiscard]] std::int64_t total_frames() const { return total_; }
   [[nodiscard]] std::int64_t free_frames() const { return free_; }
   [[nodiscard]] std::int64_t owned_frames(DomainId owner) const;
 
-  /// All frames currently owned by `owner`, in ascending MFN order.
+  /// All frames currently owned by `owner`, in ascending MFN order (a
+  /// per-frame view for tests).
   [[nodiscard]] std::vector<hw::FrameNumber> frames_owned_by(DomainId owner) const;
 
-  /// Owner of every frame, indexed by MFN (kNoDomain == free), for
-  /// whole-host passes such as the boot-time scrubber to walk in place.
-  [[nodiscard]] std::span<const DomainId> owners() const { return owner_; }
+  /// The owner runs, for whole-host passes such as the boot-time scrubber.
+  [[nodiscard]] const OwnerRuns& runs() const { return owners_; }
+  /// Number of owner runs (free runs included).
+  [[nodiscard]] std::size_t run_count() const { return owners_.size(); }
 
   /// Length of the longest run of consecutive free MFNs.
   [[nodiscard]] std::int64_t largest_free_run() const;
@@ -78,20 +99,32 @@ class FrameAllocator {
   /// compaction pass passes the previous result + 1 as the next hint).
   [[nodiscard]] hw::FrameNumber lowest_free_from(hw::FrameNumber hint) const;
 
-  /// Conservation check: the cached free counter and per-owner counts
-  /// agree with the owner map, and every owner in the map has a count.
-  /// One pass over the owner map; cheap enough to run after every reload.
+  /// Conservation check: the owner runs cover every MFN exactly once,
+  /// and the cached free counter and per-owner counts agree with them,
+  /// and every owner in the runs has a count. One pass over the runs;
+  /// cheap enough to run after every reload.
   [[nodiscard]] bool accounting_ok() const;
 
  private:
+  friend struct FrameAllocatorTestAccess;
+
   void check_mfn(hw::FrameNumber mfn) const {
     ensure(mfn >= 0 && mfn < total_, "FrameAllocator: MFN out of range");
+  }
+  void check_run(hw::FrameRun run) const {
+    ensure(run.first >= 0 && run.count >= 0 && run.count <= total_ - run.first,
+           "FrameAllocator: MFN out of range");
   }
   /// `owner`'s count slot, growing the table to reach it. The caller has
   /// checked the owner (an id below kVmmOwner would have no slot).
   std::int64_t& count_of(DomainId owner);
+  /// The first owner run overlapping `run`; end() when `run` is empty.
+  [[nodiscard]] OwnerRuns::Iterator first_overlap(hw::FrameRun run) const;
+  /// The parts of `run` held by `owner`, ascending.
+  [[nodiscard]] std::vector<hw::FrameRun> pieces_of(DomainId owner,
+                                                    hw::FrameRun run) const;
 
-  std::vector<DomainId> owner_;  // indexed by MFN; kNoDomain == free
+  OwnerRuns owners_;  // covers [0, total_); kNoDomain == free
   std::int64_t total_ = 0;
   std::int64_t free_ = 0;
   std::int64_t cursor_ = 0;  // next-fit allocation cursor

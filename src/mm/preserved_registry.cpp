@@ -27,6 +27,12 @@ std::uint64_t payload_checksum(const std::vector<std::byte>& payload) {
   return h;
 }
 
+std::int64_t PreservedRegion::frozen_frame_count() const {
+  std::int64_t total = 0;
+  for (const auto& run : frozen_frames) total += run.count;
+  return total;
+}
+
 void PreservedRegionRegistry::put(PreservedRegion region) {
   ensure(!region.name.empty(), "PreservedRegionRegistry: region needs a name");
   ensure(regions_.find(region.name) == regions_.end(), [&] {
@@ -80,17 +86,14 @@ bool PreservedRegionRegistry::erase(const std::string& name) {
 
 sim::Bytes PreservedRegionRegistry::payload_bytes() const {
   sim::Bytes total = 0;
-  for (const auto& [name, r] : regions_) {
-    total += static_cast<sim::Bytes>(r.payload.size());
-  }
+  for (const auto& [name, r] : regions_) total += r.charged_size();
   return total;
 }
 
 std::int64_t PreservedRegionRegistry::frames_of(const PreservedRegion& region) {
   const auto payload_frames =
-      (static_cast<std::int64_t>(region.payload.size()) + sim::kPageSize - 1) /
-      sim::kPageSize;
-  return static_cast<std::int64_t>(region.frozen_frames.size()) + payload_frames;
+      (region.charged_size() + sim::kPageSize - 1) / sim::kPageSize;
+  return region.frozen_frame_count() + payload_frames;
 }
 
 std::int64_t PreservedRegionRegistry::reserved_frames() const {

@@ -29,11 +29,29 @@ namespace rh::mm {
 struct PreservedRegion {
   std::string name;
   std::vector<std::byte> payload;
-  std::vector<hw::FrameNumber> frozen_frames;
+  /// The frozen machine frames, as runs in PFN order.
+  std::vector<hw::FrameRun> frozen_frames;
+  /// Metadata bytes the region is charged for, stamped by the writer; 0
+  /// charges the payload's own size (see charged_size()).
+  sim::Bytes charged_bytes = 0;
   /// payload_checksum(payload), stamped by the registry at put() time. A
   /// reader that recomputes a different value is looking at a record that
   /// rotted (or was tampered with) after it was preserved.
   std::uint64_t checksum = 0;
+
+  /// Number of frozen frames (the sum of the run lengths).
+  [[nodiscard]] std::int64_t frozen_frame_count() const;
+
+  /// The metadata bytes the region costs. Its metadata frames, the
+  /// preserved-frame budget and every metadata time are computed from
+  /// this, never from payload.size(): a domain record stores its P2M as
+  /// runs but is charged what it takes with the P2M written one 8-byte
+  /// entry per PFN (the paper's 2 MiB per GiB), which its writer stamps
+  /// in charged_bytes. A region with no stamp charges its payload size.
+  [[nodiscard]] sim::Bytes charged_size() const {
+    return charged_bytes > 0 ? charged_bytes
+                             : static_cast<sim::Bytes>(payload.size());
+  }
 };
 
 /// The checksum PreservedRegionRegistry stamps: FNV-1a steps over the
@@ -90,12 +108,12 @@ class PreservedRegionRegistry {
   [[nodiscard]] bool empty() const { return regions_.empty(); }
   [[nodiscard]] std::size_t size() const { return regions_.size(); }
 
-  /// Total metadata bytes held (payloads only, not frozen frames).
+  /// Total metadata bytes charged (charged_size(), not frozen frames).
   [[nodiscard]] sim::Bytes payload_bytes() const;
 
   /// Machine frames one region costs: its frozen frames plus the metadata
   /// frames the incoming VMM must allocate for the payload
-  /// (ceil(payload / kPageSize)) -- the same arithmetic
+  /// (ceil(charged_size() / kPageSize)) -- the same arithmetic
   /// Vmm::reserve_preserved_regions uses at reload.
   [[nodiscard]] static std::int64_t frames_of(const PreservedRegion& region);
 

@@ -18,17 +18,6 @@ void ByteWriter::str(const std::string& s) {
   buf_.insert(buf_.end(), bytes, bytes + s.size());
 }
 
-void ByteWriter::i64_vector(const std::vector<std::int64_t>& v) {
-  u64(v.size());
-  const std::size_t at = buf_.size();
-  buf_.resize(at + v.size() * 8);
-  std::byte* out = buf_.data() + at;
-  for (const auto x : v) {
-    store_le64(out, static_cast<std::uint64_t>(x));
-    out += 8;
-  }
-}
-
 std::uint8_t ByteReader::u8() {
   need(1);
   return static_cast<std::uint8_t>(buf_[pos_++]);
@@ -55,18 +44,13 @@ std::string ByteReader::str() {
   return s;
 }
 
-std::vector<std::int64_t> ByteReader::i64_vector() {
+std::uint64_t ByteReader::count(std::size_t element_bytes) {
+  ensure(element_bytes > 0, "ByteReader::count: zero-byte elements");
   const std::uint64_t n = u64();
-  // Divide rather than multiply: n * 8 wraps for a corrupt n >= 2^61.
-  ensure(n <= (buf_.size() - pos_) / 8, "ByteReader: truncated payload");
-  std::vector<std::int64_t> v(static_cast<std::size_t>(n));
-  const std::byte* in = buf_.data() + pos_;
-  for (auto& x : v) {
-    x = static_cast<std::int64_t>(load_le64(in));
-    in += 8;
-  }
-  pos_ += v.size() * 8;
-  return v;
+  // Divide rather than multiply: n * element_bytes wraps for a corrupt n.
+  ensure(n <= (buf_.size() - pos_) / element_bytes,
+         "ByteReader: truncated payload");
+  return n;
 }
 
 }  // namespace rh::mm

@@ -48,9 +48,6 @@ class ByteWriter {
   void u64(std::uint64_t v);
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void str(const std::string& s);
-  /// Element count (u64), then each element as an i64. One resize per
-  /// vector: P2M tables run to hundreds of thousands of entries.
-  void i64_vector(const std::vector<std::int64_t>& v);
 
   [[nodiscard]] std::vector<std::byte> take() { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
@@ -70,9 +67,10 @@ class ByteReader {
   std::uint64_t u64();
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   std::string str();
-  /// Reads what ByteWriter::i64_vector wrote, checking the element count
-  /// against the bytes left before allocating anything.
-  std::vector<std::int64_t> i64_vector();
+  /// Reads an element count (u64) for a sequence of `element_bytes`-byte
+  /// elements that follows, checking that they fit in the bytes left
+  /// before the caller allocates or loops over anything.
+  std::uint64_t count(std::size_t element_bytes);
 
   [[nodiscard]] bool exhausted() const { return pos_ == buf_.size(); }
 

@@ -306,8 +306,7 @@ sim::Bytes Supervisor::micro_repair_bytes() const {
   for (const auto& name : host_.preserved().names()) {
     if (name.rfind(vmm::Vmm::kRegionPrefix, 0) != 0) continue;
     if (const auto* region = host_.preserved().find(name)) {
-      total += static_cast<sim::Bytes>(region->payload.size()) +
-               vmm::Vmm::kDomainHeapCost;
+      total += region->charged_size() + vmm::Vmm::kDomainHeapCost;
     }
   }
   return total;
@@ -612,8 +611,8 @@ void Supervisor::discard_region(const std::string& region_name) {
     // The incoming VMM re-reserved the region's frozen frames; give them
     // back so replacement boots can use the memory.
     auto& alloc = host_.vmm().allocator();
-    for (const auto mfn : region->frozen_frames) {
-      if (alloc.owner_of(mfn) == kVmmOwner) alloc.release(mfn);
+    for (const auto& run : region->frozen_frames) {
+      alloc.release_owned(kVmmOwner, run);
     }
   }
   host_.preserved().erase(region_name);
@@ -635,6 +634,7 @@ void Supervisor::discard_preserved_image(const std::string& guest_name) {
         "stale/" + guest_name + "#" + std::to_string(host_.sim().now());
     stale.payload = region->payload;
     stale.frozen_frames = region->frozen_frames;
+    stale.charged_bytes = region->charged_bytes;
     const std::string stale_name = stale.name;
     host_.preserved().erase(region_name);
     host_.preserved().put(std::move(stale));

@@ -4,12 +4,42 @@
 // image through the single disk, and restore reads it back: both costs are
 // proportional to domain memory and serialise across domains on the disk
 // queue. These are the curves the paper's Figures 4 and 5 compare against.
+#include <algorithm>
 #include <utility>
 
 #include "simcore/check.hpp"
 #include "vmm/vmm.hpp"
 
 namespace rh::vmm {
+
+namespace {
+
+/// The PFNs of `a` that are not in `b`; both ascending and disjoint.
+std::vector<mm::PfnRange> subtract(const std::vector<mm::PfnRange>& a,
+                                   const std::vector<mm::PfnRange>& b) {
+  std::vector<mm::PfnRange> out;
+  std::size_t j = 0;
+  for (const auto& range : a) {
+    mm::Pfn at = range.first;
+    // Skip the ranges of b that end before this one starts; a later range
+    // of a starts higher still, so they are done with for good.
+    while (j < b.size() && b[j].end() <= at) ++j;
+    for (std::size_t k = j; k < b.size() && b[k].first < range.end(); ++k) {
+      if (b[k].first > at) out.push_back({at, b[k].first - at});
+      at = std::max(at, b[k].end());
+    }
+    if (at < range.end()) out.push_back({at, range.end() - at});
+  }
+  return out;
+}
+
+}  // namespace
+
+std::int64_t SavedImage::populated_pages() const {
+  std::int64_t total = 0;
+  for (const auto& range : populated) total += range.count;
+  return total;
+}
 
 void ImageStore::put(SavedImage image) {
   ensure(!image.domain_name.empty(), "ImageStore: image needs a name");
@@ -99,8 +129,7 @@ void Vmm::restore_domain_from_disk(const std::string& name, ImageStore& store,
   // Populate only as many pages as the image actually carries (its holes
   // stay holes): a ballooned-down VM restores onto a host that cannot back
   // its nominal size -- the overcommit case.
-  const sim::Bytes initial_allocation =
-      static_cast<sim::Bytes>(img->pages.size()) * sim::kPageSize;
+  const sim::Bytes initial_allocation = img->populated_pages() * sim::kPageSize;
   xend_.enqueue(create_duration(memory), [this, name, &store, hooks, memory,
                                           initial_allocation,
                                           done = std::move(done)] {
@@ -164,13 +193,15 @@ SavedImage Vmm::capture_image(DomainId id) const {
   img.exec = d.exec();
   img.exec.event_channels = d.event_channels().state_token();
   img.event_channels = d.event_channels();
-  const auto entries = d.p2m().entries();
-  const auto& memory = machine_.memory();
-  img.pages.reserve(static_cast<std::size_t>(d.p2m().populated()));
-  for (std::size_t pfn = 0; pfn < entries.size(); ++pfn) {
-    if (entries[pfn] != mm::kNoFrame) {
-      img.pages.emplace_back(static_cast<mm::Pfn>(pfn), memory.read(entries[pfn]));
-    }
+  img.populated = d.p2m().populated_ranges();
+  // Within a mapping run the MFN rises with the PFN, so tokens come out
+  // in PFN order.
+  for (const auto& run : d.p2m().runs()) {
+    machine_.memory().for_each_token(
+        {run.value, run.count},
+        [&img, &run](hw::FrameNumber mfn, hw::ContentToken token) {
+          img.tokens.emplace_back(run.first + (mfn - run.value), token);
+        });
   }
   return img;
 }
@@ -183,33 +214,23 @@ void Vmm::apply_image(DomainId id, const SavedImage& img) {
   // write back every captured page's contents. Releases run before
   // allocations so the net frame demand is only the true delta.
   ensure(img.pfn_count == d.p2m().pfn_count(), "apply_image: shape mismatch");
-  std::vector<bool> populated(static_cast<std::size_t>(img.pfn_count), false);
-  for (const auto& [pfn, token] : img.pages) {
-    populated[static_cast<std::size_t>(pfn)] = true;
-  }
-  for (mm::Pfn pfn = 0; pfn < img.pfn_count; ++pfn) {
-    if (!populated[static_cast<std::size_t>(pfn)] && !d.p2m().is_hole(pfn)) {
-      allocator_.release(d.p2m().remove(pfn));
+  const auto now = d.p2m().populated_ranges();
+  for (const auto& range : subtract(now, img.populated)) {
+    for (const auto& run : d.p2m().remove(range)) {
+      ensure(allocator_.release_owned(id, run) == run.count,
+             "apply_image: a page being ballooned out is not the domain's");
     }
   }
-  std::vector<mm::Pfn> missing;
-  for (mm::Pfn pfn = 0; pfn < img.pfn_count; ++pfn) {
-    if (populated[static_cast<std::size_t>(pfn)] && d.p2m().is_hole(pfn)) {
-      missing.push_back(pfn);
-    }
-  }
-  if (!missing.empty()) {
-    const auto frames =
-        allocator_.allocate(id, static_cast<std::int64_t>(missing.size()));
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      machine_.memory().scrub(frames[i]);
-      d.p2m().add(missing[i], frames[i]);
-    }
-  }
+  const auto missing = subtract(img.populated, now);
+  std::int64_t count = 0;
+  for (const auto& range : missing) count += range.count;
+  d.p2m().add(missing, allocator_.allocate(id, count));
   // Write the contents back through the P2M (guest_write's path, without
-  // looking the domain up again for every page).
+  // looking the domain up again for every page): every page the image
+  // holds is scrubbed, then the pages with tokens get them back.
   auto& memory = machine_.memory();
-  for (const auto& [pfn, token] : img.pages) {
+  for (const auto& run : d.p2m().frame_runs()) memory.scrub(run);
+  for (const auto& [pfn, token] : img.tokens) {
     const auto mfn = d.p2m().mfn_of(pfn);
     ensure(mfn != mm::kNoFrame, "apply_image: PFN is ballooned out");
     memory.write(mfn, token);
@@ -229,7 +250,7 @@ void Vmm::restore_domain_from_image(const SavedImage& image, GuestHooks* hooks,
                   Domain& d = make_domain(
                       img->domain_name, img->memory_size, hooks,
                       /*privileged=*/false,
-                      static_cast<sim::Bytes>(img->pages.size()) * sim::kPageSize);
+                      img->populated_pages() * sim::kPageSize);
                   const DomainId id = d.id();
                   apply_image(id, *img);
                   if (tracer_.enabled()) {

@@ -26,10 +26,15 @@ struct SavedImage {
   mm::Pfn pfn_count = 0;
   ExecState exec;
   EventChannelTable event_channels;
-  /// Populated pages only: (pfn, content token) in PFN order.
-  std::vector<std::pair<mm::Pfn, hw::ContentToken>> pages;
+  /// The populated PFNs, as ascending ranges.
+  std::vector<mm::PfnRange> populated;
+  /// The populated pages that are not scrubbed: (pfn, content token) in
+  /// PFN order. Every other populated page holds kScrubbed.
+  std::vector<std::pair<mm::Pfn, hw::ContentToken>> tokens;
 
   [[nodiscard]] sim::Bytes image_bytes() const { return memory_size; }
+  /// Number of populated pages.
+  [[nodiscard]] std::int64_t populated_pages() const;
 };
 
 /// The disk's collection of save files, keyed by domain name.

@@ -3,7 +3,7 @@
 // Suspend "freezes" a domain's memory image in place: no page is copied
 // anywhere. Only the 16 KiB execution state, the event-channel status and
 // the P2M table are serialised into the preserved-region registry, along
-// with the list of frozen machine frames. Resume (typically in a *new* VMM
+// with the runs of frozen machine frames. Resume (typically in a *new* VMM
 // instance after quick reload) re-creates the domain shell, re-claims the
 // exact frozen frames via the preserved P2M table, restores the execution
 // state and runs the guest's resume handler.
@@ -40,6 +40,27 @@ PreservedDomainRecord parse_record(const mm::PreservedRegion& region) {
 
 }  // namespace
 
+mm::PreservedRegion Vmm::preserved_record(Domain& d) {
+  // Capture the live event-channel status into the execution state.
+  d.exec().event_channels = d.event_channels().state_token();
+  mm::ByteWriter w;
+  w.str(d.name());
+  w.i64(d.memory_size());
+  d.exec().serialize(w);
+  d.event_channels().serialize(w);
+  mm::PreservedRegion region;
+  // Charged as if the P2M were written one 8-byte MFN per PFN behind an
+  // 8-byte count, as the paper's VMM stores it; the runs actually written
+  // take a few dozen bytes.
+  region.charged_bytes =
+      static_cast<sim::Bytes>(w.size()) + 8 + d.p2m().size_bytes();
+  d.p2m().serialize(w);
+  region.name = std::string(kRegionPrefix) + d.name();
+  region.payload = w.take();
+  region.frozen_frames = d.p2m().frame_runs();
+  return region;
+}
+
 void Vmm::suspend_domain_on_memory(DomainId id, std::function<void()> done) {
   ensure(static_cast<bool>(done), "suspend: callback required");
   Domain& d = domain(id);
@@ -62,20 +83,7 @@ void Vmm::suspend_domain_on_memory(DomainId id, std::function<void()> done) {
               static_cast<double>(calib_.suspend_freeze_per_gib));
       sim_.after(freeze, [this, id, done] {
         Domain& d = domain(id);
-        // Capture the live event-channel status into the execution state.
-        d.exec().event_channels = d.event_channels().state_token();
-
-        mm::ByteWriter w;
-        w.str(d.name());
-        w.i64(d.memory_size());
-        d.exec().serialize(w);
-        d.event_channels().serialize(w);
-        d.p2m().serialize(w);
-
-        mm::PreservedRegion region;
-        region.name = std::string(kRegionPrefix) + d.name();
-        region.payload = w.take();
-        region.frozen_frames = d.p2m().mapped_frames();
+        mm::PreservedRegion region = preserved_record(d);
         const std::string region_name = region.name;
         // The suspend path itself needs frames (region bookkeeping, the
         // metadata copy). Two ways that can fail: an injected allocation
@@ -156,18 +164,7 @@ std::size_t Vmm::snapshot_domains_for_recovery() {
     // Same record format as a suspend, cut at the instant of death: the
     // frozen frames are wherever the P2M says they are, the execution
     // state is whatever the vCPUs held when scheduling stopped.
-    d.exec().event_channels = d.event_channels().state_token();
-    mm::ByteWriter w;
-    w.str(d.name());
-    w.i64(d.memory_size());
-    d.exec().serialize(w);
-    d.event_channels().serialize(w);
-    d.p2m().serialize(w);
-
-    mm::PreservedRegion region;
-    region.name = std::string(kRegionPrefix) + d.name();
-    region.payload = w.take();
-    region.frozen_frames = d.p2m().mapped_frames();
+    mm::PreservedRegion region = preserved_record(d);
     const std::string region_name = region.name;
     // A stale record (leaked by an earlier incarnation) would block the
     // fresh snapshot; the crash handler overwrites it.
@@ -227,7 +224,7 @@ Vmm::MicroRecoveryReport Vmm::micro_recover() const {
     ensure(rec.name == name.substr(prefix.size()),
            "micro_recover: record/region name mismatch");
     ++out.intact_regions;
-    out.metadata_bytes += static_cast<sim::Bytes>(region->payload.size());
+    out.metadata_bytes += region->charged_size();
   }
   out.frames_consistent = frame_conservation_report().ok();
   return out;
@@ -293,10 +290,8 @@ void Vmm::resume_domain_on_memory(const std::string& name, GuestHooks* hooks,
         // the preserved regions, these frames were handed out or scrubbed
         // and this claim (or the guest's later integrity check) fails --
         // the corruption the quick reload mechanism exists to prevent.
-        const auto frames = rec.p2m.mapped_frames();
-        for (const auto mfn : frames) {
-          if (allocator_.owner_of(mfn) == kVmmOwner) allocator_.release(mfn);
-        }
+        const auto frames = rec.p2m.frame_runs();
+        for (const auto& run : frames) allocator_.release_owned(kVmmOwner, run);
         allocator_.claim(id, frames);
         dom->p2m() = std::move(rec.p2m);
         dom->exec() = rec.exec;

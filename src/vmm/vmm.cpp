@@ -62,25 +62,28 @@ void Vmm::reserve_preserved_regions() {
   for (const auto& name : preserved_.names()) {
     allocator_.claim(kVmmOwner, preserved_.find(name)->frozen_frames);
   }
-  // Frames backing the serialised metadata itself. Whatever those frames
-  // held before is overwritten by the metadata copy. Under pressure this
-  // allocation can fail (stale leaked regions, or -- in contiguous mode --
-  // fragmentation); the region is then dropped: its frozen claim is
-  // released and the record erased, and the resume path reports the VM as
-  // having lost its image rather than the whole reload failing.
+  // Frames backing the serialised metadata itself, as many as the region
+  // is charged for. Whatever those frames held before is overwritten by
+  // the metadata copy. Under pressure this allocation can fail (stale
+  // leaked regions, or -- in contiguous mode -- fragmentation); the region
+  // is then dropped: its frozen claim is released and the record erased,
+  // and the resume path reports the VM as having lost its image rather
+  // than the whole reload failing.
   std::vector<std::string> dropped;
   for (const auto& name : preserved_.names()) {
     const auto* region = preserved_.find(name);
     const auto meta_frames =
-        (static_cast<std::int64_t>(region->payload.size()) + sim::kPageSize - 1) /
-        sim::kPageSize;
+        (region->charged_size() + sim::kPageSize - 1) / sim::kPageSize;
     try {
       const auto got = calib_.contiguous_preserved_metadata
                            ? allocator_.allocate_contiguous(kVmmOwner, meta_frames)
                            : allocator_.allocate(kVmmOwner, meta_frames);
-      for (const auto mfn : got) machine_.memory().scrub(mfn);
+      for (const auto& run : got) machine_.memory().scrub(run);
     } catch (const mm::OutOfMachineMemory& e) {
-      for (const auto mfn : region->frozen_frames) allocator_.release(mfn);
+      for (const auto& run : region->frozen_frames) {
+        ensure(allocator_.release_owned(kVmmOwner, run) == run.count,
+               "Vmm: a frozen frame claimed at reload is not the VMM's");
+      }
       dropped.push_back(name);
       if (tracer_.enabled()) {
         trace("dropped preserved region '" + name + "' at reload: " + e.what());
@@ -107,13 +110,12 @@ void Vmm::build_dom0() {
 void Vmm::scrub_free_memory() {
   // Frozen frames are owned (claimed by reserve_preserved_regions), so the
   // scrubber never touches them.
-  const auto owners = allocator_.owners();
   auto& memory = machine_.memory();
   std::int64_t scrubbed = 0;
-  for (std::size_t mfn = 0; mfn < owners.size(); ++mfn) {
-    if (owners[mfn] != kNoDomain) continue;
-    memory.scrub(static_cast<hw::FrameNumber>(mfn));
-    ++scrubbed;
+  for (const auto& run : allocator_.runs()) {
+    if (run.value != kNoDomain) continue;
+    memory.scrub(hw::FrameRun{run.first, run.count});
+    scrubbed += run.count;
   }
   if (tracer_.enabled()) {
     trace("scrubbed " + std::to_string(scrubbed) + " free frames");
@@ -174,14 +176,13 @@ Domain& Vmm::make_domain(const std::string& name, sim::Bytes memory,
   // as balloon holes (0 == populate everything).
   const auto populated =
       initial_allocation == 0 ? pages : Domain::pages_for(initial_allocation);
+  // PFN i is backed by the i-th frame allocated. Pages are scrubbed
+  // before being handed to a domain (isolation: no stale data crosses
+  // domains).
   const auto frames = allocator_.allocate(id, populated);
-  for (mm::Pfn pfn = 0; pfn < populated; ++pfn) {
-    const auto mfn = frames[static_cast<std::size_t>(pfn)];
-    // Pages are scrubbed before being handed to a domain (isolation: no
-    // stale data crosses domains).
-    machine_.memory().scrub(mfn);
-    dom->p2m().add(pfn, mfn);
-  }
+  for (const auto& run : frames) machine_.memory().scrub(run);
+  const mm::PfnRange pfns[] = {{0, populated}};
+  dom->p2m().add(pfns, frames);
   // Fresh execution state: unique tokens per instantiation.
   dom->exec().cpu_context = rng_.next();
   dom->exec().shared_info = rng_.next();
@@ -327,27 +328,40 @@ sim::Bytes Vmm::trigger_error_path() {
 std::int64_t Vmm::compact_memory() {
   // Each relocation moves a page into the lowest free MFN and frees the
   // (higher) frame it vacated, so the lowest free MFN only rises during
-  // the pass: one forward walk of the owner map finds every target.
+  // the pass: one forward walk of the owner runs finds every target.
   // Iteration order -- domains ascending by id, PFNs ascending -- is
-  // fixed, so the pass is deterministic.
+  // fixed, so the pass is deterministic. Within a mapping run the MFN
+  // rises with the PFN, so the pages at or below the lowest free MFN are
+  // skipped in one step and the walk costs O(runs + pages moved).
   hw::FrameNumber lowest_free = allocator_.lowest_free_from(0);
   std::int64_t moved = 0;
   for (auto& [id, dom] : domains_) {
     if (dom->state() == DomainState::kDead) continue;
-    const auto pages = dom->p2m().pfn_count();
-    for (mm::Pfn pfn = 0; pfn < pages; ++pfn) {
-      const auto mfn = dom->p2m().mfn_of(pfn);
-      if (mfn == mm::kNoFrame) continue;
-      if (lowest_free < 0 || lowest_free >= mfn) continue;
-      const hw::FrameNumber target = lowest_free;
-      const hw::FrameNumber single[] = {target};
-      allocator_.claim(id, single);
-      machine_.memory().write(target, machine_.memory().read(mfn));
-      dom->p2m().remove(pfn);
-      dom->p2m().add(pfn, target);
-      allocator_.release(mfn);
-      lowest_free = allocator_.lowest_free_from(target + 1);
-      ++moved;
+    // The runs as they stood before this domain's pass: a page is moved
+    // at most once, when the walk reaches it, so each later page's MFN is
+    // still the one recorded here.
+    const std::vector<mm::P2mTable::Runs::Run> runs(dom->p2m().runs().begin(),
+                                                     dom->p2m().runs().end());
+    for (const auto& run : runs) {
+      mm::Pfn pfn = run.first;
+      while (pfn < run.end() && lowest_free >= 0) {
+        const auto mfn = run.at(pfn);
+        if (lowest_free >= mfn) {
+          // Skip to the first page of the run above the lowest free MFN.
+          pfn += lowest_free - mfn + 1;
+          continue;
+        }
+        const hw::FrameNumber target = lowest_free;
+        const hw::FrameRun single[] = {{target, 1}};
+        allocator_.claim(id, single);
+        machine_.memory().write(target, machine_.memory().read(mfn));
+        dom->p2m().remove(pfn);
+        dom->p2m().add(pfn, target);
+        allocator_.release(mfn);
+        lowest_free = allocator_.lowest_free_from(target + 1);
+        ++moved;
+        ++pfn;
+      }
     }
   }
   if (moved > 0 && tracer_.enabled()) {
@@ -367,8 +381,8 @@ Vmm::ConservationReport Vmm::frame_conservation_report() const {
   for (const auto& name : preserved_.names()) {
     const auto& frozen = preserved_.find(name)->frozen_frames;
     r.frozen_frames_reserved =
-        std::all_of(frozen.begin(), frozen.end(), [this](hw::FrameNumber mfn) {
-          return allocator_.owner_of(mfn) == kVmmOwner;
+        std::all_of(frozen.begin(), frozen.end(), [this](hw::FrameRun run) {
+          return allocator_.holds(kVmmOwner, run);
         });
     if (!r.frozen_frames_reserved) break;
   }
@@ -379,13 +393,12 @@ Vmm::ConservationReport Vmm::frame_conservation_report() const {
   for (const auto& [id, dom] : domains_) {
     if (dom->state() == DomainState::kDead) continue;
     const DomainId owner = id;
-    const auto entries = dom->p2m().entries();
+    const auto& runs = dom->p2m().runs();
     r.p2m_ownership_consistent =
         allocator_.owned_frames(owner) == dom->p2m().populated() &&
-        std::all_of(entries.begin(), entries.end(),
-                    [this, owner](hw::FrameNumber mfn) {
-                      return mfn == mm::kNoFrame ||
-                             allocator_.owner_of(mfn) == owner;
+        std::all_of(runs.begin(), runs.end(),
+                    [this, owner](const mm::P2mTable::Runs::Run& run) {
+                      return allocator_.holds(owner, {run.value, run.count});
                     });
     if (!r.p2m_ownership_consistent) break;
   }

@@ -294,6 +294,12 @@ class Vmm {
   /// Writes an image's shape and contents into an existing fresh domain.
   void apply_image(DomainId id, const SavedImage& img);
 
+  /// The preserved record of a suspended or crashed domain (implementation
+  /// in suspend.cpp): name, memory size, execution state (with the live
+  /// event-channel status captured into it), event channels and P2M runs,
+  /// plus the frozen frame runs, charged at the paper's P2M size.
+  mm::PreservedRegion preserved_record(Domain& d);
+
   /// Registers a domain's control-plane entries in the xenstore.
   void register_domain_in_store(const Domain& d);
   /// Accounts one domain-management operation (and its xenstored leak).

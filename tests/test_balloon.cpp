@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "mm/balloon.hpp"
+#include "test_util.hpp"
 
 namespace rh::test {
 namespace {
@@ -11,7 +12,7 @@ struct BalloonRig {
   mm::BalloonDriver balloon{1, alloc, p2m};
 
   BalloonRig() {
-    const auto frames = alloc.allocate(1, 100);
+    const auto frames = expand_runs(alloc.allocate(1, 100));
     for (mm::Pfn p = 0; p < 100; ++p) p2m.add(p, frames[static_cast<std::size_t>(p)]);
   }
 };
@@ -55,7 +56,7 @@ TEST(Balloon, DeflateIsPartialSuccessSafeWhenVmmIsOut) {
   mm::FrameAllocator alloc(100);
   mm::P2mTable p2m(100);
   mm::BalloonDriver balloon(1, alloc, p2m);
-  const auto frames = alloc.allocate(1, 100);
+  const auto frames = expand_runs(alloc.allocate(1, 100));
   for (mm::Pfn p = 0; p < 100; ++p) p2m.add(p, frames[static_cast<std::size_t>(p)]);
   balloon.inflate(50);
   alloc.allocate(2, 45);  // another domain takes most of the freed memory

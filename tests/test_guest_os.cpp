@@ -111,7 +111,7 @@ TEST(GuestOs, CorruptedSignatureCrashesOnResume) {
   // would do).
   const auto* region = fx.host->preserved().find("domain/vm0");
   ASSERT_NE(region, nullptr);
-  fx.host->machine().memory().scrub(region->frozen_frames.front());
+  fx.host->machine().memory().scrub(region->frozen_frames.front().first);
 
   bool resumed = false;
   vmm.resume_domain_on_memory("vm0", &g, [&](DomainId) { resumed = true; });

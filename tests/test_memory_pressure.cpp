@@ -62,7 +62,7 @@ rejuv::AdmissionConfig enabled_admission() {
 
 TEST(MemoryPressure, AllocatorDistinguishesFragmentationFromExhaustion) {
   mm::FrameAllocator alloc(16);
-  const auto frames = alloc.allocate(1, 16);
+  const auto frames = expand_runs(alloc.allocate(1, 16));
   for (std::size_t i = 0; i < frames.size(); i += 2) alloc.release(frames[i]);
   // 8 frames free, but no two adjacent.
   EXPECT_EQ(alloc.free_frames(), 8);
@@ -75,7 +75,7 @@ TEST(MemoryPressure, AllocatorDistinguishesFragmentationFromExhaustion) {
     EXPECT_NE(std::string(e.what()).find("fragmented"), std::string::npos);
   }
   // Single-frame runs still work, and the books stay balanced.
-  EXPECT_EQ(alloc.allocate_contiguous(2, 1).size(), std::size_t{1});
+  EXPECT_EQ(expand_runs(alloc.allocate_contiguous(2, 1)).size(), std::size_t{1});
   EXPECT_TRUE(alloc.accounting_ok());
 }
 
@@ -132,13 +132,13 @@ TEST(MemoryPressure, RegistryBudgetRejectsOverflowAndSurvivesClear) {
   mm::PreservedRegion r;
   r.name = "a";
   r.payload.resize(2 * sim::kPageSize);  // 2 metadata frames
-  r.frozen_frames = {7};                 // + 1 frozen frame
+  r.frozen_frames = {{7, 1}};            // + 1 frozen frame
   EXPECT_EQ(mm::PreservedRegionRegistry::frames_of(r), 3);
   reg.put(r);
   EXPECT_EQ(reg.reserved_frames(), 3);
   mm::PreservedRegion over;
   over.name = "b";
-  over.frozen_frames = {8};
+  over.frozen_frames = {{8, 1}};
   EXPECT_THROW(reg.put(over), mm::PreservedBudgetExceeded);
   EXPECT_FALSE(reg.contains("b"));
   // Replacing within the budget is fine: the old record's frames come

@@ -282,5 +282,52 @@ TEST(MicroRecovery, WaveReportReflectsMidWaveLadderOutcomes) {
   EXPECT_TRUE(without_micro.fully_recovered());
 }
 
+TEST(MicroRecovery, TebibyteHostKeepsTokensThroughWarmAndMicro) {
+  // 268,435,456 frames: a per-frame token array alone would take 2 GiB.
+  // Memory kept as runs makes the host cost what its few runs cost.
+  Calibration calib;
+  calib.machine.ram = 1024 * sim::kGiB;
+  HostFixture fx(0, calib);
+  fx.add_vm("big0", 256 * sim::kGiB);
+  fx.add_vm("big1", 256 * sim::kGiB);
+  std::vector<guest::FileBlock> blocks;
+  for (std::int64_t b = 0; b < 8; ++b) blocks.push_back({/*file_id=*/7, b});
+  for (auto& g : fx.guests) {
+    for (const auto& block : blocks) g->cache().insert(block);
+  }
+  const auto& memory = fx.host->machine().memory();
+  const std::int64_t populated = memory.populated_frames();
+  ASSERT_GE(populated, 2 * std::ssize(blocks));
+
+  const auto check_host = [&](const char* after) {
+    SCOPED_TRACE(after);
+    for (auto& g : fx.guests) {
+      EXPECT_EQ(g->state(), guest::OsState::kRunning);
+      EXPECT_TRUE(g->integrity_ok());
+      for (const auto& block : blocks) EXPECT_TRUE(g->cache().lookup(block));
+      EXPECT_EQ(g->cache().stale_hits(), std::uint64_t{0});
+    }
+    EXPECT_EQ(memory.populated_frames(), populated);
+    auto& vmm = fx.host->vmm();
+    EXPECT_TRUE(vmm.allocator().accounting_ok());
+    EXPECT_TRUE(vmm.frame_conservation_report().ok());
+    EXPECT_LE(vmm.allocator().run_count(), std::size_t{8});
+    for (auto& g : fx.guests) {
+      EXPECT_LE(vmm.domain(g->domain_id()).p2m().run_count(), std::size_t{2});
+    }
+  };
+
+  const auto warm = fx.rejuvenate(rejuv::RebootKind::kWarm);
+  ASSERT_TRUE(warm.success);
+  EXPECT_EQ(warm.resumed_vms, std::size_t{2});
+  check_host("after the warm pass");
+
+  Supervisor sup(*fx.host, fx.guest_ptrs(), micro_config());
+  const auto micro = respond(fx, sup, FaultKind::kVmmCrash);
+  ASSERT_TRUE(micro.micro_recovered);
+  EXPECT_EQ(micro.resumed_vms, std::size_t{2});
+  check_host("after the micro-recovery");
+}
+
 }  // namespace
 }  // namespace rh::test

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mm/p2m_table.hpp"
 #include "simcore/check.hpp"
 
@@ -67,6 +69,65 @@ TEST(P2mTable, SerializeDeserializePreservesEverything) {
   EXPECT_EQ(t, t2);
   EXPECT_EQ(t2.populated(), 3);
   EXPECT_TRUE(t2.is_hole(1));
+}
+
+TEST(P2mTable, SerializesAsCanonicalRuns) {
+  // 1 GiB of PFNs on two machine runs: a handful of bytes on the wire,
+  // while size_bytes() keeps charging 8 B per PFN.
+  mm::P2mTable t(262144);
+  t.add(0, hw::FrameRun{1000, 200000});
+  t.add(200000, hw::FrameRun{500000, 62144});
+  EXPECT_EQ(t.run_count(), std::size_t{2});
+  EXPECT_EQ(t.size_bytes(), 2 * sim::kMiB);
+  mm::ByteWriter w;
+  t.serialize(w);
+  EXPECT_EQ(w.size(), std::size_t{8 + 8 + 2 * 24});
+
+  // The same mapping split into more runs on the wire decodes to the same
+  // canonical table.
+  mm::ByteWriter split;
+  split.i64(262144);
+  split.u64(3);
+  for (const std::int64_t v : {0, 1000, 100, 100, 1100, 199900, 200000,
+                               500000, 62144}) {
+    split.i64(v);
+  }
+  const auto blob = split.take();
+  mm::ByteReader r(blob);
+  const auto decoded = mm::P2mTable::deserialize(r);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(decoded, t);
+  EXPECT_EQ(decoded.run_count(), std::size_t{2});
+}
+
+TEST(P2mTable, DeserializeRejectsMalformedRuns) {
+  // Each case breaks exactly one rule: a table of 100 PFNs, with runs as
+  // (first PFN, first MFN, count).
+  struct Case {
+    const char* what;
+    std::vector<std::int64_t> runs;
+  };
+  const Case cases[] = {
+      {"overlap", {0, 100, 10, 5, 200, 10}},
+      {"PFN count", {95, 100, 10}},
+      {"bad MFN", {0, -5, 10}},
+      {"empty run", {0, 100, 0}},
+  };
+  for (const auto& c : cases) {
+    mm::ByteWriter w;
+    w.i64(100);
+    w.u64(c.runs.size() / 3);
+    for (const auto v : c.runs) w.i64(v);
+    const auto blob = w.take();
+    mm::ByteReader r(blob);
+    try {
+      (void)mm::P2mTable::deserialize(r);
+      ADD_FAILURE() << c.what << ": accepted";
+    } catch (const InvariantViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(c.what), std::string::npos)
+          << c.what << ": " << e.what();
+    }
+  }
 }
 
 TEST(P2mTable, EmptyTableIsValid) {

@@ -2,6 +2,7 @@
 
 #include "mm/preserved_registry.hpp"
 #include "simcore/check.hpp"
+#include "test_util.hpp"
 
 namespace rh::test {
 namespace {
@@ -11,7 +12,7 @@ mm::PreservedRegion make_region(const std::string& name, std::size_t payload,
   mm::PreservedRegion r;
   r.name = name;
   r.payload.assign(payload, std::byte{0x5a});
-  r.frozen_frames = std::move(frames);
+  for (const auto f : frames) r.frozen_frames.push_back({f, 1});
   return r;
 }
 
@@ -20,7 +21,8 @@ TEST(PreservedRegistry, PutFindErase) {
   EXPECT_TRUE(reg.empty());
   reg.put(make_region("domain/a", 100, {1, 2, 3}));
   ASSERT_NE(reg.find("domain/a"), nullptr);
-  EXPECT_EQ(reg.find("domain/a")->frozen_frames.size(), std::size_t{3});
+  EXPECT_EQ(expand_runs(reg.find("domain/a")->frozen_frames).size(),
+            std::size_t{3});
   EXPECT_EQ(reg.find("nope"), nullptr);
   EXPECT_TRUE(reg.erase("domain/a"));
   EXPECT_FALSE(reg.erase("domain/a"));

@@ -73,7 +73,7 @@ TEST_P(AllocatorChaos, ConservationAndExclusivity) {
       const auto want = rng.uniform_int(1, 64);
       if (want <= alloc.free_frames()) {
         const DomainId id = next_id++;
-        owned[id] = alloc.allocate(id, want);
+        owned[id] = expand_runs(alloc.allocate(id, want));
       }
     } else if (roll < 0.8 && !owned.empty()) {
       auto it = owned.begin();
@@ -112,7 +112,7 @@ TEST_P(BalloonChaos, P2mStaysInjective) {
   sim::Rng rng(GetParam());
   mm::FrameAllocator alloc(8192);
   mm::P2mTable p2m(1024);
-  const auto frames = alloc.allocate(1, 1024);
+  const auto frames = expand_runs(alloc.allocate(1, 1024));
   for (mm::Pfn p = 0; p < 1024; ++p) p2m.add(p, frames[static_cast<std::size_t>(p)]);
   mm::BalloonDriver balloon(1, alloc, p2m);
   alloc.allocate(2, 2048);  // competing consumer

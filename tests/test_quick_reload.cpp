@@ -75,7 +75,7 @@ TEST(QuickReload, ScrubsAllNonPreservedMemory) {
   auto& old_vmm = fx.host->vmm();
   // Put a token into a frame that is NOT part of any preserved region:
   // allocate it to the VMM owner and write through machine memory.
-  const auto frames = old_vmm.allocator().allocate(kVmmOwner, 1);
+  const auto frames = expand_runs(old_vmm.allocator().allocate(kVmmOwner, 1));
   fx.host->machine().memory().write(frames[0], 0xdeadbeef);
 
   warm_cycle_to_new_vmm(fx);
@@ -171,6 +171,25 @@ TEST(QuickReload, HardwareResetDestroysPreservedRegions) {
   EXPECT_TRUE(fx.host->preserved().empty());
   EXPECT_EQ(fx.host->machine().memory().populated_frames(), 0);
   EXPECT_GE(fx.host->machine().memory().power_cycles(), std::uint64_t{1});
+}
+
+TEST(QuickReload, ConservationCatchesDomainFrameInsideFrozenRun) {
+  HostFixture fx(1);
+  warm_cycle_to_new_vmm(fx);
+  auto& vmm = fx.host->vmm();
+  ASSERT_TRUE(vmm.frame_conservation_report().ok());
+  // Hand one frame from the middle of a frozen run -- neither end -- to
+  // domain 0, as a reload that mis-placed dom0 would.
+  const auto* region = fx.host->preserved().find("domain/vm0");
+  ASSERT_NE(region, nullptr);
+  const hw::FrameRun run = region->frozen_frames.front();
+  ASSERT_GE(run.count, 3);
+  const hw::FrameNumber mid = run.first + run.count / 2;
+  vmm.allocator().release(mid);
+  vmm.allocator().claim(kDomain0, std::vector<hw::FrameRun>{{mid, 1}});
+  const auto report = vmm.frame_conservation_report();
+  EXPECT_FALSE(report.frozen_frames_reserved);
+  EXPECT_FALSE(report.ok());
 }
 
 }  // namespace

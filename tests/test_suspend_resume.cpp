@@ -22,11 +22,37 @@ TEST(SuspendResume, SuspendFreezesDomainAndRecordsRegion) {
   const auto* region = fx.host->preserved().find("domain/vm0");
   ASSERT_NE(region, nullptr);
   // All of the domain's 1 GiB (262144 frames) is frozen in place.
-  EXPECT_EQ(region->frozen_frames.size(), std::size_t{262144});
-  // The payload carries the P2M table (8 B/page = 2 MiB/GiB) plus the
-  // small execution state.
-  EXPECT_GT(region->payload.size(), std::size_t{2 * 1024 * 1024});
-  EXPECT_LT(region->payload.size(), std::size_t{3 * 1024 * 1024});
+  EXPECT_EQ(region->frozen_frame_count(), 262144);
+  // The record is charged for the P2M table (8 B/page = 2 MiB/GiB) plus
+  // the small execution state ...
+  EXPECT_GT(region->charged_size(), 2 * sim::kMiB);
+  EXPECT_LT(region->charged_size(), 3 * sim::kMiB);
+  // ... while the P2M it stores is a handful of runs.
+  EXPECT_LT(region->payload.size(), std::size_t{1024});
+}
+
+TEST(SuspendResume, RunEncodedRecordChecksumSeesEveryByte) {
+  // intact() is payload_checksum(payload) == checksum: flipping any one
+  // byte of a real, run-encoded domain record must break it.
+  HostFixture fx(1);
+  bool suspended = false;
+  fx.host->vmm().suspend_domain_on_memory(fx.guests[0]->domain_id(),
+                                          [&] { suspended = true; });
+  run_until_flag(fx.sim, suspended);
+  auto& registry = fx.host->preserved();
+  const auto* region = registry.find("domain/vm0");
+  ASSERT_NE(region, nullptr);
+  ASSERT_TRUE(registry.intact("domain/vm0"));
+  // The record ends in a partial 8-byte word, so the tail bytes are hashed
+  // on their own path.
+  ASSERT_NE(region->payload.size() % 8, std::size_t{0});
+  for (std::size_t i = 0; i < region->payload.size(); ++i) {
+    auto flipped = region->payload;
+    flipped[i] ^= std::byte{0x01};
+    EXPECT_NE(mm::payload_checksum(flipped), region->checksum) << "byte " << i;
+  }
+  registry.corrupt_payload("domain/vm0");
+  EXPECT_FALSE(registry.intact("domain/vm0"));
 }
 
 TEST(SuspendResume, SuspendTouchesNoGuestMemory) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,19 @@ class HostFixture {
   std::unique_ptr<vmm::Host> host;
   std::vector<std::unique_ptr<guest::GuestOs>> guests;
 };
+
+/// The frames `runs` hold, run by run: where the memory layer returns
+/// frame runs, tests compare the frames one by one.
+inline std::vector<hw::FrameNumber> expand_runs(
+    std::span<const hw::FrameRun> runs) {
+  std::vector<hw::FrameNumber> out;
+  for (const auto& run : runs) {
+    for (hw::FrameNumber mfn = run.first; mfn < run.end(); ++mfn) {
+      out.push_back(mfn);
+    }
+  }
+  return out;
+}
 
 /// Runs `sim` until `flag` is true or `budget` elapses; asserts the flag.
 inline void run_until_flag(sim::Simulation& sim, const bool& flag,

@@ -62,6 +62,32 @@ TEST(VmmDomains, DestroyReleasesEverything) {
   EXPECT_THROW((void)vmm.domain(id), InvariantViolation);
 }
 
+TEST(VmmDomains, ConservationCatchesForeignFrameInsideLiveP2mRun) {
+  HostFixture fx(2);
+  auto& vmm = fx.host->vmm();
+  ASSERT_TRUE(vmm.frame_conservation_report().ok());
+  // Swap one frame from the middle of each VM's mapping run between the
+  // two owners: both owned counts still match their P2Ms, but each VM now
+  // maps a frame the other owns.
+  const DomainId a = fx.guests[0]->domain_id();
+  const DomainId b = fx.guests[1]->domain_id();
+  const auto mid_of = [&](DomainId id) {
+    const auto& run = *vmm.domain(id).p2m().runs().begin();
+    EXPECT_GE(run.count, 3);
+    return run.value + run.count / 2;
+  };
+  const hw::FrameNumber fa = mid_of(a);
+  const hw::FrameNumber fb = mid_of(b);
+  vmm.allocator().release(fa);
+  vmm.allocator().release(fb);
+  vmm.allocator().claim(b, std::vector<hw::FrameRun>{{fa, 1}});
+  vmm.allocator().claim(a, std::vector<hw::FrameRun>{{fb, 1}});
+  const auto report = vmm.frame_conservation_report();
+  EXPECT_TRUE(report.allocator_consistent);
+  EXPECT_FALSE(report.p2m_ownership_consistent);
+  EXPECT_FALSE(report.ok());
+}
+
 TEST(VmmDomains, UnknownDomainErrorNamesTheId) {
   HostFixture fx(0);
   auto& vmm = fx.host->vmm();
