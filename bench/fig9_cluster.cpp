@@ -65,36 +65,53 @@ struct SimRow {
   double baseline = 0, during = 0, after = 0;
   double longest_host_s = 0;
   std::uint64_t deferred = 0;
+  /// Engine counters and a deterministic digest of the run: equal
+  /// digests for `--workers 1` and `--workers 4` mean the worker count is
+  /// unobservable.
+  std::uint64_t windows = 0, messages = 0, events = 0, digest = 0;
 };
 
-SimRow simulated_once(std::uint64_t seed, const std::string& trace_path = "") {
-  sim::Simulation s;
+/// The Section 6 scenario on the conservative parallel engine (DESIGN.md
+/// §11): 3 hosts x 4 VMs, one partition per host plus the control plane,
+/// a closed-loop client fleet and one rolling warm pass. `trace_path`
+/// turns every host's observer on and writes a Chrome trace there.
+SimRow simulated_once(std::uint64_t seed, double jitter, std::size_t workers,
+                      const std::string& trace_path = "") {
+  const int hosts = 3;
+  sim::ParallelSimulation engine({.partitions = hosts + 1, .workers = workers});
+  sim::Simulation& control = engine.partition(0);
   cluster::Cluster::Config cfg;
-  cfg.hosts = 3;
+  cfg.hosts = hosts;
   cfg.vms_per_host = 4;
   cfg.seed = seed;
-  cfg.calib.timing_jitter = bench::g_replication_jitter;
+  cfg.calib.timing_jitter = jitter;
   // Observability is free when off and RNG-free when on, so the --trace
   // run measures the same numbers as the default one.
   cfg.observe = !trace_path.empty();
-  cluster::Cluster cl(s, cfg);
+  cfg.engine = &engine;
+  cluster::Cluster cl(control, cfg);
+  cluster::ClusterClientFleet fleet(control, *cl.sharded_balancer(), {});
+
   bool ready = false;
   cl.start([&ready] { ready = true; });
-  while (!ready) s.step();
-
-  cluster::ClusterClientFleet fleet(s, *cl.sharded_balancer(), {});
-  fleet.start();
-  s.run_for(30 * sim::kSecond);
-  const sim::SimTime t0 = s.now();
+  engine.run_while([&ready] { return !ready; });
+  engine.run_on(0, [&fleet] { fleet.start(); });
+  engine.run_until(control.now() + 30 * sim::kSecond);
+  const sim::SimTime t0 = control.now();
   const double baseline = fleet.completions().rate_between(
       t0 - 20 * sim::kSecond, t0);
 
   bool done = false;
-  cl.rolling_rejuvenation_waves(
-      {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
-  while (!done) s.step();
-  const sim::SimTime t1 = s.now();
-  s.run_for(60 * sim::kSecond);
+  sim::SimTime t1 = 0;
+  engine.run_on(0, [&cl, &control, &done, &t1] {
+    cl.rolling_rejuvenation_waves(
+        {}, [&control, &done, &t1](const cluster::Cluster::WaveReport&) {
+          t1 = control.now();
+          done = true;
+        });
+  });
+  engine.run_while([&done] { return !done; });
+  engine.run_until(control.now() + 60 * sim::kSecond);
   fleet.stop();
 
   SimRow row;
@@ -108,48 +125,10 @@ SimRow simulated_once(std::uint64_t seed, const std::string& trace_path = "") {
     row.longest_host_s = std::max(row.longest_host_s, sim::to_seconds(d));
   }
   row.deferred = cl.sharded_balancer()->rejected();
-  if (!trace_path.empty()) {
-    std::ofstream os(trace_path);
-    obs::ChromeTraceWriter writer(os);
-    for (int h = 0; h < cfg.hosts; ++h) {
-      writer.add_process(h, "host" + std::to_string(h), cl.host(h).obs());
-    }
-  }
-  return row;
-}
 
-// --workers N: the same scenario on the conservative parallel engine
-// (DESIGN.md §11), one partition per host plus the control plane. Prints
-// a deterministic digest so CI can diff `--workers 1` against
-// `--workers 4` -- equal digests mean the worker count is unobservable.
-void parallel_once(std::size_t workers, std::uint64_t seed) {
-  const int hosts = 3;
-  sim::ParallelSimulation engine({.partitions = hosts + 1, .workers = workers});
-  cluster::Cluster::Config cfg;
-  cfg.hosts = hosts;
-  cfg.vms_per_host = 4;
-  cfg.seed = seed;
-  cfg.engine = &engine;
-  cluster::Cluster cl(engine.partition(0), cfg);
-  cluster::ClusterClientFleet fleet(engine.partition(0), *cl.sharded_balancer(),
-                                    {});
-
-  bool ready = false;
-  cl.start([&ready] { ready = true; });
-  engine.run_while([&ready] { return !ready; });
-  engine.run_on(0, [&fleet] { fleet.start(); });
-  engine.run_until(engine.partition(0).now() + 30 * sim::kSecond);
-  bool done = false;
-  engine.run_on(0, [&cl, &done] {
-    cl.rolling_rejuvenation_waves(
-        {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
-  });
-  engine.run_while([&done] { return !done; });
-  engine.run_until(engine.partition(0).now() + 60 * sim::kSecond);
-
-  std::uint64_t digest = 0;
-  const auto mix = [&digest](std::uint64_t v) {
-    digest ^= v + 0x9e3779b97f4a7c15ull + (digest << 6) + (digest >> 2);
+  const auto mix = [&row](std::uint64_t v) {
+    row.digest ^= v + 0x9e3779b97f4a7c15ull + (row.digest << 6) +
+                  (row.digest >> 2);
   };
   for (std::int32_t p = 0; p < engine.partition_count(); ++p) {
     mix(static_cast<std::uint64_t>(engine.partition(p).now()));
@@ -162,13 +141,18 @@ void parallel_once(std::size_t workers, std::uint64_t seed) {
     mix(static_cast<std::uint64_t>(d));
   }
   mix(engine.messages_routed());
-  std::printf("  parallel DES cluster: hosts=%d workers=%zu windows=%llu "
-              "messages=%llu events=%llu digest=%016llx\n",
-              hosts, workers,
-              static_cast<unsigned long long>(engine.windows_executed()),
-              static_cast<unsigned long long>(engine.messages_routed()),
-              static_cast<unsigned long long>(engine.total_executed_events()),
-              static_cast<unsigned long long>(digest));
+  row.windows = engine.windows_executed();
+  row.messages = engine.messages_routed();
+  row.events = engine.total_executed_events();
+
+  if (!trace_path.empty()) {
+    std::ofstream os(trace_path);
+    obs::ChromeTraceWriter writer(os);
+    for (int h = 0; h < cfg.hosts; ++h) {
+      writer.add_process(h, "host" + std::to_string(h), cl.host(h).obs());
+    }
+  }
+  return row;
 }
 
 // --hosts/--shards: the datacenter-scale scenario (DESIGN.md §12). H
@@ -453,8 +437,9 @@ MigrationRow migration_based_once(sim::Rng rng) {
 int main(int argc, char** argv) {
   // --trace FILE: additionally run one observed cluster pass and write a
   // Perfetto-loadable Chrome trace there. --workers N: run ONLY the
-  // partitioned-engine scenario and print its digest (CI diffs N=1 vs
-  // N=4). --hosts/--shards/...: run ONLY the datacenter-scale scenario
+  // cluster scenario once, on N workers with the root seed and no timing
+  // jitter, and print its digest (CI diffs N=1 vs N=4).
+  // --hosts/--shards/...: run ONLY the datacenter-scale scenario
   // (sharded balancer + session fleet + waves) and write BENCH_scale.json.
   // All are stripped before SweepOptions so the default invocation (and
   // its output) is untouched.
@@ -503,7 +488,14 @@ int main(int argc, char** argv) {
     return run_scale(scale);
   }
   if (par_workers > 0) {
-    parallel_once(par_workers, opt.root_seed);
+    const SimRow r = simulated_once(opt.root_seed, Calibration{}.timing_jitter,
+                                    par_workers);
+    std::printf("  parallel DES cluster: hosts=3 workers=%zu windows=%llu "
+                "messages=%llu events=%llu digest=%016llx\n",
+                par_workers, static_cast<unsigned long long>(r.windows),
+                static_cast<unsigned long long>(r.messages),
+                static_cast<unsigned long long>(r.events),
+                static_cast<unsigned long long>(r.digest));
     return 0;
   }
   rh::bench::print_header(
@@ -517,7 +509,8 @@ int main(int argc, char** argv) {
   enum { kBase, kDuring, kAfter, kLongest, kDeferred };
   const auto sim_grid =
       exp::run_grid(opt.grid(1), [](const exp::ReplicationContext& ctx) {
-        const SimRow r = simulated_once(ctx.seed);
+        const SimRow r =
+            simulated_once(ctx.seed, bench::g_replication_jitter, 1);
         exp::ReplicationResult out;
         out.values = {r.baseline, r.during, r.after, r.longest_host_s,
                       static_cast<double>(r.deferred)};
@@ -539,7 +532,7 @@ int main(int argc, char** argv) {
               "permanently failed; %s were deferred and retried\n",
               fmt_ci(sg.mean(kDeferred), sg.ci95(kDeferred), "%.0f").c_str());
   if (!trace_path.empty()) {
-    simulated_once(opt.root_seed, trace_path);
+    simulated_once(opt.root_seed, bench::g_replication_jitter, 1, trace_path);
     std::printf("    wrote Chrome trace of one observed pass to %s\n",
                 trace_path.c_str());
   }

@@ -16,33 +16,54 @@
 #include "cluster/throughput_model.hpp"
 #include "exp/runner.hpp"
 #include "obs/export.hpp"
+#include "simcore/parallel.hpp"
 
 namespace {
 
 using namespace rh;
 
+/// Boots `cl` and runs until every backend answers.
+void boot(sim::ParallelSimulation& engine, cluster::Cluster& cl) {
+  bool ready = false;
+  cl.start([&ready] { ready = true; });
+  engine.run_while([&ready] { return !ready; });
+}
+
+/// Runs one rolling pass from the control partition; returns the control
+/// plane's time when it reported.
+sim::SimTime rolling_pass(sim::ParallelSimulation& engine,
+                          cluster::Cluster& cl) {
+  bool done = false;
+  sim::SimTime finished = 0;
+  engine.run_on(0, [&engine, &cl, &done, &finished] {
+    cl.rolling_rejuvenation_waves(
+        {}, [&engine, &done, &finished](const cluster::Cluster::WaveReport&) {
+          finished = engine.partition(0).now();
+          done = true;
+        });
+  });
+  engine.run_while([&done] { return !done; });
+  return finished;
+}
+
 /// One full rolling-rejuvenation run under `seed`; returns
 /// {during-throughput req/s, longest per-host rejuvenation s, deferred}.
 exp::ReplicationResult replicated_run(const exp::ReplicationContext& ctx) {
-  sim::Simulation sim;
   cluster::Cluster::Config cfg;
   cfg.hosts = 3;
   cfg.vms_per_host = 4;
   cfg.seed = ctx.seed;
   cfg.calib.timing_jitter = 0.02;  // run-to-run timing variation
-  cluster::Cluster cl(sim, cfg);
-  bool ready = false;
-  cl.start([&ready] { ready = true; });
-  while (!ready) sim.step();
-  cluster::ClusterClientFleet fleet(sim, *cl.sharded_balancer(), {});
-  fleet.start();
-  sim.run_for(30 * sim::kSecond);
-  const sim::SimTime t0 = sim.now();
-  bool done = false;
-  cl.rolling_rejuvenation_waves(
-      {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
-  while (!done) sim.step();
-  const sim::SimTime t1 = sim.now();
+  sim::ParallelSimulation engine({.partitions = 1 + cfg.hosts, .workers = 1});
+  cfg.engine = &engine;
+  sim::Simulation& control = engine.partition(0);
+  cluster::Cluster cl(control, cfg);
+  boot(engine, cl);
+  cluster::ClusterClientFleet fleet(control, *cl.sharded_balancer(), {});
+  engine.run_on(0, [&fleet] { fleet.start(); });
+  engine.run_until(control.now() + 30 * sim::kSecond);
+  const sim::SimTime t0 = control.now();
+  const sim::SimTime t1 = rolling_pass(engine, cl);
   fleet.stop();
 
   double longest = 0;
@@ -62,23 +83,19 @@ exp::ReplicationResult replicated_run(const exp::ReplicationContext& ctx) {
 /// instants.
 /// This is the EXPERIMENTS.md "open it in Perfetto" recipe.
 void write_supervised_trace(const char* path) {
-  sim::Simulation sim;
   cluster::Cluster::Config cfg;
   cfg.hosts = 3;
   cfg.vms_per_host = 4;
   cfg.observe = true;
-  cluster::Cluster cl(sim, cfg);
-  bool ready = false;
-  cl.start([&ready] { ready = true; });
-  while (!ready) sim.step();
+  sim::ParallelSimulation engine({.partitions = 1 + cfg.hosts, .workers = 1});
+  cfg.engine = &engine;
+  cluster::Cluster cl(engine.partition(0), cfg);
+  boot(engine, cl);
   for (int h = 0; h < cfg.hosts; ++h) {
     cl.host(h).configure_faults(fault::FaultConfig::uniform(0.05));
   }
-  sim.run_for(5 * sim::kSecond);
-  bool done = false;
-  cl.rolling_rejuvenation_waves(
-      {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
-  while (!done) sim.step();
+  engine.run_until(engine.partition(0).now() + 5 * sim::kSecond);
+  rolling_pass(engine, cl);
   std::ofstream os(path);
   obs::ChromeTraceWriter writer(os);
   for (int h = 0; h < cfg.hosts; ++h) {
@@ -91,32 +108,31 @@ void write_supervised_trace(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  sim::Simulation sim;
   cluster::Cluster::Config cfg;
   cfg.hosts = 3;
   cfg.vms_per_host = 4;
-  cluster::Cluster cl(sim, cfg);
+  // Every Cluster runs on the parallel engine, and one worker is the
+  // sequential case: partition 0 is the control plane (balancer and
+  // client fleet), partition 1 + h is host h.
+  sim::ParallelSimulation engine({.partitions = 1 + cfg.hosts, .workers = 1});
+  cfg.engine = &engine;
+  sim::Simulation& control = engine.partition(0);
+  cluster::Cluster cl(control, cfg);
 
   std::printf("starting %d hosts x %d web VMs...\n", cfg.hosts, cfg.vms_per_host);
-  bool ready = false;
-  cl.start([&ready] { ready = true; });
-  while (!ready) sim.step();
+  boot(engine, cl);
   std::printf("cluster up at t=%.1f s; %zu backends registered\n",
-              sim::to_seconds(sim.now()),
+              sim::to_seconds(control.now()),
               cl.sharded_balancer()->backend_count());
 
-  cluster::ClusterClientFleet fleet(sim, *cl.sharded_balancer(), {});
-  fleet.start();
-  sim.run_for(30 * sim::kSecond);
-  const sim::SimTime t0 = sim.now();
+  cluster::ClusterClientFleet fleet(control, *cl.sharded_balancer(), {});
+  engine.run_on(0, [&fleet] { fleet.start(); });
+  engine.run_until(control.now() + 30 * sim::kSecond);
+  const sim::SimTime t0 = control.now();
 
   std::printf("\nrolling warm-VM rejuvenation across all hosts...\n");
-  bool done = false;
-  cl.rolling_rejuvenation_waves(
-      {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
-  while (!done) sim.step();
-  const sim::SimTime t1 = sim.now();
-  sim.run_for(60 * sim::kSecond);
+  const sim::SimTime t1 = rolling_pass(engine, cl);
+  engine.run_until(control.now() + 60 * sim::kSecond);
   fleet.stop();
 
   std::printf("per-host rejuvenation durations:");

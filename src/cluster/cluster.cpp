@@ -11,46 +11,46 @@
 
 namespace rh::cluster {
 
+namespace {
+
+/// The engine `config` names, checked against the cluster's partition
+/// layout before any member is built on it.
+sim::ParallelSimulation& checked_engine(sim::Simulation& sim,
+                                        const Cluster::Config& config) {
+  ensure(config.hosts >= 1, "Cluster: need at least one host");
+  ensure(config.vms_per_host >= 1, "Cluster: need at least one VM per host");
+  ensure(config.shards >= 0, "Cluster: negative shard count");
+  ensure(config.engine != nullptr &&
+             config.engine->partition_count() ==
+                 1 + config.shards + config.hosts,
+         "Cluster: needs an engine with 1 + shards + hosts partitions "
+         "(control plane, one per balancer shard, one per host)");
+  ensure(&sim == &config.engine->partition(0),
+         "Cluster: sim must be the engine's control partition (0)");
+  // Every host reaches the control plane over its calibrated link; the
+  // minimum of those latencies is the engine's lookahead.
+  config.engine->register_link(config.calib.link.latency);
+  return *config.engine;
+}
+
+}  // namespace
+
 Cluster::Cluster(sim::Simulation& sim, Config config)
     : sim_(sim),
+      engine_(checked_engine(sim, config)),
       config_(config),
-      balancer_(static_cast<std::size_t>(std::max(config.shards, 1))) {
-  ensure(config_.hosts >= 1, "Cluster: need at least one host");
-  ensure(config_.vms_per_host >= 1, "Cluster: need at least one VM per host");
-  ensure(config_.shards >= 0, "Cluster: negative shard count");
-  if (config_.engine != nullptr) {
-    ensure(config_.engine->partition_count() ==
-               1 + config_.shards + config_.hosts,
-           "Cluster: engine needs 1 + shards + hosts partitions (control "
-           "plane, one per balancer shard, one per host)");
-    ensure(&sim_ == &config_.engine->partition(0),
-           "Cluster: sim must be the engine's control partition (0)");
-    // Every host reaches the control plane over its calibrated link; the
-    // minimum of those latencies is the engine's lookahead.
-    config_.engine->register_link(config_.calib.link.latency);
-    // With shards == 0 the one shard shares the control partition, so
-    // the client fleet's dispatches start inline there.
-    const std::int32_t first_shard_partition = config_.shards > 0 ? 1 : 0;
-    balancer_.bind_parallel(*config_.engine, first_shard_partition,
-                            config_.calib.link.latency);
-  }
-  // Waves launch several supervisors concurrently, so per-host slots are
-  // needed in sequential mode too.
+      // With shards == 0 the one shard shares the control partition, so
+      // the client fleet's dispatches start there without a routing hop.
+      balancer_(engine_, static_cast<std::size_t>(std::max(config.shards, 1)),
+                config.shards > 0 ? 1 : 0, config.calib.link.latency) {
   host_supervisors_.resize(static_cast<std::size_t>(config_.hosts));
   steady_slots_.resize(static_cast<std::size_t>(config_.hosts));
   crash_down_.assign(static_cast<std::size_t>(config_.hosts), 0);
   recently_recovered_.assign(static_cast<std::size_t>(config_.hosts), 0);
   for (int h = 0; h < config_.hosts; ++h) {
-    sim::Simulation& host_sim = config_.engine != nullptr
-                                    ? config_.engine->partition(partition_of(h))
-                                    : sim_;
     hosts_.push_back(std::make_unique<vmm::Host>(
-        host_sim, config_.calib, config_.seed + static_cast<std::uint64_t>(h)));
-    // The host's uplink terminates at the control plane: deliveries cross
-    // the partition boundary through the engine's mailboxes.
-    if (config_.engine != nullptr) {
-      hosts_.back()->link().bind_remote(*config_.engine, /*dst_partition=*/0);
-    }
+        engine_.partition(partition_of(h)), config_.calib,
+        config_.seed + static_cast<std::uint64_t>(h)));
     // Arm fault injection (a no-op drawing nothing when all rates are
     // zero) before any other per-host RNG use, so the fault substream is
     // a fixed function of the host seed alone.
@@ -74,8 +74,7 @@ Cluster::Cluster(sim::Simulation& sim, Config config)
       std::vector<std::int64_t> files;
       for (int f = 0; f < config_.files_per_vm; ++f) files.push_back(f);
       balancer_.add_backend({g.get(), apache, std::move(files),
-                             static_cast<std::size_t>(h),
-                             config_.engine != nullptr ? partition_of(h) : -1});
+                             static_cast<std::size_t>(h), partition_of(h)});
       guests_.back().push_back(std::move(g));
     }
   }
@@ -123,27 +122,19 @@ void Cluster::start(std::function<void()> on_ready) {
 }
 
 void Cluster::to_control(sim::InlineCallback fn) {
-  if (config_.engine == nullptr) {
-    fn();
-    return;
-  }
-  config_.engine->post(0, config_.calib.link.latency, std::move(fn));
+  engine_.post(0, config_.calib.link.latency, std::move(fn));
 }
 
 void Cluster::to_host(std::size_t host_index, sim::InlineCallback fn) {
-  if (config_.engine == nullptr) {
-    fn();
-    return;
-  }
-  config_.engine->post(partition_of(static_cast<int>(host_index)),
-                       config_.calib.link.latency, std::move(fn));
+  engine_.post(partition_of(static_cast<int>(host_index)),
+               config_.calib.link.latency, std::move(fn));
 }
 
 void Cluster::start_steady_faults(const SteadyFaultsConfig& config) {
   ensure(!steady_started_, "start_steady_faults: already armed");
   steady_started_ = true;
   for (std::size_t h = 0; h < hosts_.size(); ++h) {
-    auto arm = [this, h, config] {
+    engine_.run_on(partition_of(static_cast<int>(h)), [this, h, config] {
       vmm::Host& host = *hosts_[h];
       SteadySlot& slot = steady_slots_[h];
       slot.driver = std::make_unique<rejuv::RecoveryDriver>(
@@ -154,36 +145,18 @@ void Cluster::start_steady_faults(const SteadyFaultsConfig& config) {
       // nothing: arming is free on fault-free runs.
       slot.process->start(
           [this, h](fault::FaultKind kind) { steady_fault(h, kind); });
-    };
-    if (config_.engine == nullptr) {
-      arm();
-    } else {
-      config_.engine->run_on(partition_of(static_cast<int>(h)),
-                             std::move(arm));
-    }
+    });
   }
 }
 
 void Cluster::stop_steady_faults() {
+  // Each process lives on its host's partition; disarm it there.
   for (std::size_t h = 0; h < steady_slots_.size(); ++h) {
-    auto disarm = [this, h] {
+    engine_.run_on(partition_of(static_cast<int>(h)), [this, h] {
       if (steady_slots_[h].process != nullptr) steady_slots_[h].process->stop();
-    };
-    if (config_.engine == nullptr) {
-      disarm();
-    } else {
-      // The process lives on the host's partition; disarm it there.
-      config_.engine->run_on(partition_of(static_cast<int>(h)),
-                             std::move(disarm));
-    }
+    });
   }
   steady_started_ = false;
-}
-
-std::size_t Cluster::unplanned_down_hosts() const {
-  std::size_t n = 0;
-  for (const auto d : crash_down_) n += d != 0 ? 1 : 0;
-  return n;
 }
 
 // Runs on the host's partition: one steady fault arrival. The driver
@@ -234,8 +207,17 @@ void Cluster::steady_fault(std::size_t host_index, fault::FaultKind kind) {
       });
 }
 
+void Cluster::check_unplanned_identity() const {
+  ensure(unplanned_.failures == unplanned_.recoveries + unplanned_.unrecovered +
+                                    unplanned_.in_flight,
+         "Cluster: every unplanned ladder must be recovered, unrecovered or "
+         "in flight");
+}
+
 void Cluster::on_unplanned_down(std::size_t host_index) {
   ++unplanned_.failures;
+  ++unplanned_.in_flight;
+  check_unplanned_identity();
   crash_down_[host_index] = 1;
   // Ground truth for the telemetry plane's detection-latency metric.
   if (scraper_ != nullptr) scraper_->note_host_down(host_index);
@@ -248,6 +230,7 @@ void Cluster::on_unplanned_down(std::size_t host_index) {
 void Cluster::on_unplanned_outcome(std::size_t host_index, bool success,
                                    bool micro, sim::Duration took) {
   crash_down_[host_index] = 0;
+  --unplanned_.in_flight;
   unplanned_.downtime += took;
   if (success) {
     ++unplanned_.recoveries;
@@ -269,6 +252,7 @@ void Cluster::on_unplanned_outcome(std::size_t host_index, bool success,
     // flight-recorder dump.
     if (scraper_ != nullptr) scraper_->note_unrecovered(host_index);
   }
+  check_unplanned_identity();
   wave_kick();
 }
 
@@ -357,9 +341,9 @@ void Cluster::rolling_rejuvenation_waves(
   wave_gather();
 }
 
-// Fans one signal probe out to every pending host. Under the engine the
-// probe runs on the host's partition and the values travel back over the
-// mailboxes, so the schedule derived from them is worker-count invariant.
+// Fans one signal probe out to every pending host. The probe runs on the
+// host's partition and the values travel back over the mailboxes, so the
+// schedule derived from them is worker-count invariant.
 void Cluster::wave_gather() {
   if (wave_->remaining == 0) {
     wave_retry(0);

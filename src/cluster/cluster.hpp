@@ -42,26 +42,23 @@ class Cluster {
     /// observability is one predicted branch per site and the run stays
     /// byte-identical to pre-observability builds.
     bool observe = false;
-    /// Conservative parallel-in-run engine (DESIGN.md §11), non-owning.
-    /// When set it must have exactly 1 + shards + hosts partitions:
+    /// Conservative parallel-in-run engine (DESIGN.md §11), non-owning
+    /// and required. It must have exactly 1 + shards + hosts partitions:
     /// partition 0 is the control plane (client fleet + rolling-pass
     /// control, driven by the engine's partition(0) Simulation, which
     /// must be the `sim` passed to the constructor), balancer shard s
     /// lives on partition 1 + s (with shards == 0 the one shard shares
     /// partition 0), and host h lives on partition 1 + shards + h. All
-    /// cross-host interaction then flows through the engine's mailboxes;
-    /// results are bitwise identical for any worker count, but not
-    /// byte-identical to the null-engine fast path (balancer RPCs and
-    /// membership broadcasts gain real link latency). Null (default):
-    /// everything runs inline on the single calendar.
+    /// cross-host interaction flows through the engine's mailboxes, each
+    /// hop paying the calibrated link latency; results are bitwise
+    /// identical for any worker count. One worker is the sequential case.
     sim::ParallelSimulation* engine = nullptr;
     /// Balancer shards (DESIGN.md §12). The cluster owns one
     /// ShardedBalancer with max(shards, 1) shards; every VM registers at
     /// construction with its host's shard (host h's backends belong to
     /// shard h % shards). 0 (default): one shard sharing partition 0 with
-    /// the control plane, the paper's single balancer. > 0: under the
-    /// engine each shard gets its own partition so dispatch is
-    /// parallel-in-run.
+    /// the control plane, the paper's single balancer. > 0: each shard
+    /// gets its own partition so dispatch is parallel-in-run.
     int shards = 0;
   };
 
@@ -72,15 +69,13 @@ class Cluster {
 
   /// Starts every host instantly, then creates and boots all VMs (taking
   /// simulated time). `on_ready` fires when every backend answers. Call
-  /// while the engine (if any) is quiescent, then drive the engine:
-  /// on_ready fires on the control partition once the boot events have
-  /// run.
+  /// while the engine is quiescent, then drive the engine: on_ready fires
+  /// on the control partition once the boot events have run.
   void start(std::function<void()> on_ready);
 
-  /// Partition carrying host `i` under the parallel engine
-  /// (1 + shards + i), or 0 when the cluster runs on a single calendar.
+  /// Partition carrying host `i`: 1 + shards + i.
   [[nodiscard]] std::int32_t partition_of(int i) const {
-    return config_.engine != nullptr ? 1 + config_.shards + i : 0;
+    return 1 + config_.shards + i;
   }
 
   [[nodiscard]] int host_count() const { return config_.hosts; }
@@ -151,7 +146,7 @@ class Cluster {
   /// `interval`, paying real link latency both ways and timing out on
   /// hosts that are down. Scraping off (the default) schedules nothing
   /// and the run stays byte-identical to pre-telemetry builds. Call
-  /// while the engine (if any) is quiescent.
+  /// while the engine is quiescent.
   void start_scraping(const ScrapeConfig& config);
   /// Stops future scrape rounds (in-flight ones resolve); the scraper
   /// and its TimeSeriesStore stay readable. Quiescent callers only.
@@ -174,6 +169,9 @@ class Cluster {
     std::uint64_t recoveries = 0;
     std::uint64_t micro_recoveries = 0;
     std::uint64_t unrecovered = 0;  ///< ladders that exhausted (host evicted)
+    /// Ladders started but not yet reported back. Every update keeps
+    /// failures == recoveries + unrecovered + in_flight.
+    std::uint64_t in_flight = 0;
     /// Summed unplanned ladder durations (host-level wall of downtime).
     sim::Duration downtime = 0;
   };
@@ -186,15 +184,18 @@ class Cluster {
   /// the host's backends on every balancer shard and steering wave
   /// admission. With both steady rates zero nothing is scheduled and no
   /// RNG is drawn, so fault-free runs stay digest-identical. Call while
-  /// the engine (if any) is quiescent.
+  /// the engine is quiescent.
   void start_steady_faults(const SteadyFaultsConfig& config);
   /// Disarms every host's steady process. Quiescent callers only.
   void stop_steady_faults();
   [[nodiscard]] const UnplannedReport& unplanned_report() const {
     return unplanned_;
   }
-  /// Hosts the control plane currently believes to be crash-down.
-  [[nodiscard]] std::size_t unplanned_down_hosts() const;
+  /// Hosts the control plane currently believes to be crash-down: one
+  /// per unplanned ladder in flight.
+  [[nodiscard]] std::size_t unplanned_down_hosts() const {
+    return static_cast<std::size_t>(unplanned_.in_flight);
+  }
 
   /// Outcome of one wave-based rolling pass.
   struct WaveReport {
@@ -260,12 +261,11 @@ class Cluster {
   /// rejuvenates the least-loaded hosts first (tie-break: smaller
   /// headroom, then host index), so the wave drains as few active
   /// sessions as possible while prioritising memory-tight hosts.
-  /// Signals are gathered over the mailboxes under the engine, so the
-  /// schedule is bitwise reproducible for any worker count. Overlapping
-  /// passes are an invariant violation: a second call while a pass is in
-  /// flight would drop the first pass's state mid-reboot, so it fails
-  /// fast instead. Partitioned mode: invoke from control-partition
-  /// context (engine.run_on(0, ...)).
+  /// Signals are gathered over the mailboxes, so the schedule is bitwise
+  /// reproducible for any worker count. Overlapping passes are an
+  /// invariant violation: a second call while a pass is in flight would
+  /// drop the first pass's state mid-reboot, so it fails fast instead.
+  /// Invoke from control-partition context (engine.run_on(0, ...)).
   void rolling_rejuvenation_waves(
       WaveConfig config, std::function<void(const WaveReport&)> on_done);
 
@@ -304,11 +304,11 @@ class Cluster {
   void on_unplanned_down(std::size_t host_index);
   void on_unplanned_outcome(std::size_t host_index, bool success, bool micro,
                             sim::Duration took);
-  /// Runs `fn` on the control partition (posted under the engine, inline
-  /// on the single calendar).
+  /// ensure()s failures == recoveries + unrecovered + in_flight.
+  void check_unplanned_identity() const;
+  /// Runs `fn` on the control partition, posted with link latency.
   void to_control(sim::InlineCallback fn);
-  /// Runs `fn` on host `host_index`'s partition (posted with link latency
-  /// under the engine, inline on the single calendar).
+  /// Runs `fn` on host `host_index`'s partition, posted with link latency.
   void to_host(std::size_t host_index, sim::InlineCallback fn);
   void wave_gather();
   void wave_collect(std::size_t host_index, std::uint64_t load,
@@ -331,6 +331,7 @@ class Cluster {
   void wave_kick();
 
   sim::Simulation& sim_;
+  sim::ParallelSimulation& engine_;
   Config config_;
   std::vector<std::unique_ptr<vmm::Host>> hosts_;
   std::vector<std::vector<std::unique_ptr<guest::GuestOs>>> guests_;

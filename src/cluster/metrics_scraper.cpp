@@ -67,12 +67,9 @@ void MetricsScraper::start() {
   ensure(!started_, "MetricsScraper::start: already started");
   started_ = true;
   running_ = true;
-  auto arm = [this] { sim_.after(config_.interval, [this] { run_round(); }); };
-  if (cluster_.config_.engine != nullptr) {
-    cluster_.config_.engine->run_on(0, std::move(arm));
-  } else {
-    arm();
-  }
+  cluster_.engine_.run_on(0, [this] {
+    sim_.after(config_.interval, [this] { run_round(); });
+  });
 }
 
 void MetricsScraper::stop() { running_ = false; }
@@ -93,24 +90,16 @@ void MetricsScraper::scrape_host(std::size_t host) {
   const std::uint64_t round = round_seq_;
   sim_.after(config_.timeout,
              [this, host, round] { on_timeout(host, round); });
-  auto request = [this, host, round] { scrape_arrive(host, round); };
-  if (cluster_.config_.engine != nullptr) {
-    cluster_.config_.engine->post(
-        cluster_.partition_of(static_cast<int>(host)),
-        cluster_.config_.calib.link.latency, std::move(request));
-  } else {
-    sim_.after(cluster_.config_.calib.link.latency, std::move(request));
-  }
+  cluster_.to_host(host, [this, host, round] { scrape_arrive(host, round); });
 }
 
 void MetricsScraper::scrape_arrive(std::size_t host, std::uint64_t round) {
   // Host partition. A non-serving exporter replies with nothing at all;
   // the control-side timeout is the only failure signal.
   exporters_[host]->handle_scrape([this, host, round](std::string body) {
-    cluster_.hosts_[host]->link().deliver(
-        [this, host, round, body = std::move(body)]() mutable {
-          on_reply(host, round, std::move(body));
-        });
+    cluster_.to_control([this, host, round, body = std::move(body)]() mutable {
+      on_reply(host, round, std::move(body));
+    });
   });
 }
 

@@ -14,8 +14,8 @@
 // watchdog's ground truth.
 //
 // All scraper state mutates on the control partition only (replies
-// arrive over each host's uplink, which the cluster binds to partition
-// 0), so scraped runs are digest-identical for any worker count.
+// travel back to partition 0 with the host's link latency), so scraped
+// runs are digest-identical for any worker count.
 #pragma once
 
 #include <cstdint>
@@ -110,7 +110,7 @@ class MetricsScraper {
   void run_round();
   void scrape_host(std::size_t host);
   /// Host-partition half of one scrape: ask the exporter, ship the body
-  /// back over the host's uplink (bound to partition 0).
+  /// back to the control partition.
   void scrape_arrive(std::size_t host, std::uint64_t round);
   void on_reply(std::size_t host, std::uint64_t round, std::string body);
   void on_timeout(std::size_t host, std::uint64_t round);

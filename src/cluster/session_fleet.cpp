@@ -71,33 +71,8 @@ sim::Duration SessionFleet::think_of(std::uint64_t global) const {
   return config_.think_base + offset;
 }
 
-void SessionFleet::start(sim::Simulation& sim) {
-  ensure(!started_, "SessionFleet::start: already started");
-  started_ = true;
-  const sim::SimTime now = sim.now();
-  for (std::uint32_t s = 0; s < slices_.size(); ++s) {
-    Slice& sl = slices_[s];
-    sl.sim = &sim;
-    for (std::size_t i = 0; i < sl.next_due.size(); ++i) {
-      // Hash-staggered first issue so a million sessions do not arrive in
-      // one tick-aligned burst.
-      sl.next_due[i] =
-          now + static_cast<sim::Duration>(
-                    ShardedBalancer::hash_key(~(sl.first + i)) %
-                    static_cast<std::uint64_t>(config_.think_base +
-                                               config_.think_spread + 1));
-    }
-    if (!sl.next_due.empty()) {
-      sim.after(config_.tick, [this, s] { tick(s); });
-    }
-  }
-  window_start_ = now;
-}
-
 void SessionFleet::start(sim::ParallelSimulation& engine) {
   ensure(!started_, "SessionFleet::start: already started");
-  ensure(balancer_.shard_partition(0) >= 0,
-         "SessionFleet::start: balancer is not bound to the engine");
   started_ = true;
   for (std::uint32_t s = 0; s < slices_.size(); ++s) {
     Slice& sl = slices_[s];
@@ -105,6 +80,8 @@ void SessionFleet::start(sim::ParallelSimulation& engine) {
     sl.sim = &engine.partition(p);
     const sim::SimTime now = sl.sim->now();
     for (std::size_t i = 0; i < sl.next_due.size(); ++i) {
+      // Hash-staggered first issue so a million sessions do not arrive in
+      // one tick-aligned burst.
       sl.next_due[i] =
           now + static_cast<sim::Duration>(
                     ShardedBalancer::hash_key(~(sl.first + i)) %

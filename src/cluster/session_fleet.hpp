@@ -10,10 +10,18 @@
 // per-session timers: one ticker event per shard drives the whole slice
 // (DESIGN.md §12).
 //
-// Sessions are block-assigned to shards; under the parallel engine each
-// slice lives on its shard's partition, so the scans themselves are
+// Sessions are block-assigned to shards; each slice lives on its shard's
+// partition of the parallel engine, so the scans themselves are
 // parallel-in-run and every mutation of a slice happens on its owning
 // partition.
+//
+// Why two fleets: ClusterClientFleet reissues the moment a request
+// completes, with no think time, and records a completion timeline
+// (RateRecorder) that Fig. 9 and the cluster example plot. SessionFleet
+// issues only from its batched tick and keeps no timeline. Folding one
+// into the other would add a reissue-now branch and a timeline to the
+// tick the 1000-host runs measure, so shared code would branch on which
+// caller it serves.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +38,7 @@ namespace rh::cluster {
 /// balancer; completions feed the Fig. 9-style throughput timeline.
 /// Connection c dispatches every request with session key c, so on a
 /// one-shard balancer all connections share the one round-robin cursor.
-/// Under the engine, start it from `sim`'s partition: every reply lands
+/// Start it from `sim`'s partition (engine.run_on): every reply lands
 /// back on the calling partition.
 class ClusterClientFleet {
  public:
@@ -103,10 +111,8 @@ class SessionFleet {
   SessionFleet(const SessionFleet&) = delete;
   SessionFleet& operator=(const SessionFleet&) = delete;
 
-  /// Sequential mode: every slice ticks on the one calendar.
-  void start(sim::Simulation& sim);
-  /// Partitioned mode: slice s ticks on its shard's partition. Call while
-  /// the engine is quiescent (seeds the tickers with run_on).
+  /// Slice s ticks on its shard's partition. Call while the engine is
+  /// quiescent (seeds the tickers with run_on).
   void start(sim::ParallelSimulation& engine);
   void stop();
 
@@ -120,13 +126,13 @@ class SessionFleet {
   [[nodiscard]] Stats stats(sim::SimTime window_end) const;
 
   [[nodiscard]] std::uint64_t session_count() const { return config_.sessions; }
-  /// FNV-1a over every session's outcome columns; worker-count invariant
-  /// under the engine. Quiescent reads only.
+  /// FNV-1a over every session's outcome columns; worker-count
+  /// invariant. Quiescent reads only.
   [[nodiscard]] std::uint64_t state_digest() const;
 
  private:
-  /// One shard's session columns, cache-line padded: under the engine a
-  /// slice is touched only from its shard's partition.
+  /// One shard's session columns, cache-line padded: a slice is touched
+  /// only from its shard's partition.
   struct alignas(64) Slice {
     std::uint64_t first = 0;  ///< global index of this slice's session 0
     sim::Simulation* sim = nullptr;

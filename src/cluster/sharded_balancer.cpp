@@ -26,8 +26,20 @@ bool mark_host(const std::vector<ShardedBalancer::Backend>& backends,
 
 }  // namespace
 
-ShardedBalancer::ShardedBalancer(std::size_t shards) {
+ShardedBalancer::ShardedBalancer(sim::ParallelSimulation& engine,
+                                 std::size_t shards,
+                                 std::int32_t first_shard_partition,
+                                 sim::Duration rpc_latency)
+    : engine_(engine),
+      first_shard_partition_(first_shard_partition),
+      rpc_latency_(rpc_latency) {
   ensure(shards >= 1, "ShardedBalancer: need at least one shard");
+  ensure(rpc_latency >= engine.lookahead(),
+         "ShardedBalancer: RPC latency below the lookahead");
+  ensure(first_shard_partition >= 0 &&
+             first_shard_partition + static_cast<std::int32_t>(shards) <=
+                 engine.partition_count(),
+         "ShardedBalancer: shard partitions out of range");
   shards_.resize(shards);
 }
 
@@ -42,8 +54,9 @@ void ShardedBalancer::add_backend(Backend backend) {
   ensure(backend.os != nullptr && backend.apache != nullptr,
          "ShardedBalancer: backend needs an OS and a service");
   ensure(!backend.files.empty(), "ShardedBalancer: backend needs content");
-  ensure(backend.partition < 0 || engine_ != nullptr,
-         "ShardedBalancer: remote backend without bind_parallel");
+  ensure(backend.partition >= 0 &&
+             backend.partition < engine_.partition_count(),
+         "ShardedBalancer: backend needs its host's partition");
   ensure(quiescent(), "ShardedBalancer::add_backend: topology is fixed once "
                       "the engine runs");
   const auto b = static_cast<std::uint32_t>(backends_.size());
@@ -58,21 +71,6 @@ void ShardedBalancer::add_backend(Backend backend) {
   shards_[owner].owned.push_back(b);
 }
 
-void ShardedBalancer::bind_parallel(sim::ParallelSimulation& engine,
-                                    std::int32_t first_shard_partition,
-                                    sim::Duration rpc_latency) {
-  ensure(engine_ == nullptr, "ShardedBalancer::bind_parallel: already bound");
-  ensure(rpc_latency >= engine.lookahead(),
-         "ShardedBalancer::bind_parallel: RPC latency below the lookahead");
-  ensure(first_shard_partition >= 0 &&
-             first_shard_partition + static_cast<std::int32_t>(shards_.size()) <=
-                 engine.partition_count(),
-         "ShardedBalancer::bind_parallel: shard partitions out of range");
-  engine_ = &engine;
-  first_shard_partition_ = first_shard_partition;
-  rpc_latency_ = rpc_latency;
-}
-
 // Mid-run, each shard's view is partition-local state, so the change is
 // broadcast through the mailboxes and applied shard-side.
 template <class Update>
@@ -82,8 +80,8 @@ void ShardedBalancer::broadcast(const Update& update) {
     return;
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    engine_->post(shard_partition(s), rpc_latency_,
-                  [this, s, update] { update(shards_[s]); });
+    engine_.post(shard_partition(s), rpc_latency_,
+                 [this, s, update] { update(shards_[s]); });
   }
 }
 
@@ -131,10 +129,6 @@ void ShardedBalancer::start_on(std::size_t shard,
   state->current_shard = state->home_shard;
   state->shards_left = static_cast<std::uint32_t>(shards_.size());
   state->probes_left = static_cast<std::uint32_t>(shards_[shard].owned.size());
-  if (engine_ == nullptr) {
-    try_shard(std::move(state));
-    return;
-  }
   const std::int32_t caller = sim::current_partition();
   ensure(caller >= 0, "ShardedBalancer::dispatch: call from inside partition "
                       "execution (seed with ParallelSimulation::run_on)");
@@ -143,15 +137,14 @@ void ShardedBalancer::start_on(std::size_t shard,
     try_shard(std::move(state));
     return;
   }
-  engine_->post(shard_partition(shard), rpc_latency_,
-                [this, state = std::move(state)]() mutable {
+  engine_.post(shard_partition(shard), rpc_latency_,
+               [this, state = std::move(state)]() mutable {
     try_shard(std::move(state));
   });
 }
 
-// Runs on the current shard's partition under the engine (inline in
-// sequential mode). One candidate per iteration; a remote probe suspends
-// the loop until its reply lands back on this shard.
+// Runs on the current shard's partition. One candidate per iteration; a
+// probe RPC suspends the loop until its reply lands back on this shard.
 void ShardedBalancer::try_shard(std::shared_ptr<Request> state) {
   Shard& sh = shards_[state->current_shard];
   while (state->probes_left > 0) {
@@ -160,22 +153,17 @@ void ShardedBalancer::try_shard(std::shared_ptr<Request> state) {
     ++sh.rr;
     if (sh.evicted[b] != 0 || sh.crashed[b] != 0) continue;
     if (sh.pressured[b] != 0 && !state->allow_pressured) continue;
-    const Backend& be = backends_[b];
-    if (engine_ == nullptr) {
-      if (!be.os->service_reachable(*be.apache)) continue;
-      serve(sh, b, std::move(state));
-      return;
-    }
     // Probe RPC: reachability lives host-side. The reply re-checks the
     // shard's membership view before anything is served.
+    const Backend& be = backends_[b];
     guest::GuestOs* os = be.os;
     guest::ApacheService* apache = be.apache;
-    engine_->post(backend_partition(b), rpc_latency_,
-                  [this, os, apache, b, state = std::move(state)]() mutable {
+    engine_.post(be.partition, rpc_latency_,
+                 [this, os, apache, b, state = std::move(state)]() mutable {
       const bool up = os->service_reachable(*apache);
       const auto shard = static_cast<std::size_t>(state->current_shard);
-      engine_->post(shard_partition(shard), rpc_latency_,
-                    [this, up, b, state = std::move(state)]() mutable {
+      engine_.post(shard_partition(shard), rpc_latency_,
+                   [this, up, b, state = std::move(state)]() mutable {
         probe_reply(up, b, std::move(state));
       });
     });
@@ -205,20 +193,16 @@ void ShardedBalancer::serve(Shard& sh, std::uint32_t b,
   ++sh.next_file[b];
   ++sh.dispatched;
   if (state->current_shard != state->home_shard) ++sh.federated;
-  if (engine_ == nullptr) {
-    be.apache->serve_file(*be.os, file, std::move(state->done));
-    return;
-  }
   guest::GuestOs* os = be.os;
   guest::ApacheService* apache = be.apache;
-  engine_->post(backend_partition(b), rpc_latency_,
-                [this, os, apache, file, state = std::move(state)]() mutable {
+  engine_.post(be.partition, rpc_latency_,
+               [this, os, apache, file, state = std::move(state)]() mutable {
     // serve_file itself reports failure if the host went down between the
     // probe reply and this serve landing; the fleet retries on done(false).
     apache->serve_file(*os, file,
                        [this, state = std::move(state)](bool ok) mutable {
       const std::int32_t reply = state->reply_partition;
-      engine_->post(reply, rpc_latency_, [ok, state = std::move(state)] {
+      engine_.post(reply, rpc_latency_, [ok, state = std::move(state)] {
         state->done(ok);
       });
     });
@@ -235,12 +219,8 @@ void ShardedBalancer::next_ring_hop(std::shared_ptr<Request> state) {
     state->current_shard = static_cast<std::uint32_t>(next);
     state->probes_left =
         static_cast<std::uint32_t>(shards_[next].owned.size());
-    if (engine_ == nullptr) {
-      try_shard(std::move(state));
-      return;
-    }
-    engine_->post(shard_partition(next), rpc_latency_,
-                  [this, state = std::move(state)]() mutable {
+    engine_.post(shard_partition(next), rpc_latency_,
+                 [this, state = std::move(state)]() mutable {
       try_shard(std::move(state));
     });
     return;
@@ -254,30 +234,17 @@ void ShardedBalancer::next_ring_hop(std::shared_ptr<Request> state) {
     state->current_shard = state->home_shard;
     state->probes_left =
         static_cast<std::uint32_t>(shards_[home].owned.size());
-    if (engine_ == nullptr) {
-      try_shard(std::move(state));
-      return;
-    }
-    engine_->post(shard_partition(home), rpc_latency_,
-                  [this, state = std::move(state)]() mutable {
+    engine_.post(shard_partition(home), rpc_latency_,
+                 [this, state = std::move(state)]() mutable {
       try_shard(std::move(state));
     });
     return;
   }
   ++shards_[state->current_shard].rejected;
-  if (engine_ == nullptr) {
-    state->done(false);
-    return;
-  }
   const std::int32_t reply = state->reply_partition;
-  engine_->post(reply, rpc_latency_, [state = std::move(state)] {
+  engine_.post(reply, rpc_latency_, [state = std::move(state)] {
     state->done(false);
   });
-}
-
-std::int32_t ShardedBalancer::backend_partition(std::uint32_t b) const {
-  const std::int32_t p = backends_[b].partition;
-  return p >= 0 ? p : sim::current_partition();
 }
 
 std::uint64_t ShardedBalancer::dispatched() const {

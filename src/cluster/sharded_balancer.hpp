@@ -5,10 +5,10 @@
 // The balancer partitions the session space by session-key hash across N
 // shards. Each shard owns a disjoint subset of the backends (host h's VMs
 // belong to shard h % N), keeps its own round-robin cursor and
-// per-backend file cursors, and -- under the parallel engine -- lives on
-// its own event partition so dispatch is parallel-in-run (DESIGN.md §12).
-// With one shard it is the paper's single round-robin balancer; the
-// cluster then binds that shard to its control partition.
+// per-backend file cursors, and lives on its own partition of the
+// parallel engine, so dispatch is parallel-in-run (DESIGN.md §12). With
+// one shard it is the paper's single round-robin balancer; the cluster
+// then places that shard on its control partition.
 //
 // Federation: when a shard's own backends are all evicted, pressured or
 // unreachable, the request spills over to the next shard in ring order,
@@ -36,12 +36,18 @@ class ShardedBalancer {
     guest::ApacheService* apache = nullptr;
     std::vector<std::int64_t> files;  ///< replicated content on this backend
     std::size_t host_index = 0;       ///< owning host; decides the shard
-    /// Event partition the backend's host lives on (-1 = same calendar as
-    /// the shards, i.e. the sequential fast path).
+    /// Event partition the backend's host lives on; probes and serves are
+    /// RPCs to it.
     std::int32_t partition = -1;
   };
 
-  explicit ShardedBalancer(std::size_t shards);
+  /// Shard s lives on partition first_shard_partition + s of `engine`
+  /// and reaches backends over request/reply RPCs with one-way latency
+  /// `rpc_latency` (>= the engine lookahead). dispatch()/dispatch_on()
+  /// must be called from inside partition execution.
+  ShardedBalancer(sim::ParallelSimulation& engine, std::size_t shards,
+                  std::int32_t first_shard_partition,
+                  sim::Duration rpc_latency);
   ShardedBalancer(const ShardedBalancer&) = delete;
   ShardedBalancer& operator=(const ShardedBalancer&) = delete;
 
@@ -56,22 +62,11 @@ class ShardedBalancer {
   }
 
   /// Registers a backend with its owning shard (host_index % shards).
-  /// Topology is fixed at setup: call only while the engine (if any) is
-  /// quiescent.
+  /// Topology is fixed at setup: call only while the engine is quiescent.
   void add_backend(Backend backend);
 
-  /// Partitioned mode: shard s lives on partition first_shard_partition+s
-  /// and reaches backends over request/reply RPCs with one-way latency
-  /// `rpc_latency` (>= the engine lookahead). dispatch()/dispatch_on()
-  /// must then be called from inside partition execution.
-  void bind_parallel(sim::ParallelSimulation& engine,
-                     std::int32_t first_shard_partition,
-                     sim::Duration rpc_latency);
-
   [[nodiscard]] std::int32_t shard_partition(std::size_t shard) const {
-    return engine_ != nullptr
-               ? first_shard_partition_ + static_cast<std::int32_t>(shard)
-               : -1;
+    return first_shard_partition_ + static_cast<std::int32_t>(shard);
   }
 
   /// Administratively removes (or restores) every backend on `host_index`
@@ -92,11 +87,11 @@ class ShardedBalancer {
   /// membership counters stay balanced.
   void set_host_crashed(std::size_t host_index, bool crashed);
 
-  /// Dispatches one request for `key` starting at its home shard.
-  /// Sequential mode: runs inline. Engine mode: call from inside
-  /// partition execution; `done` fires on the calling partition. A caller
-  /// already on the home shard's partition (the one-shard cluster's
-  /// control plane) starts inline; any other pays one routing hop.
+  /// Dispatches one request for `key` starting at its home shard. Call
+  /// from inside partition execution; `done` fires on the calling
+  /// partition. A caller already on the home shard's partition (the
+  /// one-shard cluster's control plane) starts there at once; any other
+  /// pays one routing hop.
   void dispatch(std::uint64_t key, std::function<void(bool)> done);
 
   /// Fast path for callers already executing on `shard`'s partition (the
@@ -137,12 +132,12 @@ class ShardedBalancer {
   }
 
   /// FNV-1a over every shard's cursors and counters; worker-count
-  /// invariant under the engine. Quiescent reads only.
+  /// invariant. Quiescent reads only.
   [[nodiscard]] std::uint64_t state_digest() const;
 
  private:
-  /// Per-shard hot state, cache-line padded: under the engine each shard
-  /// is touched only from its own partition, so shards never share lines.
+  /// Per-shard hot state, cache-line padded: each shard is touched only
+  /// from its own partition, so shards never share lines.
   struct alignas(64) Shard {
     std::vector<std::uint32_t> owned;      ///< backend indices, add order
     std::size_t rr = 0;                    ///< shard-local round-robin
@@ -180,16 +175,13 @@ class ShardedBalancer {
   void probe_reply(bool up, std::uint32_t b, std::shared_ptr<Request> state);
   void serve(Shard& sh, std::uint32_t b, std::shared_ptr<Request> state);
   void next_ring_hop(std::shared_ptr<Request> state);
-  [[nodiscard]] std::int32_t backend_partition(std::uint32_t b) const;
-  [[nodiscard]] bool quiescent() const {
-    return engine_ == nullptr || !engine_->running();
-  }
+  [[nodiscard]] bool quiescent() const { return !engine_.running(); }
 
   std::vector<Backend> backends_;  ///< append-only; frozen once running
   std::vector<Shard> shards_;
-  sim::ParallelSimulation* engine_ = nullptr;
-  std::int32_t first_shard_partition_ = -1;
-  sim::Duration rpc_latency_ = 0;
+  sim::ParallelSimulation& engine_;
+  std::int32_t first_shard_partition_;
+  sim::Duration rpc_latency_;
 };
 
 }  // namespace rh::cluster

@@ -4,26 +4,8 @@
 #include <utility>
 
 #include "simcore/check.hpp"
-#include "simcore/parallel.hpp"
 
 namespace rh::net {
-
-void Link::deliver(sim::InlineCallback on_delivered) {
-  ensure(static_cast<bool>(on_delivered), "Link::deliver: callback required");
-  if (remote_engine_ != nullptr) {
-    remote_engine_->post(remote_dst_, model_.latency, std::move(on_delivered));
-    return;
-  }
-  sim_.after(model_.latency, std::move(on_delivered));
-}
-
-void Link::bind_remote(sim::ParallelSimulation& engine,
-                       std::int32_t dst_partition) {
-  ensure(model_.latency >= engine.lookahead(),
-         "Link::bind_remote: link latency below the engine lookahead");
-  remote_engine_ = &engine;
-  remote_dst_ = dst_partition;
-}
 
 sim::Duration Link::bulk_duration(sim::Bytes size) const {
   return model_.latency + sim::transfer_time(size, model_.bulk_bandwidth_bps);

@@ -5,15 +5,9 @@
 // queue) so that all VMs on a host share the host's uplink.
 #pragma once
 
-#include <cstdint>
-
 #include "simcore/inline_callback.hpp"
 #include "simcore/simulation.hpp"
 #include "simcore/types.hpp"
-
-namespace rh::sim {
-class ParallelSimulation;
-}  // namespace rh::sim
 
 namespace rh::net {
 
@@ -22,27 +16,13 @@ struct LinkModel {
   double bulk_bandwidth_bps = 117.0e6;  ///< for link-level bulk transfers
 };
 
-/// A network link: delivers messages after one-way latency, and supports
-/// bulk transfers (used by live migration) that occupy the link FIFO-style.
+/// A network link with one-way latency, carrying bulk transfers (used by
+/// live migration) that occupy the link FIFO-style.
 class Link {
  public:
   Link(sim::Simulation& sim, LinkModel model) : sim_(sim), model_(model) {}
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
-
-  /// Delivers a small message (latency only; no bandwidth occupancy).
-  /// When the link is bound to a remote partition the delivery routes
-  /// through the parallel engine's mailboxes instead of the local
-  /// calendar; unbound links keep the inline fast path.
-  void deliver(sim::InlineCallback on_delivered);
-
-  /// Binds the link's deliveries to partition `dst_partition` of a
-  /// parallel engine: the far end of this link lives on another event
-  /// partition, and the link's one-way latency (which must be >= the
-  /// engine's lookahead) carries messages across the partition boundary.
-  void bind_remote(sim::ParallelSimulation& engine, std::int32_t dst_partition);
-
-  [[nodiscard]] bool remote() const { return remote_engine_ != nullptr; }
 
   /// Transfers `size` bytes over the link; the link is occupied for the
   /// transfer's duration (subsequent bulk transfers queue behind it).
@@ -64,8 +44,6 @@ class Link {
   LinkModel model_;
   sim::SimTime bulk_busy_until_ = 0;
   sim::Bytes bulk_bytes_ = 0;
-  sim::ParallelSimulation* remote_engine_ = nullptr;
-  std::int32_t remote_dst_ = -1;
 };
 
 }  // namespace rh::net

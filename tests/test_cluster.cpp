@@ -1,9 +1,13 @@
 // Cluster: analytic throughput model + DES load balancer + rolling rejuv.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "cluster/cluster.hpp"
 #include "cluster/session_fleet.hpp"
 #include "cluster/throughput_model.hpp"
+#include "simcore/parallel.hpp"
 #include "test_util.hpp"
 
 namespace rh::test {
@@ -54,64 +58,43 @@ TEST(ClusterModel, Validation) {
 
 // ------------------------------------------------------------------ DES
 
-struct ClusterRig {
-  static cluster::Cluster::Config config(int hosts, int vms) {
-    cluster::Cluster::Config c;
-    c.hosts = hosts;
-    c.vms_per_host = vms;
-    c.files_per_vm = 20;
-    return c;
-  }
+cluster::Cluster::Config web_cluster(int hosts = 2, int vms = 2) {
+  cluster::Cluster::Config c;
+  c.hosts = hosts;
+  c.vms_per_host = vms;
+  c.files_per_vm = 20;
+  return c;
+}
 
+/// Dispatches `n` requests (key i for the i-th) and runs 5 s; returns how
+/// many were served.
+int serve(ClusterRig& rig, int n) {
+  std::vector<std::uint64_t> keys(static_cast<std::size_t>(n));
+  std::iota(keys.begin(), keys.end(), std::uint64_t{0});
+  return rig.serve(keys);
+}
+
+/// Shuts host `h`'s dom0 down (which kills its network path) and runs
+/// until it is off.
+void take_down(ClusterRig& rig, int h) {
+  bool down = false;
+  rig.cl.host(h).shutdown_dom0([&down] { down = true; });
+  rig.run_while([&down] { return !down; });
+}
+
+TEST(Cluster, RequiresAnEngine) {
   sim::Simulation sim;
-  cluster::Cluster cl;
-
-  explicit ClusterRig(int hosts = 2, int vms = 2)
-      : cl(sim, config(hosts, vms)) {
-    bool ready = false;
-    cl.start([&ready] { ready = true; });
-    while (!ready && sim.pending_events() > 0) sim.step();
-    EXPECT_TRUE(ready);
-  }
-
-  cluster::ShardedBalancer& lb() { return *cl.sharded_balancer(); }
-
-  /// Dispatches `n` requests (key i for the i-th) and runs 5 s; returns
-  /// how many were served.
-  int serve(int n) {
-    int served = 0;
-    for (int i = 0; i < n; ++i) {
-      lb().dispatch(static_cast<std::uint64_t>(i),
-                    [&served](bool ok) { served += ok ? 1 : 0; });
-    }
-    sim.run_for(5 * sim::kSecond);
-    return served;
-  }
-
-  /// Requests host `h`'s web servers have served so far.
-  std::uint64_t served_by(int h) {
-    std::uint64_t n = 0;
-    for (auto* g : cl.guests_of(h)) {
-      n += static_cast<guest::ApacheService*>(g->find_service("httpd"))
-               ->requests_served();
-    }
-    return n;
-  }
-
-  /// VMs whose web server answers right now, on any host.
-  std::size_t reachable_vms() {
-    std::size_t n = 0;
-    for (int h = 0; h < cl.host_count(); ++h) {
-      for (auto* g : cl.guests_of(h)) {
-        n += g->service_reachable(*g->find_service("httpd")) ? 1 : 0;
-      }
-    }
-    return n;
-  }
-};
+  EXPECT_THROW((cluster::Cluster{sim, web_cluster()}), InvariantViolation);
+  // Two hosts and one shard need 1 + 0 + 2 partitions, not 4.
+  sim::ParallelSimulation engine({.partitions = 4, .workers = 1});
+  cluster::Cluster::Config cfg = web_cluster();
+  cfg.engine = &engine;
+  EXPECT_THROW((cluster::Cluster{engine.partition(0), cfg}),
+               InvariantViolation);
+}
 
 TEST(Cluster, StartBringsAllBackendsUp) {
-  ClusterRig rig;
+  ClusterRig rig(web_cluster());
   EXPECT_EQ(rig.lb().backend_count(), std::size_t{4});
   EXPECT_EQ(rig.reachable_vms(), std::size_t{4});
   for (int h = 0; h < 2; ++h) {
@@ -123,38 +106,22 @@ TEST(Cluster, StartBringsAllBackendsUp) {
 }
 
 TEST(Cluster, BalancerSkipsUnreachableBackends) {
-  ClusterRig rig;
-  // Take host 0 down (dom0 shutdown kills its network path).
-  bool down = false;
-  rig.cl.host(0).shutdown_dom0([&down] { down = true; });
-  while (!down) rig.sim.step();
+  ClusterRig rig(web_cluster());
+  take_down(rig, 0);
   EXPECT_EQ(rig.reachable_vms(), std::size_t{2});
-  EXPECT_EQ(rig.serve(10), 10);  // host 1 carried everything
+  EXPECT_EQ(serve(rig, 10), 10);  // host 1 carried everything
 }
 
 TEST(Cluster, DispatchFailsOnlyWhenAllDown) {
-  ClusterRig rig(1, 1);
-  bool down = false;
-  rig.cl.host(0).shutdown_dom0([&down] { down = true; });
-  while (!down) rig.sim.step();
+  ClusterRig rig(web_cluster(1, 1));
+  take_down(rig, 0);
   bool ok = true;
-  rig.lb().dispatch(0, [&](bool served) { ok = served; });
+  rig.run_on(0, [&] {
+    rig.lb().dispatch(0, [&](bool served) { ok = served; });
+  });
+  rig.run_for(sim::kSecond);
   EXPECT_FALSE(ok);
   EXPECT_EQ(rig.lb().rejected(), std::uint64_t{1});
-}
-
-/// Runs one rolling pass with `config` to completion and returns its report.
-cluster::Cluster::WaveReport run_pass(ClusterRig& rig,
-                                      cluster::Cluster::WaveConfig config = {}) {
-  bool done = false;
-  cluster::Cluster::WaveReport report;
-  rig.cl.rolling_rejuvenation_waves(
-      config, [&](const cluster::Cluster::WaveReport& r) {
-        report = r;
-        done = true;
-      });
-  while (!done) rig.sim.step();
-  return report;
 }
 
 /// Hosts whose wave turn left VMs unrecovered (and so were evicted).
@@ -177,22 +144,23 @@ std::size_t ladder_runs(const cluster::Cluster::WaveReport& report) {
 }
 
 TEST(Cluster, RollingWarmRejuvenationKeepsServiceAvailable) {
-  ClusterRig rig;
-  cluster::ClusterClientFleet fleet(rig.sim, rig.lb(), {});
-  fleet.start();
-  rig.sim.run_for(10 * sim::kSecond);
-  const sim::SimTime t0 = rig.sim.now();
-  const auto report = run_pass(rig);
-  const sim::Duration pass = rig.sim.now() - t0;
-  rig.sim.run_for(10 * sim::kSecond);
+  ClusterRig rig(web_cluster());
+  cluster::ClusterClientFleet fleet(rig.engine.partition(0), rig.lb(), {});
+  rig.run_on(0, [&fleet] { fleet.start(); });
+  rig.run_for(10 * sim::kSecond);
+  const sim::SimTime t0 = rig.now();
+  const auto report = rig.run_waves();
+  // The last wave's barrier is the moment the pass reports.
+  const sim::Duration pass = report.waves.back().finished - t0;
+  rig.run_for(10 * sim::kSecond);
   fleet.stop();
   // Two hosts rejuvenated one at a time (the default wave is one host) --
   // throughout, the other host kept answering: there is never a window
-  // with zero backends. The single calendar is deterministic, so the
-  // durations are exact.
+  // with zero backends. The engine is deterministic, so the durations are
+  // exact.
   EXPECT_EQ(report.waves.size(), std::size_t{2});
   EXPECT_EQ(report.hosts_rejuvenated, std::size_t{2});
-  EXPECT_EQ(pass, sim::Duration{106257582});
+  EXPECT_EQ(pass, sim::Duration{106259182});
   EXPECT_EQ(rig.cl.rejuvenation_durations(),
             (std::vector<sim::Duration>{53128791, 53128791}));
   EXPECT_EQ(rig.lb().rejected(), std::uint64_t{0});
@@ -206,7 +174,7 @@ TEST(Cluster, RollingWarmRejuvenationKeepsServiceAvailable) {
 }
 
 TEST(Cluster, GuestsOfValidatesIndex) {
-  ClusterRig rig;
+  ClusterRig rig(web_cluster());
   EXPECT_THROW((void)rig.cl.host(5), InvariantViolation);
   EXPECT_THROW((void)rig.cl.guest(0, 9), InvariantViolation);
   EXPECT_EQ(rig.cl.guests_of(0).size(), std::size_t{2});
@@ -215,22 +183,22 @@ TEST(Cluster, GuestsOfValidatesIndex) {
 TEST(Cluster, OverlappingRollingPassesAreRejected) {
   // A second rolling pass while one is in flight would silently drop the
   // first pass's supervisors mid-reboot; it must fail fast instead.
-  ClusterRig rig;
+  ClusterRig rig(web_cluster());
   bool done = false;
-  rig.cl.rolling_rejuvenation_waves(
-      {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
+  rig.start_waves({}, done);
+  rig.run_while([&rig] { return !rig.cl.rolling_in_progress(); });
   EXPECT_TRUE(rig.cl.rolling_in_progress());
   EXPECT_THROW(rig.cl.rolling_rejuvenation_waves({}, [](auto&) {}),
                InvariantViolation);
-  while (!done) rig.sim.step();
+  rig.run_while([&done] { return !done; });
   EXPECT_FALSE(rig.cl.rolling_in_progress());
   // Once the pass finished, a new one is welcome again.
-  EXPECT_EQ(run_pass(rig).hosts_rejuvenated, std::size_t{2});
+  EXPECT_EQ(rig.run_waves().hosts_rejuvenated, std::size_t{2});
 }
 
 TEST(Cluster, SupervisedRollingPassIsCleanWithoutFaults) {
-  ClusterRig rig;
-  const auto report = run_pass(rig);
+  ClusterRig rig(web_cluster());
+  const auto report = rig.run_waves();
   EXPECT_TRUE(report.fully_recovered());
   ASSERT_EQ(ladder_runs(report), std::size_t{2});  // one per host, no retries
   for (const auto& w : report.waves) {
@@ -245,7 +213,7 @@ TEST(Cluster, SupervisedRollingPassIsCleanWithoutFaults) {
 }
 
 TEST(Cluster, SupervisedRollingEvictsFailedHostAndRetriesIt) {
-  ClusterRig rig;
+  ClusterRig rig(web_cluster());
   // Host 1's boots will hang forever (until the operator intervenes).
   fault::FaultConfig faults;
   faults.boot_hang_rate = 1.0;
@@ -256,20 +224,18 @@ TEST(Cluster, SupervisedRollingEvictsFailedHostAndRetriesIt) {
   cfg.supervisor.max_step_retries = 0;
   bool done = false;
   cluster::Cluster::WaveReport report;
-  rig.cl.rolling_rejuvenation_waves(
-      cfg, [&](const cluster::Cluster::WaveReport& r) {
-        report = r;
-        done = true;
-      });
-  // Step until host 1's ladder exhausts and it is evicted mid-pass...
-  while (!done && rig.lb().evicted_backends() == 0) rig.sim.step();
+  rig.start_waves(cfg, done, &report);
+  // Run until host 1's ladder exhausts and it is evicted mid-pass...
+  rig.run_while(
+      [&] { return !done && rig.lb().evicted_backends() == 0; });
   ASSERT_FALSE(done);
   EXPECT_EQ(rig.lb().evicted_backends(), std::size_t{2});
   // ...the balancer keeps serving from host 0 in the meantime...
-  EXPECT_EQ(rig.serve(8), 8);
+  EXPECT_EQ(serve(rig, 8), 8);
   // ...then the root cause is fixed, and the end-of-pass retry succeeds.
   rig.cl.host(1).configure_faults(fault::FaultConfig{});
-  while (!done) rig.sim.step();
+  rig.run_while([&done] { return !done; });
+  rig.run_for(sim::kSecond);  // the readmit broadcast lands one RPC later
 
   EXPECT_TRUE(report.fully_recovered());
   ASSERT_EQ(evicted_hosts(report), (std::vector<std::size_t>{1}));
@@ -284,7 +250,7 @@ TEST(Cluster, SupervisedRollingEvictsFailedHostAndRetriesIt) {
 }
 
 TEST(Cluster, SupervisedRollingGivesUpAfterHostRetryBudget) {
-  ClusterRig rig;
+  ClusterRig rig(web_cluster());
   fault::FaultConfig faults;
   faults.boot_hang_rate = 1.0;  // never fixed this time
   rig.cl.host(0).configure_faults(faults);
@@ -293,7 +259,7 @@ TEST(Cluster, SupervisedRollingGivesUpAfterHostRetryBudget) {
   cfg.kind = rejuv::RebootKind::kCold;
   cfg.supervisor.max_step_retries = 0;
   cfg.max_host_retries = 1;
-  const auto report = run_pass(rig, cfg);
+  const auto report = rig.run_waves(cfg);
   EXPECT_FALSE(report.fully_recovered());
   EXPECT_EQ(evicted_hosts(report), (std::vector<std::size_t>{0}));
   EXPECT_EQ(report.unrecovered_hosts, (std::vector<std::size_t>{0}));
@@ -310,7 +276,7 @@ TEST(Cluster, LostHostIsNotCountedAsRejuvenated) {
   // Every host ends the pass in exactly one bucket: rejuvenated,
   // recovered by a retry, or unrecovered. Host 1's boots always hang and
   // it gets no retry budget beyond the first attempt, so it is lost.
-  ClusterRig rig;
+  ClusterRig rig(web_cluster());
   fault::FaultConfig faults;
   faults.boot_hang_rate = 1.0;
   rig.cl.host(1).configure_faults(faults);
@@ -319,7 +285,7 @@ TEST(Cluster, LostHostIsNotCountedAsRejuvenated) {
   cfg.kind = rejuv::RebootKind::kCold;
   cfg.supervisor.max_step_retries = 0;
   cfg.max_host_retries = 0;
-  const auto report = run_pass(rig, cfg);
+  const auto report = rig.run_waves(cfg);
   EXPECT_EQ(report.hosts_rejuvenated, std::size_t{1});
   EXPECT_TRUE(report.recovered_hosts.empty());
   EXPECT_EQ(report.unrecovered_hosts, (std::vector<std::size_t>{1}));
@@ -327,10 +293,10 @@ TEST(Cluster, LostHostIsNotCountedAsRejuvenated) {
 }
 
 TEST(Cluster, EvictionExcludesBackendsFromDispatchUntilLifted) {
-  ClusterRig rig;
+  ClusterRig rig(web_cluster());
   rig.lb().set_host_evicted(0, true);
   EXPECT_EQ(rig.lb().evicted_backends(), std::size_t{2});
-  EXPECT_EQ(rig.serve(6), 6);  // host 1 carried everything...
+  EXPECT_EQ(serve(rig, 6), 6);  // host 1 carried everything...
   EXPECT_EQ(rig.served_by(0), std::uint64_t{0});  // ...host 0 served none
   rig.lb().set_host_evicted(0, false);
   EXPECT_EQ(rig.lb().evicted_backends(), std::size_t{0});

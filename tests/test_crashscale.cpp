@@ -11,48 +11,36 @@
 #include "cluster/cluster.hpp"
 #include "cluster/session_fleet.hpp"
 #include "cluster/sharded_balancer.hpp"
+#include "test_util.hpp"
 
 namespace rh::test {
 namespace {
 
-// Sequential sharded cluster with steady VMM faults armed at `rate`.
-struct CrashRig {
-  static cluster::Cluster::Config config(int hosts, int shards, double rate) {
-    cluster::Cluster::Config c;
-    c.hosts = hosts;
-    c.shards = shards;
-    c.vms_per_host = 1;
-    c.files_per_vm = 8;
-    c.file_size = 64 * sim::kKiB;
-    c.faults.vmm_crash_rate = rate;
-    return c;
-  }
-
-  sim::Simulation sim;
-  cluster::Cluster cl;
-
-  CrashRig(int hosts, int shards, double rate)
-      : cl(sim, config(hosts, shards, rate)) {
-    bool ready = false;
-    cl.start([&ready] { ready = true; });
-    while (!ready && sim.pending_events() > 0) sim.step();
-    EXPECT_TRUE(ready);
-  }
-};
+// Sharded cluster with steady VMM faults armed at `rate`.
+cluster::Cluster::Config crash_cluster(int hosts, int shards, double rate) {
+  cluster::Cluster::Config c;
+  c.hosts = hosts;
+  c.shards = shards;
+  c.vms_per_host = 1;
+  c.files_per_vm = 8;
+  c.file_size = 64 * sim::kKiB;
+  c.faults.vmm_crash_rate = rate;
+  return c;
+}
 
 TEST(SteadyFaultsAtScale, CrashRecoverReadmitCycleKeepsTheFleetWhole) {
-  CrashRig rig(2, 2, /*rate=*/1.0);
+  ClusterRig rig(crash_cluster(2, 2, /*rate=*/1.0));
   cluster::Cluster::SteadyFaultsConfig sfc;
   sfc.process.check_interval = sim::kSecond;
   sfc.supervisor.micro.enabled = true;
   sfc.supervisor.micro.success_rate = 1.0;  // every hit recovers in place
   rig.cl.start_steady_faults(sfc);
 
-  rig.sim.run_for(10 * sim::kSecond);
+  rig.run_for(10 * sim::kSecond);
   // Disarming stops new arrivals; in-flight ladders drain out, after
   // which every failure has a matching recovery and readmission.
   rig.cl.stop_steady_faults();
-  rig.sim.run_for(10 * sim::kSecond);
+  rig.run_for(10 * sim::kSecond);
   const auto& rep = rig.cl.unplanned_report();
   // Certain hit on every check: both hosts cycled through crash ->
   // micro-recover -> readmit repeatedly.
@@ -63,47 +51,70 @@ TEST(SteadyFaultsAtScale, CrashRecoverReadmitCycleKeepsTheFleetWhole) {
   EXPECT_GT(rep.downtime, sim::Duration{0});
   // Every eviction was matched by a readmission.
   EXPECT_EQ(rig.cl.unplanned_down_hosts(), std::size_t{0});
-  EXPECT_EQ(rig.cl.sharded_balancer()->crashed_backends(), std::size_t{0});
-  EXPECT_EQ(rig.cl.sharded_balancer()->crash_broadcasts(),
-            2 * rep.recoveries);
+  EXPECT_EQ(rig.lb().crashed_backends(), std::size_t{0});
+  EXPECT_EQ(rig.lb().crash_broadcasts(), 2 * rep.recoveries);
 
   // And no further arrivals fire once disarmed.
   const std::uint64_t before = rep.failures;
-  rig.sim.run_for(10 * sim::kSecond);
+  rig.run_for(10 * sim::kSecond);
   EXPECT_EQ(rig.cl.unplanned_report().failures, before);
+}
+
+TEST(SteadyFaultsAtScale, EveryStartedLadderIsPlacedInTheReport) {
+  // Micro-recovery off: each crash takes the hardware reboot, so both
+  // hosts are still down at 2 s with their ladders in flight.
+  ClusterRig rig(crash_cluster(2, 2, /*rate=*/1.0));
+  cluster::Cluster::SteadyFaultsConfig sfc;
+  sfc.process.check_interval = 500 * sim::kMillisecond;
+  rig.cl.start_steady_faults(sfc);
+  rig.run_for(2 * sim::kSecond);
+  const auto& rep = rig.cl.unplanned_report();
+  EXPECT_EQ(rep.in_flight, std::uint64_t{2});
+  EXPECT_EQ(rep.failures, std::uint64_t{2});
+  EXPECT_EQ(rep.recoveries + rep.unrecovered, std::uint64_t{0});
+  EXPECT_EQ(rig.cl.unplanned_down_hosts(), std::size_t{2});
+
+  // Disarmed and drained: every ladder reported, none left in flight.
+  rig.cl.stop_steady_faults();
+  rig.run_for(30 * sim::kMinute);
+  EXPECT_EQ(rep.in_flight, std::uint64_t{0});
+  EXPECT_GE(rep.failures, std::uint64_t{2});
+  EXPECT_EQ(rep.failures, rep.recoveries + rep.unrecovered + rep.in_flight);
+  EXPECT_EQ(rig.cl.unplanned_down_hosts(), std::size_t{0});
 }
 
 TEST(SteadyFaultsAtScale, WaveAdmissionPausesUntilCrashBudgetFrees) {
   // Micro-recovery disabled: a crash takes the legacy hardware reboot, so
   // both hosts are down for minutes of sim time after the first check.
-  CrashRig rig(2, 2, /*rate=*/1.0);
+  ClusterRig rig(crash_cluster(2, 2, /*rate=*/1.0));
   cluster::Cluster::SteadyFaultsConfig sfc;
   sfc.process.check_interval = 500 * sim::kMillisecond;
   rig.cl.start_steady_faults(sfc);
-  rig.sim.run_for(2 * sim::kSecond);
+  rig.run_for(2 * sim::kSecond);
   ASSERT_EQ(rig.cl.unplanned_down_hosts(), std::size_t{2});
 
   // With every host crash-down, the unplanned outages exhaust the budget:
-  // the wave must pause instead of admitting turns onto dead hosts.
+  // the wave must pause instead of admitting turns onto dead hosts. The
+  // signal gather takes one round trip before admission decides.
   bool done = false;
   cluster::Cluster::WaveConfig wcfg;
   wcfg.wave_size = 1;
   wcfg.max_concurrent_down = 1;
-  rig.cl.rolling_rejuvenation_waves(
-      wcfg, [&done](const cluster::Cluster::WaveReport&) { done = true; });
+  rig.start_waves(wcfg, done);
+  rig.run_for(10 * sim::kMillisecond);
   EXPECT_FALSE(done);
   EXPECT_GE(rig.cl.last_wave_report().admission_pauses, std::size_t{1});
 
   // While the steady process keeps striking every 500 ms, some host is
   // crash-down essentially always, so the budget never frees: the wave
   // starves rather than admit a turn it has no downtime budget for.
-  rig.sim.run_for(10 * sim::kMinute);
+  rig.run_for(10 * sim::kMinute);
   EXPECT_FALSE(done);
 
   // Once the fault source dries up, the last recovery's kick replans the
   // remaining order from the live outcomes and the pass completes.
   rig.cl.stop_steady_faults();
-  rig.sim.run_for(30 * sim::kMinute);
+  rig.run_for(30 * sim::kMinute);
   EXPECT_TRUE(done);
   const auto& report = rig.cl.last_wave_report();
   EXPECT_EQ(report.hosts_rejuvenated + report.unrecovered_hosts.size(),
@@ -117,7 +128,7 @@ TEST(SteadyFaultsAtScale, FaultsDuringAnOwnedLadderAreAbsorbed) {
   // One host, so the planned wave pass owns it while steady arrivals keep
   // landing: the recovery driver must absorb them instead of stacking a
   // second ladder onto the host (the PR-8 overlap guard).
-  CrashRig rig(1, 1, /*rate=*/1.0);
+  ClusterRig rig(crash_cluster(1, 1, /*rate=*/1.0));
   cluster::Cluster::SteadyFaultsConfig sfc;
   sfc.process.check_interval = sim::kSecond;
   sfc.supervisor.micro.enabled = true;
@@ -127,12 +138,11 @@ TEST(SteadyFaultsAtScale, FaultsDuringAnOwnedLadderAreAbsorbed) {
   bool done = false;
   cluster::Cluster::WaveConfig wcfg;
   wcfg.wave_size = 1;
-  rig.cl.rolling_rejuvenation_waves(
-      wcfg, [&done](const cluster::Cluster::WaveReport&) { done = true; });
-  rig.sim.run_for(5 * sim::kMinute);
+  rig.start_waves(wcfg, done);
+  rig.run_for(5 * sim::kMinute);
   EXPECT_TRUE(done);
   rig.cl.stop_steady_faults();
-  rig.sim.run_for(10 * sim::kSecond);  // drain the last in-flight ladder
+  rig.run_for(10 * sim::kSecond);  // drain the last in-flight ladder
   const auto& rep = rig.cl.unplanned_report();
   EXPECT_GT(rep.absorbed, std::uint64_t{0});
   EXPECT_EQ(rep.failures, rep.recoveries + rep.unrecovered);
@@ -144,7 +154,7 @@ TEST(SteadyFaultsAtScale, RetryOntoAnUnplannedLadderBacksOff) {
   // and unplanned ladders own the host (each one waits out the boot
   // watchdog). A retry that finds the host owned must count as a failed
   // attempt and back off, not trip the host's overlap guard.
-  CrashRig rig(2, 1, /*rate=*/0.0);
+  ClusterRig rig(crash_cluster(2, 1, /*rate=*/0.0));
   fault::FaultConfig hang;
   hang.boot_hang_rate = 1.0;
   rig.cl.host(1).configure_faults(hang);
@@ -157,14 +167,9 @@ TEST(SteadyFaultsAtScale, RetryOntoAnUnplannedLadderBacksOff) {
   wcfg.max_host_retries = 1;
   wcfg.host_retry_base = sim::kMinute;
   wcfg.host_retry_cap = 2 * sim::kMinute;
-  rig.cl.rolling_rejuvenation_waves(
-      wcfg, [&](const cluster::Cluster::WaveReport& r) {
-        report = r;
-        done = true;
-      });
-  while (!done && rig.cl.sharded_balancer()->evicted_backends() == 0) {
-    rig.sim.step();
-  }
+  rig.start_waves(wcfg, done, &report);
+  rig.run_while(
+      [&] { return !done && rig.lb().evicted_backends() == 0; });
   ASSERT_FALSE(done);
 
   fault::FaultConfig crash = hang;
@@ -176,7 +181,7 @@ TEST(SteadyFaultsAtScale, RetryOntoAnUnplannedLadderBacksOff) {
 
   // Both attempts (after 1 and then 2 more minutes) land inside an
   // unplanned ladder: no recovery runs, and the host ends unrecovered.
-  EXPECT_NO_THROW(rig.sim.run_for(10 * sim::kMinute));
+  EXPECT_NO_THROW(rig.run_for(10 * sim::kMinute));
   ASSERT_TRUE(done);
   EXPECT_TRUE(report.retries.empty());
   EXPECT_TRUE(report.recovered_hosts.empty());
@@ -188,38 +193,38 @@ TEST(SteadyFaultsAtScale, RetryOntoAnUnplannedLadderBacksOff) {
 }
 
 TEST(SteadyFaultsAtScale, FleetSplitsPlannedFromUnplannedDowntime) {
-  CrashRig rig(2, 2, /*rate=*/0.0);
-  cluster::SessionFleet fleet(*rig.cl.sharded_balancer(),
+  ClusterRig rig(crash_cluster(2, 2, /*rate=*/0.0));
+  cluster::SessionFleet fleet(rig.lb(),
                               {.sessions = 16,
                                .think_base = 1 * sim::kSecond,
                                .think_spread = 1 * sim::kSecond,
                                .retry_interval = 500 * sim::kMillisecond,
                                .tick = 250 * sim::kMillisecond});
-  fleet.start(rig.sim);
-  rig.sim.run_for(3 * sim::kSecond);
-  fleet.begin_window(rig.sim.now());
+  fleet.start(rig.engine);
+  rig.run_for(3 * sim::kSecond);
+  fleet.begin_window(rig.now());
 
   // First outage: a planned drain (admin eviction of every backend).
-  rig.cl.sharded_balancer()->set_host_evicted(0, true);
-  rig.cl.sharded_balancer()->set_host_evicted(1, true);
-  rig.sim.run_for(4 * sim::kSecond);
-  rig.cl.sharded_balancer()->set_host_evicted(0, false);
-  rig.cl.sharded_balancer()->set_host_evicted(1, false);
-  rig.sim.run_for(6 * sim::kSecond);
-  const auto planned = fleet.stats(rig.sim.now());
+  rig.lb().set_host_evicted(0, true);
+  rig.lb().set_host_evicted(1, true);
+  rig.run_for(4 * sim::kSecond);
+  rig.lb().set_host_evicted(0, false);
+  rig.lb().set_host_evicted(1, false);
+  rig.run_for(6 * sim::kSecond);
+  const auto planned = fleet.stats(rig.now());
   EXPECT_GT(planned.planned_downtime, sim::Duration{0});
   EXPECT_EQ(planned.unplanned_downtime, sim::Duration{0});
 
   // Second outage: the same shape, but the shards know their backends are
   // crash-down, so the downtime lands in the unplanned column.
-  rig.cl.sharded_balancer()->set_host_crashed(0, true);
-  rig.cl.sharded_balancer()->set_host_crashed(1, true);
-  rig.sim.run_for(4 * sim::kSecond);
-  rig.cl.sharded_balancer()->set_host_crashed(0, false);
-  rig.cl.sharded_balancer()->set_host_crashed(1, false);
-  rig.sim.run_for(6 * sim::kSecond);
+  rig.lb().set_host_crashed(0, true);
+  rig.lb().set_host_crashed(1, true);
+  rig.run_for(4 * sim::kSecond);
+  rig.lb().set_host_crashed(0, false);
+  rig.lb().set_host_crashed(1, false);
+  rig.run_for(6 * sim::kSecond);
   fleet.stop();
-  const auto both = fleet.stats(rig.sim.now());
+  const auto both = fleet.stats(rig.now());
   EXPECT_GT(both.unplanned_downtime, sim::Duration{0});
   EXPECT_EQ(both.planned_downtime, planned.planned_downtime);
   // The split is an attribution, not extra downtime: the columns sum to

@@ -18,6 +18,7 @@
 #include "mm/balloon.hpp"
 #include "rejuv/admission.hpp"
 #include "rejuv/supervisor.hpp"
+#include "simcore/parallel.hpp"
 #include "test_util.hpp"
 
 namespace rh::test {
@@ -512,12 +513,16 @@ TEST(MemoryPressure, ReducedAllocationBootPopulatesOnlyTheWorkingSet) {
 // ----------------------------------------------------------- cluster
 
 TEST(MemoryPressure, BalancerStopsPlacingOnPressuredHostsButFallsBack) {
-  sim::Simulation sim;
-  vmm::Host host_a(sim, {}, 42);
-  vmm::Host host_b(sim, {}, 43);
+  // The one shard on partition 0, host A on partition 1, host B on 2.
+  constexpr sim::Duration kLatency = 200;
+  sim::ParallelSimulation engine({.partitions = 3, .workers = 1});
+  engine.register_link(kLatency);
+  vmm::Host host_a(engine.partition(1), {}, 42);
+  vmm::Host host_b(engine.partition(2), {}, 43);
   host_a.instant_start();
   host_b.instant_start();
-  cluster::ShardedBalancer balancer(1);
+  cluster::ShardedBalancer balancer(engine, 1, /*first_shard_partition=*/0,
+                                    kLatency);
   std::vector<std::unique_ptr<guest::GuestOs>> guests;
   std::vector<guest::ApacheService*> apaches;
   for (vmm::Host* host : {&host_a, &host_b}) {
@@ -527,21 +532,26 @@ TEST(MemoryPressure, BalancerStopsPlacingOnPressuredHostsButFallsBack) {
     g->vfs().create_file("doc", sim::kMiB);
     bool up = false;
     g->create_and_boot([&up] { up = true; });
-    run_until_flag(sim, up);
+    engine.run_while([&up] { return !up; });
+    ASSERT_TRUE(up);
     auto* apache =
         static_cast<guest::ApacheService*>(g->find_service("httpd"));
     balancer.add_backend({g.get(), apache, {0},
-                          /*host_index=*/host == &host_a ? 0u : 1u});
+                          /*host_index=*/host == &host_a ? 0u : 1u,
+                          /*partition=*/host == &host_a ? 1 : 2});
     apaches.push_back(apache);
     guests.push_back(std::move(g));
   }
   const auto serve_one = [&] {
     bool done = false, ok = false;
-    balancer.dispatch(0, [&](bool served) {
-      ok = served;
-      done = true;
+    engine.run_on(0, [&] {
+      balancer.dispatch(0, [&](bool served) {
+        ok = served;
+        done = true;
+      });
     });
-    run_until_flag(sim, done);
+    engine.run_while([&done] { return !done; });
+    EXPECT_TRUE(done);
     return ok;
   };
   // Unpressured: round-robin spreads over both hosts.
@@ -568,29 +578,21 @@ TEST(MemoryPressure, BalancerStopsPlacingOnPressuredHostsButFallsBack) {
 }
 
 TEST(MemoryPressure, SupervisedRollingPassMarksPressuredHosts) {
-  sim::Simulation sim;
   cluster::Cluster::Config cfg;
   cfg.hosts = 2;
   cfg.vms_per_host = 2;
   cfg.files_per_vm = 5;
   cfg.calib.preserved_frame_budget = 1536 * sim::kMiB / sim::kPageSize;
-  cluster::Cluster cl(sim, cfg);
-  bool ready = false;
-  cl.start([&ready] { ready = true; });
-  while (!ready && sim.pending_events() > 0) sim.step();
-  ASSERT_TRUE(ready);
+  ClusterRig rig(cfg);
 
   cluster::Cluster::WaveConfig wave;
   wave.supervisor.admission.enabled = true;
   bool done = false;
   cluster::Cluster::WaveReport report;
-  cl.rolling_rejuvenation_waves(
-      wave, [&](const cluster::Cluster::WaveReport& r) {
-        report = r;
-        done = true;
-      });
-  while (!done && sim.pending_events() > 0) sim.step();
+  rig.start_waves(wave, done, &report);
+  rig.run_while([&done] { return !done; });
   ASSERT_TRUE(done);
+  rig.run_for(sim::kSecond);  // the pressure broadcast lands one RPC later
   // Both hosts completed their turn (degraded, not evicted)...
   EXPECT_TRUE(report.fully_recovered());
   EXPECT_EQ(report.hosts_rejuvenated, std::size_t{2});
@@ -605,15 +607,9 @@ TEST(MemoryPressure, SupervisedRollingPassMarksPressuredHosts) {
   // ...and both are marked pressured: still in service as a fallback,
   // but no longer preferred for new placements.
   EXPECT_EQ(report.pressured_hosts, (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(cl.sharded_balancer()->pressured_backends(), std::size_t{4});
-  EXPECT_EQ(cl.sharded_balancer()->evicted_backends(), std::size_t{0});
-  std::size_t reachable = 0;
-  for (int h = 0; h < cfg.hosts; ++h) {
-    for (auto* g : cl.guests_of(h)) {
-      reachable += g->service_reachable(*g->find_service("httpd")) ? 1 : 0;
-    }
-  }
-  EXPECT_EQ(reachable, std::size_t{4});
+  EXPECT_EQ(rig.lb().pressured_backends(), std::size_t{4});
+  EXPECT_EQ(rig.lb().evicted_backends(), std::size_t{0});
+  EXPECT_EQ(rig.reachable_vms(), std::size_t{4});
 }
 
 // ---------------------------------------------------------- determinism

@@ -235,15 +235,11 @@ TEST(MicroRecovery, WaveReportReflectsMidWaveLadderOutcomes) {
   // micro-recovery enabled the wave completes on the preferred rung; with
   // it disabled every host degrades to cold and the report says so.
   auto run_wave = [](bool micro_enabled) {
-    sim::Simulation sim;
     cluster::Cluster::Config ccfg;
     ccfg.hosts = 2;
     ccfg.vms_per_host = 2;
     ccfg.faults.vmm_crash_rate = 1.0;
-    cluster::Cluster cl(sim, ccfg);
-    bool ready = false;
-    cl.start([&ready] { ready = true; });
-    run_until_flag(sim, ready, 2 * sim::kHour);
+    ClusterRig rig(ccfg);
     cluster::Cluster::WaveConfig wcfg;
     wcfg.wave_size = 2;
     if (micro_enabled) {
@@ -252,12 +248,10 @@ TEST(MicroRecovery, WaveReportReflectsMidWaveLadderOutcomes) {
     }
     bool done = false;
     cluster::Cluster::WaveReport report;
-    cl.rolling_rejuvenation_waves(
-        wcfg, [&](const cluster::Cluster::WaveReport& r) {
-          report = r;
-          done = true;
-        });
-    run_until_flag(sim, done, 12 * sim::kHour);
+    rig.start_waves(wcfg, done, &report);
+    const sim::SimTime deadline = rig.now() + 12 * sim::kHour;
+    rig.run_while([&] { return !done && rig.now() < deadline; });
+    EXPECT_TRUE(done);
     return report;
   };
 

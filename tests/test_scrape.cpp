@@ -249,27 +249,14 @@ TEST(SloEvaluator, DarkTransitionFiresOnceUntilReset) {
 
 // ------------------------------------------------- scraping the cluster
 
-struct ScrapeRig {
-  sim::Simulation sim;
-  cluster::Cluster cl;
-
-  static cluster::Cluster::Config config(int hosts, bool observe) {
-    cluster::Cluster::Config c;
-    c.hosts = hosts;
-    c.vms_per_host = 2;
-    c.files_per_vm = 4;
-    c.observe = observe;
-    return c;
-  }
-
-  explicit ScrapeRig(int hosts = 3, bool observe = false)
-      : cl(sim, config(hosts, observe)) {
-    bool ready = false;
-    cl.start([&ready] { ready = true; });
-    while (!ready && sim.pending_events() > 0) sim.step();
-    EXPECT_TRUE(ready);
-  }
-};
+cluster::Cluster::Config scrape_cluster(int hosts = 3, bool observe = false) {
+  cluster::Cluster::Config c;
+  c.hosts = hosts;
+  c.vms_per_host = 2;
+  c.files_per_vm = 4;
+  c.observe = observe;
+  return c;
+}
 
 cluster::Cluster::ScrapeConfig fast_scrape() {
   cluster::Cluster::ScrapeConfig sc;
@@ -279,9 +266,9 @@ cluster::Cluster::ScrapeConfig fast_scrape() {
 }
 
 TEST(Scrape, RoundsIngestEveryHost) {
-  ScrapeRig rig(3);
+  ClusterRig rig(scrape_cluster(3));
   rig.cl.start_scraping(fast_scrape());
-  rig.sim.run_for(3 * sim::kSecond + 500 * sim::kMillisecond);
+  rig.run_for(3 * sim::kSecond + 500 * sim::kMillisecond);
   cluster::MetricsScraper& s = *rig.cl.scraper();
   EXPECT_EQ(s.stats().rounds_completed, 3u);
   EXPECT_EQ(s.stats().scrapes_ok, 9u);
@@ -298,14 +285,14 @@ TEST(Scrape, RoundsIngestEveryHost) {
 }
 
 TEST(Scrape, CrashedHostTimesOutWithoutStallingTheRound) {
-  ScrapeRig rig(3);
+  ClusterRig rig(scrape_cluster(3));
   rig.cl.start_scraping(fast_scrape());
-  rig.sim.run_for(2 * sim::kSecond + 500 * sim::kMillisecond);  // 2 clean rounds
+  rig.run_for(2 * sim::kSecond + 500 * sim::kMillisecond);  // 2 clean rounds
   // Dom0 leaves kRunning immediately, so the exporter stops serving now
   // (the shutdown itself takes ~10 simulated seconds to finish).
   rig.cl.host(0).shutdown_dom0([] {});
   ASSERT_FALSE(rig.cl.host(0).up());
-  rig.sim.run_for(6 * sim::kSecond);
+  rig.run_for(6 * sim::kSecond);
   cluster::MetricsScraper& s = *rig.cl.scraper();
   // Rounds keep completing: the dead host's timeout resolves its slot.
   EXPECT_GE(s.stats().rounds_completed, 7u);
@@ -325,19 +312,18 @@ TEST(Scrape, CrashedHostTimesOutWithoutStallingTheRound) {
 }
 
 TEST(Scrape, StaleSeriesRefreshAfterPlannedRecovery) {
-  ScrapeRig rig(2);
+  ClusterRig rig(scrape_cluster(2));
   rig.cl.start_scraping(fast_scrape());
-  rig.sim.run_for(2 * sim::kSecond + 500 * sim::kMillisecond);
+  rig.run_for(2 * sim::kSecond + 500 * sim::kMillisecond);
   // A warm rolling pass takes each host down well past the scrape
   // timeout; its scrapes fail while it reboots and recover afterwards.
   bool done = false;
   cluster::Cluster::WaveConfig wc;
   wc.wave_size = 1;
-  rig.cl.rolling_rejuvenation_waves(
-      wc, [&done](const cluster::Cluster::WaveReport&) { done = true; });
-  rig.sim.run_for(5 * sim::kMinute);
+  rig.start_waves(wc, done);
+  rig.run_for(5 * sim::kMinute);
   ASSERT_TRUE(done);
-  rig.sim.run_for(2 * sim::kSecond);  // one more clean round post-pass
+  rig.run_for(2 * sim::kSecond);  // one more clean round post-pass
   cluster::MetricsScraper& s = *rig.cl.scraper();
   EXPECT_GT(s.stats().scrapes_failed, 0u);
   for (std::size_t h = 0; h < 2; ++h) {
@@ -351,28 +337,27 @@ TEST(Scrape, StaleSeriesRefreshAfterPlannedRecovery) {
 }
 
 TEST(Scrape, BurnRateGatePausesWaveAdmission) {
-  ScrapeRig rig(3);
+  ClusterRig rig(scrape_cluster(3));
   cluster::Cluster::ScrapeConfig sc = fast_scrape();
   sc.slo.window_rounds = 4;
   sc.slo.pause_burn_rate = 2.0;  // one dead host in 3 = burn 33: trips
   rig.cl.start_scraping(sc);
   rig.cl.host(0).shutdown_dom0([] {});
-  rig.sim.run_for(3 * sim::kSecond);
+  rig.run_for(3 * sim::kSecond);
   cluster::MetricsScraper& s = *rig.cl.scraper();
   ASSERT_TRUE(s.slo().admission_paused());
   bool done = false;
   cluster::Cluster::WaveConfig wc;
   wc.wave_size = 1;
-  rig.cl.rolling_rejuvenation_waves(
-      wc, [&done](const cluster::Cluster::WaveReport&) { done = true; });
-  rig.sim.run_for(5 * sim::kMinute);
+  rig.start_waves(wc, done);
+  rig.run_for(5 * sim::kMinute);
   // The gate held: no wave turn ever launched while the budget burned.
   EXPECT_FALSE(done);
   EXPECT_TRUE(rig.cl.rolling_in_progress());
 }
 
 TEST(Scrape, ScrapedWaveSignalsRequireScraping) {
-  ScrapeRig rig(2);
+  ClusterRig rig(scrape_cluster(2));
   cluster::Cluster::WaveConfig wc;
   wc.signals = cluster::Cluster::WaveSignalSource::kScraped;
   EXPECT_THROW(rig.cl.rolling_rejuvenation_waves(
@@ -384,20 +369,16 @@ TEST(Scrape, ScrapedSignalsOrderIdleWavesLikeWireTap) {
   // Fault-free and idle: both signal sources see identical (zero) load,
   // so the wave order must agree host for host.
   auto run = [](cluster::Cluster::WaveSignalSource src) {
-    ScrapeRig rig(3);
+    ClusterRig rig(scrape_cluster(3));
     rig.cl.start_scraping(fast_scrape());
-    rig.sim.run_for(2 * sim::kSecond + 500 * sim::kMillisecond);
+    rig.run_for(2 * sim::kSecond + 500 * sim::kMillisecond);
     cluster::Cluster::WaveConfig wc;
     wc.wave_size = 1;
     wc.signals = src;
     bool done = false;
     cluster::Cluster::WaveReport out;
-    rig.cl.rolling_rejuvenation_waves(
-        wc, [&](const cluster::Cluster::WaveReport& r) {
-          done = true;
-          out = r;
-        });
-    rig.sim.run_for(10 * sim::kMinute);
+    rig.start_waves(wc, done, &out);
+    rig.run_for(10 * sim::kMinute);
     EXPECT_TRUE(done);
     std::vector<std::size_t> order;
     for (const auto& w : out.waves) {
@@ -412,18 +393,18 @@ TEST(Scrape, ScrapedSignalsOrderIdleWavesLikeWireTap) {
 }
 
 TEST(Scrape, FlightRecordDumpsSeriesAndEventTail) {
-  ScrapeRig rig(2, /*observe=*/true);
+  ClusterRig rig(scrape_cluster(2, /*observe=*/true));
   rig.cl.start_scraping(fast_scrape());
-  rig.sim.run_for(3 * sim::kSecond);
+  rig.run_for(3 * sim::kSecond);
   // The host's last words before the outage: the dump must carry the
   // ring tail (a quiet host emits nothing on a plain dom0 shutdown).
   for (int i = 0; i < 3; ++i) {
-    rig.cl.host(0).obs().emit(rig.sim.now(), obs::Category::kHost,
-                              obs::EventKind::kMark, "pre-outage", 0,
-                              static_cast<std::uint64_t>(i));
+    rig.cl.host(0).obs().emit(rig.cl.host(0).sim().now(),
+                              obs::Category::kHost, obs::EventKind::kMark,
+                              "pre-outage", 0, static_cast<std::uint64_t>(i));
   }
   rig.cl.host(0).shutdown_dom0([] {});
-  rig.sim.run_for(5 * sim::kSecond);  // enough misses to go dark
+  rig.run_for(5 * sim::kSecond);  // enough misses to go dark
   cluster::MetricsScraper& s = *rig.cl.scraper();
   ASSERT_TRUE(s.slo().dark(0));
   std::ostringstream os;
@@ -442,7 +423,7 @@ TEST(Scrape, FlightRecordDumpsSeriesAndEventTail) {
 }
 
 TEST(Scrape, ConfigValidation) {
-  ScrapeRig rig(2);
+  ClusterRig rig(scrape_cluster(2));
   cluster::Cluster::ScrapeConfig sc;
   sc.interval = sim::kSecond;
   sc.timeout = 2 * sim::kSecond;  // timeout >= interval: rounds overlap
@@ -455,11 +436,11 @@ TEST(Scrape, ConfigValidation) {
 
 TEST(Scrape, StateDigestIsReproducible) {
   auto digest = [] {
-    ScrapeRig rig(3);
+    ClusterRig rig(scrape_cluster(3));
     rig.cl.start_scraping(fast_scrape());
-    rig.sim.run_for(2 * sim::kSecond + 500 * sim::kMillisecond);
+    rig.run_for(2 * sim::kSecond + 500 * sim::kMillisecond);
     rig.cl.host(0).shutdown_dom0([] {});
-    rig.sim.run_for(5 * sim::kSecond);
+    rig.run_for(5 * sim::kSecond);
     return rig.cl.scraper()->state_digest();
   };
   EXPECT_EQ(digest(), digest());

@@ -3,16 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "guest/apache.hpp"
 #include "guest/guest_os.hpp"
 #include "guest/jboss.hpp"
 #include "guest/sshd.hpp"
 #include "rejuv/supervisor.hpp"
+#include "simcore/parallel.hpp"
 #include "vmm/host.hpp"
 
 namespace rh::test {
@@ -90,6 +95,106 @@ inline std::vector<hw::FrameNumber> expand_runs(
   }
   return out;
 }
+
+/// A booted Cluster on a one-worker engine with 1 + shards + hosts
+/// partitions, the layout every Cluster runs on. Balancer dispatches and
+/// rolling passes start on the control partition: run_on(0, ...).
+class ClusterRig {
+ public:
+  explicit ClusterRig(const cluster::Cluster::Config& config)
+      : engine({.partitions = 1 + config.shards + config.hosts,
+                .workers = 1}),
+        cl(engine.partition(0), on_engine(config, engine)) {
+    bool ready = false;
+    cl.start([&ready] { ready = true; });
+    run_while([&ready] { return !ready; });
+    EXPECT_TRUE(ready);
+  }
+
+  [[nodiscard]] cluster::ShardedBalancer& lb() {
+    return *cl.sharded_balancer();
+  }
+  /// The control partition's clock.
+  [[nodiscard]] sim::SimTime now() { return engine.partition(0).now(); }
+  /// Runs every partition to now() + d.
+  void run_for(sim::Duration d) { engine.run_until(now() + d); }
+  /// Runs windows while `keep_going()` holds (or until the events drain).
+  void run_while(const std::function<bool()>& keep_going) {
+    engine.run_while(keep_going);
+  }
+  /// Seeds `fn` on partition `p`; it runs when the engine next runs.
+  void run_on(std::int32_t p, sim::InlineCallback fn) {
+    engine.run_on(p, std::move(fn));
+  }
+
+  /// Dispatches one request per key from the control partition and runs
+  /// 5 s; returns how many were served.
+  int serve(const std::vector<std::uint64_t>& keys) {
+    int served = 0;
+    run_on(0, [this, &keys, &served] {
+      for (const auto k : keys) {
+        lb().dispatch(k, [&served](bool ok) { served += ok ? 1 : 0; });
+      }
+    });
+    run_for(5 * sim::kSecond);
+    return served;
+  }
+
+  /// Starts a rolling pass with `config` on the control partition; `done`
+  /// flips (and `report`, when given, is filled) when it completes.
+  void start_waves(const cluster::Cluster::WaveConfig& config, bool& done,
+                   cluster::Cluster::WaveReport* report = nullptr) {
+    run_on(0, [this, config, &done, report] {
+      cl.rolling_rejuvenation_waves(
+          config, [&done, report](const cluster::Cluster::WaveReport& r) {
+            if (report != nullptr) *report = r;
+            done = true;
+          });
+    });
+  }
+
+  /// Runs one rolling pass with `config` to completion; returns its
+  /// report.
+  cluster::Cluster::WaveReport run_waves(
+      const cluster::Cluster::WaveConfig& config = {}) {
+    bool done = false;
+    cluster::Cluster::WaveReport report;
+    start_waves(config, done, &report);
+    run_while([&done] { return !done; });
+    return report;
+  }
+
+  /// Requests host `h`'s web servers have served so far.
+  [[nodiscard]] std::uint64_t served_by(int h) {
+    std::uint64_t n = 0;
+    for (auto* g : cl.guests_of(h)) {
+      n += static_cast<guest::ApacheService*>(g->find_service("httpd"))
+               ->requests_served();
+    }
+    return n;
+  }
+
+  /// VMs whose web server answers right now, on any host.
+  [[nodiscard]] std::size_t reachable_vms() {
+    std::size_t n = 0;
+    for (int h = 0; h < cl.host_count(); ++h) {
+      for (auto* g : cl.guests_of(h)) {
+        n += g->service_reachable(*g->find_service("httpd")) ? 1 : 0;
+      }
+    }
+    return n;
+  }
+
+  sim::ParallelSimulation engine;
+  cluster::Cluster cl;
+
+ private:
+  static cluster::Cluster::Config on_engine(cluster::Cluster::Config config,
+                                            sim::ParallelSimulation& engine) {
+    config.engine = &engine;
+    return config;
+  }
+};
 
 /// Runs `sim` until `flag` is true or `budget` elapses; asserts the flag.
 inline void run_until_flag(sim::Simulation& sim, const bool& flag,
