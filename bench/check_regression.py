@@ -19,6 +19,12 @@ a fresh value of 0 against a positive baseline is a collapse and fails
 the gate by name, whatever the geomean says. A baseline of 0 gives no
 ratio, so that metric is skipped with a warning.
 
+Fresh crash reports must also add up: every crashscale point and every
+scrape cell must have unplanned_failures == unplanned_recoveries +
+unrecovered_hosts + unplanned_in_flight, or the gate fails and names the
+cell. Cells that lack any of the four counts (files written before the
+in-flight count existed) are skipped.
+
 Usage:
   check_regression.py [--history-dir DIR] [--fresh-dir DIR]
                       [--threshold 0.15] [--append-history RUN_ID]
@@ -162,6 +168,44 @@ EXTRACTORS = {
 }
 
 
+IDENTITY_KEYS = ("unplanned_failures", "unplanned_recoveries",
+                 "unrecovered_hosts", "unplanned_in_flight")
+
+
+def report_cells(fname, doc):
+    """(name, cell) for every per-cell crash report in a crashscale or
+    scrape JSON."""
+    if fname == "BENCH_crashscale.json":
+        for ladder in doc.get("ladders", []):
+            for point in ladder.get("points", []):
+                yield (f"crashscale/{ladder.get('name')}"
+                       f"@rate={point.get('rate')}", point)
+    elif fname == "BENCH_scrape.json":
+        for row in doc.get("rates", []):
+            rate = row.get("rate")
+            yield f"scrape/baseline@rate={rate}", row.get("baseline", {})
+            for cell in row.get("scraped", []):
+                yield (f"scrape/interval={cell.get('interval_s')}"
+                       f"@rate={rate}", cell)
+
+
+def unbalanced_reports(docs):
+    """Descriptions of the fresh cells whose unplanned failures are not
+    recoveries + unrecovered + in flight."""
+    out = []
+    for fname, doc in docs.items():
+        for name, cell in report_cells(fname, doc):
+            if not all(k in cell for k in IDENTITY_KEYS):
+                continue
+            failures, recoveries, unrecovered, in_flight = (
+                cell[k] for k in IDENTITY_KEYS)
+            if failures != recoveries + unrecovered + in_flight:
+                out.append(f"{name}: unplanned_failures {failures} != "
+                           f"recoveries {recoveries} + unrecovered "
+                           f"{unrecovered} + in_flight {in_flight}")
+    return out
+
+
 def snapshot_ids(history_dir):
     """Snapshot directories, oldest first. GitHub run ids are increasing
     integers; fall back to lexicographic order for anything else."""
@@ -193,12 +237,20 @@ def history_metrics(history_dir):
     return {m: statistics.median(vs) for m, vs in samples.items()}
 
 
-def fresh_metrics(fresh_dir):
-    out = {}
-    for fname, extract in EXTRACTORS.items():
+def fresh_docs(fresh_dir):
+    """file name -> parsed fresh JSON, for the files that loaded."""
+    docs = {}
+    for fname in EXTRACTORS:
         doc = load(os.path.join(fresh_dir, fname))
         if doc is not None:
-            out.update(extract(doc))
+            docs[fname] = doc
+    return docs
+
+
+def fresh_metrics(docs):
+    out = {}
+    for fname, doc in docs.items():
+        out.update(EXTRACTORS[fname](doc))
     return out
 
 
@@ -233,13 +285,19 @@ def main():
     args = ap.parse_args()
 
     baseline = history_metrics(args.history_dir)
-    fresh = fresh_metrics(args.fresh_dir)
+    docs = fresh_docs(args.fresh_dir)
+    fresh = fresh_metrics(docs)
 
     status = 0
+    unbalanced = unbalanced_reports(docs)
+    for line in unbalanced:
+        print(f"REGRESSION (report does not add up): {line}")
+    if unbalanced:
+        status = 1
     if not baseline:
         print("WARNING: no usable history snapshots -- nothing trustworthy "
-              "to gate against; passing (soft). The gate hardens once a "
-              "snapshot exists.")
+              "to gate throughput against; soft pass on throughput. The "
+              "gate hardens once a snapshot exists.")
     else:
         pairs = []
         collapsed = []
@@ -271,11 +329,11 @@ def main():
                 print(f"REGRESSION (hard gate): geomean below floor; worst "
                       f"metric {worst[0]} at {worst[1]:.3f}")
                 status = 1
-            elif not collapsed:
+            elif not collapsed and not unbalanced:
                 print("OK: within threshold")
         elif not collapsed:
             print("WARNING: history exists but shares no metrics with the "
-                  "fresh run; passing (soft)")
+                  "fresh run; soft pass on throughput")
 
     if args.append_history is not None and status == 0:
         append_history(args.history_dir, args.fresh_dir,

@@ -343,6 +343,7 @@ int main(int argc, char** argv) {
          << ", \"unplanned_recoveries\": " << c.unplanned.recoveries
          << ", \"micro_recoveries\": " << c.unplanned.micro_recoveries
          << ", \"unrecovered_hosts\": " << c.unplanned.unrecovered
+         << ", \"unplanned_in_flight\": " << c.unplanned.in_flight
          << ", \"host_unplanned_downtime_us\": " << c.unplanned.downtime
          << ", \"wave_planned_downtime_us\": " << c.wave_planned_downtime
          << ", \"waves_started\": " << c.waves_started

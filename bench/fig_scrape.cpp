@@ -34,6 +34,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -249,11 +250,13 @@ Cell run_cell(const Options& o, double rate, double interval_s,
 /// Mean per-wave Jaccard overlap between the scraped-signal pass's host
 /// picks and the wire-tap baseline's: did the control plane choose the
 /// same hosts for each wave when it could only see the telemetry? A
-/// wave present in one run but not the other scores 0.
-double wave_order_fidelity(const std::vector<std::vector<std::size_t>>& base,
-                           const std::vector<std::vector<std::size_t>>& got) {
+/// wave present in one run but not the other scores 0. Empty when
+/// neither run started a wave: there was nothing to compare.
+std::optional<double> wave_order_fidelity(
+    const std::vector<std::vector<std::size_t>>& base,
+    const std::vector<std::vector<std::size_t>>& got) {
   const std::size_t n = std::max(base.size(), got.size());
-  if (n == 0) return 1.0;
+  if (n == 0) return std::nullopt;
   double total = 0;
   for (std::size_t i = 0; i < std::min(base.size(), got.size()); ++i) {
     std::vector<std::size_t> a = base[i];
@@ -269,6 +272,22 @@ double wave_order_fidelity(const std::vector<std::vector<std::size_t>>& base,
                             static_cast<double>(uni);
   }
   return total / static_cast<double>(n);
+}
+
+/// A fidelity for the console: "n/a" when no wave was compared.
+std::string fidelity_text(std::optional<double> f) {
+  if (!f) return "n/a";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3f", *f);
+  return buf;
+}
+
+/// A fidelity for the JSON: null when no wave was compared.
+std::string fidelity_json(std::optional<double> f) {
+  if (!f) return "null";
+  std::ostringstream os;
+  os << *f;
+  return os.str();
 }
 
 void parse_list(const char* v, std::vector<double>* out) {
@@ -364,12 +383,12 @@ int main(int argc, char** argv) {
       run_cell(o, 0.0, 0.0, nullptr, /*idle=*/true);
   const Cell idle_scraped =
       run_cell(o, 0.0, tight_interval, nullptr, /*idle=*/true);
-  const double headline_fidelity =
+  const std::optional<double> headline_fidelity =
       wave_order_fidelity(idle_base.waves, idle_scraped.waves);
   std::printf("  idle fidelity pair: baseline waves=%zu scraped waves=%zu "
-              "fidelity=%.3f\n",
+              "fidelity=%s\n",
               idle_base.waves.size(), idle_scraped.waves.size(),
-              headline_fidelity);
+              fidelity_text(headline_fidelity).c_str());
   mix(idle_base.digest);
   mix(idle_scraped.digest);
 
@@ -379,7 +398,7 @@ int main(int argc, char** argv) {
     std::vector<Cell> scraped;
     std::vector<double> event_overhead_pct;
     std::vector<double> wall_overhead_pct;
-    std::vector<double> fidelity;
+    std::vector<std::optional<double>> fidelity;
   };
   std::vector<Row> rows;
   for (const double rate : o.rates) {
@@ -406,18 +425,19 @@ int main(int argc, char** argv) {
           row.baseline.wall <= 0.0
               ? 0.0
               : (c.wall / row.baseline.wall - 1.0) * 100.0;
-      const double fidelity =
+      const std::optional<double> fidelity =
           wave_order_fidelity(row.baseline.waves, c.waves);
       std::printf(
           "  scraped  rate=%.2f int=%.0fs: ok=%llu fail=%llu kB=%llu "
-          "dark=%zu pauses=%zu det_p99=%.0fus ev_ovh=%.2f%% fid=%.3f "
+          "dark=%zu pauses=%zu det_p99=%.0fus ev_ovh=%.2f%% fid=%s "
           "digest=%016llx (%.1fs)\n",
           rate, interval,
           static_cast<unsigned long long>(c.scrape.scrapes_ok),
           static_cast<unsigned long long>(c.scrape.scrapes_failed),
           static_cast<unsigned long long>(c.scrape.bytes_transferred / 1024),
           c.dark_hosts, c.admission_pauses, c.detection_p99_us, ev_overhead,
-          fidelity, static_cast<unsigned long long>(c.digest), c.wall);
+          fidelity_text(fidelity).c_str(),
+          static_cast<unsigned long long>(c.digest), c.wall);
       mix(c.digest);
       if (rate == base_rate && interval == tight_interval) {
         headline_detection_p99 = c.detection_p99_us;
@@ -435,9 +455,9 @@ int main(int argc, char** argv) {
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - wall_start)
                           .count();
-  std::printf("  headline: det_p99=%.0fus overhead=%.2f%% fidelity=%.3f\n",
+  std::printf("  headline: det_p99=%.0fus overhead=%.2f%% fidelity=%s\n",
               headline_detection_p99, headline_overhead_pct,
-              headline_fidelity);
+              fidelity_text(headline_fidelity).c_str());
   std::printf("  aggregate digest=%016llx (%.1f wall-s)\n",
               static_cast<unsigned long long>(digest), wall);
 
@@ -480,7 +500,8 @@ int main(int argc, char** argv) {
      << "  \"tight_interval_s\": " << tight_interval << ",\n"
      << "  \"detection_latency_p99_us\": " << headline_detection_p99 << ",\n"
      << "  \"event_overhead_pct\": " << headline_overhead_pct << ",\n"
-     << "  \"wave_order_fidelity\": " << headline_fidelity << ",\n"
+     << "  \"wave_order_fidelity\": " << fidelity_json(headline_fidelity)
+     << ",\n"
      << "  \"flight_records\": " << flight_dumps.size() << ",\n"
      << "  \"wall_seconds\": " << wall << ",\n"
      << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
@@ -497,7 +518,9 @@ int main(int argc, char** argv) {
        << ", \"hosts_rejuvenated\": " << row.baseline.hosts_rejuvenated
        << ", \"admission_pauses\": " << row.baseline.admission_pauses
        << ", \"unplanned_failures\": " << row.baseline.unplanned.failures
+       << ", \"unplanned_recoveries\": " << row.baseline.unplanned.recoveries
        << ", \"unrecovered_hosts\": " << row.baseline.unplanned.unrecovered
+       << ", \"unplanned_in_flight\": " << row.baseline.unplanned.in_flight
        << ", \"wall_seconds\": " << row.baseline.wall << "},\n"
        << "     \"scraped\": [\n";
     for (std::size_t i = 0; i < row.scraped.size(); ++i) {
@@ -524,9 +547,11 @@ int main(int argc, char** argv) {
          << ", \"executed_events\": " << c.executed_events
          << ", \"event_overhead_pct\": " << row.event_overhead_pct[i]
          << ", \"wall_overhead_pct\": " << row.wall_overhead_pct[i]
-         << ", \"wave_order_fidelity\": " << row.fidelity[i]
+         << ", \"wave_order_fidelity\": " << fidelity_json(row.fidelity[i])
          << ", \"unplanned_failures\": " << c.unplanned.failures
+         << ", \"unplanned_recoveries\": " << c.unplanned.recoveries
          << ", \"unrecovered_hosts\": " << c.unplanned.unrecovered
+         << ", \"unplanned_in_flight\": " << c.unplanned.in_flight
          << ", \"wall_seconds\": " << c.wall
          << ", \"digest\": \"" << cell_digest << "\"}"
          << (i + 1 < row.scraped.size() ? ",\n" : "\n");
@@ -537,11 +562,17 @@ int main(int argc, char** argv) {
      << "  \"digest\": \"" << buf << "\"\n"
      << "}\n";
   std::printf("  wrote %s\n", o.out.c_str());
-  if (headline_fidelity != 1.0) {
+  if (!headline_fidelity) {
+    std::fprintf(stderr,
+                 "FAIL: the idle fault-free pair started no wave, so its "
+                 "wave order was never compared\n");
+    return 1;
+  }
+  if (*headline_fidelity != 1.0) {
     std::fprintf(stderr,
                  "FAIL: scraped wave order diverged from the wire-tap on "
                  "the idle fault-free pair (fidelity %.3f)\n",
-                 headline_fidelity);
+                 *headline_fidelity);
     return 1;
   }
   return 0;

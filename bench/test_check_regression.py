@@ -5,7 +5,8 @@
 
 Each case writes one history snapshot and one fresh directory into a
 temporary directory, runs the gate on them and checks its exit status and
-output. The cases pin how the gate treats an availability of 0.
+output. The cases pin how the gate treats an availability of 0 and a
+crash report that does not add up.
 """
 
 import json
@@ -80,6 +81,49 @@ class GateTest(unittest.TestCase):
         status, out = self.run_gate(base, fresh)
         self.assertEqual(status, 0, out)
         self.assertIn("WARNING: crashscale/p99_availability_at_base_rate", out)
+
+    def test_unbalanced_crash_report_fails_and_names_the_cell(self):
+        def point(failures, in_flight):
+            return {"rate": 0.4, "unplanned_failures": failures,
+                    "unplanned_recoveries": 5, "unrecovered_hosts": 1,
+                    "unplanned_in_flight": in_flight}
+
+        def crashscale(p):
+            return {"p99_availability_at_base_rate": 1.0,
+                    "ladders": [{"name": "micro", "points": [p]}]}
+
+        def scrape(p):
+            return {"rates": [{"rate": 0.4, "baseline": point(8, 2),
+                               "scraped": [dict(p, interval_s=2)]}]}
+
+        base = {"BENCH_crashscale.json": crashscale(point(8, 2))}
+        cases = (
+            ("BENCH_crashscale.json", crashscale,
+             "crashscale/micro@rate=0.4"),
+            ("BENCH_scrape.json", scrape, "scrape/interval=2@rate=0.4"),
+        )
+        for fname, make, name in cases:
+            with self.subTest(cell=name):
+                status, out = self.run_gate(
+                    base, dict(base, **{fname: make(point(8, 2))}))
+                self.assertEqual(status, 0, out)
+                # One failure neither recovered, unrecovered nor in flight.
+                status, out = self.run_gate(
+                    base, dict(base, **{fname: make(point(9, 2))}))
+                self.assertNotEqual(status, 0, out)
+                self.assertIn("REGRESSION", out)
+                self.assertIn(name, out)
+
+    def test_report_without_in_flight_count_is_skipped(self):
+        # The checked-in 1000-host files predate the in-flight count.
+        old = {"rate": 0.4, "unplanned_failures": 1999,
+               "unplanned_recoveries": 1000, "unrecovered_hosts": 0}
+        doc = {"BENCH_crashscale.json": {
+            "p99_availability_at_base_rate": 1.0,
+            "ladders": [{"name": "warm", "points": [old]}]}}
+        status, out = self.run_gate(doc, doc)
+        self.assertEqual(status, 0, out)
+        self.assertIn("OK", out)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,6 @@
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart
 #include <cstdio>
-#include <iostream>
 #include <memory>
 
 #include "guest/guest_os.hpp"
@@ -20,7 +19,6 @@ int main() {
   // 1. One physical host (the paper's testbed: 12 GiB RAM, 4 cores).
   sim::Simulation sim;
   vmm::Host host(sim, Calibration::paper_testbed());
-  host.tracer().stream_to(&std::cout);  // narrate the run
   host.instant_start();
 
   // 2. Three 1-GiB VMs, each running an ssh server.

@@ -1,7 +1,5 @@
 #include "cluster/migration.hpp"
 
-#include <utility>
-
 #include "simcore/check.hpp"
 
 namespace rh::cluster {
@@ -39,51 +37,6 @@ sim::Duration estimate_host_evacuation(int vm_count, sim::Bytes memory,
   ensure(vm_count > 0, "estimate_host_evacuation: need VMs");
   return static_cast<sim::Duration>(vm_count) *
          estimate_migration(memory, config).total;
-}
-
-MigrationSession::MigrationSession(sim::Simulation& sim, sim::Bytes memory,
-                                   MigrationConfig config)
-    : sim_(sim), memory_(memory), config_(config) {
-  ensure(memory > 0, "MigrationSession: memory must be positive");
-  ensure(config.effective_bps > config.dirty_bps,
-         "MigrationSession: dirty rate exceeds transfer rate");
-}
-
-void MigrationSession::run(std::function<void(const MigrationEstimate&)> on_done) {
-  ensure(static_cast<bool>(on_done), "MigrationSession::run: callback required");
-  ensure(!running_, "MigrationSession::run: already running");
-  running_ = true;
-  started_at_ = sim_.now();
-  on_done_ = std::move(on_done);
-  next_round(memory_);
-}
-
-void MigrationSession::next_round(sim::Bytes to_send) {
-  const bool final_round =
-      rounds_ >= config_.max_rounds || to_send <= config_.stop_threshold;
-  const sim::Duration round_time =
-      sim::transfer_time(to_send, config_.effective_bps);
-  if (final_round) {
-    // Stop-and-copy: the VM pauses while the residue moves.
-    paused_ = true;
-    sim_.after(round_time, [this, to_send, round_time] {
-      transferred_ += to_send;
-      paused_ = false;
-      running_ = false;
-      MigrationEstimate est;
-      est.total = sim_.now() - started_at_;
-      est.stop_and_copy = round_time;
-      est.rounds = rounds_;
-      est.bytes_transferred = transferred_;
-      on_done_(est);
-    });
-    return;
-  }
-  sim_.after(round_time, [this, to_send, round_time] {
-    transferred_ += to_send;
-    ++rounds_;
-    next_round(dirtied_during(round_time, config_));
-  });
 }
 
 }  // namespace rh::cluster

@@ -6,12 +6,10 @@
 // previous round, until the residue is small enough for a brief
 // stop-and-copy. The paper quotes 72 s for one 800 MB VM and a 12 %
 // throughput degradation during migration; the defaults reproduce those.
+// This file holds the closed-form estimate; cluster::VmMigrator runs the
+// same rounds event by event between two simulated hosts.
 #pragma once
 
-#include <functional>
-#include <vector>
-
-#include "simcore/simulation.hpp"
 #include "simcore/types.hpp"
 
 namespace rh::cluster {
@@ -50,34 +48,5 @@ struct MigrationEstimate {
 /// 17-minute estimate for 11 x 1 GiB).
 [[nodiscard]] sim::Duration estimate_host_evacuation(int vm_count, sim::Bytes memory,
                                                      const MigrationConfig& config);
-
-/// Event-driven migration session: emits one event per pre-copy round and
-/// a stop-and-copy window during which the VM is down.
-class MigrationSession {
- public:
-  MigrationSession(sim::Simulation& sim, sim::Bytes memory,
-                   MigrationConfig config);
-
-  /// Runs the migration; `on_done` receives the realised estimate.
-  void run(std::function<void(const MigrationEstimate&)> on_done);
-
-  /// True during the stop-and-copy phase (the VM answers no requests).
-  [[nodiscard]] bool vm_paused() const { return paused_; }
-  [[nodiscard]] bool running() const { return running_; }
-  [[nodiscard]] int rounds_completed() const { return rounds_; }
-
- private:
-  void next_round(sim::Bytes to_send);
-
-  sim::Simulation& sim_;
-  sim::Bytes memory_;
-  MigrationConfig config_;
-  std::function<void(const MigrationEstimate&)> on_done_;
-  sim::SimTime started_at_ = 0;
-  sim::Bytes transferred_ = 0;
-  int rounds_ = 0;
-  bool running_ = false;
-  bool paused_ = false;
-};
 
 }  // namespace rh::cluster

@@ -41,11 +41,6 @@ void VmMigrator::migrate(guest::GuestOs& vm, vmm::Host& dst,
   result_ = {};
   src.set_background_transfer(true);
   dst.set_background_transfer(true);
-  if (src.tracer().enabled()) {
-    src.tracer().emit(src.sim().now(), "migrate",
-                      "live migration of '" + vm.name() + "' begins (" +
-                          std::to_string(sim::to_gib(vm.memory())) + " GiB)");
-  }
   // The migration span (and its pre-copy/stop-and-copy children) live in
   // the *source* host's observer: that host carries the transfer.
   if (src.obs().enabled()) {
@@ -68,7 +63,7 @@ void VmMigrator::precopy_round(sim::Bytes to_send) {
   if (src_->faults().roll(fault::FaultKind::kMigrationAbort, src_->sim().now(),
                           "migrate:" + vm_->name() + ":round" +
                               std::to_string(rounds_))) {
-    abort("stream lost in pre-copy round " + std::to_string(rounds_));
+    abort();
     return;
   }
   // The VM keeps running and dirtying memory while this round streams at
@@ -124,17 +119,13 @@ void VmMigrator::stop_and_copy(sim::Bytes residue) {
   });
 }
 
-void VmMigrator::abort(const std::string& why) {
+void VmMigrator::abort() {
   result_.success = false;
   result_.estimate.total = src_->sim().now() - started_at_;
   result_.estimate.rounds = rounds_;
   result_.estimate.bytes_transferred = transferred_;
   src_->set_background_transfer(false);
   dst_->set_background_transfer(false);
-  if (src_->tracer().enabled()) {
-    src_->tracer().emit(src_->sim().now(), "migrate",
-                        "migration of '" + vm_->name() + "' ABORTED: " + why);
-  }
   obs::Observer& obs = src_->obs();
   if (obs.enabled()) {
     obs.emit(src_->sim().now(), obs::Category::kMigrate,
@@ -160,14 +151,6 @@ void VmMigrator::finish() {
   result_.observed_downtime = src_->sim().now() - suspended_at_;
   src_->set_background_transfer(false);
   dst_->set_background_transfer(false);
-  if (src_->tracer().enabled()) {
-    src_->tracer().emit(src_->sim().now(), "migrate",
-                        "'" + vm_->name() + "' migrated in " +
-                            std::to_string(sim::to_seconds(result_.estimate.total)) +
-                            " s (downtime " +
-                            std::to_string(sim::to_seconds(result_.observed_downtime)) +
-                            " s)");
-  }
   obs::Observer& obs = src_->obs();
   if (obs.enabled()) {
     obs.span_close(stop_copy_span_, src_->sim().now());

@@ -63,11 +63,6 @@ mm::Pfn GuestOs::cache_region_end_pfn() const {
              (host_->calib().cache_block_size / sim::kPageSize);
 }
 
-void GuestOs::trace(const std::string& msg) {
-  if (!host_->tracer().enabled()) return;
-  host_->tracer().emit(host_->sim().now(), "guest/" + name_, msg);
-}
-
 Service& GuestOs::add_service(std::unique_ptr<Service> service) {
   ensure(service != nullptr, "GuestOs::add_service: null service");
   services_.push_back(std::move(service));
@@ -122,7 +117,6 @@ void GuestOs::rebind_host(vmm::Host& new_host) {
   ensure(new_host.up(), "rebind_host: destination host is not up");
   host_ = &new_host;
   domain_id_ = kNoDomain;  // the destination assigns a new domain id
-  trace("switched to destination host");
 }
 
 void GuestOs::create_and_boot(std::function<void()> on_up) {
@@ -142,13 +136,11 @@ void GuestOs::create_and_boot(std::function<void()> on_up) {
 }
 
 void GuestOs::boot_sequence(std::function<void()> on_up) {
-  trace("kernel booting");
   // Injected boot hang: the kernel wedges before init (bad device handshake,
   // a driver spinning on a lost interrupt). Nothing further is scheduled --
   // the OS sits in kBooting until a watchdog force-powers it off.
   if (host_->faults().roll(fault::FaultKind::kGuestBootHang,
                            host_->sim().now(), "boot:" + name_)) {
-    trace("kernel boot HUNG (injected); only a power-off can recover");
     return;
   }
   // A fresh boot starts with a cold cache and a new kernel image layout.
@@ -175,9 +167,6 @@ void GuestOs::boot_sequence(std::function<void()> on_up) {
             start_services_from(0, [this, epoch, on_up = std::move(on_up)] {
               if (epoch != epoch_) return;
               state_ = OsState::kRunning;
-              if (host_->tracer().enabled()) {
-                trace("up (" + std::to_string(services_.size()) + " services)");
-              }
               on_up();
             });
           });
@@ -214,7 +203,6 @@ void GuestOs::shutdown(std::function<void()> on_halted) {
            ")";
   });
   state_ = OsState::kShuttingDown;
-  trace("shutting down");
   const Calibration& calib = host_->calib();
   const auto epoch = epoch_;
   // Early shutdown scripts run before services are stopped; requests are
@@ -236,7 +224,6 @@ void GuestOs::shutdown(std::function<void()> on_halted) {
                 [this, epoch, on_halted = std::move(on_halted)] {
                   if (epoch != epoch_) return;
                   state_ = OsState::kHalted;
-                  trace("halted");
                   // The VMM tears the halted domain down (xm destroy).
                   if (host_->vmm_running() &&
                       host_->vmm().find_domain(domain_id_) != nullptr) {
@@ -253,9 +240,6 @@ void GuestOs::shutdown(std::function<void()> on_halted) {
 
 void GuestOs::force_power_off() {
   if (state_ == OsState::kHalted) return;
-  if (host_->tracer().enabled()) {
-    trace("forced power-off (state was " + std::string(to_string(state_)) + ")");
-  }
   ++epoch_;
   for (auto& s : services_) s->force_stop();
   if (host_->vmm_running() && domain_id_ != kNoDomain &&
@@ -274,7 +258,6 @@ void GuestOs::interrupt_for_vmm_failure() {
   ++epoch_;  // abandon in-flight continuations; the vCPUs stopped cold
   domain_id_ = kNoDomain;  // the domain object died with the VMM
   state_ = OsState::kSuspended;
-  trace("frozen mid-flight: VMM failed, memory image preserved");
 }
 
 void GuestOs::on_suspend_event(std::function<void()> suspend_hypercall) {
@@ -283,7 +266,6 @@ void GuestOs::on_suspend_event(std::function<void()> suspend_hypercall) {
            std::string(to_string(state_)) + ")";
   });
   state_ = OsState::kSuspending;
-  trace("suspend handler: detaching devices");
   host_->sim().after(host_->calib().suspend_handler,
                     [this, hypercall = std::move(suspend_hypercall)] {
                       state_ = OsState::kSuspended;
@@ -305,7 +287,6 @@ void GuestOs::on_resume(DomainId new_id, std::function<void()> done) {
     if (mem_read(kSignaturePfn) != signature_) {
       integrity_ok_ = false;
       state_ = OsState::kCrashed;
-      trace("RESUME FAILED: memory image corrupted");
       done();
       return;
     }
@@ -318,7 +299,6 @@ void GuestOs::on_resume(DomainId new_id, std::function<void()> done) {
       evch.close(port);  // transient re-handshake port
     }
     state_ = OsState::kRunning;
-    trace("resumed; services continue without restart");
     done();
   });
 }

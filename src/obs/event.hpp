@@ -1,13 +1,13 @@
 // Typed trace events: fixed-size POD records in a slab ring.
 //
-// This is the allocation-free replacement for the std::string hot path of
-// sim::Tracer (which stays available as a human-readable facade). A
-// TraceEvent is 64 bytes of plain data -- enum kind/category, a numeric
-// subject id, two integer payload words and a short inline label -- so
-// emitting one is a bounds check plus a memcpy-sized store. Storage is a
-// ring of lazily allocated fixed-size slabs: steady-state emission never
-// allocates, and a bounded ring recycles the oldest slab instead of
-// growing without limit on week-long simulations.
+// With the spans and metrics beside them in obs::Observer, these are the
+// only run log a host keeps. A TraceEvent is 64 bytes of plain data --
+// enum kind/category, a numeric subject id, two integer payload words and
+// a short inline label -- so emitting one is a bounds check plus a
+// memcpy-sized store. Storage is a ring of lazily allocated fixed-size
+// slabs: steady-state emission never allocates, and a bounded ring
+// recycles the oldest slab instead of growing without limit on week-long
+// simulations.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,7 @@
 
 namespace rh::obs {
 
-/// Which layer emitted the event (mirrors the Tracer's string categories).
+/// Which layer emitted the event.
 enum class Category : std::uint8_t {
   kHost,
   kVmm,

@@ -72,17 +72,9 @@ Supervisor::Supervisor(vmm::Host& host, std::vector<guest::GuestOs*> guests,
   for (const auto* g : guests_) ensure(g != nullptr, "Supervisor: null guest");
 }
 
-void Supervisor::trace(const std::string& msg) {
-  if (!host_.tracer().enabled()) return;
-  host_.tracer().emit(host_.sim().now(), "supervisor", msg);
-}
-
 void Supervisor::record(RecoveryAction action, const std::string& subject,
                         const std::string& detail) {
   report_.recoveries.push_back({action, host_.sim().now(), subject, detail});
-  if (host_.tracer().enabled()) {
-    trace(std::string(to_string(action)) + " [" + subject + "]: " + detail);
-  }
   // Mirror the typed RecoveryEvent into the trace stream and bump the
   // per-action counter that the availability sweeps aggregate.
   obs::Observer& obs = host_.obs();
@@ -166,7 +158,6 @@ void Supervisor::step(const char* label, const std::function<void(Done)>& body,
 
 void Supervisor::begin_pass(const char* entry,
                             std::function<void(const SupervisorReport&)> done,
-                            const std::string& begin_text,
                             const std::string& pass_label,
                             bool vmm_failure_kind) {
   const auto message = [entry](const char* what) {
@@ -183,7 +174,6 @@ void Supervisor::begin_pass(const char* entry,
   done_ = std::move(done);
   report_.attempted = config_.preferred;
   report_.started_at = host_.sim().now();
-  trace(begin_text);
   if (host_.obs().enabled()) {
     outer_ambient_ = host_.obs().ambient();
     pass_span_ = host_.obs().span_open(report_.started_at, obs::Phase::kPass,
@@ -193,9 +183,8 @@ void Supervisor::begin_pass(const char* entry,
 }
 
 void Supervisor::run(std::function<void(const SupervisorReport&)> done) {
-  const std::string pass =
-      std::string("supervised ") + to_string(config_.preferred);
-  begin_pass("run", std::move(done), "begin " + pass, pass);
+  begin_pass("run", std::move(done),
+             std::string("supervised ") + to_string(config_.preferred));
 
   // Aging can win the race against the rejuvenation timer: the VMM dies
   // right as (or before) the pass begins, taking every domain with it.
@@ -228,10 +217,7 @@ void Supervisor::recover(std::function<void(const SupervisorReport&)> done) {
   for (auto* g : guests_) {
     if (g->state() == guest::OsState::kHalted) halted.push_back(g);
   }
-  begin_pass("recover", std::move(done),
-             "begin recovery of " + std::to_string(halted.size()) +
-                 " halted guest(s)",
-             "supervised recovery");
+  begin_pass("recover", std::move(done), "supervised recovery");
   boot_then_finish("halted VM boot", halted, config_.preferred);
 }
 
@@ -239,10 +225,8 @@ void Supervisor::recover(std::function<void(const SupervisorReport&)> done) {
 
 void Supervisor::respond_to_failure(
     fault::FaultKind kind, std::function<void(const SupervisorReport&)> done) {
-  const std::string response =
-      std::string("failure response (") + fault::to_string(kind) + ")";
-  begin_pass("respond_to_failure", std::move(done), "begin " + response,
-             response,
+  begin_pass("respond_to_failure", std::move(done),
+             std::string("failure response (") + fault::to_string(kind) + ")",
              kind == fault::FaultKind::kVmmCrash ||
                  kind == fault::FaultKind::kVmmHang);
   handle_vmm_failure(kind);
@@ -262,7 +246,6 @@ void Supervisor::handle_vmm_failure(fault::FaultKind kind) {
     // visible once the external watchdog fires, so the response starts
     // after the detection latency (the teardown is modelled at the
     // detection point).
-    trace("VMM hang suspected; waiting out watchdog detection");
     host_.sim().after(host_.jittered(config_.hang_detection),
                       std::move(proceed));
     return;
@@ -594,15 +577,9 @@ void Supervisor::sweep_stale_regions() {
   for (const auto& name : stale) {
     if (host_.faults().roll(fault::FaultKind::kPreservedRegionLeak,
                             host_.sim().now(), "sweep:" + name)) {
-      if (host_.tracer().enabled()) {
-        trace("stale region '" + name + "' survived the sweep (injected)");
-      }
       continue;
     }
     discard_region(name);
-    if (host_.tracer().enabled()) {
-      trace("released stale region '" + name + "'");
-    }
   }
 }
 
@@ -635,13 +612,8 @@ void Supervisor::discard_preserved_image(const std::string& guest_name) {
     stale.payload = region->payload;
     stale.frozen_frames = region->frozen_frames;
     stale.charged_bytes = region->charged_bytes;
-    const std::string stale_name = stale.name;
     host_.preserved().erase(region_name);
     host_.preserved().put(std::move(stale));
-    if (host_.tracer().enabled()) {
-      trace("preserved region for '" + guest_name +
-            "' LEAKED (injected); parked as '" + stale_name + "'");
-    }
     return;
   }
   discard_region(region_name);
@@ -972,14 +944,6 @@ void Supervisor::finish(RebootKind completed_kind) {
   report_.success = report_.unrecovered_vms.empty();
   report_.finished_at = host_.sim().now();
   completed_ = true;
-  if (host_.tracer().enabled()) {
-    trace(std::string("completed ") + to_string(completed_kind) + " in " +
-          std::to_string(sim::to_seconds(report_.total_duration())) + " s (" +
-          (report_.success ? "all VMs recovered" :
-                             std::to_string(report_.unrecovered_vms.size()) +
-                                 " VM(s) unrecovered") +
-          ", " + std::to_string(report_.recoveries.size()) + " recoveries)");
-  }
   obs::Observer& obs = host_.obs();
   if (obs.enabled()) {
     obs.span_close(rung_span_, report_.finished_at);

@@ -200,12 +200,11 @@ class Supervisor {
   /// The entry prologue of run(), recover() and respond_to_failure(): checks
   /// the callback, the one-shot rule, that the host is up and
   /// `vmm_failure_kind` (each message names `entry`), takes the host's
-  /// recovery guard, stamps the report, traces `begin_text` and opens the
-  /// pass span `pass_label` as the ambient parent.
+  /// recovery guard, stamps the report and opens the pass span
+  /// `pass_label` as the ambient parent.
   void begin_pass(const char* entry,
                   std::function<void(const SupervisorReport&)> done,
-                  const std::string& begin_text, const std::string& pass_label,
-                  bool vmm_failure_kind = true);
+                  const std::string& pass_label, bool vmm_failure_kind = true);
   /// Runs `body` inline as the step `label`: appends {label, start, end}
   /// to report_.steps and, with the observer on, one kStep span under the
   /// current rung. `next` runs when the body calls its continuation. Adds
@@ -320,7 +319,6 @@ class Supervisor {
   [[nodiscard]] sim::Duration backoff(int attempt);
   void record(RecoveryAction action, const std::string& subject,
               const std::string& detail);
-  void trace(const std::string& msg);
   /// Closes the current ladder-rung span (if any) and opens a new one
   /// under the pass span; every mechanism the ladder descends through gets
   /// its own kLadderRung window.

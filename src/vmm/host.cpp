@@ -31,7 +31,7 @@ Vmm& Host::vmm() {
 std::unique_ptr<Vmm> Host::new_vmm(BootMode mode) {
   ++vmm_generation_;
   return std::make_unique<Vmm>(sim_, calib_, machine_, preserved_, xenstore_,
-                               tracer_, rng_, faults_, mode);
+                               rng_, faults_, mode);
 }
 
 void Host::configure_faults(const fault::FaultConfig& config) {
@@ -43,14 +43,12 @@ void Host::configure_faults(const fault::FaultConfig& config) {
     return;
   }
   faults_ = fault::FaultInjector(config, rng_.split());
-  tracer_.emit(sim_.now(), "host", "fault injection armed");
   obs_.emit(sim_.now(), obs::Category::kFault, obs::EventKind::kLifecycle,
             "fault injection armed");
 }
 
 void Host::crash_vmm() {
   ensure(vmm_ != nullptr, "crash_vmm: no VMM instance to crash");
-  tracer_.emit(sim_.now(), "host", "VMM CRASHED (injected): all domains lost");
   obs_.emit(sim_.now(), obs::Category::kHost, obs::EventKind::kLifecycle,
             "vmm crash", -1, vmm_generation_);
   vmm_.reset();
@@ -65,9 +63,6 @@ void Host::fail_vmm(fault::FaultKind kind) {
   ensure(kind == fault::FaultKind::kVmmCrash ||
              kind == fault::FaultKind::kVmmHang,
          "fail_vmm: not a VMM failure kind");
-  tracer_.emit(sim_.now(), "host",
-               std::string("VMM FAILED (") + fault::to_string(kind) +
-                   "): domains frozen in RAM");
   obs_.emit(sim_.now(), obs::Category::kHost, obs::EventKind::kLifecycle,
             fault::to_string(kind), -1, vmm_generation_);
   // The dying instance cuts crash-consistent records of its running
@@ -88,14 +83,10 @@ Vmm::MicroRecoveryReport Host::micro_recover_vmm() {
   vmm_ready_at_ = sim_.now();
   dom0_up_at_ = sim_.now();
   restart_daemons();
-  tracer_.emit(sim_.now(), "host",
-               "micro-recovery: VMM rebuilt in place over preserved RAM");
   return vmm_->micro_recover();
 }
 
 void Host::abandon_recovery() {
-  tracer_.emit(sim_.now(), "host",
-               "micro-recovery abandoned; preserved state discarded");
   vmm_.reset();
   dom0_state_ = Dom0State::kDown;
   preserved_.clear();
@@ -128,20 +119,17 @@ void Host::instant_start() {
   vmm_ready_at_ = sim_.now();
   dom0_up_at_ = sim_.now();
   restart_daemons();
-  tracer_.emit(sim_.now(), "host", "instant start: host fully up");
 }
 
 void Host::shutdown_dom0(std::function<void()> on_down) {
   ensure(static_cast<bool>(on_down), "shutdown_dom0: callback required");
   ensure(dom0_state_ == Dom0State::kRunning, "shutdown_dom0: dom0 not running");
   dom0_state_ = Dom0State::kShuttingDown;
-  tracer_.emit(sim_.now(), "host", "dom0 shutting down");
   const obs::SpanId span =
       obs_.span_open(sim_.now(), obs::Phase::kDom0Shutdown, "dom0 shutdown");
   sim_.after(jittered(calib_.dom0_shutdown),
              [this, span, on_down = std::move(on_down)] {
     dom0_state_ = Dom0State::kDown;
-    tracer_.emit(sim_.now(), "host", "dom0 down");
     obs_.span_close(span, sim_.now());
     on_down();
   });
@@ -160,7 +148,6 @@ void Host::boot_vmm(BootMode mode, std::function<void()> on_up) {
       dom0_state_ = Dom0State::kRunning;
       dom0_up_at_ = sim_.now();
       restart_daemons();
-      tracer_.emit(sim_.now(), "host", "dom0 userland up");
       obs_.span_close(span, sim_.now());
       on_up();
     });
@@ -170,14 +157,12 @@ void Host::boot_vmm(BootMode mode, std::function<void()> on_up) {
 void Host::restart_dom0(std::function<void()> on_up) {
   ensure(static_cast<bool>(on_up), "restart_dom0: callback required");
   ensure(up(), "restart_dom0: host not fully up");
-  tracer_.emit(sim_.now(), "host", "restarting dom0 only (VMM untouched)");
   shutdown_dom0([this, on_up = std::move(on_up)]() mutable {
     dom0_state_ = Dom0State::kBooting;
     sim_.after(jittered(calib_.dom0_userland_boot), [this, on_up = std::move(on_up)] {
       dom0_state_ = Dom0State::kRunning;
       dom0_up_at_ = sim_.now();
       restart_daemons();
-      tracer_.emit(sim_.now(), "host", "dom0 restarted; daemons fresh");
       on_up();
     });
   });
@@ -198,7 +183,6 @@ void Host::quick_reload(std::function<void()> on_up) {
   ensure(vmm_->xexec_loaded(), "quick_reload: no xexec image loaded");
   ensure(dom0_state_ == Dom0State::kDown,
          "quick_reload: dom0 must be shut down first");
-  tracer_.emit(sim_.now(), "host", "quick reload: jumping to new VMM");
   const obs::SpanId span =
       obs_.span_open(sim_.now(), obs::Phase::kQuickReload, "quick reload");
   // The old VMM instance is gone the moment control transfers; machine
@@ -222,7 +206,6 @@ void Host::hardware_reboot(std::function<void()> on_up) {
   ensure(static_cast<bool>(on_up), "hardware_reboot: callback required");
   ensure(dom0_state_ == Dom0State::kDown,
          "hardware_reboot: dom0 must be shut down first");
-  tracer_.emit(sim_.now(), "host", "hardware reset");
   const obs::SpanId span =
       obs_.span_open(sim_.now(), obs::Phase::kHardwareReset, "hardware reset");
   vmm_.reset();
@@ -230,7 +213,6 @@ void Host::hardware_reboot(std::function<void()> on_up) {
   // described is gone with them.
   preserved_.clear();
   machine_.hardware_reset([this, span, on_up = std::move(on_up)]() mutable {
-    tracer_.emit(sim_.now(), "host", "POST complete; boot loader");
     sim_.after(calib_.bootloader,
                [this, span, on_up = std::move(on_up)]() mutable {
       const obs::SpanId outer = obs_.ambient();
@@ -247,12 +229,6 @@ void Host::hardware_reboot(std::function<void()> on_up) {
 void Host::note_simultaneous_creations(int count) {
   if (calib_.model_xen_creation_artifact && count >= 2) {
     artifact_until_ = sim_.now() + calib_.creation_artifact_duration;
-    if (tracer_.enabled()) {
-      tracer_.emit(sim_.now(), "host",
-                   "Xen creation artifact: network degraded for " +
-                       std::to_string(sim::to_seconds(calib_.creation_artifact_duration)) +
-                       " s");
-    }
     // The degradation window is known up front, so record it as a
     // completed span immediately rather than scheduling a close event
     // (which would perturb the event stream of instrumented runs).

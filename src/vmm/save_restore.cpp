@@ -62,7 +62,6 @@ void Vmm::save_domain_to_disk(DomainId id, ImageStore& store,
          [&] { return "save: domain '" + d.name() + "' is not running"; });
   ensure(d.hooks() != nullptr, "save: domain has no guest hooks");
   d.set_state(DomainState::kSuspending);
-  if (tracer_.enabled()) trace("xm save -> domain '" + d.name() + "'");
 
   sim_.after(calib_.suspend_event_delivery, [this, id, &store,
                                              done = std::move(done)] {
@@ -94,18 +93,11 @@ void Vmm::save_domain_to_disk(DomainId id, ImageStore& store,
         // file exists. The caller must check the store before restoring.
         if (faults_.roll(fault::FaultKind::kDiskWriteError, sim_.now(),
                          "save:" + domain(id).name())) {
-          if (tracer_.enabled()) {
-            trace("domain '" + domain(id).name() +
-                  "' save FAILED: disk write error (injected)");
-          }
           destroy_domain(id);
           done();
           return;
         }
         store.put(capture_image(id));
-        if (tracer_.enabled()) {
-          trace("domain '" + domain(id).name() + "' image written to disk");
-        }
         destroy_domain(id);
         done();
       });
@@ -157,10 +149,6 @@ void Vmm::restore_domain_from_disk(const std::string& name, ImageStore& store,
       // failure via kNoDomain so a supervisor can fall back to cold boot.
       if (faults_.roll(fault::FaultKind::kDiskReadError, sim_.now(),
                        "restore:" + name)) {
-        if (tracer_.enabled()) {
-          trace("domain '" + name +
-                "' restore FAILED: disk read error (injected)");
-        }
         destroy_domain(id);
         store.erase(name);
         done(kNoDomain);
@@ -170,14 +158,8 @@ void Vmm::restore_domain_from_disk(const std::string& name, ImageStore& store,
       ensure(img != nullptr, "restore: saved image vanished mid-restore");
       apply_image(id, *img);
       store.erase(name);
-      if (tracer_.enabled()) {
-        trace("domain '" + name + "' image read from disk");
-      }
       hooks->on_resume(id, [this, id, done] {
         domain(id).set_state(DomainState::kRunning);
-        if (tracer_.enabled()) {
-          trace("domain '" + domain(id).name() + "' restored from disk");
-        }
         done(id);
       });
     });
@@ -253,16 +235,8 @@ void Vmm::restore_domain_from_image(const SavedImage& image, GuestHooks* hooks,
                       img->populated_pages() * sim::kPageSize);
                   const DomainId id = d.id();
                   apply_image(id, *img);
-                  if (tracer_.enabled()) {
-                    trace("domain '" + img->domain_name +
-                          "' rebuilt from migrated image");
-                  }
                   hooks->on_resume(id, [this, id, done] {
                     domain(id).set_state(DomainState::kRunning);
-                    if (tracer_.enabled()) {
-                      trace("domain '" + domain(id).name() +
-                            "' live on destination");
-                    }
                     done(id);
                   });
                 });

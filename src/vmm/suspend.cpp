@@ -69,7 +69,6 @@ void Vmm::suspend_domain_on_memory(DomainId id, std::function<void()> done) {
          [&] { return "suspend: domain '" + d.name() + "' is not running"; });
   ensure(d.hooks() != nullptr, "suspend: domain has no guest hooks");
   d.set_state(DomainState::kSuspending);
-  if (tracer_.enabled()) trace("suspend event -> domain '" + d.name() + "'");
 
   sim_.after(calib_.suspend_event_delivery, [this, id, done = std::move(done)] {
     // The guest runs its suspend handler (detaching devices) and then
@@ -93,21 +92,13 @@ void Vmm::suspend_domain_on_memory(DomainId id, std::function<void()> done) {
         // restore or cold boot can bring it back. Supervisors detect this
         // via has_preserved_image().
         bool recorded = false;
-        if (faults_.roll(fault::FaultKind::kFrameAllocFailure, sim_.now(),
-                         "suspend:" + d.name())) {
-          if (tracer_.enabled()) {
-            trace("domain '" + d.name() +
-                  "' suspend frame allocation failed (injected); no image");
-          }
-        } else {
+        if (!faults_.roll(fault::FaultKind::kFrameAllocFailure, sim_.now(),
+                          "suspend:" + d.name())) {
           try {
             preserved_.put(std::move(region));
             recorded = true;
-          } catch (const mm::PreservedBudgetExceeded& e) {
-            if (tracer_.enabled()) {
-              trace("domain '" + d.name() +
-                    "' image rejected by preserved-frame budget: " + e.what());
-            }
+          } catch (const mm::PreservedBudgetExceeded&) {
+            // Over budget: the domain suspends without an image.
           }
         }
         // Bit-rot injection: the image is recorded but a payload byte flips
@@ -118,17 +109,9 @@ void Vmm::suspend_domain_on_memory(DomainId id, std::function<void()> done) {
             faults_.roll(fault::FaultKind::kCorruptPreservedImage, sim_.now(),
                          "suspend:" + d.name())) {
           preserved_.corrupt_payload(region_name);
-          if (tracer_.enabled()) {
-            trace("domain '" + d.name() +
-                  "' preserved image corrupted in RAM (injected)");
-          }
         }
 
         d.set_state(DomainState::kSuspendedInMemory);
-        if (tracer_.enabled()) {
-          trace("domain '" + d.name() + "' suspended on-memory (" +
-                std::to_string(d.p2m().populated()) + " frames frozen)");
-        }
         done();
       });
     });
@@ -170,38 +153,21 @@ std::size_t Vmm::snapshot_domains_for_recovery() {
     // fresh snapshot; the crash handler overwrites it.
     if (preserved_.contains(region_name)) preserved_.erase(region_name);
     bool put_ok = false;
-    if (faults_.roll(fault::FaultKind::kFrameAllocFailure, sim_.now(),
-                     "crash:" + d.name())) {
-      if (tracer_.enabled()) {
-        trace("domain '" + d.name() +
-              "' crash snapshot lost (injected allocation failure)");
-      }
-    } else {
+    if (!faults_.roll(fault::FaultKind::kFrameAllocFailure, sim_.now(),
+                      "crash:" + d.name())) {
       try {
         preserved_.put(std::move(region));
         put_ok = true;
         ++recorded;
-      } catch (const mm::PreservedBudgetExceeded& e) {
-        if (tracer_.enabled()) {
-          trace("domain '" + d.name() +
-                "' crash snapshot rejected by preserved-frame budget: " +
-                e.what());
-        }
+      } catch (const mm::PreservedBudgetExceeded&) {
+        // Over budget: the snapshot is lost.
       }
     }
     if (put_ok &&
         faults_.roll(fault::FaultKind::kCorruptPreservedImage, sim_.now(),
                      "crash:" + d.name())) {
       preserved_.corrupt_payload(region_name);
-      if (tracer_.enabled()) {
-        trace("domain '" + d.name() +
-              "' crash snapshot corrupted in RAM (injected)");
-      }
     }
-  }
-  if (tracer_.enabled()) {
-    trace("crash snapshot: " + std::to_string(recorded) +
-          " domain image(s) preserved in RAM");
   }
   return recorded;
 }
@@ -303,9 +269,6 @@ void Vmm::resume_domain_on_memory(const std::string& name, GuestHooks* hooks,
         register_domain_in_store(ref);
         note_domain_op();
         preserved_.erase(region_name);
-        if (tracer_.enabled()) {
-          trace("re-created domain '" + name + "' from preserved image");
-        }
 
         // Re-attaching memory scales (mildly) with image size and runs
         // outside the management queue; the guest resume handler follows.
@@ -315,9 +278,6 @@ void Vmm::resume_domain_on_memory(const std::string& name, GuestHooks* hooks,
         sim_.after(claim_walk, [this, id, hooks, done] {
           hooks->on_resume(id, [this, id, done] {
             domain(id).set_state(DomainState::kRunning);
-            if (tracer_.enabled()) {
-              trace("domain '" + domain(id).name() + "' resumed on-memory");
-            }
             done(id);
           });
         });

@@ -18,14 +18,12 @@ void XendQueue::enqueue(sim::Duration d, sim::InlineCallback done) {
 
 Vmm::Vmm(sim::Simulation& sim, const Calibration& calib, hw::Machine& machine,
          mm::PreservedRegionRegistry& preserved, XenStore& xenstore,
-         sim::Tracer& tracer, sim::Rng& rng, fault::FaultInjector& faults,
-         BootMode mode)
+         sim::Rng& rng, fault::FaultInjector& faults, BootMode mode)
     : sim_(sim),
       calib_(calib),
       machine_(machine),
       preserved_(preserved),
       xenstore_(xenstore),
-      tracer_(tracer),
       rng_(rng),
       faults_(faults),
       mode_(mode),
@@ -35,11 +33,6 @@ Vmm::Vmm(sim::Simulation& sim, const Calibration& calib, hw::Machine& machine,
   // Hypervisor text/data and static tables occupy machine frames.
   allocator_.allocate(kVmmOwner,
                       calib_.vmm_reserved_memory / sim::kPageSize);
-}
-
-void Vmm::trace(const std::string& msg) {
-  if (!tracer_.enabled()) return;
-  tracer_.emit(sim_.now(), "vmm", msg);
 }
 
 sim::Duration Vmm::create_duration(sim::Bytes memory) const {
@@ -79,24 +72,15 @@ void Vmm::reserve_preserved_regions() {
                            ? allocator_.allocate_contiguous(kVmmOwner, meta_frames)
                            : allocator_.allocate(kVmmOwner, meta_frames);
       for (const auto& run : got) machine_.memory().scrub(run);
-    } catch (const mm::OutOfMachineMemory& e) {
+    } catch (const mm::OutOfMachineMemory&) {
       for (const auto& run : region->frozen_frames) {
         ensure(allocator_.release_owned(kVmmOwner, run) == run.count,
                "Vmm: a frozen frame claimed at reload is not the VMM's");
       }
       dropped.push_back(name);
-      if (tracer_.enabled()) {
-        trace("dropped preserved region '" + name + "' at reload: " + e.what());
-      }
     }
   }
   for (const auto& name : dropped) preserved_.erase(name);
-  if (tracer_.enabled()) {
-    trace("re-reserved " + std::to_string(preserved_.size()) +
-          " preserved region(s)" +
-          (dropped.empty() ? std::string()
-                           : " (dropped " + std::to_string(dropped.size()) + ")"));
-  }
 }
 
 void Vmm::build_dom0() {
@@ -111,28 +95,20 @@ void Vmm::scrub_free_memory() {
   // Frozen frames are owned (claimed by reserve_preserved_regions), so the
   // scrubber never touches them.
   auto& memory = machine_.memory();
-  std::int64_t scrubbed = 0;
   for (const auto& run : allocator_.runs()) {
     if (run.value != kNoDomain) continue;
     memory.scrub(hw::FrameRun{run.first, run.count});
-    scrubbed += run.count;
-  }
-  if (tracer_.enabled()) {
-    trace("scrubbed " + std::to_string(scrubbed) + " free frames");
   }
 }
 
 void Vmm::finish_boot() {
   ready_ = true;
   machine_.set_running();
-  trace("reboot of the VMM completed");
 }
 
 void Vmm::boot(std::function<void()> on_ready) {
   ensure(!ready_, "Vmm::boot: already booted");
   ensure(static_cast<bool>(on_ready), "Vmm::boot: callback required");
-  trace(mode_ == BootMode::kQuickReload ? "boot begin (quick reload)"
-                                        : "boot begin (fresh)");
   sim_.after(calib_.vmm_core_init, [this, on_ready = std::move(on_ready)]() mutable {
     reserve_preserved_regions();
     build_dom0();
@@ -193,10 +169,6 @@ Domain& Vmm::make_domain(const std::string& name, sim::Bytes memory,
   }
   dom->exec().event_channels = dom->event_channels().state_token();
   dom->set_hooks(hooks);
-  if (tracer_.enabled()) {
-    trace("created domain '" + name + "' (" + std::to_string(id) + ", " +
-          std::to_string(sim::to_gib(memory)) + " GiB)");
-  }
   Domain& ref = *dom;
   domains_[id] = std::move(dom);
   register_domain_in_store(ref);
@@ -271,7 +243,6 @@ void Vmm::destroy_domain(DomainId id) {
     heap_.leak(calib_.heap_leak_per_domain_cycle);
   }
   d.set_state(DomainState::kDead);
-  if (tracer_.enabled()) trace("destroyed domain '" + d.name() + "'");
   xenstore_.remove("/local/domain/" + std::to_string(id));
   xenstore_.remove("/vm/" + d.name());
   note_domain_op();
@@ -316,12 +287,7 @@ std::size_t Vmm::live_domain_count() const { return domains_.size(); }
 
 sim::Bytes Vmm::trigger_error_path() {
   const sim::Bytes leak = calib_.heap_leak_per_error_path;
-  if (leak > 0) {
-    heap_.leak(leak);
-    if (tracer_.enabled()) {
-      trace("error path executed: leaked " + std::to_string(leak) + " bytes");
-    }
-  }
+  if (leak > 0) heap_.leak(leak);
   return leak;
 }
 
@@ -363,9 +329,6 @@ std::int64_t Vmm::compact_memory() {
         ++pfn;
       }
     }
-  }
-  if (moved > 0 && tracer_.enabled()) {
-    trace("compaction moved " + std::to_string(moved) + " frames");
   }
   return moved;
 }

@@ -20,7 +20,6 @@
 #include "mm/preserved_registry.hpp"
 #include "simcore/random.hpp"
 #include "simcore/simulation.hpp"
-#include "simcore/trace.hpp"
 #include "vmm/calibration.hpp"
 #include "vmm/domain.hpp"
 #include "vmm/save_restore.hpp"
@@ -62,8 +61,7 @@ class Vmm {
 
   Vmm(sim::Simulation& sim, const Calibration& calib, hw::Machine& machine,
       mm::PreservedRegionRegistry& preserved, XenStore& xenstore,
-      sim::Tracer& tracer, sim::Rng& rng, fault::FaultInjector& faults,
-      BootMode mode);
+      sim::Rng& rng, fault::FaultInjector& faults, BootMode mode);
 
   Vmm(const Vmm&) = delete;
   Vmm& operator=(const Vmm&) = delete;
@@ -278,7 +276,6 @@ class Vmm {
   [[nodiscard]] sim::Simulation& sim() { return sim_; }
   [[nodiscard]] hw::Machine& machine() { return machine_; }
   [[nodiscard]] mm::PreservedRegionRegistry& preserved() { return preserved_; }
-  [[nodiscard]] sim::Tracer& tracer() { return tracer_; }
   [[nodiscard]] sim::Rng& rng() { return rng_; }
   [[nodiscard]] fault::FaultInjector& faults() { return faults_; }
 
@@ -311,7 +308,6 @@ class Vmm {
   void scrub_free_memory();
   void finish_boot();
 
-  void trace(const std::string& msg);
   [[nodiscard]] sim::Duration create_duration(sim::Bytes memory) const;
 
   sim::Simulation& sim_;
@@ -319,7 +315,6 @@ class Vmm {
   hw::Machine& machine_;
   mm::PreservedRegionRegistry& preserved_;
   XenStore& xenstore_;
-  sim::Tracer& tracer_;
   sim::Rng& rng_;
   fault::FaultInjector& faults_;
   BootMode mode_;

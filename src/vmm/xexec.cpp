@@ -14,10 +14,6 @@ namespace rh::vmm {
 void Vmm::xexec_load(std::function<void()> done) {
   ensure(static_cast<bool>(done), "xexec_load: callback required");
   ensure(ready_, "xexec_load: VMM not booted");
-  if (tracer_.enabled()) {
-    trace("xexec: loading new VMM image (" +
-          std::to_string(sim::to_mib(calib_.xexec_image_size)) + " MiB)");
-  }
   machine_.disk().read(calib_.xexec_image_size, hw::Disk::Access::kSequential,
                        [this, done = std::move(done)] {
                          sim_.after(calib_.xexec_hypercall, [this, done] {
@@ -28,12 +24,10 @@ void Vmm::xexec_load(std::function<void()> done) {
                            if (faults_.roll(fault::FaultKind::kXexecLoadFailure,
                                             sim_.now(), "xexec_load")) {
                              xexec_loaded_ = false;
-                             trace("xexec: image load FAILED (injected)");
                              done();
                              return;
                            }
                            xexec_loaded_ = true;
-                           trace("xexec: new VMM image loaded");
                            done();
                          });
                        });

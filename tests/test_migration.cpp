@@ -3,7 +3,6 @@
 
 #include "cluster/migration.hpp"
 #include "simcore/check.hpp"
-#include "simcore/simulation.hpp"
 
 namespace rh::test {
 namespace {
@@ -46,50 +45,6 @@ TEST(Migration, DivergentDirtyRateRejected) {
   c.dirty_bps = c.effective_bps * 2;
   EXPECT_THROW((void)cluster::estimate_migration(sim::kGiB, c), InvariantViolation);
   EXPECT_THROW((void)cluster::estimate_migration(0, {}), InvariantViolation);
-}
-
-TEST(Migration, SessionMatchesEstimate) {
-  sim::Simulation s;
-  cluster::MigrationSession session(s, sim::kGiB, {});
-  const auto expected = cluster::estimate_migration(sim::kGiB, {});
-  bool done = false;
-  cluster::MigrationEstimate realised;
-  session.run([&](const cluster::MigrationEstimate& e) {
-    realised = e;
-    done = true;
-  });
-  EXPECT_TRUE(session.running());
-  s.run();
-  ASSERT_TRUE(done);
-  EXPECT_FALSE(session.running());
-  EXPECT_NEAR(sim::to_seconds(realised.total), sim::to_seconds(expected.total),
-              1.0);
-  EXPECT_EQ(realised.rounds, expected.rounds);
-}
-
-TEST(Migration, VmPausesOnlyDuringStopAndCopy) {
-  sim::Simulation s;
-  cluster::MigrationSession session(s, sim::kGiB, {});
-  const auto expected = cluster::estimate_migration(sim::kGiB, {});
-  bool done = false;
-  session.run([&](const cluster::MigrationEstimate&) { done = true; });
-  // Run until just before the stop-and-copy phase.
-  s.run_until(expected.total - expected.stop_and_copy - 1000);
-  EXPECT_FALSE(session.vm_paused());
-  // Inside stop-and-copy.
-  s.run_until(expected.total - expected.stop_and_copy / 2);
-  EXPECT_TRUE(session.vm_paused());
-  s.run();
-  EXPECT_TRUE(done);
-  EXPECT_FALSE(session.vm_paused());
-}
-
-TEST(Migration, RunIsOneShot) {
-  sim::Simulation s;
-  cluster::MigrationSession session(s, sim::kGiB, {});
-  session.run([](const cluster::MigrationEstimate&) {});
-  EXPECT_THROW(session.run([](const cluster::MigrationEstimate&) {}),
-               InvariantViolation);
 }
 
 }  // namespace
