@@ -23,7 +23,9 @@ Fresh crash reports must also add up: every crashscale point and every
 scrape cell must have unplanned_failures == unplanned_recoveries +
 unrecovered_hosts + unplanned_in_flight, or the gate fails and names the
 cell. Cells that lack any of the four counts (files written before the
-in-flight count existed) are skipped.
+in-flight count existed) are skipped. A cell that saw unplanned failures
+but completed no recovery fails by name too: a run too short for any
+crash ladder to finish says nothing about recovery.
 
 Usage:
   check_regression.py [--history-dir DIR] [--fresh-dir DIR]
@@ -55,10 +57,12 @@ def load(path):
 
 
 def sched_metrics(doc):
-    """workload name -> calendar-queue events/s."""
+    """workload name -> production-queue events/s. Snapshots written
+    before the column was renamed call it calendar_queue."""
     out = {}
     for w in doc.get("workloads", []):
-        eps = w.get("calendar_queue", {}).get("events_per_sec")
+        queue = w.get("event_queue", w.get("calendar_queue", {}))
+        eps = queue.get("events_per_sec")
         if eps:
             out[f"sched/{w['name']}"] = float(eps)
     return out
@@ -206,6 +210,19 @@ def unbalanced_reports(docs):
     return out
 
 
+def stalled_reports(docs):
+    """Descriptions of the fresh cells with unplanned failures and no
+    completed recovery."""
+    out = []
+    for fname, doc in docs.items():
+        for name, cell in report_cells(fname, doc):
+            failures = cell.get("unplanned_failures")
+            if failures and cell.get("unplanned_recoveries") == 0:
+                out.append(f"{name}: {failures} unplanned failures, "
+                           f"0 recoveries")
+    return out
+
+
 def snapshot_ids(history_dir):
     """Snapshot directories, oldest first. GitHub run ids are increasing
     integers; fall back to lexicographic order for anything else."""
@@ -292,7 +309,11 @@ def main():
     unbalanced = unbalanced_reports(docs)
     for line in unbalanced:
         print(f"REGRESSION (report does not add up): {line}")
-    if unbalanced:
+    stalled = stalled_reports(docs)
+    for line in stalled:
+        print(f"REGRESSION (no crash ladder completed): {line}")
+    bad_reports = bool(unbalanced or stalled)
+    if bad_reports:
         status = 1
     if not baseline:
         print("WARNING: no usable history snapshots -- nothing trustworthy "
@@ -329,7 +350,7 @@ def main():
                 print(f"REGRESSION (hard gate): geomean below floor; worst "
                       f"metric {worst[0]} at {worst[1]:.3f}")
                 status = 1
-            elif not collapsed and not unbalanced:
+            elif not collapsed and not bad_reports:
                 print("OK: within threshold")
         elif not collapsed:
             print("WARNING: history exists but shares no metrics with the "

@@ -5,8 +5,9 @@
 
 Each case writes one history snapshot and one fresh directory into a
 temporary directory, runs the gate on them and checks its exit status and
-output. The cases pin how the gate treats an availability of 0 and a
-crash report that does not add up.
+output. The cases pin how the gate treats an availability of 0, a crash
+report that does not add up or completed no recovery, and a scheduler
+snapshot written under the old column name.
 """
 
 import json
@@ -28,8 +29,13 @@ AVAILABILITY = (
      "microrec/availability_at_base_rate"),
     ("BENCH_scale.json", "p99_availability", "scale/p99_availability"),
 )
-SCHED = {"workloads": [{"name": "w",
-                        "calendar_queue": {"events_per_sec": 1e6}}]}
+
+
+def sched(eps, column="event_queue"):
+    return {"workloads": [{"name": "w", column: {"events_per_sec": eps}}]}
+
+
+SCHED = sched(1e6)
 
 
 def write(directory, fname, doc):
@@ -82,10 +88,10 @@ class GateTest(unittest.TestCase):
         self.assertEqual(status, 0, out)
         self.assertIn("WARNING: crashscale/p99_availability_at_base_rate", out)
 
-    def test_unbalanced_crash_report_fails_and_names_the_cell(self):
-        def point(failures, in_flight):
+    def test_bad_crash_report_fails_and_names_the_cell(self):
+        def point(failures, recoveries, in_flight):
             return {"rate": 0.4, "unplanned_failures": failures,
-                    "unplanned_recoveries": 5, "unrecovered_hosts": 1,
+                    "unplanned_recoveries": recoveries, "unrecovered_hosts": 1,
                     "unplanned_in_flight": in_flight}
 
         def crashscale(p):
@@ -93,26 +99,41 @@ class GateTest(unittest.TestCase):
                     "ladders": [{"name": "micro", "points": [p]}]}
 
         def scrape(p):
-            return {"rates": [{"rate": 0.4, "baseline": point(8, 2),
+            return {"rates": [{"rate": 0.4, "baseline": point(8, 5, 2),
                                "scraped": [dict(p, interval_s=2)]}]}
 
-        base = {"BENCH_crashscale.json": crashscale(point(8, 2))}
+        base = {"BENCH_crashscale.json": crashscale(point(8, 5, 2))}
         cases = (
             ("BENCH_crashscale.json", crashscale,
              "crashscale/micro@rate=0.4"),
             ("BENCH_scrape.json", scrape, "scrape/interval=2@rate=0.4"),
         )
+        bad = (
+            # One failure neither recovered, unrecovered nor in flight.
+            point(9, 5, 2),
+            # Adds up, but no crash ladder finished inside the run.
+            point(8, 0, 7),
+        )
         for fname, make, name in cases:
             with self.subTest(cell=name):
                 status, out = self.run_gate(
-                    base, dict(base, **{fname: make(point(8, 2))}))
+                    base, dict(base, **{fname: make(point(8, 5, 2))}))
                 self.assertEqual(status, 0, out)
-                # One failure neither recovered, unrecovered nor in flight.
-                status, out = self.run_gate(
-                    base, dict(base, **{fname: make(point(9, 2))}))
-                self.assertNotEqual(status, 0, out)
-                self.assertIn("REGRESSION", out)
-                self.assertIn(name, out)
+                for p in bad:
+                    status, out = self.run_gate(
+                        base, dict(base, **{fname: make(p)}))
+                    self.assertNotEqual(status, 0, out)
+                    self.assertIn("REGRESSION", out)
+                    self.assertIn(name, out)
+
+    def test_old_sched_column_lines_up_with_the_new_one(self):
+        base = {"BENCH_sched.json": sched(1e6, column="calendar_queue")}
+        status, out = self.run_gate(base, {"BENCH_sched.json": sched(1e6)})
+        self.assertEqual(status, 0, out)
+        self.assertIn("sched/w", out)
+        status, out = self.run_gate(base, {"BENCH_sched.json": sched(5e5)})
+        self.assertNotEqual(status, 0, out)
+        self.assertIn("sched/w", out)
 
     def test_report_without_in_flight_count_is_skipped(self):
         # The checked-in 1000-host files predate the in-flight count.

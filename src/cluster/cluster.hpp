@@ -137,8 +137,6 @@ class Cluster {
     obs::SloConfig slo;
     /// Let the SLO evaluator's burn-rate rule pause wave admission.
     bool gate_admission = true;
-    /// EventRing tail length snapshotted into flight-recorder dumps.
-    std::size_t flight_recorder_tail = 64;
   };
 
   /// Arms the telemetry plane: one MetricsExporter per host (on the

@@ -13,6 +13,9 @@ namespace rh::cluster {
 
 namespace {
 
+// EventRing tail length snapshotted into flight-recorder dumps.
+constexpr std::size_t kFlightRecorderTail = 64;
+
 // Minimal JSON string escaping for flight-recorder text (labels and
 // series names are our own short ASCII, but a truncated label could in
 // principle carry anything printable).
@@ -215,8 +218,8 @@ void MetricsScraper::write_flight_record(std::ostream& os,
   // The tail of the host's typed event ring: the last things the host
   // said before (or while) it went dark.
   const obs::EventRing& ring = cluster_.hosts_[host]->obs().events();
-  const std::size_t tail = config_.flight_recorder_tail;
-  const std::size_t skip = ring.size() > tail ? ring.size() - tail : 0;
+  const std::size_t skip =
+      ring.size() > kFlightRecorderTail ? ring.size() - kFlightRecorderTail : 0;
   os << "  \"events_retained\": " << ring.size()
      << ", \"events_dropped\": " << ring.dropped() << ",\n";
   os << "  \"events\": [";

@@ -7,6 +7,13 @@
 
 namespace rh::rejuv {
 
+namespace {
+
+// Cadence of the heap-pressure check (Config::heap_pressure_threshold).
+constexpr sim::Duration kHeapCheckInterval = sim::kHour;
+
+}  // namespace
+
 RejuvenationPolicy::RejuvenationPolicy(vmm::Host& host,
                                        std::vector<guest::GuestOs*> guests,
                                        Config config)
@@ -24,15 +31,7 @@ sim::Duration RejuvenationPolicy::retry_backoff(std::uint64_t k) {
   // min(cap, delay * 2^k) without overflow: stop doubling at the cap.
   sim::Duration d = config_.retry_delay;
   for (std::uint64_t i = 0; i < k && d < config_.retry_delay_cap; ++i) d *= 2;
-  d = std::min(d, config_.retry_delay_cap);
-  if (config_.retry_jitter > 0.0) {
-    const double u = host_.rng().uniform01();
-    d = std::max<sim::Duration>(
-        1, static_cast<sim::Duration>(
-               static_cast<double>(d) *
-               (1.0 + config_.retry_jitter * (2.0 * u - 1.0))));
-  }
-  return d;
+  return std::min(d, config_.retry_delay_cap);
 }
 
 void RejuvenationPolicy::start() {
@@ -43,7 +42,7 @@ void RejuvenationPolicy::start() {
   }
   schedule_vmm(now + config_.vmm_interval);
   if (config_.heap_pressure_threshold > 0.0) {
-    host_.sim().after(config_.heap_check_interval, [this] { check_heap(); });
+    host_.sim().after(kHeapCheckInterval, [this] { check_heap(); });
   }
 }
 
@@ -139,7 +138,7 @@ void RejuvenationPolicy::check_heap() {
     }
     run_vmm_rejuvenation(/*heap_triggered=*/true);
   }
-  host_.sim().after(config_.heap_check_interval, [this] { check_heap(); });
+  host_.sim().after(kHeapCheckInterval, [this] { check_heap(); });
 }
 
 }  // namespace rh::rejuv

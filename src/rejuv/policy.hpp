@@ -30,17 +30,14 @@ class RejuvenationPolicy {
     /// Base retry delay when a rejuvenation must wait for another in
     /// progress. Consecutive deferrals of the same rejuvenation back off
     /// exponentially: the k-th retry waits min(retry_delay_cap,
-    /// retry_delay * 2^k), times a jitter factor in [1-j, 1+j]. The first
-    /// retry always waits exactly retry_delay, and retry_jitter == 0
-    /// draws nothing from the host RNG, so existing seeds reproduce
-    /// their pre-backoff schedules exactly.
+    /// retry_delay * 2^k). The first retry always waits exactly
+    /// retry_delay, and no retry draws from the host RNG, so existing
+    /// seeds reproduce their pre-backoff schedules exactly.
     sim::Duration retry_delay = 10 * sim::kMinute;
     sim::Duration retry_delay_cap = 80 * sim::kMinute;
-    double retry_jitter = 0.0;
     /// If > 0, rejuvenate the VMM early when heap pressure reaches this
-    /// fraction (checked every heap_check_interval).
+    /// fraction (checked every simulated hour).
     double heap_pressure_threshold = 0.0;
-    sim::Duration heap_check_interval = sim::kHour;
     /// Optional load probe in [0, 1]. When set, a due VMM rejuvenation is
     /// deferred while load exceeds `load_defer_threshold` (Garg et al.'s
     /// time-AND-load policy: rejuvenate on schedule, but in a trough).

@@ -10,6 +10,14 @@
 
 namespace rh::rejuv {
 
+namespace {
+
+// Fixed cost of one micro-recovery rebuild attempt, on top of the metadata
+// copy time charged at registry bytes / Calibration::mem_copy_bps.
+constexpr sim::Duration kMicroAttemptBase = 200 * sim::kMillisecond;
+
+}  // namespace
+
 const char* to_string(RebootKind k) {
   switch (k) {
     case RebootKind::kWarm: return "warm-VM reboot";
@@ -66,8 +74,6 @@ Supervisor::Supervisor(vmm::Host& host, std::vector<guest::GuestOs*> guests,
     ensure(config_.micro.success_rate >= 0.0 &&
                config_.micro.success_rate <= 1.0,
            "Supervisor: micro-recovery success rate out of [0, 1]");
-    ensure(config_.micro.attempt_base >= 0,
-           "Supervisor: negative micro-recovery attempt base");
   }
   for (const auto* g : guests_) ensure(g != nullptr, "Supervisor: null guest");
 }
@@ -102,10 +108,6 @@ sim::Duration Supervisor::backoff(int attempt) {
   double d = static_cast<double>(config_.backoff_base) *
              std::ldexp(1.0, attempt);
   d = std::min(d, static_cast<double>(config_.backoff_cap));
-  if (config_.backoff_jitter > 0.0) {
-    const double u = host_.rng().uniform01();
-    d *= 1.0 + config_.backoff_jitter * (2.0 * u - 1.0);
-  }
   return std::max<sim::Duration>(1, static_cast<sim::Duration>(d));
 }
 
@@ -320,7 +322,7 @@ void Supervisor::micro_attempt(fault::FaultKind kind, int attempt) {
          "in-place rebuild attempt " + std::to_string(attempt + 1) + " of " +
              std::to_string(config_.micro.max_attempts));
   const sim::Duration repair =
-      config_.micro.attempt_base +
+      kMicroAttemptBase +
       sim::transfer_time(micro_repair_bytes(), host_.calib().mem_copy_bps);
   const obs::SpanId span =
       host_.obs().span_open(host_.sim().now(), obs::Phase::kMicroRecovery,

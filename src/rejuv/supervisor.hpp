@@ -89,11 +89,10 @@ struct SupervisorConfig {
   RebootKind preferred = RebootKind::kWarm;
   /// Retries per failing step (xexec load, guest boot) before degrading.
   int max_step_retries = 2;
-  /// Backoff before retry k is min(cap, base * 2^k), times a jitter factor
-  /// in [1-j, 1+j]. jitter == 0 draws nothing from the host RNG.
+  /// Backoff before retry k is min(cap, base * 2^k); it draws nothing
+  /// from the host RNG.
   sim::Duration backoff_base = 2 * sim::kSecond;
   sim::Duration backoff_cap = 5 * sim::kMinute;
-  double backoff_jitter = 0.0;
   /// A guest boot that has not completed after this long is declared hung
   /// and force-powered off (kGuestBootHang never completes on its own).
   sim::Duration boot_watchdog = 10 * sim::kMinute;
@@ -113,9 +112,6 @@ struct SupervisorConfig {
     /// Per-attempt probability that the heap/domain-metadata rebuild
     /// succeeds (ReHype reports ~90 %; the default is conservative).
     double success_rate = 0.85;
-    /// Fixed per-attempt cost on top of the metadata copy time, which is
-    /// charged at registry bytes / Calibration::mem_copy_bps.
-    sim::Duration attempt_base = 200 * sim::kMillisecond;
   };
   MicroRecoveryConfig micro;
 };
@@ -246,7 +242,7 @@ class Supervisor {
   // ---- in-place micro-recovery rung (DESIGN.md §13)
   /// Freezes the guests in RAM (fail_vmm + interrupt) and starts attempt 0.
   void start_micro(fault::FaultKind kind);
-  /// One rebuild attempt: charges attempt_base + metadata/mem_copy_bps,
+  /// One rebuild attempt: charges 200 ms + metadata/mem_copy_bps,
   /// then draws success. Failure retries up to max_attempts, then falls to
   /// crash_fallback; success validates metadata and resumes.
   void micro_attempt(fault::FaultKind kind, int attempt);

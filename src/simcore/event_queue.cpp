@@ -1,451 +1,132 @@
 #include "simcore/event_queue.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "simcore/check.hpp"
 
 namespace rh::sim {
 
-EventQueue::EventQueue() : buckets_(kMinBuckets) {}
-
-std::uint32_t EventQueue::alloc_node() {
+std::uint32_t EventQueue::alloc_slot() {
   if (!free_.empty()) {
     const std::uint32_t slot = free_.back();
     free_.pop_back();
     return slot;
   }
-  ensure(nodes_.size() < kNil, "EventQueue: node slab exhausted");
-  if (nodes_.size() == nodes_.capacity()) {
+  ensure(slots_.size() < kNil, "EventQueue: slot slab exhausted");
+  if (slots_.size() == slots_.capacity()) {
     // Quadrupling (instead of the default doubling) keeps the amortized
     // relocation cost of the parallel slabs at ~1/3 element-move per push.
-    const std::size_t cap = std::max<std::size_t>(64, nodes_.capacity() * 4);
-    nodes_.reserve(cap);
+    const std::size_t cap = std::max<std::size_t>(64, slots_.capacity() * 4);
+    slots_.reserve(cap);
     fns_.reserve(cap);
   }
-  nodes_.emplace_back();
+  slots_.emplace_back();
   fns_.emplace_back();
-  return static_cast<std::uint32_t>(nodes_.size() - 1);
+  return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-void EventQueue::free_node(std::uint32_t slot) {
-  Node& n = nodes_[slot];
+void EventQueue::free_slot(std::uint32_t slot) {
+  Slot& s = slots_[slot];
   fns_[slot] = InlineCallback{};
-  n.live = 0;
+  s.pos = kNil;
   // Bumping the generation staleness-proofs every EventId ever issued for
   // this slot. Generation 0 is skipped so (slot 0, gen) never collides with
   // kInvalidEventId.
-  if (++n.gen == 0) n.gen = 1;
+  if (++s.gen == 0) s.gen = 1;
   free_.push_back(slot);
 }
 
-void EventQueue::insert_into_bucket(std::uint32_t slot) {
-  Node& n = nodes_[slot];
-  Bucket& b = buckets_[bucket_index(n.time)];
-  // Unconditional tail append -- push never walks a list. `time > max_time`
-  // proves the append preserves (time, seq) order without reading the tail
-  // node (at time == max_time a fresh push also carries the highest seq);
-  // anything else just clears `sorted` and the bucket is sorted once, when
-  // the pop scan first reaches it.
-  if (b.head == kNil) {
-    n.prev = kNil;
-    n.next = kNil;
-    b.head = slot;
-    b.tail = slot;
-    b.min_time = n.time;
-    b.max_time = n.time;
-    b.sorted = 1;
-    n.live = 1;
-    return;
+void EventQueue::place(std::size_t i, const Entry& e) {
+  heap_[i] = e;
+  slots_[e.slot].pos = static_cast<std::uint32_t>(i);
+}
+
+void EventQueue::sift_up(std::size_t i, const Entry& e) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!before(e, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
   }
-  if (n.time > b.max_time ||
-      (n.time == b.max_time && next_seq_ == n.seq + 1)) {
-    b.max_time = n.time;
-  } else if (b.sorted != 0) {
-    // Out-of-order arrival into a sorted list: try a short walk from the
-    // tail first. Under a well-tuned width the insertion point is 1-2 nodes
-    // back, and keeping the list sorted preserves the pop fast paths; only
-    // when the walk would be long (width far too coarse) do we fall back to
-    // appending unsorted, capping the per-push cost at kMaxInsertWalk node
-    // reads no matter how degenerate the bucket.
-    constexpr std::size_t kMaxInsertWalk = 8;
-    std::uint32_t at = b.tail;
-    std::size_t steps = 0;
-    while (at != kNil && steps < kMaxInsertWalk &&
-           (nodes_[at].time > n.time ||
-            (nodes_[at].time == n.time && nodes_[at].seq > n.seq))) {
-      at = nodes_[at].prev;
-      ++steps;
+  place(i, e);
+}
+
+void EventQueue::sift_down(std::size_t i, const Entry& e) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = i * kArity + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t least = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (before(heap_[c], heap_[least])) least = c;
     }
-    insert_stress_ += steps;
-    if (at == kNil) {
-      n.prev = kNil;
-      n.next = b.head;
-      nodes_[b.head].prev = slot;
-      b.head = slot;
-      b.min_time = n.time;
-      n.live = 1;
-      return;
-    }
-    if (nodes_[at].time < n.time ||
-        (nodes_[at].time == n.time && nodes_[at].seq < n.seq)) {
-      n.prev = at;
-      n.next = nodes_[at].next;
-      nodes_[at].next = slot;
-      if (n.next != kNil) {
-        nodes_[n.next].prev = slot;
-      } else {
-        b.tail = slot;
-        b.max_time = n.time;
-      }
-      n.live = 1;
-      return;
-    }
-    // Walk budget exhausted: append and let the scan sort lazily.
-    b.sorted = 0;
-    b.min_time = std::min(b.min_time, n.time);
+    if (!before(heap_[least], e)) break;
+    place(i, heap_[least]);
+    i = least;
+  }
+  place(i, e);
+}
+
+void EventQueue::remove_at(std::size_t i) {
+  // The last entry fills the hole. It may sort before the hole's parent
+  // only when the hole was not on its ancestor path (a cancel deep in
+  // another subtree), so exactly one of the two sifts moves it.
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;
+  if (i > 0 && before(last, heap_[(i - 1) / kArity])) {
+    sift_up(i, last);
   } else {
-    b.min_time = std::min(b.min_time, n.time);
-    b.max_time = std::max(b.max_time, n.time);
+    sift_down(i, last);
   }
-  n.prev = b.tail;
-  n.next = kNil;
-  nodes_[b.tail].next = slot;
-  b.tail = slot;
-  n.live = 1;
-}
-
-void EventQueue::sort_bucket(Bucket& b) {
-  // Collect the list into scratch_, order by (time, seq), relink. Cost is
-  // k log k once per bucket per qualifying scan, charged to insert_stress_:
-  // chronically large sorts mean the width is too coarse, and the stress
-  // threshold converts that signal into a re-tuning rebuild.
-  scratch_.clear();
-  for (std::uint32_t s = b.head; s != kNil; s = nodes_[s].next) {
-    scratch_.push_back(s);
-  }
-  std::sort(scratch_.begin(), scratch_.end(),
-            [this](std::uint32_t a, std::uint32_t c) {
-              const Node& na = nodes_[a];
-              const Node& nc = nodes_[c];
-              return na.time < nc.time || (na.time == nc.time && na.seq < nc.seq);
-            });
-  std::uint32_t prev = kNil;
-  for (const std::uint32_t s : scratch_) {
-    nodes_[s].prev = prev;
-    if (prev != kNil) {
-      nodes_[prev].next = s;
-    }
-    prev = s;
-  }
-  nodes_[prev].next = kNil;
-  b.head = scratch_.front();
-  b.tail = scratch_.back();
-  b.min_time = nodes_[b.head].time;
-  b.max_time = nodes_[b.tail].time;
-  b.sorted = 1;
-  insert_stress_ += scratch_.size();
-}
-
-void EventQueue::unlink(std::uint32_t slot) {
-  Node& n = nodes_[slot];
-  Bucket& b = buckets_[bucket_index(n.time)];
-  if (n.prev != kNil) {
-    nodes_[n.prev].next = n.next;
-  } else {
-    b.head = n.next;
-    // Only a sorted bucket's min may be raised to the new head's time: in an
-    // unsorted list the head is not the min, and a stale-LOW min_time is
-    // harmless (wasted sort) where a stale-high one would corrupt pop order.
-    if (n.next != kNil && b.sorted != 0) b.min_time = nodes_[n.next].time;
-  }
-  if (n.next != kNil) {
-    nodes_[n.next].prev = n.prev;
-  } else {
-    b.tail = n.prev;
-  }
-}
-
-void EventQueue::reset_scan(SimTime t) {
-  cur_bucket_ = bucket_index(t);
-  cur_slot_start_ = slot_start(t);
-}
-
-void EventQueue::find_min() {
-  if (cached_min_ != kNil) return;
-  // Phase 1: calendar scan. Starting from the current day, take the first
-  // bucket whose head falls inside that bucket's slot of the current year.
-  // The scan-state invariant (no live event before cur_slot_start_) makes
-  // that head the global (time, seq) minimum: a bucket head from a later
-  // slot sorts after every current-slot event, and same-time events share a
-  // bucket in seq order. Qualification reads only bucket metadata
-  // (min_time), so the wade through sparse days is a sequential pass over
-  // the bucket array with no node accesses; an unsorted bucket is sorted
-  // once, here, when it first qualifies. The scan never crosses horizon_:
-  // every bucketed event is below it, and far events (live == 2) are not in
-  // any bucket.
-  const std::size_t nb = buckets_.size();
-  const Duration w = width();
-  for (std::size_t k = 0; k < nb && cur_slot_start_ < horizon_; ++k) {
-    Bucket& b = buckets_[cur_bucket_];
-    if (b.head != kNil && b.min_time < cur_slot_start_ + w) {
-      if (b.sorted == 0) sort_bucket(b);
-      if (b.min_time < cur_slot_start_ + w) {
-        cached_min_ = b.head;
-        scan_stress_ += k;
-        return;
-      }
-      // min_time was stale-low; the sort tightened it and the bucket's real
-      // minimum lies in a later slot -- keep scanning.
-    }
-    cur_bucket_ = (cur_bucket_ + 1) & (nb - 1);
-    cur_slot_start_ += w;
-  }
-  // Phase 2: the bucketed year is exhausted -- only events at or beyond
-  // horizon_ remain (e.g. the microsecond-scale timers drained and
-  // week-scale rejuvenation timers are left). Rebuild the calendar around
-  // the survivors: the new width matches their time scale, the new horizon
-  // covers their leading year, and subsequent pops are O(1) again.
-  rebuild(std::clamp(std::bit_ceil(std::max<std::size_t>(size_, 1)) * kLoadFactorInv,
-                     kMinBuckets, kMaxBuckets),
-          Retune::kResample);
-  ensure(cached_min_ != kNil, "EventQueue: scan invariant broken");
-}
-
-int EventQueue::tune_width_shift(std::size_t new_count, Retune retune) {
-  if (retune == Retune::kReuseEstimate && last_est_ > 0) {
-    // Growth rebuilds reuse the last sampled span estimate: the distribution
-    // rarely shifts within one growth step, and if it does the stress
-    // counters force a resampling rebuild anyway. This keeps the common
-    // grow chain free of sampling passes entirely.
-    const auto per_slot = static_cast<std::uint64_t>(
-        last_est_ / static_cast<SimTime>(new_count) + 1);
-    return std::clamp(static_cast<int>(std::bit_width(per_slot - 1)), 0,
-                      kMaxWidthShift);
-  }
-  // Estimate the live events' time span from quantiles, then size buckets
-  // so the span maps to roughly one slot per event. The narrow windows
-  // catch multi-modal distributions: with microsecond timers clustered next
-  // to week-scale ones, (q90 - q10) straddles the gap between clusters and
-  // would yield an uselessly coarse width, but at least one narrow window
-  // lands inside the dense cluster and measures its true scale. The windows
-  // are weighted toward the MINIMUM end: pop always takes the min and DES
-  // pushes cluster near "now", so the bottom of the time distribution is
-  // the busy region that must stay resolved even when it holds only a small
-  // fraction of the live events. Preferring the smallest non-degenerate
-  // estimate keeps that region fast; far-horizon events simply wrap
-  // multiple years, which phase 2 and the stress counters already handle.
-  // Quantiles are computed over a strided sample (<= ~2*kTuneSample times)
-  // gathered by a sequential walk over the node slab: each quantile costs an
-  // nth_element pass, and several are taken below, so sampling caps the
-  // tuning cost of a rebuild at O(min(n, kTuneSample)) compares plus one
-  // streaming slab pass -- without the cap the growth chain's repeated
-  // tunings showed up as tens of ns per event in profiles.
-  static constexpr std::size_t kTuneSample = 256;
-  const std::size_t stride = size_ / kTuneSample + 1;
-  std::vector<SimTime> ts;
-  ts.reserve(size_ / stride + 1);
-  std::size_t live_seen = 0;
-  for (const Node& n : nodes_) {
-    if (n.live == 0) continue;
-    if (live_seen++ % stride == 0) ts.push_back(n.time);
-  }
-  const std::size_t k = ts.size();
-  if (k < 2) return width_shift_;
-  auto quantile = [&](std::size_t num, std::size_t den) {
-    const auto idx = static_cast<std::ptrdiff_t>((k - 1) * num / den);
-    std::nth_element(ts.begin(), ts.begin() + idx, ts.end());
-    return ts[static_cast<std::size_t>(idx)];
-  };
-  SimTime est = std::max<SimTime>(1, (quantile(9, 10) - quantile(1, 10)) * 5 / 4);
-  const auto consider = [&](SimTime window, SimTime scale) {
-    if (window > 0) est = std::min(est, window * scale);
-  };
-  consider(quantile(5, 100) - quantile(0, 100), 20);
-  consider(quantile(15, 100) - quantile(5, 100), 10);
-  consider(quantile(40, 100) - quantile(30, 100), 10);
-  consider(quantile(70, 100) - quantile(60, 100), 10);
-  last_est_ = est;
-
-  const auto per_slot = static_cast<std::uint64_t>(
-      est / static_cast<SimTime>(new_count) + 1);
-  int shift = std::bit_width(per_slot - 1);  // ceil(log2)
-  shift = std::clamp(shift, 0, kMaxWidthShift);
-
-  // Feedback nudge: if the quantile estimate lands on the current width but
-  // the stress counters say it is wrong, move one notch in the indicated
-  // direction (long insert walks => too coarse; empty-bucket wading => too
-  // fine). This breaks re-tuning livelock on adversarial distributions.
-  if (shift == width_shift_ && insert_stress_ + scan_stress_ > 0) {
-    if (insert_stress_ > scan_stress_) {
-      shift = std::max(0, shift - 1);
-    } else {
-      shift = std::min(kMaxWidthShift, shift + 1);
-    }
-  }
-  return shift;
-}
-
-void EventQueue::rebuild(std::size_t new_count, Retune retune) {
-  // Live nodes are found by walking the slab, not the bucket lists: the slab
-  // walk is a sequential streaming read (two nodes per cache line), where
-  // chasing list next-pointers is a dependent random miss per event. The
-  // rebuild's only random accesses are the writes into the new bucket array.
-  if (size_ >= 2) width_shift_ = tune_width_shift(new_count, retune);
-  buckets_.assign(new_count, Bucket{});
-  insert_stress_ = 0;
-  scan_stress_ = 0;
-  // Walk 1: global (time, seq) minimum, anchoring the scan and the horizon.
-  std::uint32_t min_slot = kNil;
-  SimTime min_time = 0;
-  std::uint64_t min_seq = 0;
-  const auto nn = static_cast<std::uint32_t>(nodes_.size());
-  for (std::uint32_t s = 0; s < nn; ++s) {
-    const Node& n = nodes_[s];
-    if (n.live == 0) continue;
-    if (min_slot == kNil || n.time < min_time ||
-        (n.time == min_time && n.seq < min_seq)) {
-      min_slot = s;
-      min_time = n.time;
-      min_seq = n.seq;
-    }
-  }
-  if (min_slot == kNil) {
-    reset_scan(0);
-    horizon_ = span();
-    cached_min_ = kNil;
-    return;
-  }
-  reset_scan(min_time);
-  horizon_ = slot_start(min_time) + span();
-  // Walk 2: bucket the leading year, park everything beyond it as far
-  // (live == 2, no list membership). Far events cost nothing to park and
-  // nothing while parked; the next phase-2 rebuild re-examines them.
-  for (std::uint32_t s = 0; s < nn; ++s) {
-    Node& n = nodes_[s];
-    if (n.live == 0) continue;
-    if (n.time < horizon_) {
-      insert_into_bucket(s);
-    } else {
-      n.live = 2;
-    }
-  }
-  insert_stress_ = 0;  // reinsertion walks are rebuild cost, not width signal
-  cached_min_ = min_slot;
 }
 
 EventId EventQueue::push(SimTime t, InlineCallback fn) {
   ensure(static_cast<bool>(fn), "EventQueue::push: callback must not be empty");
-  const std::uint32_t slot = alloc_node();
-  Node& n = nodes_[slot];
-  n.time = t;
-  n.seq = next_seq_++;
+  const std::uint32_t slot = alloc_slot();
   fns_[slot] = std::move(fn);
-  const EventId id = make_id(slot, n.gen);
-  if (size_ == 0) {
-    reset_scan(t);
-    horizon_ = slot_start(t) + span();
-    cached_min_ = slot;
-    insert_into_bucket(slot);
-  } else if (t >= horizon_) {
-    // Far event: beyond the bucketed year. Park it in the slab untouched --
-    // no bucket write, no list walk, no effect on the scan -- until a
-    // phase-2 rebuild re-draws the horizon past it. This is what keeps
-    // week-scale rejuvenation timers from polluting a calendar tuned for
-    // microsecond TCP traffic.
-    n.live = 2;
-  } else {
-    if (t < cur_slot_start_) reset_scan(t);
-    if (cached_min_ != kNil && t < nodes_[cached_min_].time) cached_min_ = slot;
-    insert_into_bucket(slot);
-  }
-  ++size_;
-  // Growth triggers at load 2 and targets load 1/kLoadFactorInv, so each
-  // step multiplies the bucket count ~4x: the growth chain's amortized
-  // reinsertion cost stays under ~1/3 of pushes, and grow rebuilds reuse the
-  // cached width estimate so they are pure streaming passes.
-  if (size_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
-    rebuild(std::min(kMaxBuckets, std::bit_ceil(size_) * kLoadFactorInv),
-            Retune::kReuseEstimate);
-  } else if (insert_stress_ + scan_stress_ > size_ + buckets_.size() + 256) {
-    rebuild(buckets_.size(), Retune::kResample);
-  }
-  return id;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Entry{t, next_seq_++, slot});
+  return make_id(slot, slots_[slot].gen);
 }
 
 bool EventQueue::cancel(EventId id) {
   if (id == kInvalidEventId) return false;
   const auto slot = static_cast<std::uint32_t>(id >> 32);
   const auto gen = static_cast<std::uint32_t>(id);
-  if (slot >= nodes_.size()) return false;
-  Node& n = nodes_[slot];
-  if (n.live == 0 || n.gen != gen) return false;
-  if (cached_min_ == slot) cached_min_ = kNil;
-  if (n.live == 1) unlink(slot);  // far events are in no bucket list
-  free_node(slot);
-  --size_;
+  if (slot >= slots_.size()) return false;
+  const Slot& s = slots_[slot];
+  if (s.pos == kNil || s.gen != gen) return false;
+  remove_at(s.pos);
+  free_slot(slot);
   return true;
 }
 
 SimTime EventQueue::next_time() const {
-  ensure(size_ > 0, "EventQueue::next_time: queue is empty");
-  // Shares the scan (and a possible re-tuning rebuild) with pop(); the
-  // observable pop order is unaffected, so this is logically const.
-  auto* self = const_cast<EventQueue*>(this);
-  self->find_min();
-  return nodes_[cached_min_].time;
+  ensure(!heap_.empty(), "EventQueue::next_time: queue is empty");
+  return heap_.front().time;
 }
 
 EventQueue::Popped EventQueue::pop() {
-  ensure(size_ > 0, "EventQueue::pop: queue is empty");
-  find_min();
-  const std::uint32_t slot = cached_min_;
-  cached_min_ = kNil;
-  Node& n = nodes_[slot];
-  Popped out{n.time, make_id(slot, n.gen), std::move(fns_[slot])};
-  const std::uint32_t succ = n.next;
-  unlink(slot);
-  free_node(slot);
-  --size_;
-  // The popped head's successor is the new bucket head; if the bucket is
-  // sorted and the successor's time still falls inside the current slot of
-  // the current year, it is the global minimum by the same argument as the
-  // phase-1 scan, so the next pop can skip find_min entirely (this is what
-  // makes same-time bursts O(1)).
-  if (succ != kNil && nodes_[succ].time < cur_slot_start_ + width() &&
-      buckets_[bucket_index(out.time)].sorted != 0) {
-    cached_min_ = succ;
-  }
-  // Shrink only once the calendar is far below the grow trigger (load 1/8
-  // vs 2) and shrink back to the grow target -- the wide hysteresis band
-  // keeps push-heavy / pop-heavy alternation from thrashing rebuilds. The
-  // drain resamples the width: the surviving events' span is typically much
-  // narrower than the last full-population estimate.
-  if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 8) {
-    rebuild(std::clamp(std::bit_ceil(std::max<std::size_t>(size_, 1)) * kLoadFactorInv,
-                       kMinBuckets, kMaxBuckets),
-            Retune::kResample);
-  } else if (insert_stress_ + scan_stress_ > size_ + buckets_.size() + 256) {
-    rebuild(buckets_.size(), Retune::kResample);
-  }
+  ensure(!heap_.empty(), "EventQueue::pop: queue is empty");
+  const std::uint32_t slot = heap_.front().slot;
+  Popped out{heap_.front().time, make_id(slot, slots_[slot].gen),
+             std::move(fns_[slot])};
+  remove_at(0);
+  free_slot(slot);
   return out;
 }
 
 void EventQueue::clear() {
-  // Slab walk rather than bucket-list chase: finds far (unbucketed) events
-  // too, and streams sequentially.
-  const auto nn = static_cast<std::uint32_t>(nodes_.size());
-  for (std::uint32_t s = 0; s < nn; ++s) {
-    if (nodes_[s].live != 0) free_node(s);
+  // Slot order, not heap order, so the free stack -- and with it the slot
+  // each later push reuses -- does not depend on the heap's shape.
+  const auto n = static_cast<std::uint32_t>(slots_.size());
+  for (std::uint32_t slot = 0; slot < n; ++slot) {
+    if (slots_[slot].pos != kNil) free_slot(slot);
   }
-  std::fill(buckets_.begin(), buckets_.end(), Bucket{});
-  size_ = 0;
-  cached_min_ = kNil;
-  insert_stress_ = 0;
-  scan_stress_ = 0;
-  reset_scan(0);
-  horizon_ = span();
+  heap_.clear();
 }
 
 }  // namespace rh::sim

@@ -1,39 +1,30 @@
-// Calendar-queue event scheduler with slab-allocated nodes, O(1)
-// cancellation, and stable same-time FIFO ordering.
+// Indexed 4-ary min-heap event scheduler with slab-allocated callbacks,
+// O(log n) cancellation, and stable same-time FIFO ordering.
 //
 // This is the hot core of the whole simulator: every modelled mechanism
 // (suspend/resume, quick reload, TCP retransmission, page-cache aging,
-// migration rounds) is an event pushed through here. The structure is a
-// Brown-style calendar queue [R. Brown, CACM 1988], the design used by
-// ns-2/ns-3-class DES engines:
+// migration rounds) is an event pushed through here.
 //
-//   - events live in slab-allocated nodes (one contiguous vector, free-list
-//     recycling); a node embeds its callback as an InlineCallback, so the
-//     common push/pop cycle performs ZERO heap allocations;
-//   - nodes hang off an array of bucket lists ("days"), each covering a
-//     power-of-two time width (bucketing is shift+mask, no division). Only
-//     the leading "year" is bucketed: events beyond the horizon are parked
-//     in the slab unbucketed at zero structural cost. Pop scans forward from
-//     the current day reading only bucket metadata; when the bucketed year
-//     is exhausted, the queue rebuilds itself around the survivors (far
-//     events included), re-tuning the bucket width from time quantiles.
-//     Insert/scan stress counters trigger the same rebuild if the width
-//     ever drifts away from the live distribution, so mixed horizons
-//     (microsecond TCP timers next to week-scale rejuvenation timers)
-//     cannot degenerate the structure. Amortized O(1) push/pop under
-//     stationary loads;
+//   - each event owns a slot in two parallel slabs: its callback lives in an
+//     InlineCallback, so the common push/pop cycle performs ZERO heap
+//     allocations, and its control word records the generation and the
+//     event's current heap position. Freed slots are recycled from an index
+//     stack;
+//   - the heap itself holds only 24-byte (time, seq, slot) entries, four
+//     children per node: half the depth of a binary heap, with a node's
+//     children in 96 contiguous bytes. The queues the simulator drives stay
+//     shallow -- a few dozen pending events per host, a few thousand in the
+//     busiest fleet partition -- so a sift is a handful of compares;
 //   - an EventId encodes (slot index, generation); cancel() validates the
-//     generation and unlinks the node from its doubly-linked bucket list in
-//     O(1) -- no tombstone set, no scan at pop, and ids from fired or
-//     cancelled events are recognised as stale (cancel returns false);
+//     generation and removes the entry at the slot's recorded heap position
+//     (sifting the displaced last entry up or down) -- no tombstone set, no
+//     scan at pop, and ids from fired or cancelled events are recognised as
+//     stale (cancel returns false);
 //   - determinism guarantee (unchanged from the original heap queue): two
 //     events scheduled for the same instant fire in the order they were
-//     scheduled. Bucket lists are in (time, seq) order whenever the pop
-//     scan consults them (out-of-order arrivals are sorted lazily, once,
-//     before the bucket is read); same-time events always hash to the same
-//     bucket, so the global pop order is exactly ascending (time, seq)
-//     regardless of rebuilds. A golden-order regression test pins this
-//     (tests/test_event_queue.cpp).
+//     scheduled. Entries compare by (time, seq) and seq is unique, so the
+//     pop order is exactly ascending (time, seq). A golden-order regression
+//     test pins this (tests/test_event_queue.cpp).
 #pragma once
 
 #include <cstdint>
@@ -45,30 +36,28 @@
 namespace rh::sim {
 
 /// Opaque handle identifying a scheduled event; used for cancellation.
-/// Encodes (node slot << 32 | generation); stale handles are detected.
+/// Encodes (slot << 32 | generation); stale handles are detected.
 using EventId = std::uint64_t;
 
 inline constexpr EventId kInvalidEventId = 0;
 
 class EventQueue {
  public:
-  EventQueue();
-
   /// Schedules `fn` at absolute time `t`; returns a handle for cancel().
   /// The callback must be non-empty. Never allocates when `fn` fits
-  /// InlineCallback's inline buffer and the node slab has free capacity.
+  /// InlineCallback's inline buffer and the slabs have free capacity.
   EventId push(SimTime t, InlineCallback fn);
 
-  /// Cancels a pending event in O(1). Returns true if the event was still
-  /// pending; false for kInvalidEventId, already-fired, or already-cancelled
-  /// handles (generation mismatch).
+  /// Cancels a pending event in O(log n). Returns true if the event was
+  /// still pending; false for kInvalidEventId, already-fired, or
+  /// already-cancelled handles (generation mismatch).
   bool cancel(EventId id);
 
   /// True if no live events remain. O(1).
-  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
   /// Number of live events. O(1) and exact.
-  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// Time of the earliest live event. Precondition: !empty().
   [[nodiscard]] SimTime next_time() const;
@@ -87,107 +76,38 @@ class EventQueue {
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffU;
-  static constexpr std::size_t kMinBuckets = 8;
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
-  // Rebuilds target kLoadFactorInv buckets per live event; growth triggers
-  // at load 1 and shrink at load 1/4 of the target, so the hysteresis band
-  // spans 4x and push/pop alternation cannot thrash rebuilds.
-  static constexpr std::size_t kLoadFactorInv = 1;
-  static constexpr int kMaxWidthShift = 40;  // widest day ~= 12.7 simulated days
+  static constexpr std::size_t kArity = 4;
 
-  // Control data only -- exactly half a cache line, so bucket-list walks
-  // (insert scans, unlink, min search) touch twice as many nodes per line.
-  // The callbacks live in the parallel fns_ slab, written once at push and
-  // read once at pop.
-  struct Node {
+  struct Entry {
     SimTime time = 0;
     std::uint64_t seq = 0;
-    std::uint32_t gen = 1;
-    std::uint32_t next = kNil;
-    std::uint32_t prev = kNil;
-    std::uint32_t live = 0;  // 0 = free, 1 = in a bucket list, 2 = far-parked
+    std::uint32_t slot = 0;
   };
-  static_assert(sizeof(Node) == 32);
-  // Buckets are append-only at push (O(1), no list walk) and lazily sorted:
-  // `sorted` records whether the list is in (time, seq) order, and the pop
-  // scan sorts a bucket once when it first qualifies -- k log k per bucket
-  // per year instead of k^2 insertion-walk steps at push. min_time is a
-  // lower bound on the times in the list, exact while sorted (it then
-  // mirrors the head) and stale-low after out-of-order appends or removals
-  // from an unsorted list; the scan re-checks after sorting, so stale-low
-  // only costs a wasted sort, never a wrong pop. max_time is an upper bound
-  // (stale-high is fine) that detects in-order appends without reading the
-  // tail node. All four fields live in the bucket itself, so qualification
-  // during the scan is a pure sequential pass touching no nodes.
-  struct Bucket {
-    std::uint32_t head = kNil;
-    std::uint32_t tail = kNil;
-    SimTime min_time = 0;
-    SimTime max_time = 0;
-    std::uint32_t sorted = 1;
+  struct Slot {
+    std::uint32_t gen = 1;
+    std::uint32_t pos = kNil;  // heap index; kNil = free
   };
 
   static constexpr EventId make_id(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(slot) << 32) | gen;
   }
-
-  [[nodiscard]] std::size_t bucket_index(SimTime t) const {
-    return static_cast<std::size_t>(t >> width_shift_) & (buckets_.size() - 1);
-  }
-  [[nodiscard]] SimTime slot_start(SimTime t) const {
-    return (t >> width_shift_) << width_shift_;
-  }
-  [[nodiscard]] Duration width() const { return Duration{1} << width_shift_; }
-  /// One full calendar year: bucket count times bucket width.
-  [[nodiscard]] SimTime span() const {
-    return static_cast<SimTime>(buckets_.size()) << width_shift_;
+  static bool before(const Entry& a, const Entry& b) {
+    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
   }
 
-  std::uint32_t alloc_node();
-  void free_node(std::uint32_t slot);
-  void insert_into_bucket(std::uint32_t slot);
-  void sort_bucket(Bucket& b);
-  void unlink(std::uint32_t slot);
-  void reset_scan(SimTime t);
-  void find_min();
-  enum class Retune { kReuseEstimate, kResample };
-  void rebuild(std::size_t new_count, Retune retune);
-  int tune_width_shift(std::size_t new_count, Retune retune);
+  std::uint32_t alloc_slot();
+  void free_slot(std::uint32_t slot);
+  void place(std::size_t i, const Entry& e);
+  void sift_up(std::size_t i, const Entry& e);
+  void sift_down(std::size_t i, const Entry& e);
+  void remove_at(std::size_t i);
 
-  std::vector<Node> nodes_;        // slab; indices are stable across rebuilds
-  std::vector<InlineCallback> fns_;  // parallel to nodes_
-  // Free slots as an index stack rather than a list threaded through the
-  // nodes: popping the stack is a contiguous access, where chasing next
-  // pointers through the slab was a serialized cache miss per allocation.
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<InlineCallback> fns_;  // parallel to slots_
+  // Free slots as an index stack: popping it is a contiguous access.
   std::vector<std::uint32_t> free_;
-  std::vector<std::uint32_t> scratch_;  // sort_bucket workspace (reused)
-  std::vector<Bucket> buckets_;  // power-of-two count
-  int width_shift_ = 0;          // one bucket covers 1 << width_shift_ us
-  SimTime last_est_ = 0;         // last sampled span estimate (0 = none yet)
-  std::size_t size_ = 0;
   std::uint64_t next_seq_ = 1;
-
-  // Pop-scan state: no live event has time < cur_slot_start_, and
-  // cur_bucket_ is the bucket whose current-year slot starts there.
-  // cached_min_ is the slot of the known global minimum (kNil = unknown).
-  std::size_t cur_bucket_ = 0;
-  SimTime cur_slot_start_ = 0;
-  std::uint32_t cached_min_ = kNil;
-
-  // End of the bucketed year. Every bucketed event has time < horizon_;
-  // events pushed at or beyond it are "far-parked" in the slab (live == 2,
-  // member of no bucket list) at zero structural cost, and re-examined when
-  // a rebuild re-draws the horizon. This keeps far-future timers from
-  // polluting a calendar whose width is tuned for the busy near cluster.
-  SimTime horizon_ = 0;
-
-  // Wasted-work counters since the last rebuild: list steps walked by
-  // out-of-order inserts (width too coarse) and empty buckets waded through
-  // by the pop scan (width too fine). Crossing the threshold triggers a
-  // re-tuning rebuild, keeping the overhead proportional to the work it
-  // recovers.
-  std::size_t insert_stress_ = 0;
-  std::size_t scan_stress_ = 0;
 };
 
 }  // namespace rh::sim

@@ -6,8 +6,8 @@
 // cancellation through an unordered_set of tombstones). It is kept for two
 // purposes only:
 //
-//   1. the determinism regression test cross-checks that the calendar-queue
-//      EventQueue fires events in exactly the order this queue does;
+//   1. the determinism regression test cross-checks that EventQueue fires
+//      events in exactly the order this queue does;
 //   2. bench/sched_bench.cpp measures both queues side by side, so the
 //      speedup recorded in BENCH_sched.json is reproducible on any machine
 //      rather than a number frozen in a doc.
@@ -26,7 +26,7 @@
 
 namespace rh::sim {
 
-/// Min-heap of events keyed by (time, insertion sequence); the pre-calendar
+/// Min-heap of events keyed by (time, insertion sequence); the seed
 /// scheduler. Two events scheduled for the same instant fire in the order
 /// they were scheduled (FIFO). Cancellation is lazy: cancelled ids are
 /// skipped at pop time.

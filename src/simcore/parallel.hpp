@@ -1,9 +1,9 @@
 // Conservative synchronous parallel DES engine (PDES core).
 //
-// The sequential Simulation runs one calendar queue on one thread; a
+// The sequential Simulation runs one event queue on one thread; a
 // 1000-host cluster therefore saturates exactly one core no matter how
 // many replications run in parallel. This engine partitions the event
-// space (one Simulation -- calendar queue plus local clock -- per
+// space (one Simulation -- event queue plus local clock -- per
 // partition, in the cluster one partition per host plus one for the
 // control plane) and executes partitions concurrently under the classic
 // conservative synchronous-window protocol:

@@ -8,7 +8,7 @@
 // of (fire time, payload) pairs, so ANY reordering of event execution --
 // including a same-time FIFO violation -- changes the hash. The golden
 // value pinned in test_event_queue.cpp was produced by the original
-// binary-heap EventQueue; the calendar queue must reproduce it bit-for-bit.
+// binary-heap EventQueue; every EventQueue must reproduce it bit-for-bit.
 #pragma once
 
 #include <cstdint>

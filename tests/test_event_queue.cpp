@@ -145,8 +145,8 @@ TEST(EventQueue, MoveOnlyCallbacksSupported) {
 }
 
 TEST(EventQueue, ManyEventsAcrossMixedHorizonsStaySorted) {
-  // Enough events to force several calendar resizes, with microsecond and
-  // week-scale horizons mixed (the pattern the simulator actually produces).
+  // Enough events for a deep heap, with microsecond and week-scale
+  // horizons mixed (the pattern the simulator actually produces).
   sim::EventQueue q;
   sim::Rng rng(99);
   for (int i = 0; i < 20000; ++i) {
@@ -168,10 +168,10 @@ TEST(EventQueue, ManyEventsAcrossMixedHorizonsStaySorted) {
 //
 // The golden constant below is the event-order hash the ORIGINAL binary-heap
 // EventQueue produced on the mixed workload (pushes across three horizons,
-// same-time bursts, cancellations, interleaved drains) before the calendar
-// queue replaced it. The calendar queue must reproduce the exact same firing
-// order -- same-time FIFO included -- so every figure/table binary keeps
-// emitting bit-identical results.
+// same-time bursts, cancellations, interleaved drains). Every later
+// EventQueue must reproduce the exact same firing order -- same-time FIFO
+// included -- so every figure/table binary keeps emitting bit-identical
+// results.
 constexpr std::uint64_t kGoldenOrderHash = 0x0a2ae001a6818e75ULL;
 
 TEST(EventQueueDeterminism, MatchesGoldenOrderHash) {
