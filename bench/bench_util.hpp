@@ -30,7 +30,8 @@ inline constexpr std::uint64_t kLegacyBenchSeed = 7;
 /// Calibration::timing_jitter used by testbeds built inside replication
 /// bodies (the seed-taking Testbed constructor and the cluster helpers).
 /// SweepOptions::parse stores its --jitter value here (default 2 %) before
-/// any worker thread starts, so reads from the pool are race-free.
+/// any worker thread starts, so reads from the runner's threads are
+/// race-free.
 /// Single-run Testbeds (default constructor) stay jitter-free and keep
 /// reproducing the historical single-seed outputs exactly.
 inline double g_replication_jitter = 0.0;

@@ -1,10 +1,13 @@
 // Strong-scaling benchmark of the parallel replication runner (src/exp/).
 //
 // The workload is the real thing, not a synthetic spin loop: every
-// replication builds a private Testbed (host + n SSH VMs) and runs a warm
-// rejuvenation to completion, exactly like the figure benches do. The
-// grid is points (VM counts) x replications, at least 32 tasks in the
-// default configuration.
+// replication is one Fig. 6 cell -- for each of the warm-VM, saved-VM and
+// cold-VM reboots it builds a private Testbed (host + n JBoss VMs) and
+// runs that rejuvenation to completion, as fig6_downtime's cells do
+// (without its downtime probers).
+// The grid is points (VM counts) x replications, sized so the sequential
+// pass takes long enough to time: a warm reboot alone takes microseconds
+// of wall time, and a speedup of two timer readings that small is noise.
 //
 // The same grid runs once sequentially (run_grid_sequential, the
 // baseline) and once per requested thread count, and every parallel run
@@ -20,6 +23,9 @@
 //
 // --threads T restricts the scaling sweep to the single count T
 // (CI smoke: --threads 2 --quick); default sweeps 1, 2, 4, 8.
+// --reps R defaults to 480 per point (200 with --quick): about 1 ms a
+// replication, so the sequential pass takes 2.1-2.6 s (0.7-0.9 s quick)
+// on a 4-vCPU x86 box.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -37,23 +43,24 @@ namespace {
 using namespace rh;
 using bench::Testbed;
 
-/// VM count per grid point: the sweep dimension.
+/// VM count per grid point: the sweep dimension (Fig. 6's n).
 std::vector<int> vm_counts(bool quick) {
-  if (quick) return {1, 2};
-  return {1, 2, 3, 4};
+  if (quick) return {3, 7, 11};
+  return {1, 3, 5, 7, 9, 11};
 }
 
-/// One replication: private simulation, warm rejuvenation, downtime-free
-/// duration metrics. Returns {total rejuvenation seconds, per-VM resume
-/// seconds mean} so the reduction exercises multi-metric merging.
+/// One replication: a Fig. 6 cell. Each reboot kind runs on its own
+/// seeded testbed; the metrics are the three rejuvenation durations, so
+/// the reduction exercises multi-metric merging.
 exp::ReplicationResult replicate(const exp::ReplicationContext& ctx, int vms) {
-  Testbed tb(ctx.seed);
-  tb.add_vms(vms, sim::kGiB, Testbed::ServiceMix::kSsh);
-  const sim::SimTime start = tb.sim.now();
-  const auto report = tb.rejuvenate(rejuv::RebootKind::kWarm);
+  sim::Rng rng = ctx.rng;
   exp::ReplicationResult out;
-  out.values = {sim::to_seconds(report.total_duration()),
-                sim::to_seconds(tb.sim.now() - start)};
+  for (const auto kind : {rejuv::RebootKind::kWarm, rejuv::RebootKind::kSaved,
+                          rejuv::RebootKind::kCold}) {
+    Testbed tb(rng.next());
+    tb.add_vms(vms, sim::kGiB, Testbed::ServiceMix::kJboss);
+    out.values.push_back(sim::to_seconds(tb.rejuvenate(kind).total_duration()));
+  }
   return out;
 }
 
@@ -81,7 +88,7 @@ bool bitwise_equal(const exp::GridResult& a, const exp::GridResult& b) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::size_t reps = 8;
+  std::size_t reps = 0;
   std::string out_path = "BENCH_runner.json";
   std::vector<std::size_t> thread_counts;
   for (int i = 1; i < argc; ++i) {
@@ -101,8 +108,7 @@ int main(int argc, char** argv) {
     }
   }
   if (thread_counts.empty()) thread_counts = {1, 2, 4, 8};
-  if (quick && reps == 8) reps = 3;
-  if (reps == 0) reps = 1;
+  if (reps == 0) reps = quick ? 200 : 480;
 
   // Jitter on, so replications genuinely differ and the merge paths are
   // exercised on distinct values.
@@ -161,16 +167,17 @@ int main(int argc, char** argv) {
 
   // Sanity line: the measured quantity itself, so the JSON's workload is
   // interpretable without re-running.
-  std::printf("\n  workload check (largest point): warm rejuvenation of %d "
-              "VMs takes %s s per replication\n",
+  const auto& largest = seq.points.back();
+  std::printf("\n  workload check (largest point, n = %d JBoss VMs): "
+              "rejuvenation takes warm %s s, saved %s s, cold %s s\n",
               counts.back(),
-              bench::fmt_ci(seq.points.back().mean(0),
-                            seq.points.back().ci95(0), "%.2f")
-                  .c_str());
+              bench::fmt_ci(largest.mean(0), largest.ci95(0), "%.1f").c_str(),
+              bench::fmt_ci(largest.mean(1), largest.ci95(1), "%.1f").c_str(),
+              bench::fmt_ci(largest.mean(2), largest.ci95(2), "%.1f").c_str());
 
   std::string json = "{\n  \"benchmark\": \"replication_runner\",\n";
-  json += "  \"workload\": \"warm rejuvenation of n SSH VMs per "
-          "replication\",\n";
+  json += "  \"workload\": \"warm, saved and cold rejuvenation of n JBoss "
+          "VMs per replication (one Fig. 6 cell)\",\n";
   json += "  \"points\": " + std::to_string(spec.points) + ",\n";
   json += "  \"replications_per_point\": " + std::to_string(spec.replications) +
           ",\n";

@@ -297,11 +297,6 @@ void Cluster::start_scraping(const ScrapeConfig& config) {
   scraper_->start();
 }
 
-void Cluster::stop_scraping() {
-  ensure(scraper_ != nullptr, "stop_scraping: scraping was never started");
-  scraper_->stop();
-}
-
 void Cluster::set_scrape_admission_blocked(bool blocked) {
   if (scrape_blocked_ == blocked) return;
   scrape_blocked_ = blocked;

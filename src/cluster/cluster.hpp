@@ -146,9 +146,6 @@ class Cluster {
   /// and the run stays byte-identical to pre-telemetry builds. Call
   /// while the engine is quiescent.
   void start_scraping(const ScrapeConfig& config);
-  /// Stops future scrape rounds (in-flight ones resolve); the scraper
-  /// and its TimeSeriesStore stay readable. Quiescent callers only.
-  void stop_scraping();
   /// The telemetry plane, or null before start_scraping().
   [[nodiscard]] MetricsScraper* scraper() { return scraper_.get(); }
 

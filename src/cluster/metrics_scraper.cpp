@@ -69,16 +69,12 @@ MetricsScraper::MetricsScraper(Cluster& cluster, Cluster::ScrapeConfig config)
 void MetricsScraper::start() {
   ensure(!started_, "MetricsScraper::start: already started");
   started_ = true;
-  running_ = true;
   cluster_.engine_.run_on(0, [this] {
     sim_.after(config_.interval, [this] { run_round(); });
   });
 }
 
-void MetricsScraper::stop() { running_ = false; }
-
 void MetricsScraper::run_round() {
-  if (!running_) return;
   ++stats_.rounds_started;
   ++round_seq_;
   outstanding_ = cluster_.hosts_.size();

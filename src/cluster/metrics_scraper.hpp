@@ -56,9 +56,6 @@ class MetricsScraper {
 
   /// Schedules the first round one interval out. Quiescent callers only.
   void start();
-  /// No further rounds start; in-flight scrapes resolve normally.
-  void stop();
-  [[nodiscard]] bool running() const { return running_; }
 
   [[nodiscard]] const Cluster::ScrapeConfig& config() const { return config_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -124,7 +121,6 @@ class MetricsScraper {
   obs::SloEvaluator slo_;
   Stats stats_;
   bool started_ = false;
-  bool running_ = false;
   bool blocked_ = false;  ///< last admission-gate state pushed to Cluster
   std::uint64_t round_seq_ = 0;
   std::size_t outstanding_ = 0;  ///< scrapes unresolved in this round

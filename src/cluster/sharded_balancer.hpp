@@ -108,9 +108,6 @@ class ShardedBalancer {
   [[nodiscard]] std::uint64_t shard_dispatched(std::size_t shard) const {
     return shards_[shard].dispatched;
   }
-  [[nodiscard]] std::uint64_t shard_rejected(std::size_t shard) const {
-    return shards_[shard].rejected;
-  }
   [[nodiscard]] std::uint64_t shard_federated(std::size_t shard) const {
     return shards_[shard].federated;
   }

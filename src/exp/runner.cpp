@@ -1,10 +1,12 @@
 #include "exp/runner.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
+#include <thread>
 #include <utility>
 
-#include "exp/thread_pool.hpp"
 #include "simcore/check.hpp"
 
 namespace rh::exp {
@@ -55,24 +57,28 @@ void check_spec(const GridSpec& spec) {
   ensure(spec.replications > 0, "run_grid: need at least one replication");
 }
 
+/// Runs task `i` into its own slot; an exception is kept for reduce().
+void run_task(const ReplicationBody& body,
+              const std::vector<ReplicationContext>& ctxs, std::size_t i,
+              std::vector<ReplicationResult>& results,
+              std::vector<std::exception_ptr>& errors) {
+  try {
+    results[i] = body(ctxs[i]);
+  } catch (...) {
+    errors[i] = std::current_exception();
+  }
+}
+
 }  // namespace
 
 void Reducer::add(const ReplicationResult& r) {
   if (count_ == 0) {
     metrics_.resize(r.values.size());
-    histograms_.resize(r.histograms.size());
-    series_.resize(r.series.size());
   } else {
-    ensure(r.values.size() == metrics_.size() &&
-               r.histograms.size() == histograms_.size() &&
-               r.series.size() == series_.size(),
+    ensure(r.values.size() == metrics_.size(),
            "Reducer::add: replications of one point disagree on shape");
   }
   for (std::size_t i = 0; i < r.values.size(); ++i) metrics_[i].add(r.values[i]);
-  for (std::size_t i = 0; i < r.histograms.size(); ++i) {
-    histograms_[i].merge(r.histograms[i]);
-  }
-  for (std::size_t i = 0; i < r.series.size(); ++i) series_[i].merge(r.series[i]);
   merged_metrics_.merge(r.metrics);
   ++count_;
 }
@@ -94,21 +100,29 @@ GridResult run_grid(const GridSpec& spec, const ReplicationBody& body) {
   std::vector<ReplicationResult> results(ctxs.size());
   std::vector<std::exception_ptr> errors(ctxs.size());
 
-  ThreadPool pool(spec.threads);
-  for (std::size_t i = 0; i < ctxs.size(); ++i) {
-    pool.submit([&, i] {
-      try {
-        results[i] = body(ctxs[i]);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
+  const std::size_t threads =
+      spec.threads != 0
+          ? spec.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  std::atomic<std::size_t> next{0};
+  {
+    // Each thread claims the next unrun task index until the grid is
+    // exhausted; leaving the scope joins them all.
+    std::vector<std::jthread> workers;
+    workers.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t) {
+      workers.emplace_back([&] {
+        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+             i < ctxs.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
+          run_task(body, ctxs, i, results, errors);
+        }
+      });
+    }
   }
-  pool.wait_idle();
 
   GridResult out = reduce(spec, results, errors);
   out.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  out.threads_used = pool.worker_count();
+  out.threads_used = threads;
   return out;
 }
 
@@ -120,11 +134,7 @@ GridResult run_grid_sequential(const GridSpec& spec,
   std::vector<ReplicationResult> results(ctxs.size());
   std::vector<std::exception_ptr> errors(ctxs.size());
   for (std::size_t i = 0; i < ctxs.size(); ++i) {
-    try {
-      results[i] = body(ctxs[i]);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
+    run_task(body, ctxs, i, results, errors);
   }
   GridResult out = reduce(spec, results, errors);
   out.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();

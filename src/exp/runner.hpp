@@ -4,7 +4,7 @@
 // (memory sizes, VM counts, reboot kinds), and each point should be
 // replicated under different seeds to report a confidence interval
 // instead of a single draw. This runner fans the (point x replication)
-// grid out across a thread pool while keeping the merged output
+// grid out across worker threads while keeping the merged output
 // *byte-identical* no matter how many threads run it:
 //
 //  1. Every replication gets a private RNG substream derived on the
@@ -14,9 +14,10 @@
 //     replication index), never on scheduling.
 //  2. Every task owns its simulation outright and writes its
 //     ReplicationResult into a preallocated slot; tasks share nothing.
-//  3. Reduction happens after the pool drains, on the calling thread, in
-//     replication-index order (Summary::merge and the series merges are
-//     order-fixed), so floating-point reassociation cannot creep in.
+//  3. Reduction happens after the workers are joined, on the calling
+//     thread, in replication-index order (Summary::merge and the registry
+//     merge are order-fixed), so floating-point reassociation cannot
+//     creep in.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +25,8 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "simcore/histogram.hpp"
 #include "simcore/random.hpp"
 #include "simcore/stats.hpp"
-#include "simcore/time_series.hpp"
 
 namespace rh::exp {
 
@@ -44,12 +43,9 @@ struct ReplicationContext {
 };
 
 /// Everything one replication reports back. `values` carries the scalar
-/// metrics in the order the bench declares them; histograms/series are
-/// optional and merged per point across replications.
+/// metrics in the order the bench declares them.
 struct ReplicationResult {
   std::vector<double> values;
-  std::vector<sim::LatencyHistogram> histograms;
-  std::vector<sim::TimeSeries> series;
   /// Named observability metrics of this replication (typically moved out
   /// of a host's Observer). Merged per point in replication-index order,
   /// like everything else, so the merged registry is thread-count
@@ -59,23 +55,17 @@ struct ReplicationResult {
 
 /// Order-fixed reduction of one grid point's replications. add() must be
 /// called in replication-index order (run_grid does); the resulting
-/// Summaries, histograms and series are then independent of how the
+/// Summaries and merged metrics are then independent of how the
 /// replications were scheduled.
 class Reducer {
  public:
   /// Folds one replication in. All results of a point must agree on the
-  /// number of values/histograms/series.
+  /// number of values.
   void add(const ReplicationResult& r);
 
   [[nodiscard]] std::size_t replications() const { return count_; }
   [[nodiscard]] const std::vector<sim::Summary>& metrics() const {
     return metrics_;
-  }
-  [[nodiscard]] const std::vector<sim::LatencyHistogram>& histograms() const {
-    return histograms_;
-  }
-  [[nodiscard]] const std::vector<sim::TimeSeries>& series() const {
-    return series_;
   }
   /// Union of every replication's named metrics (counters summed,
   /// histograms/summaries merged in add() order).
@@ -91,8 +81,6 @@ class Reducer {
 
  private:
   std::vector<sim::Summary> metrics_;
-  std::vector<sim::LatencyHistogram> histograms_;
-  std::vector<sim::TimeSeries> series_;
   obs::MetricsRegistry merged_metrics_;
   std::size_t count_ = 0;
 };
@@ -103,7 +91,7 @@ struct GridSpec {
   std::size_t points = 1;
   std::size_t replications = 1;
   std::uint64_t root_seed = 7;
-  /// Worker threads; 0 = one per hardware thread.
+  /// Worker threads; 0 = one per hardware thread (at least 1).
   std::size_t threads = 0;
 };
 
@@ -121,14 +109,16 @@ struct GridResult {
   [[nodiscard]] const Reducer& point(std::size_t p) const { return points[p]; }
 };
 
-/// Runs the grid on a thread pool and reduces in fixed order. The merged
-/// result is byte-identical for any thread count (see file comment). An
-/// exception thrown by a body is rethrown here, lowest task index first.
+/// Runs the grid on `threads` worker threads, each claiming the next
+/// unrun task from one shared counter, and reduces in fixed order after
+/// joining them. The merged result is byte-identical for any thread count
+/// (see file comment). An exception thrown by a body is rethrown here,
+/// lowest task index first.
 GridResult run_grid(const GridSpec& spec, const ReplicationBody& body);
 
 /// Reference implementation: same contexts, same reduction, plain loop on
-/// the calling thread with no pool. Baseline for runner_bench, and the
-/// oracle the determinism tests compare against.
+/// the calling thread. Baseline for runner_bench, and the oracle the
+/// determinism tests compare against.
 GridResult run_grid_sequential(const GridSpec& spec,
                                const ReplicationBody& body);
 

@@ -22,11 +22,6 @@ class SshService : public Service {
   ///  - otherwise                          -> ACK
   [[nodiscard]] net::SegmentOutcome segment_outcome(
       const GuestOs& os, std::uint64_t session_generation) const;
-
-  /// Server-side response latency for an interactive probe.
-  [[nodiscard]] sim::Duration probe_response_time() const {
-    return 1 * sim::kMillisecond;
-  }
 };
 
 }  // namespace rh::guest

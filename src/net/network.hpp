@@ -24,26 +24,19 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Transfers `size` bytes over the link; the link is occupied for the
-  /// transfer's duration (subsequent bulk transfers queue behind it).
-  void bulk_transfer(sim::Bytes size, sim::InlineCallback on_done);
-
-  /// Like bulk_transfer but rate-limited to `bps` (capped at the link's
-  /// own bandwidth). Live migration throttles itself this way.
+  /// Transfers `size` bytes over the link at `bps` (capped at the link's
+  /// own bandwidth); the link is occupied for the transfer's duration
+  /// (subsequent bulk transfers queue behind it). Live migration
+  /// throttles itself this way.
   void bulk_transfer_at(sim::Bytes size, double bps,
                         sim::InlineCallback on_done);
 
   [[nodiscard]] sim::Duration latency() const { return model_.latency; }
-  [[nodiscard]] sim::Bytes bulk_bytes_sent() const { return bulk_bytes_; }
-
-  /// Duration a bulk transfer of `size` bytes takes in isolation.
-  [[nodiscard]] sim::Duration bulk_duration(sim::Bytes size) const;
 
  private:
   sim::Simulation& sim_;
   LinkModel model_;
   sim::SimTime bulk_busy_until_ = 0;
-  sim::Bytes bulk_bytes_ = 0;
 };
 
 }  // namespace rh::net

@@ -1,5 +1,6 @@
 // Named metrics registry: counters, gauges, latency histograms and
-// streaming summaries, mergeable across exp::ThreadPool workers.
+// streaming summaries, mergeable across replications run on exp::run_grid
+// worker threads.
 //
 // Registration (the name lookup) happens once per metric; after that the
 // caller holds a stable reference and increments plain integers, so the

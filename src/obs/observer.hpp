@@ -95,7 +95,6 @@ class Observer {
   // ------------------------------------------------------------ storage
   [[nodiscard]] const EventRing& events() const { return ring_; }
   [[nodiscard]] const SpanRecorder& spans() const { return spans_; }
-  [[nodiscard]] SpanRecorder& spans_mutable() { return spans_; }
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
 

@@ -68,13 +68,6 @@ class TimeSeriesStore {
   [[nodiscard]] std::optional<Sample> latest(std::size_t instance,
                                              std::string_view series) const;
 
-  [[nodiscard]] std::size_t instance_count() const {
-    return instances_.size();
-  }
-  /// Distinct series currently held for one instance.
-  [[nodiscard]] std::size_t series_count(std::size_t instance) const {
-    return instances_[instance].series.size();
-  }
   [[nodiscard]] std::uint64_t samples_ingested() const { return ingested_; }
 
   /// Oldest-to-newest iteration over one instance's series windows, in

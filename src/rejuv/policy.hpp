@@ -70,7 +70,6 @@ class RejuvenationPolicy {
   [[nodiscard]] std::uint64_t os_rejuvenations() const { return os_count_; }
   [[nodiscard]] std::uint64_t vmm_rejuvenations() const { return vmm_count_; }
   [[nodiscard]] const std::vector<Event>& events() const { return events_; }
-  [[nodiscard]] bool vmm_rejuvenation_in_progress() const { return vmm_busy_; }
   /// Times a due VMM rejuvenation was deferred because of load.
   [[nodiscard]] std::uint64_t load_deferrals() const { return load_deferrals_; }
 

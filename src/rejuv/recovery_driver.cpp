@@ -19,11 +19,9 @@ bool RecoveryDriver::would_absorb() const {
 void RecoveryDriver::on_failure(fault::FaultKind kind,
                                 std::function<void(const Outcome&)> done) {
   ensure(static_cast<bool>(done), "RecoveryDriver::on_failure: callback required");
-  ++handled_;
   if (would_absorb()) {
     // A ladder already owns the host (a planned wave turn, or the previous
     // unplanned one): this arrival is covered by the in-flight recovery.
-    ++absorbed_;
     Outcome out;
     out.kind = kind;
     out.absorbed = true;
@@ -35,12 +33,6 @@ void RecoveryDriver::on_failure(fault::FaultKind kind,
   active_ = std::make_unique<Supervisor>(host_, guests_, config_);
   active_->respond_to_failure(
       kind, [this, kind, done = std::move(done)](const SupervisorReport& r) {
-        if (r.success) {
-          ++recoveries_;
-          if (r.micro_recovered) ++micro_;
-        } else {
-          ++unrecovered_;
-        }
         retired_ = std::move(active_);
         Outcome out;
         out.kind = kind;

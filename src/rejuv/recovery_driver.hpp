@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -56,23 +55,12 @@ class RecoveryDriver {
   void on_failure(fault::FaultKind kind,
                   std::function<void(const Outcome&)> done);
 
-  [[nodiscard]] std::uint64_t failures_handled() const { return handled_; }
-  [[nodiscard]] std::uint64_t failures_absorbed() const { return absorbed_; }
-  [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
-  [[nodiscard]] std::uint64_t micro_recoveries() const { return micro_; }
-  [[nodiscard]] std::uint64_t unrecovered() const { return unrecovered_; }
-
  private:
   vmm::Host& host_;
   std::vector<guest::GuestOs*> guests_;
   SupervisorConfig config_;
   std::unique_ptr<Supervisor> active_;   ///< ladder in flight, if any
   std::unique_ptr<Supervisor> retired_;  ///< completed, freed on next arrival
-  std::uint64_t handled_ = 0;
-  std::uint64_t absorbed_ = 0;
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t micro_ = 0;
-  std::uint64_t unrecovered_ = 0;
 };
 
 }  // namespace rh::rejuv

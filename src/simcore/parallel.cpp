@@ -4,19 +4,24 @@
 #include <thread>
 #include <utility>
 
-#include "exp/thread_pool.hpp"
 #include "simcore/check.hpp"
 
 namespace rh::sim {
 
 void SpinBarrier::arrive_and_wait() {
+  if (parties_ == 1) {
+    on_last_();
+    return;
+  }
   const std::uint64_t gen = generation_.load(std::memory_order_acquire);
   if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
-    // Last arriver: reset the count for the next round, then release the
-    // generation. The reset must happen before the generation store --
-    // a spinner that observes the new generation may immediately re-enter
-    // arrive_and_wait for the next barrier.
+    // Last arriver: the acq_rel fetch_add saw every other party's writes.
+    // Reset the count for the next round and run on_last_, then release
+    // the generation. Both must happen before the generation store -- a
+    // spinner that observes the new generation reads what on_last_ wrote
+    // and may immediately re-enter arrive_and_wait for the next barrier.
     arrived_.store(0, std::memory_order_relaxed);
+    on_last_();
     {
       std::lock_guard<std::mutex> lk(mu_);
       generation_.store(gen + 1, std::memory_order_release);
@@ -41,7 +46,7 @@ void SpinBarrier::arrive_and_wait() {
 
 namespace {
 std::size_t clamp_workers(std::size_t requested, std::int32_t partitions) {
-  std::size_t w = requested == 0 ? exp::ThreadPool::default_thread_count() : requested;
+  std::size_t w = requested == 0 ? std::thread::hardware_concurrency() : requested;
   w = std::min(w, static_cast<std::size_t>(partitions));
   return std::max<std::size_t>(w, 1);
 }
@@ -49,22 +54,14 @@ std::size_t clamp_workers(std::size_t requested, std::int32_t partitions) {
 
 ParallelSimulation::ParallelSimulation(Config config)
     : workers_(clamp_workers(config.workers, config.partitions)),
-      barrier_(clamp_workers(config.workers, config.partitions)) {
+      barrier_(workers_, [this] { plan(); }) {
   ensure(config.partitions >= 1, "ParallelSimulation: need >= 1 partition");
-  if (config.lookahead != 0) {
-    ensure(config.lookahead > 0,
-           "ParallelSimulation: negative lookahead override");
-    lookahead_ = config.lookahead;
-    lookahead_fixed_ = true;
-  }
   partitions_.reserve(static_cast<std::size_t>(config.partitions));
   for (std::int32_t p = 0; p < config.partitions; ++p) {
     partitions_.push_back(std::make_unique<Partition>());
     partitions_.back()->sim.bind_partition(p, &horizon_);
   }
 }
-
-ParallelSimulation::~ParallelSimulation() = default;
 
 Simulation& ParallelSimulation::partition(std::int32_t p) {
   ensure(p >= 0 && p < partition_count(),
@@ -77,7 +74,6 @@ void ParallelSimulation::register_link(Duration one_way_latency) {
          "ParallelSimulation: zero-lookahead link -- conservative parallel "
          "execution needs every inter-partition link latency > 0");
   ensure(!running_, "ParallelSimulation: register_link while running");
-  if (lookahead_fixed_) return;
   if (lookahead_ == 0 || one_way_latency < lookahead_) {
     lookahead_ = one_way_latency;
   }
@@ -122,21 +118,27 @@ void ParallelSimulation::run_loop(SimTime deadline,
   ensure(!running_, "ParallelSimulation: run re-entered");
   ensure(lookahead_ > 0,
          "ParallelSimulation: no positive lookahead -- register at least "
-         "one inter-partition link (or set Config::lookahead)");
+         "one inter-partition link");
   running_ = true;
   done_ = false;
   deadline_ = deadline;
   keep_going_ = keep_going;
   failure_ = nullptr;
   plan();  // opens the first window (or raises done_ immediately)
-  if (workers_ > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<exp::ThreadPool>(workers_ - 1);
+  {
+    // Helpers live for this run only; leaving the scope joins them, so
+    // no thread touches the engine once run_until/run_while returns. A
+    // helper that fails to start would leave the started ones waiting at
+    // the barrier forever, so that failure ends the program (noexcept).
+    std::vector<std::jthread> helpers;
+    helpers.reserve(workers_ - 1);
+    [&]() noexcept {
+      for (std::size_t w = 1; w < workers_; ++w) {
+        helpers.emplace_back([this, w] { participant_loop(w); });
+      }
+    }();
+    participant_loop(0);
   }
-  for (std::size_t w = 1; w < workers_; ++w) {
-    pool_->submit([this, w] { participant_loop(w); });
-  }
-  participant_loop(0);
-  if (pool_ != nullptr) pool_->wait_idle();
   running_ = false;
   keep_going_ = nullptr;
   horizon_.store(kNoHorizon, std::memory_order_relaxed);
@@ -145,9 +147,9 @@ void ParallelSimulation::run_loop(SimTime deadline,
 
 void ParallelSimulation::participant_loop(std::size_t worker) {
   const auto nparts = static_cast<std::size_t>(partition_count());
-  for (;;) {
-    if (workers_ > 1) barrier_.arrive_and_wait();  // window plan published
-    if (done_) return;
+  // One barrier crossing per window: the last worker to arrive runs
+  // plan(), so on release the next window (or done_) is published.
+  while (!done_) {
     const SimTime end = window_end_;
     const bool inclusive = window_inclusive_;
     // Static partition -> worker assignment: partition p always runs on
@@ -162,8 +164,7 @@ void ParallelSimulation::participant_loop(std::size_t worker) {
       capture_failure();
     }
     set_current_partition(-1);
-    if (workers_ > 1) barrier_.arrive_and_wait();  // window fully executed
-    if (worker == 0) plan();
+    barrier_.arrive_and_wait();
   }
 }
 

@@ -11,14 +11,15 @@
 //   - partitions interact only through links with positive one-way
 //     latency; the minimum latency over all inter-partition links is the
 //     *lookahead* L;
-//   - each iteration the leader computes T = min over partitions of the
+//   - each iteration plan() computes T = min over partitions of the
 //     next event time and opens the safe window [T, T + L): every event
 //     in the window can be executed without ever receiving a message
 //     that would have to land inside it, because a message sent at
 //     s >= T travels at least L and so arrives at s + L >= T + L;
-//   - partitions execute their window events in parallel on the PR-2
-//     exp::ThreadPool (static partition -> worker assignment, so the
-//     intra-partition event order never depends on scheduling);
+//   - partitions execute their window events in parallel on the caller
+//     plus W - 1 helper threads started for the length of each run
+//     (static partition -> worker assignment, so the intra-partition
+//     event order never depends on scheduling);
 //   - cross-partition sends (post()) are appended to the sending
 //     partition's outbox and, at the window barrier, merged into the
 //     destination calendars in (time, dst, src, seq) order -- a total
@@ -42,25 +43,27 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "simcore/inline_callback.hpp"
 #include "simcore/simulation.hpp"
 #include "simcore/types.hpp"
 
-namespace rh::exp {
-class ThreadPool;
-}  // namespace rh::exp
-
 namespace rh::sim {
 
 /// Sense-reversing barrier for the window loop: short spin (the windows
 /// are microseconds of work, so the partners are usually already there),
 /// then a condvar park so an oversubscribed or 1-core box does not burn
-/// its only core spinning.
+/// its only core spinning. The last party to arrive runs `on_last`
+/// before it releases the others, so everything `on_last` writes is
+/// visible to every party once it returns; with one party `on_last`
+/// simply runs inline. std::barrier has the same shape, but its crossing
+/// costs several times as much in libstdc++ 12 (DESIGN.md §11).
 class SpinBarrier {
  public:
-  explicit SpinBarrier(std::size_t parties) : parties_(parties) {}
+  SpinBarrier(std::size_t parties, std::function<void()> on_last)
+      : parties_(parties), on_last_(std::move(on_last)) {}
   SpinBarrier(const SpinBarrier&) = delete;
   SpinBarrier& operator=(const SpinBarrier&) = delete;
 
@@ -68,6 +71,7 @@ class SpinBarrier {
 
  private:
   std::size_t parties_;
+  std::function<void()> on_last_;
   std::atomic<std::size_t> arrived_{0};
   std::atomic<std::uint64_t> generation_{0};
   std::mutex mu_;
@@ -83,28 +87,23 @@ class ParallelSimulation {
     std::int32_t partitions = 1;
     /// Worker threads executing windows. 0 = one per hardware thread;
     /// clamped to [1, partitions]. Worker 0 is the calling thread; the
-    /// rest run as long-lived exp::ThreadPool tasks.
+    /// rest are helper threads started and joined by each run.
     std::size_t workers = 1;
-    /// Explicit lookahead override in microseconds. 0 (default) derives
-    /// the lookahead from register_link() calls instead.
-    Duration lookahead = 0;
   };
 
   explicit ParallelSimulation(Config config);
-  ~ParallelSimulation();
   ParallelSimulation(const ParallelSimulation&) = delete;
   ParallelSimulation& operator=(const ParallelSimulation&) = delete;
 
   [[nodiscard]] std::int32_t partition_count() const {
     return static_cast<std::int32_t>(partitions_.size());
   }
-  [[nodiscard]] std::size_t worker_count() const { return workers_; }
   [[nodiscard]] Simulation& partition(std::int32_t p);
 
   /// Declares an inter-partition link with the given one-way latency;
-  /// the engine's lookahead is the minimum over every declared link (or
-  /// Config::lookahead when set). Zero/negative latency is rejected: it
-  /// would make the safe window empty.
+  /// the engine's lookahead is the minimum over every declared link.
+  /// Zero/negative latency is rejected: it would make the safe window
+  /// empty.
   void register_link(Duration one_way_latency);
   [[nodiscard]] Duration lookahead() const { return lookahead_; }
 
@@ -127,10 +126,11 @@ class ParallelSimulation {
   /// analogue of Simulation::run_until).
   void run_until(SimTime deadline);
 
-  /// Runs windows while `keep_going()` returns true (evaluated by the
-  /// leader at each window barrier -- deterministic, because barriers
-  /// happen at the same simulated times for any worker count). Stops on
-  /// its own when the event space drains empty.
+  /// Runs windows while `keep_going()` returns true (evaluated at each
+  /// window barrier by the last worker to arrive, with every partition
+  /// stopped -- deterministic, because barriers happen at the same
+  /// simulated times for any worker count). Stops on its own when the
+  /// event space drains empty.
   void run_while(const std::function<bool()>& keep_going);
 
   /// True between run_until()/run_while() entry and exit.
@@ -141,11 +141,6 @@ class ParallelSimulation {
   [[nodiscard]] std::uint64_t messages_routed() const { return messages_; }
   /// Sum of every partition's executed event count. Quiescent only.
   [[nodiscard]] std::uint64_t total_executed_events() const;
-  /// End of the currently open safe window (test hook; meaningful only
-  /// mid-run, otherwise SimTime minimum).
-  [[nodiscard]] SimTime safe_horizon() const {
-    return horizon_.load(std::memory_order_relaxed);
-  }
 
  private:
   static constexpr SimTime kNoHorizon = std::numeric_limits<SimTime>::min();
@@ -172,24 +167,23 @@ class ParallelSimulation {
 
   void run_loop(SimTime deadline, const std::function<bool()>* keep_going);
   void participant_loop(std::size_t worker);
-  /// Leader-only, between barriers: drains outboxes, merges messages in
-  /// (time, dst, src, seq) order, then either opens the next window or
-  /// raises done_.
+  /// Runs on one thread while every worker waits at the barrier (the
+  /// last to arrive, or the caller before the first window): drains
+  /// outboxes, merges messages in (time, dst, src, seq) order, then
+  /// either opens the next window or raises done_.
   void plan();
   void capture_failure() noexcept;
 
   std::vector<std::unique_ptr<Partition>> partitions_;
   std::size_t workers_ = 1;
   Duration lookahead_ = 0;
-  bool lookahead_fixed_ = false;  // Config::lookahead override in force
 
-  std::unique_ptr<exp::ThreadPool> pool_;
   SpinBarrier barrier_;
 
-  // Window-loop state. Written by the leader strictly between barriers,
-  // read by every participant after the next barrier, so plain fields
-  // are race-free; horizon_ is atomic because the cross-partition
-  // schedule guard reads it from inside windows.
+  // Window-loop state. Written only by plan(), while every worker waits
+  // at the barrier, and read by every worker after it is released, so
+  // plain fields are race-free; horizon_ is atomic because the
+  // cross-partition schedule guard reads it from inside windows.
   bool running_ = false;
   bool done_ = false;
   SimTime window_end_ = 0;

@@ -11,57 +11,7 @@ namespace {
 // Comparator for binary searches over time-ordered samples.
 bool sample_before(const Sample& s, SimTime t) { return s.time < t; }
 
-// Stable two-way merge of time-ordered sample vectors: on equal
-// timestamps, samples from `a` precede samples from `b`.
-std::vector<Sample> merge_samples(const std::vector<Sample>& a,
-                                  const std::vector<Sample>& b) {
-  std::vector<Sample> out;
-  out.reserve(a.size() + b.size());
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (b[j].time < a[i].time) {
-      out.push_back(b[j++]);
-    } else {
-      out.push_back(a[i++]);
-    }
-  }
-  out.insert(out.end(), a.begin() + static_cast<std::ptrdiff_t>(i), a.end());
-  out.insert(out.end(), b.begin() + static_cast<std::ptrdiff_t>(j), b.end());
-  return out;
-}
-
 }  // namespace
-
-void TimeSeries::add(SimTime t, double value) {
-  ensure(samples_.empty() || samples_.back().time <= t,
-         "TimeSeries::add: samples must be added in time order");
-  samples_.push_back({t, value});
-}
-
-std::optional<double> TimeSeries::mean_between(SimTime from, SimTime to) const {
-  const auto lo = std::lower_bound(samples_.begin(), samples_.end(), from, sample_before);
-  const auto hi = std::lower_bound(samples_.begin(), samples_.end(), to, sample_before);
-  if (lo == hi) return std::nullopt;
-  double sum = 0.0;
-  for (auto it = lo; it != hi; ++it) sum += it->value;
-  return sum / static_cast<double>(hi - lo);
-}
-
-std::vector<Sample> TimeSeries::binned_mean(SimTime start, SimTime end,
-                                            Duration bin_width, double fill) const {
-  ensure(bin_width > 0, "TimeSeries::binned_mean: bin_width must be positive");
-  std::vector<Sample> out;
-  for (SimTime t = start; t < end; t += bin_width) {
-    const auto m = mean_between(t, std::min<SimTime>(t + bin_width, end));
-    out.push_back({t, m.value_or(fill)});
-  }
-  return out;
-}
-
-void TimeSeries::merge(const TimeSeries& other) {
-  if (other.samples_.empty()) return;
-  samples_ = merge_samples(samples_, other.samples_);
-}
 
 void RateRecorder::record(SimTime t, double count) {
   ensure(events_.empty() || events_.back().time <= t,
@@ -99,12 +49,6 @@ std::optional<SimTime> RateRecorder::last_event_before(SimTime before) const {
   const auto it = std::lower_bound(events_.begin(), events_.end(), before, sample_before);
   if (it == events_.begin()) return std::nullopt;
   return std::prev(it)->time;
-}
-
-void RateRecorder::merge(const RateRecorder& other) {
-  if (other.events_.empty()) return;
-  events_ = merge_samples(events_, other.events_);
-  total_ += other.total_;
 }
 
 void RateRecorder::clear() {

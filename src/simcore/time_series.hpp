@@ -1,8 +1,8 @@
-// Time-series recording: sampled values and event-rate series.
+// Event-rate recording.
 //
 // Figures 7-9 of the paper are time series (throughput over time around a
-// reboot). These recorders collect raw points during a simulation and bin
-// them for reporting.
+// reboot). RateRecorder collects raw event points during a simulation and
+// bins them for reporting.
 #pragma once
 
 #include <optional>
@@ -16,36 +16,6 @@ namespace rh::sim {
 struct Sample {
   SimTime time = 0;
   double value = 0.0;
-};
-
-/// A series of timestamped samples with binning/query helpers.
-class TimeSeries {
- public:
-  void add(SimTime t, double value);
-
-  [[nodiscard]] const std::vector<Sample>& samples() const { return samples_; }
-  [[nodiscard]] bool empty() const { return samples_.empty(); }
-  [[nodiscard]] std::size_t size() const { return samples_.size(); }
-
-  /// Mean of sample values in [from, to). Empty optional if no samples.
-  [[nodiscard]] std::optional<double> mean_between(SimTime from, SimTime to) const;
-
-  /// Mean value per fixed-width bin over [start, end). Bins with no samples
-  /// hold `fill`.
-  [[nodiscard]] std::vector<Sample> binned_mean(SimTime start, SimTime end,
-                                                Duration bin_width,
-                                                double fill = 0.0) const;
-
-  /// Merges `other`'s samples into this series, keeping global time
-  /// order. Stable: where timestamps tie, this series' samples stay ahead
-  /// of `other`'s, so a reduction that merges replications in index order
-  /// produces one well-defined sample order.
-  void merge(const TimeSeries& other);
-
-  void clear() { samples_.clear(); }
-
- private:
-  std::vector<Sample> samples_;  // kept in insertion (= time) order
 };
 
 /// Counts discrete events (e.g. completed HTTP requests) and reports rates.
@@ -69,10 +39,6 @@ class RateRecorder {
 
   /// Time of the last recorded event strictly before `before`, if any.
   [[nodiscard]] std::optional<SimTime> last_event_before(SimTime before) const;
-
-  /// Merges `other`'s events into this recorder (same stability contract
-  /// as TimeSeries::merge); totals add.
-  void merge(const RateRecorder& other);
 
   void clear();
 

@@ -34,7 +34,6 @@ class Host {
   // ----------------------------------------------------------- accessors
   [[nodiscard]] sim::Simulation& sim() { return sim_; }
   [[nodiscard]] const Calibration& calib() const { return calib_; }
-  [[nodiscard]] Calibration& calib_mutable() { return calib_; }
   [[nodiscard]] hw::Machine& machine() { return machine_; }
   [[nodiscard]] mm::PreservedRegionRegistry& preserved() { return preserved_; }
   [[nodiscard]] ImageStore& images() { return images_; }

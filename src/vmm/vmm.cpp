@@ -283,8 +283,6 @@ std::vector<DomainId> Vmm::unprivileged_domain_ids() const {
   return out;
 }
 
-std::size_t Vmm::live_domain_count() const { return domains_.size(); }
-
 sim::Bytes Vmm::trigger_error_path() {
   const sim::Bytes leak = calib_.heap_leak_per_error_path;
   if (leak > 0) heap_.leak(leak);

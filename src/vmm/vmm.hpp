@@ -111,7 +111,6 @@ class Vmm {
 
   /// Ids of all live (non-dead) domains except domain 0, ascending.
   [[nodiscard]] std::vector<DomainId> unprivileged_domain_ids() const;
-  [[nodiscard]] std::size_t live_domain_count() const;
 
   // ----------------------------------------------------- guest memory
 

@@ -1,10 +1,8 @@
-// Thread pool and replication runner: scheduling correctness and, above
-// all, the determinism contract -- merged grid output must be
-// byte-identical no matter how many threads ran it or in which order the
-// tasks finished.
+// Replication runner: scheduling correctness and, above all, the
+// determinism contract -- merged grid output must be byte-identical no
+// matter how many threads ran it or in which order the tasks finished.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -15,92 +13,10 @@
 #include <vector>
 
 #include "exp/runner.hpp"
-#include "exp/thread_pool.hpp"
 #include "simcore/check.hpp"
 
 namespace rh::test {
 namespace {
-
-using namespace std::chrono_literals;
-
-// ------------------------------------------------------------ ThreadPool
-
-TEST(ThreadPool, RunsEveryTask) {
-  exp::ThreadPool pool(4);
-  EXPECT_EQ(pool.worker_count(), std::size_t{4});
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 1000);
-}
-
-TEST(ThreadPool, ZeroMeansHardwareConcurrency) {
-  exp::ThreadPool pool(0);
-  EXPECT_EQ(pool.worker_count(), exp::ThreadPool::default_thread_count());
-  EXPECT_GE(pool.worker_count(), std::size_t{1});
-}
-
-TEST(ThreadPool, SubmitFromInsideATask) {
-  exp::ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&pool, &ran] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  exp::ThreadPool pool(3);
-  std::atomic<int> ran{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(ran.load(), 20 * (round + 1));
-  }
-}
-
-TEST(ThreadPool, WaitIdleWithNoTasksReturns) {
-  exp::ThreadPool pool(2);
-  pool.wait_idle();  // must not deadlock
-}
-
-TEST(ThreadPool, DestructorDrainsSubmittedTasks) {
-  std::atomic<int> ran{0};
-  {
-    exp::ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&ran] {
-        std::this_thread::sleep_for(100us);
-        ran.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-  }
-  EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(ThreadPool, UnevenTaskCostsAreStolen) {
-  // One long task plus many short ones on few workers: everything must
-  // still finish (the short tasks get stolen off the busy worker's deque).
-  exp::ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  pool.submit([&ran] {
-    std::this_thread::sleep_for(50ms);
-    ran.fetch_add(1, std::memory_order_relaxed);
-  });
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 201);
-}
 
 // -------------------------------------------------------------- Reducer
 
@@ -140,10 +56,9 @@ TEST(Reducer, RejectsShapeMismatch) {
 
 // ------------------------------------------------- run_grid determinism
 
-/// A deterministic body with real RNG use, per-metric histograms and a
-/// time series, plus a completion-order scrambling sleep: later tasks
-/// sleep *less*, so under multiple threads the completion order inverts
-/// the submission order.
+/// A deterministic body with real RNG use, plus a completion-order
+/// scrambling sleep: later tasks sleep *less*, so under multiple threads
+/// the completion order inverts the submission order.
 exp::ReplicationBody scrambled_body(std::size_t total_tasks,
                                     bool scramble_order) {
   return [total_tasks, scramble_order](const exp::ReplicationContext& ctx) {
@@ -156,23 +71,13 @@ exp::ReplicationBody scrambled_body(std::size_t total_tasks,
     sim::Rng rng = ctx.rng;  // private copy; draws are schedule-independent
     exp::ReplicationResult out;
     double acc = 0;
-    sim::LatencyHistogram h;
-    sim::TimeSeries ts;
-    for (int i = 0; i < 100; ++i) {
-      const double draw = rng.uniform01();
-      acc += draw;
-      h.add(static_cast<sim::Duration>(draw * 1e6));
-      ts.add(static_cast<sim::SimTime>(i) * sim::kSecond, draw);
-    }
+    for (int i = 0; i < 100; ++i) acc += rng.uniform01();
     out.values = {acc, static_cast<double>(ctx.seed % 1000)};
-    out.histograms = {h};
-    out.series = {ts};
     return out;
   };
 }
 
-/// Bitwise equality of two reduced grids, including histogram percentiles
-/// and merged series samples.
+/// Bitwise equality of two reduced grids: every point's means and CIs.
 void expect_bitwise_equal(const exp::GridResult& a, const exp::GridResult& b) {
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t p = 0; p < a.points.size(); ++p) {
@@ -184,25 +89,6 @@ void expect_bitwise_equal(const exp::GridResult& a, const exp::GridResult& b) {
       const double vb[2] = {rb.mean(m), rb.ci95(m)};
       EXPECT_EQ(std::memcmp(va, vb, sizeof va), 0)
           << "point " << p << " metric " << m;
-    }
-    ASSERT_EQ(ra.histograms().size(), rb.histograms().size());
-    for (std::size_t h = 0; h < ra.histograms().size(); ++h) {
-      EXPECT_EQ(ra.histograms()[h].count(), rb.histograms()[h].count());
-      EXPECT_EQ(ra.histograms()[h].percentile(50),
-                rb.histograms()[h].percentile(50));
-      EXPECT_EQ(ra.histograms()[h].percentile(99),
-                rb.histograms()[h].percentile(99));
-    }
-    ASSERT_EQ(ra.series().size(), rb.series().size());
-    for (std::size_t s = 0; s < ra.series().size(); ++s) {
-      const auto& sa = ra.series()[s].samples();
-      const auto& sb = rb.series()[s].samples();
-      ASSERT_EQ(sa.size(), sb.size());
-      for (std::size_t i = 0; i < sa.size(); ++i) {
-        EXPECT_EQ(sa[i].time, sb[i].time);
-        const double da = sa[i].value, db = sb[i].value;
-        EXPECT_EQ(std::memcmp(&da, &db, sizeof da), 0);
-      }
     }
   }
 }
@@ -253,7 +139,7 @@ TEST(ExpRunner, SeedsAreDistinctAcrossTheGrid) {
       std::lock_guard<std::mutex> lock(mu);
       seeds.insert(ctx.seed);
     }
-    return exp::ReplicationResult{{0.0}, {}, {}, {}};
+    return exp::ReplicationResult{{0.0}, {}};
   });
   EXPECT_EQ(seeds.size(), std::size_t{64});
 }
@@ -271,7 +157,7 @@ TEST(ExpRunner, SubstreamsDependOnlyOnRootSeedAndIndices) {
     exp::run_grid(spec, [&](const exp::ReplicationContext& ctx) {
       std::lock_guard<std::mutex> lock(mu);
       seeds[ctx.point_index * 3 + ctx.replication_index] = ctx.seed;
-      return exp::ReplicationResult{{0.0}, {}, {}, {}};
+      return exp::ReplicationResult{{0.0}, {}};
     });
     return seeds;
   };
@@ -288,7 +174,7 @@ TEST(ExpRunner, BodyExceptionIsRethrownLowestTaskFirst) {
     if (task == 1 || task == 4) {
       throw std::runtime_error("task " + std::to_string(task));
     }
-    return {{0.0}, {}, {}, {}};
+    return {{0.0}, {}};
   };
   try {
     exp::run_grid(spec, body);

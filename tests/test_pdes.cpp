@@ -4,6 +4,7 @@
 // contract on the fig9 cluster topology.
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -28,13 +29,6 @@ TEST(PdesEngine, LookaheadIsMinRegisteredLink) {
   EXPECT_EQ(eng.lookahead(), 300);
 }
 
-TEST(PdesEngine, ExplicitLookaheadOverridesLinks) {
-  sim::ParallelSimulation eng(
-      {.partitions = 2, .workers = 1, .lookahead = 250});
-  eng.register_link(100);  // ignored: Config::lookahead is in force
-  EXPECT_EQ(eng.lookahead(), 250);
-}
-
 TEST(PdesEngine, ZeroLookaheadRejected) {
   sim::ParallelSimulation eng({.partitions = 2, .workers = 1});
   EXPECT_THROW(eng.register_link(0), InvariantViolation);
@@ -44,15 +38,15 @@ TEST(PdesEngine, ZeroLookaheadRejected) {
 }
 
 TEST(PdesEngine, CrossPartitionPostBelowLookaheadThrows) {
-  sim::ParallelSimulation eng(
-      {.partitions = 2, .workers = 1, .lookahead = 100});
+  sim::ParallelSimulation eng({.partitions = 2, .workers = 1});
+  eng.register_link(100);
   eng.run_on(0, [&eng] { eng.post(1, 99, [] {}); });
   EXPECT_THROW(eng.run_until(1000), InvariantViolation);
 }
 
 TEST(PdesEngine, SamePartitionPostMayUndercutLookahead) {
-  sim::ParallelSimulation eng(
-      {.partitions = 2, .workers = 1, .lookahead = 100});
+  sim::ParallelSimulation eng({.partitions = 2, .workers = 1});
+  eng.register_link(100);
   bool fired = false;
   eng.run_on(0, [&eng, &fired] { eng.post(0, 1, [&fired] { fired = true; }); });
   eng.run_until(1000);
@@ -60,14 +54,14 @@ TEST(PdesEngine, SamePartitionPostMayUndercutLookahead) {
 }
 
 TEST(PdesEngine, PostOutsidePartitionContextThrows) {
-  sim::ParallelSimulation eng(
-      {.partitions = 2, .workers = 1, .lookahead = 100});
+  sim::ParallelSimulation eng({.partitions = 2, .workers = 1});
+  eng.register_link(100);
   EXPECT_THROW(eng.post(1, 200, [] {}), InvariantViolation);
 }
 
 TEST(PdesEngine, MessageArrivesAtSendTimePlusDelay) {
-  sim::ParallelSimulation eng(
-      {.partitions = 2, .workers = 1, .lookahead = 300});
+  sim::ParallelSimulation eng({.partitions = 2, .workers = 1});
+  eng.register_link(300);
   sim::SimTime arrived_at = -1;
   eng.run_on(0, [&] { eng.post(1, 300, [&] { arrived_at = eng.partition(1).now(); }); });
   eng.run_until(1000);
@@ -78,8 +72,8 @@ TEST(PdesEngine, MessageArrivesAtSendTimePlusDelay) {
 }
 
 TEST(PdesEngine, RunUntilExecutesEventsExactlyAtDeadline) {
-  sim::ParallelSimulation eng(
-      {.partitions = 2, .workers = 1, .lookahead = 100});
+  sim::ParallelSimulation eng({.partitions = 2, .workers = 1});
+  eng.register_link(100);
   bool fired = false;
   eng.run_on(0, [&] { eng.partition(0).after(250, [&fired] { fired = true; }); });
   eng.run_until(250);
@@ -94,8 +88,8 @@ TEST(PdesEngine, RunUntilExecutesEventsExactlyAtDeadline) {
 TEST(PdesEngine, MailboxMergeOrderIsTimeDstSrcSeq) {
   std::vector<std::vector<std::pair<int, int>>> logs;
   for (std::size_t workers : {1u, 2u, 3u}) {
-    sim::ParallelSimulation eng(
-        {.partitions = 3, .workers = workers, .lookahead = 100});
+    sim::ParallelSimulation eng({.partitions = 3, .workers = workers});
+    eng.register_link(100);
     std::vector<std::pair<int, int>> log;
     // Seed partition 2 first: arrival order must come from the sort key,
     // not from seeding or execution order.
@@ -115,8 +109,8 @@ TEST(PdesEngine, MailboxMergeOrderIsTimeDstSrcSeq) {
 }
 
 TEST(PdesEngine, CrossPartitionAtBelowHorizonThrowsLoudly) {
-  sim::ParallelSimulation eng(
-      {.partitions = 2, .workers = 1, .lookahead = 100});
+  sim::ParallelSimulation eng({.partitions = 2, .workers = 1});
+  eng.register_link(100);
   // A partition-0 event reaching directly into partition 1's calendar
   // below the published safe horizon: must fail loudly, never reorder.
   eng.run_on(0, [&eng] { eng.partition(1).at(5, [] {}); });
@@ -124,8 +118,8 @@ TEST(PdesEngine, CrossPartitionAtBelowHorizonThrowsLoudly) {
 }
 
 TEST(PdesEngine, QuiescentSchedulingIsUnrestricted) {
-  sim::ParallelSimulation eng(
-      {.partitions = 2, .workers = 1, .lookahead = 100});
+  sim::ParallelSimulation eng({.partitions = 2, .workers = 1});
+  eng.register_link(100);
   // Setup-time scheduling from the main thread onto any partition is
   // legal: the horizon is parked at SimTime minimum while quiescent.
   bool fired = false;
@@ -135,8 +129,8 @@ TEST(PdesEngine, QuiescentSchedulingIsUnrestricted) {
 }
 
 TEST(PdesEngine, RunWhileStopsAtPredicateAndDrain) {
-  sim::ParallelSimulation eng(
-      {.partitions = 2, .workers = 2, .lookahead = 100});
+  sim::ParallelSimulation eng({.partitions = 2, .workers = 2});
+  eng.register_link(100);
   int ticks = 0;
   eng.run_on(0, [&] {
     // Self-rescheduling ticker: only the predicate can stop it.
@@ -153,10 +147,27 @@ TEST(PdesEngine, RunWhileStopsAtPredicateAndDrain) {
   eng.run_while([&ticks] { return ticks < 5; });
   EXPECT_GE(ticks, 5);
   // Drained-empty stop: no events at all ends the run instead of hanging.
-  sim::ParallelSimulation idle(
-      {.partitions = 2, .workers = 1, .lookahead = 100});
+  sim::ParallelSimulation idle({.partitions = 2, .workers = 1});
+  idle.register_link(100);
   idle.run_while([] { return true; });
   EXPECT_EQ(idle.windows_executed(), 0u);
+}
+
+// The other throwing tests run one worker. Here the failing event runs on
+// a helper thread (partition 3 belongs to worker 3 of 4): the failure must
+// reach the caller, stop the run at that window's barrier, and leave the
+// engine able to run on.
+TEST(PdesEngine, HelperWorkerFailureIsRethrownAndTheEngineRunsOn) {
+  sim::ParallelSimulation eng({.partitions = 4, .workers = 4});
+  eng.register_link(100);
+  bool later_ran = false;
+  eng.partition(3).at(100, [] { throw std::runtime_error("helper failed"); });
+  eng.partition(1).at(500, [&later_ran] { later_ran = true; });
+  EXPECT_THROW(eng.run_until(1000), std::runtime_error);
+  EXPECT_FALSE(later_ran);
+  eng.run_until(1000);
+  EXPECT_TRUE(later_ran);
+  EXPECT_EQ(eng.partition(3).now(), 1000);
 }
 
 // ------------------------------------------------------ run_window units
@@ -525,8 +536,8 @@ TEST(PdesCluster, EmptiedShardFailsOverAcrossPartitions) {
 }
 
 TEST(PdesCluster, CrossPartitionMigrationRejected) {
-  sim::ParallelSimulation engine(
-      {.partitions = 3, .workers = 1, .lookahead = 200});
+  sim::ParallelSimulation engine({.partitions = 3, .workers = 1});
+  engine.register_link(200);
   cluster::Cluster::Config cfg;
   cfg.hosts = 2;
   cfg.vms_per_host = 1;

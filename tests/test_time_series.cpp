@@ -8,34 +8,6 @@ namespace {
 
 using sim::kSecond;
 
-TEST(TimeSeries, MeanBetween) {
-  sim::TimeSeries ts;
-  ts.add(1 * kSecond, 10);
-  ts.add(2 * kSecond, 20);
-  ts.add(3 * kSecond, 30);
-  EXPECT_DOUBLE_EQ(ts.mean_between(0, 10 * kSecond).value(), 20.0);
-  EXPECT_DOUBLE_EQ(ts.mean_between(2 * kSecond, 3 * kSecond).value(), 20.0);
-  EXPECT_FALSE(ts.mean_between(5 * kSecond, 6 * kSecond).has_value());
-}
-
-TEST(TimeSeries, RequiresTimeOrder) {
-  sim::TimeSeries ts;
-  ts.add(10, 1);
-  EXPECT_THROW(ts.add(5, 2), InvariantViolation);
-}
-
-TEST(TimeSeries, BinnedMeanFillsEmptyBins) {
-  sim::TimeSeries ts;
-  ts.add(0, 10);
-  ts.add(2 * kSecond + 1, 30);
-  const auto bins = ts.binned_mean(0, 4 * kSecond, kSecond, -1.0);
-  ASSERT_EQ(bins.size(), std::size_t{4});
-  EXPECT_DOUBLE_EQ(bins[0].value, 10.0);
-  EXPECT_DOUBLE_EQ(bins[1].value, -1.0);
-  EXPECT_DOUBLE_EQ(bins[2].value, 30.0);
-  EXPECT_DOUBLE_EQ(bins[3].value, -1.0);
-}
-
 TEST(RateRecorder, RateBetween) {
   sim::RateRecorder r;
   for (int i = 0; i < 100; ++i) r.record(i * (kSecond / 10));  // 10/s for 10 s
@@ -68,73 +40,6 @@ TEST(RateRecorder, FirstAndLastEventQueries) {
 TEST(RateRecorder, EmptyWindowThrows) {
   sim::RateRecorder r;
   EXPECT_THROW((void)r.rate_between(10, 10), InvariantViolation);
-}
-
-TEST(TimeSeriesMerge, InterleavesByTime) {
-  sim::TimeSeries a, b;
-  a.add(1 * kSecond, 1);
-  a.add(3 * kSecond, 3);
-  b.add(2 * kSecond, 2);
-  b.add(4 * kSecond, 4);
-  a.merge(b);
-  ASSERT_EQ(a.size(), std::size_t{4});
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(a.samples()[i].time, static_cast<sim::SimTime>(i + 1) * kSecond);
-    EXPECT_DOUBLE_EQ(a.samples()[i].value, static_cast<double>(i + 1));
-  }
-}
-
-TEST(TimeSeriesMerge, EmptySidesAreIdentity) {
-  sim::TimeSeries a, empty;
-  a.add(kSecond, 7);
-  a.merge(empty);
-  ASSERT_EQ(a.size(), std::size_t{1});
-  sim::TimeSeries b;
-  b.merge(a);
-  ASSERT_EQ(b.size(), std::size_t{1});
-  EXPECT_DOUBLE_EQ(b.samples()[0].value, 7.0);
-}
-
-TEST(TimeSeriesMerge, TiesKeepThisSeriesFirst) {
-  // The stability contract: equal timestamps keep the left (lower
-  // replication index) samples ahead of the right's, making a fixed-order
-  // reduction produce one well-defined sample order.
-  sim::TimeSeries a, b;
-  a.add(kSecond, 1);
-  a.add(kSecond, 2);
-  b.add(kSecond, 3);
-  b.add(kSecond, 4);
-  a.merge(b);
-  ASSERT_EQ(a.size(), std::size_t{4});
-  EXPECT_DOUBLE_EQ(a.samples()[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(a.samples()[1].value, 2.0);
-  EXPECT_DOUBLE_EQ(a.samples()[2].value, 3.0);
-  EXPECT_DOUBLE_EQ(a.samples()[3].value, 4.0);
-}
-
-TEST(TimeSeriesMerge, MergedSeriesStillQueries) {
-  sim::TimeSeries a, b;
-  a.add(1 * kSecond, 10);
-  b.add(2 * kSecond, 30);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.mean_between(0, 10 * kSecond).value(), 20.0);
-  // A merged series must still satisfy add()'s time-order invariant.
-  a.add(3 * kSecond, 50);
-  EXPECT_EQ(a.size(), std::size_t{3});
-}
-
-TEST(RateRecorderMerge, TotalsAddAndRatesCombine) {
-  sim::RateRecorder a, b;
-  a.record(1 * kSecond, 2);
-  a.record(5 * kSecond, 2);
-  b.record(2 * kSecond, 6);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.total(), 10.0);
-  // 8 events in [0, 4 s).
-  EXPECT_DOUBLE_EQ(a.rate_between(0, 4 * kSecond), 2.0);
-  sim::RateRecorder empty;
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.total(), 10.0);
 }
 
 }  // namespace
