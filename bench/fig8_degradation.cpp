@@ -65,10 +65,7 @@ struct WebRun {
 
 WebRun web_run(Testbed& tb, guest::GuestOs& g, guest::ApacheService& apache,
                const std::vector<std::int64_t>& files) {
-  workload::HttpClientFleet fleet(g, apache, files,
-                                  {/*connections=*/10,
-                                   /*retry_interval=*/sim::kSecond,
-                                   /*cycle=*/false});
+  workload::HttpClientFleet fleet(g, apache, files, {.cycle = false});
   const sim::SimTime t0 = tb.sim.now();
   fleet.start();
   while (!fleet.finished() && tb.sim.pending_events() > 0) tb.sim.step();

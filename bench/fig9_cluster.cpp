@@ -20,6 +20,7 @@
 #include "cluster/vm_migrator.hpp"
 #include "guest/sshd.hpp"
 #include "obs/export.hpp"
+#include "simcore/hash.hpp"
 #include "simcore/parallel.hpp"
 
 namespace {
@@ -126,10 +127,7 @@ SimRow simulated_once(std::uint64_t seed, double jitter, std::size_t workers,
   }
   row.deferred = cl.sharded_balancer()->rejected();
 
-  const auto mix = [&row](std::uint64_t v) {
-    row.digest ^= v + 0x9e3779b97f4a7c15ull + (row.digest << 6) +
-                  (row.digest >> 2);
-  };
+  const auto mix = [&row](std::uint64_t v) { sim::hash_mix(row.digest, v); };
   for (std::int32_t p = 0; p < engine.partition_count(); ++p) {
     mix(static_cast<std::uint64_t>(engine.partition(p).now()));
     mix(engine.partition(p).executed_events());
@@ -238,9 +236,7 @@ int run_scale(const ScaleOptions& o) {
   const auto& waves = cl.last_wave_report();
 
   std::uint64_t digest = 0;
-  const auto mix = [&digest](std::uint64_t v) {
-    digest ^= v + 0x9e3779b97f4a7c15ull + (digest << 6) + (digest >> 2);
-  };
+  const auto mix = [&digest](std::uint64_t v) { sim::hash_mix(digest, v); };
   for (std::int32_t p = 0; p < engine.partition_count(); ++p) {
     mix(static_cast<std::uint64_t>(engine.partition(p).now()));
     mix(engine.partition(p).executed_events());

@@ -28,6 +28,7 @@
 #include "bench_util.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/session_fleet.hpp"
+#include "simcore/hash.hpp"
 #include "simcore/parallel.hpp"
 
 namespace {
@@ -159,9 +160,7 @@ Cell run_cell(const Options& o, const Ladder& ladder, double rate) {
   cell.crash_broadcasts = cl.sharded_balancer()->crash_broadcasts();
 
   std::uint64_t digest = 0;
-  const auto mix = [&digest](std::uint64_t v) {
-    digest ^= v + 0x9e3779b97f4a7c15ull + (digest << 6) + (digest >> 2);
-  };
+  const auto mix = [&digest](std::uint64_t v) { sim::hash_mix(digest, v); };
   for (std::int32_t p = 0; p < engine.partition_count(); ++p) {
     mix(static_cast<std::uint64_t>(engine.partition(p).now()));
     mix(engine.partition(p).executed_events());
@@ -220,15 +219,7 @@ int main(int argc, char** argv) {
       if (const char* v = next()) o.check_interval_s = std::atof(v);
     } else if (std::strcmp(argv[i], "--fault-rate") == 0) {
       if (const char* v = next()) {
-        o.rates.clear();
-        std::string s(v);
-        std::size_t pos = 0;
-        while (pos < s.size()) {
-          std::size_t comma = s.find(',', pos);
-          if (comma == std::string::npos) comma = s.size();
-          o.rates.push_back(std::atof(s.substr(pos, comma - pos).c_str()));
-          pos = comma + 1;
-        }
+        o.rates = rh::bench::parse_value_list("--fault-rate", v);
       }
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       if (const char* v = next()) o.workers = std::strtoull(v, nullptr, 10);
@@ -257,9 +248,7 @@ int main(int argc, char** argv) {
   double micro_p99_at_base = 0.0;
   double cold_p99_at_base = 0.0;
   std::uint64_t digest = 0;
-  const auto mix = [&digest](std::uint64_t v) {
-    digest ^= v + 0x9e3779b97f4a7c15ull + (digest << 6) + (digest >> 2);
-  };
+  const auto mix = [&digest](std::uint64_t v) { sim::hash_mix(digest, v); };
 
   std::vector<std::vector<Cell>> cells(std::size(kLadders));
   for (std::size_t l = 0; l < std::size(kLadders); ++l) {

@@ -44,6 +44,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/metrics_scraper.hpp"
 #include "cluster/session_fleet.hpp"
+#include "simcore/hash.hpp"
 #include "simcore/parallel.hpp"
 
 namespace {
@@ -201,9 +202,7 @@ Cell run_cell(const Options& o, double rate, double interval_s,
   }
 
   std::uint64_t digest = 0;
-  const auto mix = [&digest](std::uint64_t v) {
-    digest ^= v + 0x9e3779b97f4a7c15ull + (digest << 6) + (digest >> 2);
-  };
+  const auto mix = [&digest](std::uint64_t v) { sim::hash_mix(digest, v); };
   for (std::int32_t p = 0; p < engine.partition_count(); ++p) {
     mix(static_cast<std::uint64_t>(engine.partition(p).now()));
     mix(engine.partition(p).executed_events());
@@ -290,18 +289,6 @@ std::string fidelity_json(std::optional<double> f) {
   return os.str();
 }
 
-void parse_list(const char* v, std::vector<double>* out) {
-  out->clear();
-  std::string s(v);
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    out->push_back(std::atof(s.substr(pos, comma - pos).c_str()));
-    pos = comma + 1;
-  }
-}
-
 void usage(const char* argv0) {
   std::printf(
       "usage: %s [--hosts H] [--shards S] [--wave K] [--sessions M]\n"
@@ -332,9 +319,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--check-interval-s") == 0) {
       if (const char* v = next()) o.check_interval_s = std::atof(v);
     } else if (std::strcmp(argv[i], "--fault-rate") == 0) {
-      if (const char* v = next()) parse_list(v, &o.rates);
+      if (const char* v = next()) {
+        o.rates = rh::bench::parse_value_list("--fault-rate", v);
+      }
     } else if (std::strcmp(argv[i], "--interval-s") == 0) {
-      if (const char* v = next()) parse_list(v, &o.intervals_s);
+      if (const char* v = next()) {
+        o.intervals_s = rh::bench::parse_value_list("--interval-s", v);
+      }
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       if (const char* v = next()) o.workers = std::strtoull(v, nullptr, 10);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
@@ -371,9 +362,7 @@ int main(int argc, char** argv) {
   double headline_detection_p99 = 0.0;
   double headline_overhead_pct = 0.0;
   std::uint64_t digest = 0;
-  const auto mix = [&digest](std::uint64_t v) {
-    digest ^= v + 0x9e3779b97f4a7c15ull + (digest << 6) + (digest >> 2);
-  };
+  const auto mix = [&digest](std::uint64_t v) { sim::hash_mix(digest, v); };
 
   // Exact wave-order fidelity: with no fleet (so no load noise) and no
   // faults, a pass ordered from the scraped TSDB alone must pick exactly

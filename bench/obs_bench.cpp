@@ -22,6 +22,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/session_fleet.hpp"
 #include "obs/observer.hpp"
+#include "simcore/hash.hpp"
 #include "simcore/parallel.hpp"
 
 namespace {
@@ -95,10 +96,6 @@ struct ClusterRun {
   std::uint64_t events = 0;
 };
 
-void mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-}
-
 /// The fig9 scenario (3 hosts x 4 VMs, rolling warm rejuvenation) on a
 /// one-worker engine, with a digest over everything deterministic the run
 /// produces. Observability must not move a single one of these bits.
@@ -130,14 +127,16 @@ ClusterRun cluster_once(bool observe) {
   ClusterRun run;
   run.wall_seconds = seconds_since(t0);
   for (std::int32_t p = 0; p < engine.partition_count(); ++p) {
-    mix(run.digest, static_cast<std::uint64_t>(engine.partition(p).now()));
-    mix(run.digest, engine.partition(p).executed_events());
+    sim::hash_mix(run.digest,
+                  static_cast<std::uint64_t>(engine.partition(p).now()));
+    sim::hash_mix(run.digest, engine.partition(p).executed_events());
   }
-  mix(run.digest, engine.messages_routed());
-  mix(run.digest, static_cast<std::uint64_t>(fleet.completions().total()));
-  mix(run.digest, cl.sharded_balancer()->rejected());
+  sim::hash_mix(run.digest, engine.messages_routed());
+  sim::hash_mix(run.digest,
+                static_cast<std::uint64_t>(fleet.completions().total()));
+  sim::hash_mix(run.digest, cl.sharded_balancer()->rejected());
   for (const auto d : cl.rejuvenation_durations()) {
-    mix(run.digest, static_cast<std::uint64_t>(d));
+    sim::hash_mix(run.digest, static_cast<std::uint64_t>(d));
   }
   for (int h = 0; h < cfg.hosts; ++h) {
     run.spans += cl.host(h).obs().spans().records().size();

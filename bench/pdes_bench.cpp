@@ -28,6 +28,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/session_fleet.hpp"
+#include "simcore/hash.hpp"
 #include "simcore/parallel.hpp"
 
 namespace {
@@ -37,10 +38,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-void mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
 }
 
 struct RunConfig {
@@ -99,16 +96,18 @@ RunResult run_once(const RunConfig& rc) {
   r.messages = engine.messages_routed();
   r.events = engine.total_executed_events();
   for (std::int32_t p = 0; p < engine.partition_count(); ++p) {
-    mix(r.digest, static_cast<std::uint64_t>(engine.partition(p).now()));
-    mix(r.digest, engine.partition(p).executed_events());
+    sim::hash_mix(r.digest,
+                  static_cast<std::uint64_t>(engine.partition(p).now()));
+    sim::hash_mix(r.digest, engine.partition(p).executed_events());
   }
-  mix(r.digest, static_cast<std::uint64_t>(fleet.completions().total()));
-  mix(r.digest, cl.sharded_balancer()->dispatched());
-  mix(r.digest, cl.sharded_balancer()->rejected());
+  sim::hash_mix(r.digest,
+                static_cast<std::uint64_t>(fleet.completions().total()));
+  sim::hash_mix(r.digest, cl.sharded_balancer()->dispatched());
+  sim::hash_mix(r.digest, cl.sharded_balancer()->rejected());
   for (const auto d : cl.rejuvenation_durations()) {
-    mix(r.digest, static_cast<std::uint64_t>(d));
+    sim::hash_mix(r.digest, static_cast<std::uint64_t>(d));
   }
-  mix(r.digest, r.messages);
+  sim::hash_mix(r.digest, r.messages);
   return r;
 }
 

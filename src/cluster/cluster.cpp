@@ -13,6 +13,20 @@ namespace rh::cluster {
 
 namespace {
 
+// A host whose wave turn left VMs unrecovered is evicted from the balancer
+// and retried with Supervisor::recover once the last wave is done: one
+// attempt, then up to kMaxHostRetries more, each after a backoff of
+// min(kHostRetryCap, kHostRetryBase * 2^attempt).
+constexpr int kMaxHostRetries = 2;
+constexpr sim::Duration kHostRetryBase = 30 * sim::kMinute;
+constexpr sim::Duration kHostRetryCap = 2 * sim::kHour;
+
+sim::Duration host_retry_backoff(int attempt) {
+  sim::Duration delay = kHostRetryBase;
+  for (int k = 0; k < attempt && delay < kHostRetryCap; ++k) delay *= 2;
+  return std::min(delay, kHostRetryCap);
+}
+
 /// The engine `config` names, checked against the cluster's partition
 /// layout before any member is built on it.
 sim::ParallelSimulation& checked_engine(sim::Simulation& sim,
@@ -311,13 +325,6 @@ void Cluster::rolling_rejuvenation_waves(
   ensure(wave_ == nullptr,
          "rolling_rejuvenation_waves: a rolling pass is already in progress");
   ensure(config.wave_size >= 1, "rolling_rejuvenation_waves: wave_size >= 1");
-  ensure(config.max_concurrent_down >= 0,
-         "rolling_rejuvenation_waves: negative downtime budget");
-  ensure(config.max_host_retries >= 0,
-         "rolling_rejuvenation_waves: negative retry budget");
-  ensure(config.host_retry_base > 0 &&
-             config.host_retry_cap >= config.host_retry_base,
-         "rolling_rejuvenation_waves: need retry cap >= base > 0");
   ensure(config.signals != WaveSignalSource::kScraped || scraper_ != nullptr,
          "rolling_rejuvenation_waves: scraped signals require "
          "start_scraping()");
@@ -413,16 +420,13 @@ void Cluster::wave_launch() {
               }
               return a < b;
             });
-  std::size_t k = static_cast<std::size_t>(wave_->config.wave_size);
-  // Unplanned crashes spend the same budget as planned turns: admission
-  // pauses when crashes alone exhaust it, and the next unplanned recovery
-  // replans the remaining order from live outcomes (wave_kick).
-  const std::size_t budget =
-      wave_->config.max_concurrent_down > 0
-          ? static_cast<std::size_t>(wave_->config.max_concurrent_down)
-          : static_cast<std::size_t>(wave_->config.wave_size);
+  // The wave size is the downtime budget, and unplanned crashes spend it
+  // like planned turns: admission pauses when crashes alone exhaust it,
+  // and the next unplanned recovery replans the remaining order from live
+  // outcomes (wave_kick).
+  const std::size_t budget = static_cast<std::size_t>(wave_->config.wave_size);
   const std::size_t down_now = unplanned_down_hosts();
-  k = std::min(k, budget > down_now ? budget - down_now : 0);
+  std::size_t k = budget > down_now ? budget - down_now : 0;
   k = std::min(k, candidates.size());
   if (k == 0) {
     wave_->paused = true;
@@ -576,7 +580,7 @@ void Cluster::wave_retry_done(std::size_t host_index, int attempt,
   if (report != nullptr && report->success) {
     balancer_.set_host_evicted(host_index, false);
     wave_report_.recovered_hosts.push_back(host_index);
-  } else if (attempt < wave_->config.max_host_retries) {
+  } else if (attempt < kMaxHostRetries) {
     wave_retry(attempt + 1);
     return;
   } else {
@@ -584,13 +588,6 @@ void Cluster::wave_retry_done(std::size_t host_index, int attempt,
   }
   ++wave_->retry_next;
   wave_retry(0);
-}
-
-sim::Duration Cluster::host_retry_backoff(int attempt) const {
-  const WaveConfig& c = wave_->config;
-  sim::Duration delay = c.host_retry_base;
-  for (int k = 0; k < attempt && delay < c.host_retry_cap; ++k) delay *= 2;
-  return std::min(delay, c.host_retry_cap);
 }
 
 }  // namespace rh::cluster

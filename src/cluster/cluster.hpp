@@ -12,7 +12,6 @@
 #include "cluster/sharded_balancer.hpp"
 #include "fault/fault.hpp"
 #include "obs/slo.hpp"
-#include "obs/tsdb.hpp"
 #include "rejuv/recovery_driver.hpp"
 #include "rejuv/supervisor.hpp"
 #include "simcore/inline_callback.hpp"
@@ -101,12 +100,10 @@ class Cluster {
 
   /// Knobs for the wave-based rolling pass (rolling_rejuvenation_waves).
   struct WaveConfig {
-    /// Hosts rejuvenated concurrently per wave.
+    /// Hosts rejuvenated concurrently per wave. It is also the global
+    /// concurrent-downtime budget: never more than this many hosts down at
+    /// once, counting hosts crash-down from steady faults.
     int wave_size = 1;
-    /// Global concurrent-downtime budget: never more than this many hosts
-    /// down at once, across all causes the scheduler controls. 0 means
-    /// "the wave size is the budget". Waves are clamped to the budget.
-    int max_concurrent_down = 0;
     rejuv::RebootKind kind = rejuv::RebootKind::kWarm;
     /// Every wave turn runs under a rejuv::Supervisor (watchdogs, retries,
     /// the full degradation ladder incl. micro-recovery). `kind` above
@@ -115,13 +112,6 @@ class Cluster {
     rejuv::SupervisorConfig supervisor{};
     /// Signal source for the wave ordering (DESIGN.md §15).
     WaveSignalSource signals = WaveSignalSource::kWireTap;
-    /// A host whose wave turn left VMs unrecovered is evicted from the
-    /// balancer and retried with Supervisor::recover once the last wave
-    /// is done: one attempt, then up to this many more, with capped
-    /// exponential backoff (base * 2^attempt, at most cap) before each.
-    int max_host_retries = 2;
-    sim::Duration host_retry_base = 30 * sim::kMinute;
-    sim::Duration host_retry_cap = 2 * sim::kHour;
   };
 
   /// Knobs for the telemetry plane (DESIGN.md §15): per-host /metrics
@@ -133,7 +123,6 @@ class Cluster {
     /// A scrape unanswered for this long counts as failed; must exceed
     /// the round-trip link latency and fit inside the interval.
     sim::Duration timeout = 2 * sim::kSecond;
-    obs::TimeSeriesStore::Config tsdb;
     obs::SloConfig slo;
     /// Let the SLO evaluator's burn-rate rule pause wave admission.
     bool gate_admission = true;
@@ -231,7 +220,7 @@ class Cluster {
     /// (the unplanned share lives in Cluster::unplanned_report()).
     sim::Duration planned_downtime = 0;
     /// Times wave admission paused because unplanned crashes exhausted the
-    /// concurrent-downtime budget (or every pending host was crash-down);
+    /// downtime budget (or every pending host was crash-down);
     /// the next unplanned recovery replans and resumes the pass.
     std::size_t admission_pauses = 0;
     /// Wave turns that arrived at a host an unplanned ladder already
@@ -244,10 +233,10 @@ class Cluster {
 
   /// Rolling rejuvenation (the paper's Section 6 scenario): rejuvenates
   /// wave_size hosts per wave (one by default), a barrier between waves,
-  /// under the concurrent-downtime budget. Each host's turn runs under a
-  /// rejuv::Supervisor, so a mid-wave fault walks the degradation ladder
-  /// (micro-recovery, warm->saved->cold) instead of aborting the pass;
-  /// outcomes land in the WaveReport. A host left unrecovered is evicted
+  /// never more than wave_size hosts down at once. Each host's turn runs
+  /// under a rejuv::Supervisor, so a mid-wave fault walks the degradation
+  /// ladder (micro-recovery, warm->saved->cold) instead of aborting the
+  /// pass; outcomes land in the WaveReport. A host left unrecovered is evicted
   /// from the balancer and retried after the last wave; a pressured
   /// host is marked on the balancer. Before each wave the scheduler
   /// gathers live signals from every pending host
@@ -313,14 +302,13 @@ class Cluster {
   void wave_host_done(std::size_t host_index, rejuv::SupervisorReport report);
   /// A launched turn found its host owned by an unplanned ladder: requeue.
   void wave_host_deferred(std::size_t host_index);
-  /// End-of-pass retry queue: recovers the next evicted host after
-  /// host_retry_backoff(attempt), then finishes the pass.
+  /// End-of-pass retry queue: recovers the next evicted host after a
+  /// capped exponential backoff, then finishes the pass.
   void wave_retry(int attempt);
   /// Control-side outcome of one retry; null `report` means the host was
   /// down or owned by an unplanned ladder, so no retry ran.
   void wave_retry_done(std::size_t host_index, int attempt,
                        const rejuv::SupervisorReport* report);
-  [[nodiscard]] sim::Duration host_retry_backoff(int attempt) const;
   /// Resumes a paused pass after an unplanned recovery (replans from the
   /// next signal gather).
   void wave_kick();

@@ -8,6 +8,7 @@
 #include "obs/export.hpp"
 #include "obs/prometheus.hpp"
 #include "simcore/check.hpp"
+#include "simcore/hash.hpp"
 
 namespace rh::cluster {
 
@@ -16,32 +17,13 @@ namespace {
 // EventRing tail length snapshotted into flight-recorder dumps.
 constexpr std::size_t kFlightRecorderTail = 64;
 
-// Minimal JSON string escaping for flight-recorder text (labels and
-// series names are our own short ASCII, but a truncated label could in
-// principle carry anything printable).
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 MetricsScraper::MetricsScraper(Cluster& cluster, Cluster::ScrapeConfig config)
     : cluster_(cluster),
       config_(config),
       sim_(cluster.sim_),
-      tsdb_(cluster.hosts_.size(), config.tsdb),
+      tsdb_(cluster.hosts_.size()),
       slo_(cluster.hosts_.size(), config.slo) {
   // A timeout that a healthy round trip could exceed would mark live
   // hosts dark; a round that outlives the interval would overlap the
@@ -180,7 +162,7 @@ void MetricsScraper::write_flight_record(std::ostream& os,
   const obs::MetricsExporter& ex = *exporters_[host];
   os << "{\n";
   os << "  \"host\": " << host << ",\n";
-  os << "  \"instance\": \"" << json_escape(ex.instance()) << "\",\n";
+  os << "  \"instance\": \"" << obs::json_escape(ex.instance()) << "\",\n";
   os << "  \"at\": " << sim_.now() << ",\n";
   os << "  \"down_since\": " << down_since_[host] << ",\n";
   os << "  \"dark\": " << (slo_.dark(host) ? "true" : "false") << ",\n";
@@ -200,7 +182,8 @@ void MetricsScraper::write_flight_record(std::ostream& os,
                 const sim::LatencyHistogram& sketch) {
         os << (first_series ? "\n" : ",\n");
         first_series = false;
-        os << "    {\"name\": \"" << json_escape(name) << "\", \"samples\": [";
+        os << "    {\"name\": \"" << obs::json_escape(name)
+           << "\", \"samples\": [";
         for (std::size_t i = 0; i < window.size(); ++i) {
           os << (i == 0 ? "" : ", ") << "[" << window[i].time << ", "
              << obs::json_number(window[i].value) << "]";
@@ -229,7 +212,7 @@ void MetricsScraper::write_flight_record(std::ostream& os,
        << obs::to_string(e.category) << "\", \"kind\": \""
        << obs::to_string(e.kind) << "\", \"subject\": " << e.subject
        << ", \"a\": " << e.a << ", \"b\": " << e.b << ", \"label\": \""
-       << json_escape(e.label) << "\"}";
+       << obs::json_escape(e.label) << "\"}";
   });
   os << (first_event ? "" : "\n  ") << "]\n";
   os << "}\n";
@@ -237,9 +220,7 @@ void MetricsScraper::write_flight_record(std::ostream& os,
 
 std::uint64_t MetricsScraper::state_digest() const {
   std::uint64_t h = 0;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  };
+  const auto mix = [&h](std::uint64_t v) { sim::hash_mix(h, v); };
   mix(stats_.rounds_started);
   mix(stats_.rounds_completed);
   mix(stats_.scrapes_ok);

@@ -27,6 +27,7 @@
 
 #include "cluster/cluster.hpp"
 #include "obs/metrics_exporter.hpp"
+#include "obs/tsdb.hpp"
 #include "simcore/histogram.hpp"
 
 namespace rh::cluster {

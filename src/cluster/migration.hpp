@@ -5,7 +5,9 @@
 // pages; each subsequent round pushes the pages dirtied during the
 // previous round, until the residue is small enough for a brief
 // stop-and-copy. The paper quotes 72 s for one 800 MB VM and a 12 %
-// throughput degradation during migration; the defaults reproduce those.
+// throughput degradation during migration; the defaults reproduce the
+// 72 s, and ClusterThroughputParams::migration_degradation carries the
+// 12 %.
 // This file holds the closed-form estimate; cluster::VmMigrator runs the
 // same rounds event by event between two simulated hosts.
 #pragma once
@@ -23,9 +25,6 @@ struct MigrationConfig {
   /// Stop-and-copy once the residue falls below this.
   sim::Bytes stop_threshold = 8 * sim::kMiB;
   int max_rounds = 30;
-  /// Server throughput degradation on the migrating host (Clark et al.:
-  /// 12 % for Apache).
-  double degradation = 0.12;
 };
 
 /// Closed-form per-VM migration outcome.

@@ -6,6 +6,14 @@
 
 namespace rh::cluster {
 
+namespace {
+
+// Back-off before a ClusterClientFleet connection reissues a failed
+// request.
+constexpr sim::Duration kClientRetryInterval = 500 * sim::kMillisecond;
+
+}  // namespace
+
 ClusterClientFleet::ClusterClientFleet(sim::Simulation& sim,
                                        ShardedBalancer& balancer,
                                        Config config)
@@ -30,7 +38,7 @@ void ClusterClientFleet::issue(int connection) {
       completions_.record(sim_.now());
       issue(connection);
     } else {
-      sim_.after(config_.retry_interval,
+      sim_.after(kClientRetryInterval,
                  [this, connection] { issue(connection); });
     }
   });
@@ -116,7 +124,7 @@ void SessionFleet::tick(std::uint32_t shard) {
 void SessionFleet::issue(std::uint32_t shard, std::uint32_t i) {
   Slice& sl = slices_[shard];
   sl.issued_at[i] = sl.sim->now();
-  balancer_.dispatch_on(shard, sl.first + i, [this, shard, i](bool ok) {
+  balancer_.dispatch_on(shard, [this, shard, i](bool ok) {
     on_reply(shard, i, ok);
   });
 }

@@ -44,7 +44,6 @@ class ClusterClientFleet {
  public:
   struct Config {
     int connections = 16;
-    sim::Duration retry_interval = 500 * sim::kMillisecond;
   };
 
   ClusterClientFleet(sim::Simulation& sim, ShardedBalancer& balancer,

@@ -113,7 +113,7 @@ void ShardedBalancer::dispatch(std::uint64_t key,
   start_on(home_shard(key), std::move(done));
 }
 
-void ShardedBalancer::dispatch_on(std::size_t shard, std::uint64_t /*key*/,
+void ShardedBalancer::dispatch_on(std::size_t shard,
                                   std::function<void(bool)> done) {
   ensure(shard < shards_.size(), "ShardedBalancer::dispatch_on: bad shard");
   start_on(shard, std::move(done));

@@ -97,8 +97,7 @@ class ShardedBalancer {
   /// Fast path for callers already executing on `shard`'s partition (the
   /// batched session fleet pins sessions to shards): skips the initial
   /// routing hop; `done` fires on that same partition.
-  void dispatch_on(std::size_t shard, std::uint64_t key,
-                   std::function<void(bool)> done);
+  void dispatch_on(std::size_t shard, std::function<void(bool)> done);
 
   /// Aggregate counters (sum over shards). Quiescent reads only.
   [[nodiscard]] std::uint64_t dispatched() const;

@@ -86,32 +86,6 @@ std::vector<hw::FrameRun> FrameAllocator::allocate(DomainId owner,
   return out;
 }
 
-std::vector<hw::FrameRun> FrameAllocator::allocate_contiguous(
-    DomainId owner, std::int64_t count) {
-  ensure(valid_owner(owner), "FrameAllocator::allocate_contiguous: invalid owner");
-  ensure(count >= 0, "FrameAllocator::allocate_contiguous: negative count");
-  if (count == 0) return {};
-  if (count > free_) {
-    throw OutOfMachineMemory(
-        "FrameAllocator: requested " + std::to_string(count) +
-        " contiguous frames, only " + std::to_string(free_) + " free");
-  }
-  // First fit over ascending MFN runs. Free runs are coalesced, so each is
-  // a maximal run of free frames.
-  for (const auto& run : owners_) {
-    if (run.value != kNoDomain || run.count < count) continue;
-    const hw::FrameRun got{run.first, count};
-    owners_.assign(got.first, got.count, owner);
-    free_ -= count;
-    count_of(owner) += count;
-    return {got};
-  }
-  throw OutOfMachineMemory(
-      "FrameAllocator: no contiguous run of " + std::to_string(count) +
-      " frames (" + std::to_string(free_) + " free, largest run " +
-      std::to_string(largest_free_run()) + "): machine memory is fragmented");
-}
-
 void FrameAllocator::claim(DomainId owner, std::span<const hw::FrameRun> frames) {
   ensure(valid_owner(owner), "FrameAllocator::claim: invalid owner");
   std::int64_t total = 0;
@@ -196,28 +170,6 @@ std::vector<hw::FrameNumber> FrameAllocator::frames_owned_by(DomainId owner) con
     for (hw::FrameNumber mfn = run.first; mfn < run.end(); ++mfn) out.push_back(mfn);
   }
   return out;
-}
-
-std::int64_t FrameAllocator::largest_free_run() const {
-  std::int64_t best = 0;
-  for (const auto& run : owners_) {
-    if (run.value == kNoDomain) best = std::max(best, run.count);
-  }
-  return best;
-}
-
-double FrameAllocator::fragmentation() const {
-  if (free_ == 0) return 0.0;
-  return 1.0 - static_cast<double>(largest_free_run()) /
-                   static_cast<double>(free_);
-}
-
-hw::FrameNumber FrameAllocator::lowest_free_from(hw::FrameNumber hint) const {
-  const hw::FrameNumber from = hint < 0 ? 0 : hint;
-  for (auto it = owners_.from(from); it != owners_.end(); ++it) {
-    if (it->value == kNoDomain) return std::max(it->first, from);
-  }
-  return -1;
 }
 
 bool FrameAllocator::accounting_ok() const {

@@ -42,15 +42,6 @@ class FrameAllocator {
   /// frame taken. Returns the frames as runs in allocation order.
   std::vector<hw::FrameRun> allocate(DomainId owner, std::int64_t count);
 
-  /// Allocates `count` *contiguous* free frames (one ascending MFN run,
-  /// first fit from MFN 0) to `owner`; returns that run, or nothing for
-  /// count 0. Throws OutOfMachineMemory when no run is long enough -- the
-  /// message distinguishes genuine exhaustion from fragmentation, since a
-  /// preserved-region metadata placement can fail with plenty of scattered
-  /// free frames (DESIGN.md §9).
-  std::vector<hw::FrameRun> allocate_contiguous(DomainId owner,
-                                                std::int64_t count);
-
   /// Claims the exact given frames for `owner`. Every frame must currently
   /// be free and named once; throws InvariantViolation naming the first
   /// busy (or repeated) frame otherwise, with nothing claimed. Used after
@@ -86,18 +77,6 @@ class FrameAllocator {
   [[nodiscard]] const OwnerRuns& runs() const { return owners_; }
   /// Number of owner runs (free runs included).
   [[nodiscard]] std::size_t run_count() const { return owners_.size(); }
-
-  /// Length of the longest run of consecutive free MFNs.
-  [[nodiscard]] std::int64_t largest_free_run() const;
-
-  /// External-fragmentation score in [0,1]: 1 - largest_free_run / free.
-  /// 0 when all free memory is one run (or nothing is free).
-  [[nodiscard]] double fragmentation() const;
-
-  /// Lowest free MFN >= `hint`, or -1 when none. Lets callers walk the
-  /// free pool in ascending order without rescanning from zero (the
-  /// compaction pass passes the previous result + 1 as the next hint).
-  [[nodiscard]] hw::FrameNumber lowest_free_from(hw::FrameNumber hint) const;
 
   /// Conservation check: the owner runs cover every MFN exactly once,
   /// and the cached free counter and per-owner counts agree with them,

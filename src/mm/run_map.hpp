@@ -1,11 +1,12 @@
 // Sorted, coalesced runs over a 64-bit key space.
 //
 // Machine-memory state is made of long runs: next-fit allocation keeps a
-// domain's frames contiguous, and only ballooning and compaction leave
-// holes. RunMap stores such state as disjoint runs [first, first + count)
-// keyed by their first key. Finding the run that holds a key and
-// splitting a run cost O(log runs); a pass over the whole state costs
-// O(runs), whatever the number of keys. Keys no run covers are gaps.
+// domain's frames contiguous, and only ballooning and domain teardown
+// leave holes. RunMap stores such state as disjoint runs
+// [first, first + count) keyed by their first key. Finding the run that
+// holds a key and splitting a run cost O(log runs); a pass over the whole
+// state costs O(runs), whatever the number of keys. Keys no run covers are
+// gaps.
 //
 // Runs are kept coalesced: two runs that touch and whose values continue
 // into each other are always one run, so equal maps hold equal runs.

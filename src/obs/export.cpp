@@ -28,10 +28,6 @@ std::string json_number(double v) {
   return out;
 }
 
-namespace {
-
-/// Escapes the few characters our labels can legally contain. Labels come
-/// from fixed string literals plus VM names, so this stays minimal.
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -47,8 +43,6 @@ std::string json_escape(std::string_view s) {
   }
   return out;
 }
-
-}  // namespace
 
 ChromeTraceWriter::ChromeTraceWriter(std::ostream& os) : os_(os) {
   os_ << "{\"traceEvents\":[\n";

@@ -24,6 +24,11 @@ namespace rh::obs {
 /// unlimited-budget headroom).
 [[nodiscard]] std::string json_number(double v);
 
+/// Escapes text for a JSON string literal: quote, backslash, newline and
+/// tab are escaped, other control characters are dropped. Labels come
+/// from fixed string literals plus VM names, so this stays minimal.
+[[nodiscard]] std::string json_escape(std::string_view s);
+
 /// Appends one process's spans and events to a Chrome trace. Spans become
 /// async "b"/"e" pairs (async events tolerate the overlapping siblings a
 /// parallel resume produces); typed events become instants. Call once per

@@ -1,22 +1,28 @@
 #include "obs/slo.hpp"
 
 #include "simcore/check.hpp"
+#include "simcore/hash.hpp"
 
 namespace rh::obs {
 
+namespace {
+
+// Scrape-availability objective (fraction of scrapes that answer).
+constexpr double kAvailabilityTarget = 0.99;
+// Trailing scrape rounds in the burn-rate window.
+constexpr std::size_t kWindowRounds = 8;
+// Consecutive missed scrapes before a host is flagged dark.
+constexpr int kDarkAfterMisses = 3;
+
+}  // namespace
+
 SloEvaluator::SloEvaluator(std::size_t instances, SloConfig config)
     : config_(config) {
-  ensure(config_.availability_target > 0.0 &&
-             config_.availability_target < 1.0,
-         "SloEvaluator: availability target must be in (0, 1)");
   ensure(config_.pause_burn_rate > 0.0,
          "SloEvaluator: pause burn rate must be positive");
-  ensure(config_.window_rounds >= 1, "SloEvaluator: empty burn window");
-  ensure(config_.dark_after_misses >= 1,
-         "SloEvaluator: dark threshold must be positive");
   misses_.assign(instances, 0);
   dark_.assign(instances, 0);
-  window_.resize(config_.window_rounds);
+  window_.resize(kWindowRounds);
 }
 
 bool SloEvaluator::record(std::size_t instance, bool ok) {
@@ -29,7 +35,7 @@ bool SloEvaluator::record(std::size_t instance, bool ok) {
   }
   ++current_.miss;
   ++misses_[instance];
-  if (dark_[instance] == 0 && misses_[instance] >= config_.dark_after_misses) {
+  if (dark_[instance] == 0 && misses_[instance] >= kDarkAfterMisses) {
     dark_[instance] = 1;
     ++dark_transitions_;
     return true;
@@ -55,7 +61,7 @@ double SloEvaluator::burn_rate() const {
   if (total == 0) return 0.0;
   const double error_rate =
       static_cast<double>(miss) / static_cast<double>(total);
-  return error_rate / (1.0 - config_.availability_target);
+  return error_rate / (1.0 - kAvailabilityTarget);
 }
 
 std::size_t SloEvaluator::dark_hosts() const {
@@ -66,9 +72,7 @@ std::size_t SloEvaluator::dark_hosts() const {
 
 std::uint64_t SloEvaluator::state_digest() const {
   std::uint64_t h = 0;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  };
+  const auto mix = [&h](std::uint64_t v) { sim::hash_mix(h, v); };
   for (std::size_t i = 0; i < misses_.size(); ++i) {
     mix(static_cast<std::uint64_t>(misses_[i]));
     mix(dark_[i]);

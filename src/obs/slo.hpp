@@ -5,13 +5,13 @@
 // whether targets answer their scrapes. This evaluator consumes exactly
 // that: per-round (ok, miss) outcomes. Two rules come out of it:
 //
-//  - a *burn rate* over a trailing window of rounds -- the observed
-//    scrape error rate divided by the SLO's error budget (1 - target).
+//  - a *burn rate* over the trailing 8 rounds -- the observed scrape
+//    error rate divided by the SLO's error budget (1 - 0.99 target).
 //    Burn >= pause_burn_rate means the fleet is eating budget too fast
 //    for planned maintenance to continue, so wave admission pauses until
 //    the window cools down (the ReHype/Kourai motivation: react to what
 //    the telemetry shows, not to an omniscient callback);
-//  - a per-host *dark* flag after N consecutive missed scrapes -- the
+//  - a per-host *dark* flag after 3 consecutive missed scrapes -- the
 //    scrape-visible proxy for "this VMM hung/crashed", which fires from
 //    telemetry alone, before (or without) any watchdog notification.
 //
@@ -27,15 +27,9 @@
 namespace rh::obs {
 
 struct SloConfig {
-  /// Scrape-availability objective (fraction of scrapes that answer).
-  double availability_target = 0.99;
   /// Pause wave admission when burn rate reaches this multiple of the
   /// error budget.
   double pause_burn_rate = 2.0;
-  /// Trailing scrape rounds in the burn-rate window.
-  std::size_t window_rounds = 8;
-  /// Consecutive missed scrapes before a host is flagged dark.
-  int dark_after_misses = 3;
 };
 
 class SloEvaluator {
@@ -44,7 +38,7 @@ class SloEvaluator {
 
   /// Records one scrape outcome for `instance` in the current round.
   /// Returns true exactly when this outcome flipped the host dark (the
-  /// dark_after_misses-th consecutive miss).
+  /// third consecutive miss).
   bool record(std::size_t instance, bool ok);
 
   /// Closes the current round's (ok, miss) bucket into the window.

@@ -6,17 +6,9 @@
 #include <limits>
 
 #include "simcore/check.hpp"
+#include "simcore/hash.hpp"
 
 namespace rh::obs {
-
-TimeSeriesStore::TimeSeriesStore(std::size_t instances)
-    : TimeSeriesStore(instances, Config{}) {}
-
-TimeSeriesStore::TimeSeriesStore(std::size_t instances, Config config)
-    : config_(config) {
-  ensure(config_.window >= 1, "TimeSeriesStore: window must be positive");
-  instances_.resize(instances);
-}
 
 void TimeSeriesStore::ingest(std::size_t instance, std::string_view series,
                              sim::SimTime t, double value) {
@@ -27,13 +19,13 @@ void TimeSeriesStore::ingest(std::size_t instance, std::string_view series,
     it = in.index.emplace(std::string(series), in.series.size()).first;
     Series s;
     s.name = series;
-    s.ring.resize(config_.window);
+    s.ring.resize(kWindow);
     in.series.push_back(std::move(s));
   }
   Series& s = in.series[it->second];
   s.ring[s.head] = {t, value};
-  s.head = (s.head + 1) % config_.window;
-  s.count = std::min(s.count + 1, config_.window);
+  s.head = (s.head + 1) % kWindow;
+  s.count = std::min(s.count + 1, kWindow);
   if (std::isfinite(value) && value >= 0.0) {
     // The sketch lives in the histogram's integer Duration domain; clamp
     // instead of overflowing on huge gauges.
@@ -66,14 +58,12 @@ std::optional<TimeSeriesStore::Sample> TimeSeriesStore::latest(
   if (it == in.index.end()) return std::nullopt;
   const Series& s = in.series[it->second];
   if (s.count == 0) return std::nullopt;
-  return s.ring[(s.head + config_.window - 1) % config_.window];
+  return s.ring[(s.head + kWindow - 1) % kWindow];
 }
 
 std::uint64_t TimeSeriesStore::state_digest() const {
   std::uint64_t h = 0;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  };
+  const auto mix = [&h](std::uint64_t v) { sim::hash_mix(h, v); };
   for (const Instance& in : instances_) {
     mix(in.stale ? 1 : 0);
     mix(static_cast<std::uint64_t>(in.stale_since));
@@ -89,7 +79,7 @@ std::uint64_t TimeSeriesStore::state_digest() const {
       const std::size_t n = s.count;
       for (std::size_t i = 0; i < n; ++i) {
         const Sample& sample =
-            s.ring[(s.head + config_.window - n + i) % config_.window];
+            s.ring[(s.head + kWindow - n + i) % kWindow];
         mix(static_cast<std::uint64_t>(sample.time));
         mix(std::bit_cast<std::uint64_t>(sample.value));
       }

@@ -31,18 +31,15 @@ namespace rh::obs {
 
 class TimeSeriesStore {
  public:
-  struct Config {
-    /// Samples retained per series (the ring window).
-    std::size_t window = 64;
-  };
+  /// Samples retained per series (the ring window).
+  static constexpr std::size_t kWindow = 64;
 
   struct Sample {
     sim::SimTime time = 0;
     double value = 0.0;
   };
 
-  explicit TimeSeriesStore(std::size_t instances);
-  TimeSeriesStore(std::size_t instances, Config config);
+  explicit TimeSeriesStore(std::size_t instances) : instances_(instances) {}
 
   /// Appends one sample; creates the series on first sight. The sketch
   /// absorbs finite non-negative values (clamped into the histogram's
@@ -81,8 +78,7 @@ class TimeSeriesStore {
       window.clear();
       const std::size_t n = s.count;
       for (std::size_t i = 0; i < n; ++i) {
-        window.push_back(s.ring[(s.head + config_.window - n + i) %
-                                config_.window]);
+        window.push_back(s.ring[(s.head + kWindow - n + i) % kWindow]);
       }
       fn(std::string_view(s.name), window, s.sketch);
     }
@@ -95,7 +91,7 @@ class TimeSeriesStore {
  private:
   struct Series {
     std::string name;
-    std::vector<Sample> ring;  ///< capacity == config_.window
+    std::vector<Sample> ring;  ///< capacity == kWindow
     std::size_t head = 0;      ///< next write position
     std::size_t count = 0;     ///< samples held (<= window)
     sim::LatencyHistogram sketch;
@@ -107,7 +103,6 @@ class TimeSeriesStore {
     sim::SimTime stale_since = 0;
   };
 
-  Config config_;
   std::vector<Instance> instances_;
   std::uint64_t ingested_ = 0;
 };

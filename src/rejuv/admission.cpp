@@ -8,6 +8,10 @@ namespace rh::rejuv {
 
 namespace {
 
+// Fraction of a VM's reclaim-safe pages (populated pages above its kernel +
+// page-cache region) one admission pass may balloon out.
+constexpr double kBalloonReclaimFraction = 0.5;
+
 struct Candidate {
   guest::GuestOs* guest = nullptr;
   std::int64_t demand = 0;      // preserved frames if suspended now
@@ -15,15 +19,6 @@ struct Candidate {
 };
 
 }  // namespace
-
-AdmissionController::AdmissionController(vmm::Host& host, AdmissionConfig config)
-    : host_(host), config_(config) {
-  ensure(config_.balloon_reclaim_fraction >= 0.0 &&
-             config_.balloon_reclaim_fraction <= 1.0,
-         "AdmissionController: balloon_reclaim_fraction out of [0,1]");
-  ensure(config_.max_saved_demotions >= -1,
-         "AdmissionController: max_saved_demotions must be >= -1");
-}
 
 std::int64_t AdmissionController::preserved_frames_for(
     const guest::GuestOs& g) const {
@@ -81,7 +76,7 @@ AdmissionPlan AdmissionController::plan(
     c.demand = preserved_frames_for(*g);
     c.reclaimable = static_cast<std::int64_t>(
         static_cast<double>(reclaim_safe_pages(*g)) *
-        config_.balloon_reclaim_fraction);
+        kBalloonReclaimFraction);
     out.demand_frames += c.demand;
     entries.push_back(c);
   }
@@ -106,26 +101,16 @@ AdmissionPlan AdmissionController::plan(
     }
   }
 
-  // Rungs 2-3: demote the largest remainers outright. A demoted VM's
-  // planned reclaim is pointless (its whole demand leaves the preserved
-  // path), so it is credited back first.
+  // Rung 2: demote the largest remainers to the disk path outright. A
+  // demoted VM's planned reclaim is pointless (its whole demand leaves the
+  // preserved path), so it is credited back first.
   std::vector<bool> demoted(entries.size(), false);
-  int saved_used = 0;
   for (std::size_t i = 0; i < entries.size() && need > 0; ++i) {
     need += taken[i];
     taken[i] = 0;
     demoted[i] = true;
     need -= entries[i].demand;
-    const bool saved_allowed =
-        config_.demote_to_saved &&
-        (config_.max_saved_demotions < 0 ||
-         saved_used < config_.max_saved_demotions);
-    if (saved_allowed) {
-      out.demote_saved.push_back(entries[i].guest);
-      ++saved_used;
-    } else {
-      out.demote_cold.push_back(entries[i].guest);
-    }
+    out.demote_saved.push_back(entries[i].guest);
   }
 
   for (std::size_t i = 0; i < entries.size(); ++i) {

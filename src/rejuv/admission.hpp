@@ -10,12 +10,10 @@
 //
 //   1. balloon-reclaim: inflate the balloon of the largest VMs, shrinking
 //      their frozen images (reclaim-safe pages only -- never a kernel or
-//      page-cache page);
+//      page-cache page), by at most half of each VM's reclaim-safe pages;
 //   2. demote-to-saved: the largest VMs take the slow disk path this
-//      pass, freeing their whole preserved demand; state is kept;
-//   3. demote-to-cold: beyond the saved-demotion limit (or when the disk
-//      path is disallowed), the VM is shut down and cold-booted; state is
-//      lost but its siblings stay warm.
+//      pass, freeing their whole preserved demand; state is kept and
+//      their siblings stay warm.
 //
 // plan() is pure: it mutates nothing and draws nothing from any RNG, so a
 // disabled admission controller leaves runs byte-identical. The
@@ -33,23 +31,6 @@
 
 namespace rh::rejuv {
 
-struct AdmissionConfig {
-  /// Off (default) = never consulted, zero extra work, zero RNG draws.
-  bool enabled = false;
-  /// Fraction of a VM's reclaim-safe pages (populated pages above its
-  /// kernel + page-cache region) one admission pass may balloon out.
-  double balloon_reclaim_fraction = 0.5;
-  /// If false, demotions skip the disk rung and go straight to cold.
-  bool demote_to_saved = true;
-  /// Max VMs demoted to saved per pass; -1 = unlimited. Once spent,
-  /// further demotions are cold.
-  int max_saved_demotions = -1;
-  /// Run a frame-compaction pass (Vmm::compact_memory) before suspend, so
-  /// the reloading VMM finds compact free runs for region metadata. Time
-  /// is charged at moved-bytes / Calibration::mem_copy_bps.
-  bool compact_before_suspend = false;
-};
-
 /// Per-VM slice of an admission plan.
 struct AdmissionReclaim {
   guest::GuestOs* guest = nullptr;
@@ -62,7 +43,6 @@ struct AdmissionPlan {
   std::int64_t demand_frames = 0;  ///< frames all candidates would need
   std::vector<AdmissionReclaim> reclaims;  ///< rung 1, largest VMs first
   std::vector<guest::GuestOs*> demote_saved;  ///< rung 2
-  std::vector<guest::GuestOs*> demote_cold;   ///< rung 3
   /// Warm survivors with their (post-reclaim) preserved-frame demand,
   /// largest first -- the escalation order if an executed reclaim
   /// under-delivers (e.g. an injected balloon-reclaim failure).
@@ -74,7 +54,7 @@ struct AdmissionPlan {
 /// Plans (but never executes) preserved-memory admission for one host.
 class AdmissionController {
  public:
-  AdmissionController(vmm::Host& host, AdmissionConfig config);
+  explicit AdmissionController(vmm::Host& host) : host_(host) {}
 
   /// Preserved frames domain `name`'s warm image would reserve right now:
   /// its populated pages (frozen in place) plus a conservative estimate
@@ -102,7 +82,6 @@ class AdmissionController {
 
  private:
   vmm::Host& host_;
-  AdmissionConfig config_;
 };
 
 }  // namespace rh::rejuv

@@ -86,21 +86,6 @@ void RejuvenationPolicy::run_vmm_rejuvenation(bool heap_triggered) {
     schedule_vmm(host_.sim().now() + retry_backoff(vmm_deferrals_++));
     return;
   }
-  // Load-aware deferral: wait for a trough, but not forever. Unlike busy
-  // collisions, load polling keeps its *fixed* cadence: the point is to
-  // catch the trough promptly, and max_load_defer already bounds the
-  // total wait.
-  if (config_.load_probe) {
-    if (vmm_due_since_ < 0) vmm_due_since_ = host_.sim().now();
-    const bool overdue =
-        host_.sim().now() - vmm_due_since_ >= config_.max_load_defer;
-    if (!overdue && config_.load_probe() > config_.load_defer_threshold) {
-      ++load_deferrals_;
-      schedule_vmm(host_.sim().now() + config_.retry_delay);
-      return;
-    }
-  }
-  vmm_due_since_ = -1;
   vmm_busy_ = true;
   const sim::SimTime start = host_.sim().now();
   const std::uint64_t deferrals = vmm_deferrals_;

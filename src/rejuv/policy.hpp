@@ -38,14 +38,6 @@ class RejuvenationPolicy {
     /// If > 0, rejuvenate the VMM early when heap pressure reaches this
     /// fraction (checked every simulated hour).
     double heap_pressure_threshold = 0.0;
-    /// Optional load probe in [0, 1]. When set, a due VMM rejuvenation is
-    /// deferred while load exceeds `load_defer_threshold` (Garg et al.'s
-    /// time-AND-load policy: rejuvenate on schedule, but in a trough).
-    std::function<double()> load_probe;
-    double load_defer_threshold = 1.0;
-    /// Bound on deferral: after waiting this long past the due time, the
-    /// rejuvenation proceeds regardless of load.
-    sim::Duration max_load_defer = sim::kDay;
   };
 
   struct Event {
@@ -54,7 +46,7 @@ class RejuvenationPolicy {
     bool is_vmm = false;      ///< false: OS rejuvenation
     std::size_t guest = 0;    ///< index, for OS rejuvenations
     bool heap_triggered = false;
-    /// Times this rejuvenation was deferred (busy peer, load) before it
+    /// Times this rejuvenation was deferred behind a busy peer before it
     /// finally ran; each deferral waited one backoff step.
     std::uint64_t deferrals = 0;
   };
@@ -70,8 +62,6 @@ class RejuvenationPolicy {
   [[nodiscard]] std::uint64_t os_rejuvenations() const { return os_count_; }
   [[nodiscard]] std::uint64_t vmm_rejuvenations() const { return vmm_count_; }
   [[nodiscard]] const std::vector<Event>& events() const { return events_; }
-  /// Times a due VMM rejuvenation was deferred because of load.
-  [[nodiscard]] std::uint64_t load_deferrals() const { return load_deferrals_; }
 
  private:
   void schedule_os(std::size_t i, sim::SimTime when);
@@ -96,8 +86,6 @@ class RejuvenationPolicy {
   std::size_t os_busy_count_ = 0;
   std::uint64_t os_count_ = 0;
   std::uint64_t vmm_count_ = 0;
-  std::uint64_t load_deferrals_ = 0;
-  sim::SimTime vmm_due_since_ = -1;  ///< -1: not currently deferring
   std::vector<Event> events_;
 };
 

@@ -15,6 +15,26 @@ namespace {
 // Fixed cost of one micro-recovery rebuild attempt, on top of the metadata
 // copy time charged at registry bytes / Calibration::mem_copy_bps.
 constexpr sim::Duration kMicroAttemptBase = 200 * sim::kMillisecond;
+// Rebuild attempts before falling down to hardware reboot + cold.
+constexpr int kMicroMaxAttempts = 2;
+// Retries per failing step (xexec load, guest boot) before degrading.
+constexpr int kMaxStepRetries = 2;
+// Backoff before retry k is min(kBackoffCap, kBackoffBase * 2^k); it draws
+// nothing from the host RNG.
+constexpr sim::Duration kBackoffBase = 2 * sim::kSecond;
+constexpr sim::Duration kBackoffCap = 5 * sim::kMinute;
+// A guest boot that has not completed after this long is declared hung and
+// force-powered off (kGuestBootHang never completes on its own).
+constexpr sim::Duration kBootWatchdog = 10 * sim::kMinute;
+// Latency before a kVmmHang is acted on: a crash announces itself, a wedged
+// hypervisor is only visible once the external watchdog fires.
+constexpr sim::Duration kHangDetection = sim::kSecond;
+
+sim::Duration backoff(int attempt) {
+  double d = static_cast<double>(kBackoffBase) * std::ldexp(1.0, attempt);
+  d = std::min(d, static_cast<double>(kBackoffCap));
+  return std::max<sim::Duration>(1, static_cast<sim::Duration>(d));
+}
 
 }  // namespace
 
@@ -38,9 +58,7 @@ const char* to_string(RecoveryAction a) {
       return "hardware-reboot-after-crash";
     case RecoveryAction::kGaveUp: return "gave-up";
     case RecoveryAction::kBalloonReclaim: return "balloon-reclaim";
-    case RecoveryAction::kCompactionPass: return "compaction-pass";
     case RecoveryAction::kDemoteToSaved: return "demote-to-saved";
-    case RecoveryAction::kDemoteToCold: return "demote-to-cold";
     case RecoveryAction::kPreservedImageLost: return "preserved-image-lost";
     case RecoveryAction::kMicroRecoveryAttempt: return "micro-recovery-attempt";
     case RecoveryAction::kMicroRecoverySucceeded:
@@ -63,14 +81,7 @@ std::size_t SupervisorReport::recovery_count(RecoveryAction a) const {
 Supervisor::Supervisor(vmm::Host& host, std::vector<guest::GuestOs*> guests,
                        SupervisorConfig config)
     : host_(host), guests_(std::move(guests)), config_(config) {
-  ensure(config_.max_step_retries >= 0, "Supervisor: negative retry count");
-  ensure(config_.backoff_base > 0 && config_.backoff_cap >= config_.backoff_base,
-         "Supervisor: backoff cap must be >= base > 0");
-  ensure(config_.boot_watchdog > 0, "Supervisor: watchdog must be positive");
-  ensure(config_.hang_detection >= 0, "Supervisor: negative hang detection");
   if (config_.micro.enabled) {
-    ensure(config_.micro.max_attempts >= 1,
-           "Supervisor: micro-recovery needs at least one attempt");
     ensure(config_.micro.success_rate >= 0.0 &&
                config_.micro.success_rate <= 1.0,
            "Supervisor: micro-recovery success rate out of [0, 1]");
@@ -102,13 +113,6 @@ void Supervisor::open_rung(const char* label) {
   rung_span_ = obs.span_open_under(host_.sim().now(), obs::Phase::kLadderRung,
                                    label, pass_span_);
   obs.set_ambient(rung_span_);
-}
-
-sim::Duration Supervisor::backoff(int attempt) {
-  double d = static_cast<double>(config_.backoff_base) *
-             std::ldexp(1.0, attempt);
-  d = std::min(d, static_cast<double>(config_.backoff_cap));
-  return std::max<sim::Duration>(1, static_cast<sim::Duration>(d));
 }
 
 Supervisor::GuestList Supervisor::suspendable_guests() const {
@@ -248,8 +252,7 @@ void Supervisor::handle_vmm_failure(fault::FaultKind kind) {
     // visible once the external watchdog fires, so the response starts
     // after the detection latency (the teardown is modelled at the
     // detection point).
-    host_.sim().after(host_.jittered(config_.hang_detection),
-                      std::move(proceed));
+    host_.sim().after(host_.jittered(kHangDetection), std::move(proceed));
     return;
   }
   proceed();
@@ -320,7 +323,7 @@ void Supervisor::micro_attempt(fault::FaultKind kind, int attempt) {
   ++report_.micro_attempts;
   record(RecoveryAction::kMicroRecoveryAttempt, "vmm",
          "in-place rebuild attempt " + std::to_string(attempt + 1) + " of " +
-             std::to_string(config_.micro.max_attempts));
+             std::to_string(kMicroMaxAttempts));
   const sim::Duration repair =
       kMicroAttemptBase +
       sim::transfer_time(micro_repair_bytes(), host_.calib().mem_copy_bps);
@@ -333,7 +336,7 @@ void Supervisor::micro_attempt(fault::FaultKind kind, int attempt) {
       record(RecoveryAction::kMicroRecoveryFailed, "vmm",
              "heap/domain-metadata rebuild failed (attempt " +
                  std::to_string(attempt + 1) + ")");
-      if (attempt + 1 < config_.micro.max_attempts) {
+      if (attempt + 1 < kMicroMaxAttempts) {
         micro_attempt(kind, attempt + 1);
       } else {
         crash_fallback(kind, /*micro_exhausted=*/true);
@@ -397,7 +400,7 @@ void Supervisor::attempt_xexec(int attempt) {
           warm_after_xexec();
           return;
         }
-        if (attempt < config_.max_step_retries) {
+        if (attempt < kMaxStepRetries) {
           record(RecoveryAction::kStepRetry, "xexec",
                  "image load failed (attempt " + std::to_string(attempt + 1) +
                      "); retrying after backoff");
@@ -434,7 +437,7 @@ void Supervisor::warm_after_xexec() {
   // reclaims and demotions need xend (and for saves, the disk path)
   // while dom0 is still up. Disabled admission takes the historical path
   // verbatim -- no extra events, no extra RNG draws.
-  if (config_.admission.enabled) {
+  if (config_.admission) {
     run_admission(std::move(proceed));
   } else {
     proceed();
@@ -475,12 +478,7 @@ std::int64_t Supervisor::escalate_demotion(AdmissionPlan& plan) {
   if (plan.warm.empty()) return 0;
   auto [g, demand] = plan.warm.front();
   plan.warm.erase(plan.warm.begin());
-  const bool saved_allowed =
-      config_.admission.demote_to_saved &&
-      (config_.admission.max_saved_demotions < 0 ||
-       static_cast<int>(plan.demote_saved.size()) <
-           config_.admission.max_saved_demotions);
-  (saved_allowed ? plan.demote_saved : plan.demote_cold).push_back(g);
+  plan.demote_saved.push_back(g);
   return demand;
 }
 
@@ -493,7 +491,7 @@ void Supervisor::run_admission(std::function<void()> done) {
       inner();
     };
   }
-  AdmissionController controller(host_, config_.admission);
+  AdmissionController controller(host_);
   AdmissionPlan plan = controller.plan(suspendable_guests());
   report_.pressure.consulted = true;
   report_.pressure.budget_frames = plan.budget_frames;
@@ -530,45 +528,16 @@ void Supervisor::run_admission(std::function<void()> done) {
     residual -= freed;
   }
 
-  auto execute_demotions = [this, done = std::move(done)]() mutable {
-    save_to_disk(admit_saved_,
-                 "demotion save lost to a disk write error; VM will cold boot",
-                 [this, done = std::move(done)]() mutable {
-                   shutdown_guests(admit_cold_, std::move(done));
-                 });
-  };
-
   report_.pressure.demoted_saved = plan.demote_saved.size();
-  report_.pressure.demoted_cold = plan.demote_cold.size();
   admit_saved_ = plan.demote_saved;
-  admit_cold_ = plan.demote_cold;
   for (auto* g : admit_saved_) {
     record(RecoveryAction::kDemoteToSaved, g->name(),
            "preserved-memory shortfall; this VM takes the disk path while "
            "its siblings stay warm");
   }
-  for (auto* g : admit_cold_) {
-    record(RecoveryAction::kDemoteToCold, g->name(),
-           "preserved-memory shortfall; this VM cold boots while its "
-           "siblings stay warm");
-    cold_list_.push_back(g);
-  }
-
-  if (config_.admission.compact_before_suspend) {
-    const std::int64_t moved = host_.vmm().compact_memory();
-    report_.pressure.compacted_frames = moved;
-    const auto copy_time = sim::transfer_time(moved * sim::kPageSize,
-                                              host_.calib().mem_copy_bps);
-    if (moved > 0) {
-      record(RecoveryAction::kCompactionPass, "vmm",
-             "compacted " + std::to_string(moved) +
-                 " frames before suspend so frozen images and reload "
-                 "metadata sit in contiguous runs");
-    }
-    host_.sim().after(copy_time, std::move(execute_demotions));
-  } else {
-    execute_demotions();
-  }
+  save_to_disk(admit_saved_,
+               "demotion save lost to a disk write error; VM will cold boot",
+               std::move(done));
 }
 
 void Supervisor::sweep_stale_regions() {
@@ -630,13 +599,11 @@ void Supervisor::warm_resume_phase() {
   sweep_stale_regions();
   GuestList preserved;
   for (auto* g : suspendable_guests()) {
-    // Demoted VMs take the disk or cold path below.
-    const bool demoted =
-        std::find(admit_saved_.begin(), admit_saved_.end(), g) !=
-            admit_saved_.end() ||
-        std::find(admit_cold_.begin(), admit_cold_.end(), g) !=
-            admit_cold_.end();
-    if (!demoted) preserved.push_back(g);
+    // Demoted VMs take the disk path below.
+    if (std::find(admit_saved_.begin(), admit_saved_.end(), g) ==
+        admit_saved_.end()) {
+      preserved.push_back(g);
+    }
   }
   resume_verified(preserved, "preserved image", "reload",
                   [this] { warm_restore_demoted(); });
@@ -895,14 +862,14 @@ void Supervisor::supervised_boot(guest::GuestOs& g, int attempt,
   auto shared_done =
       std::make_shared<std::function<void(bool)>>(std::move(done));
   const sim::EventId watchdog = host_.sim().after(
-      config_.boot_watchdog, [this, &g, attempt, settled, shared_done] {
+      kBootWatchdog, [this, &g, attempt, settled, shared_done] {
         if (*settled) return;
         *settled = true;
         record(RecoveryAction::kWatchdogPowerOff, g.name(),
                "boot hung past the watchdog (attempt " +
                    std::to_string(attempt + 1) + "); forced power-off");
         g.force_power_off();
-        if (attempt < config_.max_step_retries) {
+        if (attempt < kMaxStepRetries) {
           host_.sim().after(backoff(attempt), [this, &g, attempt,
                                                shared_done] {
             supervised_boot(g, attempt + 1, std::move(*shared_done));

@@ -13,9 +13,9 @@
 // The Supervisor does not assume a cooperating world: xexec images may
 // fail to load, disks may not read back what was written, preserved
 // images may rot and guests may hang while booting. It checks every
-// postcondition, retries failing steps with capped jittered exponential
-// backoff, arms a watchdog over every guest boot, and -- when a mechanism
-// is beyond retry -- walks a graceful-degradation ladder:
+// postcondition, retries failing steps with capped exponential backoff
+// (no RNG draw), arms a watchdog over every guest boot, and -- when a
+// mechanism is beyond retry -- walks a graceful-degradation ladder:
 //
 //   warm-VM reboot   --xexec load keeps failing-->   saved-VM reboot
 //   saved-VM reboot  --image lost/unreadable---->    cold boot (that VM)
@@ -63,9 +63,7 @@ enum class RecoveryAction : std::uint8_t {
   kGaveUp,                 ///< retries exhausted; VM left unrecovered
   // --- preserved-memory pressure (DESIGN.md §9) ---
   kBalloonReclaim,     ///< admission ballooned pages out of a VM pre-suspend
-  kCompactionPass,     ///< frames compacted before suspend
   kDemoteToSaved,      ///< admission sent this VM down the disk path
-  kDemoteToCold,       ///< admission shut this VM down for a cold boot
   kPreservedImageLost, ///< suspended VM came back with no image; cold boot
   // --- in-place micro-recovery (DESIGN.md §13) ---
   kMicroRecoveryAttempt,    ///< in-place VMM rebuild attempt started
@@ -87,28 +85,15 @@ struct RecoveryEvent {
 struct SupervisorConfig {
   /// The mechanism to attempt first; the ladder only descends from here.
   RebootKind preferred = RebootKind::kWarm;
-  /// Retries per failing step (xexec load, guest boot) before degrading.
-  int max_step_retries = 2;
-  /// Backoff before retry k is min(cap, base * 2^k); it draws nothing
-  /// from the host RNG.
-  sim::Duration backoff_base = 2 * sim::kSecond;
-  sim::Duration backoff_cap = 5 * sim::kMinute;
-  /// A guest boot that has not completed after this long is declared hung
-  /// and force-powered off (kGuestBootHang never completes on its own).
-  sim::Duration boot_watchdog = 10 * sim::kMinute;
-  /// Latency before a kVmmHang is acted on: a crash announces itself, a
-  /// wedged hypervisor is only visible once the external watchdog fires.
-  sim::Duration hang_detection = sim::kSecond;
-  /// Preserved-memory admission control (disabled by default: no extra
-  /// work, no extra RNG draws -- pre-pressure runs stay byte-identical).
-  AdmissionConfig admission;
+  /// Preserved-memory admission control (DESIGN.md §9). Off by default:
+  /// no extra work, no extra RNG draws -- pre-pressure runs stay
+  /// byte-identical.
+  bool admission = false;
   /// ReHype-style in-place micro-recovery: the rung *above* warm
   /// (DESIGN.md §13). Disabled by default, so a VMM failure takes the
   /// hardware-reboot path verbatim and no extra RNG draws ever happen.
   struct MicroRecoveryConfig {
     bool enabled = false;
-    /// Rebuild attempts before falling down to hardware reboot + cold.
-    int max_attempts = 2;
     /// Per-attempt probability that the heap/domain-metadata rebuild
     /// succeeds (ReHype reports ~90 %; the default is conservative).
     double success_rate = 0.85;
@@ -123,9 +108,7 @@ struct MemoryPressure {
   std::int64_t budget_frames = 0;    ///< frames available for new images
   std::int64_t demand_frames = 0;    ///< frames the VMs wanted
   std::int64_t reclaimed_frames = 0; ///< frames ballooned out pre-suspend
-  std::int64_t compacted_frames = 0; ///< frames moved by compaction
   std::size_t demoted_saved = 0;     ///< VMs sent down the disk path
-  std::size_t demoted_cold = 0;      ///< VMs shut down for cold boot
 };
 
 struct SupervisorReport {
@@ -225,13 +208,13 @@ class Supervisor {
 
   // ---- preserved-memory admission (DESIGN.md §9)
   /// Plans and executes admission before the warm suspend: balloon
-  /// reclaims (with injected-failure escalation), optional compaction
-  /// (charging moved-bytes/mem_copy_bps), then the demotions -- saves to
-  /// disk while dom0 is still up, graceful shutdowns for cold. `done`
-  /// fires when the surviving warm set is ready to suspend.
+  /// reclaims (with injected-failure escalation), then the demotions,
+  /// saved to disk while dom0 is still up. `done` fires when the
+  /// surviving warm set is ready to suspend.
   void run_admission(Done done);
-  /// Demotes one more warm VM (largest first) when an executed reclaim
-  /// under-delivered; returns the freed demand (0 = nothing left).
+  /// Demotes one more warm VM (largest first) to the disk path when an
+  /// executed reclaim under-delivered; returns the freed demand (0 =
+  /// nothing left).
   std::int64_t escalate_demotion(AdmissionPlan& plan);
   /// Post-reload housekeeping: re-attempts release of leaked stale
   /// regions (each sweep can itself leak again under fault injection).
@@ -243,8 +226,8 @@ class Supervisor {
   /// Freezes the guests in RAM (fail_vmm + interrupt) and starts attempt 0.
   void start_micro(fault::FaultKind kind);
   /// One rebuild attempt: charges 200 ms + metadata/mem_copy_bps,
-  /// then draws success. Failure retries up to max_attempts, then falls to
-  /// crash_fallback; success validates metadata and resumes.
+  /// then draws success. Failure retries up to kMicroMaxAttempts, then
+  /// falls to crash_fallback; success validates metadata and resumes.
   void micro_attempt(fault::FaultKind kind, int attempt);
   /// Resumes every frozen guest whose preserved image survived; per-VM
   /// corruption degrades that VM to a cold boot (siblings still resume).
@@ -312,7 +295,6 @@ class Supervisor {
   /// Driver domains: must be shut down and rebooted even by warm/saved
   /// reboots (they cannot be suspended; Sec. 7).
   [[nodiscard]] GuestList driver_domain_guests() const;
-  [[nodiscard]] sim::Duration backoff(int attempt);
   void record(RecoveryAction action, const std::string& subject,
               const std::string& detail);
   /// Closes the current ladder-rung span (if any) and opens a new one
@@ -327,7 +309,6 @@ class Supervisor {
   SupervisorReport report_;
   GuestList cold_list_;  ///< accumulated per-VM degradations this pass
   GuestList admit_saved_;  ///< demoted to the disk path by admission
-  GuestList admit_cold_;   ///< demoted to cold boot by admission
   obs::SpanId pass_span_ = obs::kNoSpan;
   obs::SpanId rung_span_ = obs::kNoSpan;
   obs::SpanId outer_ambient_ = obs::kNoSpan;

@@ -154,11 +154,6 @@ struct Calibration {
   /// image would exceed it completes without recording an image -- the
   /// pressure the admission controller exists to relieve (DESIGN.md §9).
   std::int64_t preserved_frame_budget = 0;
-  /// If true, the reloading VMM places each preserved region's metadata
-  /// frames in one contiguous MFN run, so reload can fail on fragmentation
-  /// even with enough free frames in total; the failing region is dropped
-  /// (its VM loses the warm path). Compaction before suspend avoids this.
-  bool contiguous_preserved_metadata = false;
   /// Xen 3.0.0 degraded network performance for ~25 s after creating many
   /// VMs simultaneously (the paper's Fig. 7 warm-reboot artifact).
   bool model_xen_creation_artifact = true;

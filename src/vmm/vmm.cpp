@@ -58,20 +58,18 @@ void Vmm::reserve_preserved_regions() {
   // Frames backing the serialised metadata itself, as many as the region
   // is charged for. Whatever those frames held before is overwritten by
   // the metadata copy. Under pressure this allocation can fail (stale
-  // leaked regions, or -- in contiguous mode -- fragmentation); the region
-  // is then dropped: its frozen claim is released and the record erased,
-  // and the resume path reports the VM as having lost its image rather
-  // than the whole reload failing.
+  // leaked regions); the region is then dropped: its frozen claim is
+  // released and the record erased, and the resume path reports the VM as
+  // having lost its image rather than the whole reload failing.
   std::vector<std::string> dropped;
   for (const auto& name : preserved_.names()) {
     const auto* region = preserved_.find(name);
     const auto meta_frames =
         (region->charged_size() + sim::kPageSize - 1) / sim::kPageSize;
     try {
-      const auto got = calib_.contiguous_preserved_metadata
-                           ? allocator_.allocate_contiguous(kVmmOwner, meta_frames)
-                           : allocator_.allocate(kVmmOwner, meta_frames);
-      for (const auto& run : got) machine_.memory().scrub(run);
+      for (const auto& run : allocator_.allocate(kVmmOwner, meta_frames)) {
+        machine_.memory().scrub(run);
+      }
     } catch (const mm::OutOfMachineMemory&) {
       for (const auto& run : region->frozen_frames) {
         ensure(allocator_.release_owned(kVmmOwner, run) == run.count,
@@ -287,48 +285,6 @@ sim::Bytes Vmm::trigger_error_path() {
   const sim::Bytes leak = calib_.heap_leak_per_error_path;
   if (leak > 0) heap_.leak(leak);
   return leak;
-}
-
-std::int64_t Vmm::compact_memory() {
-  // Each relocation moves a page into the lowest free MFN and frees the
-  // (higher) frame it vacated, so the lowest free MFN only rises during
-  // the pass: one forward walk of the owner runs finds every target.
-  // Iteration order -- domains ascending by id, PFNs ascending -- is
-  // fixed, so the pass is deterministic. Within a mapping run the MFN
-  // rises with the PFN, so the pages at or below the lowest free MFN are
-  // skipped in one step and the walk costs O(runs + pages moved).
-  hw::FrameNumber lowest_free = allocator_.lowest_free_from(0);
-  std::int64_t moved = 0;
-  for (auto& [id, dom] : domains_) {
-    if (dom->state() == DomainState::kDead) continue;
-    // The runs as they stood before this domain's pass: a page is moved
-    // at most once, when the walk reaches it, so each later page's MFN is
-    // still the one recorded here.
-    const std::vector<mm::P2mTable::Runs::Run> runs(dom->p2m().runs().begin(),
-                                                     dom->p2m().runs().end());
-    for (const auto& run : runs) {
-      mm::Pfn pfn = run.first;
-      while (pfn < run.end() && lowest_free >= 0) {
-        const auto mfn = run.at(pfn);
-        if (lowest_free >= mfn) {
-          // Skip to the first page of the run above the lowest free MFN.
-          pfn += lowest_free - mfn + 1;
-          continue;
-        }
-        const hw::FrameNumber target = lowest_free;
-        const hw::FrameRun single[] = {{target, 1}};
-        allocator_.claim(id, single);
-        machine_.memory().write(target, machine_.memory().read(mfn));
-        dom->p2m().remove(pfn);
-        dom->p2m().add(pfn, target);
-        allocator_.release(mfn);
-        lowest_free = allocator_.lowest_free_from(target + 1);
-        ++moved;
-        ++pfn;
-      }
-    }
-  }
-  return moved;
 }
 
 Vmm::ConservationReport Vmm::frame_conservation_report() const {

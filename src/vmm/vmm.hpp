@@ -228,16 +228,7 @@ class Vmm {
   /// the bytes leaked.
   sim::Bytes trigger_error_path();
 
-  // -------------------------------------------- memory-pressure plumbing
-
-  /// Relocates live domains' machine frames to the lowest free MFNs,
-  /// copying contents and rewriting P2M entries. Defragments machine
-  /// memory so the frames a subsequent suspend freezes in place -- and the
-  /// free runs the incoming VMM needs for contiguous metadata -- are
-  /// compact. Takes zero simulated time itself; callers charge
-  /// moved-bytes / Calibration::mem_copy_bps (the Supervisor records the
-  /// pass as a kCompactionPass RecoveryEvent). Returns frames moved.
-  std::int64_t compact_memory();
+  // ------------------------------------------------ frame conservation
 
   /// Frame-conservation invariant snapshot; see ConservationReport.
   struct ConservationReport {

@@ -6,19 +6,27 @@
 
 namespace rh::workload {
 
+namespace {
+
+// Concurrent connections, each with one request in flight.
+constexpr int kConnections = 10;
+// Back-off before a failed request is retried.
+constexpr sim::Duration kRetryInterval = sim::kSecond;
+
+}  // namespace
+
 HttpClientFleet::HttpClientFleet(guest::GuestOs& os,
                                  guest::ApacheService& apache,
                                  std::vector<std::int64_t> files, Config config)
     : os_(os), apache_(apache), files_(std::move(files)), config_(config) {
   ensure(!files_.empty(), "HttpClientFleet: need at least one file");
-  ensure(config_.connections > 0, "HttpClientFleet: need at least one connection");
 }
 
 void HttpClientFleet::start() {
   ensure(!started_, "HttpClientFleet::start: already started");
   started_ = true;
-  active_connections_ = config_.connections;
-  for (int c = 0; c < config_.connections; ++c) issue();
+  active_connections_ = kConnections;
+  for (int c = 0; c < kConnections; ++c) issue();
 }
 
 void HttpClientFleet::stop() { stopped_ = true; }
@@ -51,7 +59,7 @@ void HttpClientFleet::issue() {
       // consumed in once-mode accounting terms -- a refused request served
       // nothing).
       if (!config_.cycle) --next_index_;
-      os_.host().sim().after(config_.retry_interval, [this] { issue(); });
+      os_.host().sim().after(kRetryInterval, [this] { issue(); });
     }
   });
 }

@@ -1,10 +1,10 @@
 // Closed-loop HTTP client fleet (the paper's httperf).
 //
-// N concurrent connections each issue the next request as soon as the
+// Ten concurrent connections each issue the next request as soon as the
 // previous response arrives; completions are recorded for throughput
 // time series. Failed requests (service unreachable) are retried after a
-// short delay, which is what produces the zero-throughput trough during a
-// reboot in Fig. 7.
+// one-second delay, which is what produces the zero-throughput trough
+// during a reboot in Fig. 7.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +20,6 @@ namespace rh::workload {
 class HttpClientFleet {
  public:
   struct Config {
-    int connections = 10;
-    sim::Duration retry_interval = sim::kSecond;
     /// true: cycle the file list forever (Fig. 7); false: request each
     /// file exactly once across the fleet (Fig. 8b).
     bool cycle = true;

@@ -221,7 +221,6 @@ TEST(Cluster, SupervisedRollingEvictsFailedHostAndRetriesIt) {
 
   cluster::Cluster::WaveConfig cfg;
   cfg.kind = rejuv::RebootKind::kCold;
-  cfg.supervisor.max_step_retries = 0;
   bool done = false;
   cluster::Cluster::WaveReport report;
   rig.start_waves(cfg, done, &report);
@@ -257,8 +256,6 @@ TEST(Cluster, SupervisedRollingGivesUpAfterHostRetryBudget) {
 
   cluster::Cluster::WaveConfig cfg;
   cfg.kind = rejuv::RebootKind::kCold;
-  cfg.supervisor.max_step_retries = 0;
-  cfg.max_host_retries = 1;
   const auto report = rig.run_waves(cfg);
   EXPECT_FALSE(report.fully_recovered());
   EXPECT_EQ(evicted_hosts(report), (std::vector<std::size_t>{0}));
@@ -267,15 +264,15 @@ TEST(Cluster, SupervisedRollingGivesUpAfterHostRetryBudget) {
   // The dead host stays out of rotation; the healthy one still serves.
   EXPECT_EQ(rig.lb().evicted_backends(), std::size_t{2});
   EXPECT_EQ(rig.reachable_vms(), std::size_t{2});
-  // One turn on each host + 2 recovery attempts on host 0.
-  EXPECT_EQ(ladder_runs(report), std::size_t{4});
-  EXPECT_EQ(report.retries.size(), std::size_t{2});
+  // One turn on each host + 3 recovery attempts on host 0.
+  EXPECT_EQ(ladder_runs(report), std::size_t{5});
+  EXPECT_EQ(report.retries.size(), std::size_t{3});
 }
 
 TEST(Cluster, LostHostIsNotCountedAsRejuvenated) {
   // Every host ends the pass in exactly one bucket: rejuvenated,
-  // recovered by a retry, or unrecovered. Host 1's boots always hang and
-  // it gets no retry budget beyond the first attempt, so it is lost.
+  // recovered by a retry, or unrecovered. Host 1's boots always hang, in
+  // its turn and in all three retries, so it is lost.
   ClusterRig rig(web_cluster());
   fault::FaultConfig faults;
   faults.boot_hang_rate = 1.0;
@@ -283,13 +280,11 @@ TEST(Cluster, LostHostIsNotCountedAsRejuvenated) {
 
   cluster::Cluster::WaveConfig cfg;
   cfg.kind = rejuv::RebootKind::kCold;
-  cfg.supervisor.max_step_retries = 0;
-  cfg.max_host_retries = 0;
   const auto report = rig.run_waves(cfg);
   EXPECT_EQ(report.hosts_rejuvenated, std::size_t{1});
   EXPECT_TRUE(report.recovered_hosts.empty());
   EXPECT_EQ(report.unrecovered_hosts, (std::vector<std::size_t>{1}));
-  EXPECT_EQ(report.retries.size(), std::size_t{1});
+  EXPECT_EQ(report.retries.size(), std::size_t{3});
 }
 
 TEST(Cluster, EvictionExcludesBackendsFromDispatchUntilLifted) {

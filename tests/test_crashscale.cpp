@@ -99,7 +99,6 @@ TEST(SteadyFaultsAtScale, WaveAdmissionPausesUntilCrashBudgetFrees) {
   bool done = false;
   cluster::Cluster::WaveConfig wcfg;
   wcfg.wave_size = 1;
-  wcfg.max_concurrent_down = 1;
   rig.start_waves(wcfg, done);
   rig.run_for(10 * sim::kMillisecond);
   EXPECT_FALSE(done);
@@ -163,10 +162,6 @@ TEST(SteadyFaultsAtScale, RetryOntoAnUnplannedLadderBacksOff) {
   cluster::Cluster::WaveReport report;
   cluster::Cluster::WaveConfig wcfg;
   wcfg.kind = rejuv::RebootKind::kCold;
-  wcfg.supervisor.max_step_retries = 0;
-  wcfg.max_host_retries = 1;
-  wcfg.host_retry_base = sim::kMinute;
-  wcfg.host_retry_cap = 2 * sim::kMinute;
   rig.start_waves(wcfg, done, &report);
   rig.run_while(
       [&] { return !done && rig.lb().evicted_backends() == 0; });
@@ -179,9 +174,10 @@ TEST(SteadyFaultsAtScale, RetryOntoAnUnplannedLadderBacksOff) {
   sfc.process.check_interval = sim::kSecond;
   rig.cl.start_steady_faults(sfc);
 
-  // Both attempts (after 1 and then 2 more minutes) land inside an
-  // unplanned ladder: no recovery runs, and the host ends unrecovered.
-  EXPECT_NO_THROW(rig.run_for(10 * sim::kMinute));
+  // All three attempts (after 30, then 60, then 120 more minutes) land
+  // inside an unplanned ladder: no recovery runs, and the host ends
+  // unrecovered.
+  EXPECT_NO_THROW(rig.run_for(4 * sim::kHour));
   ASSERT_TRUE(done);
   EXPECT_TRUE(report.retries.empty());
   EXPECT_TRUE(report.recovered_hosts.empty());

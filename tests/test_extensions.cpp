@@ -2,10 +2,8 @@
 //  - driver domains (Sec. 7: cannot be suspended; raise warm downtime)
 //  - dom0-only restart (the paper's stated future work) + xenstored aging
 //  - saved-VM related-work variants: compressed images, RAM-disk target
-//  - load-aware (time-AND-load) rejuvenation policy
 #include <gtest/gtest.h>
 
-#include "rejuv/policy.hpp"
 #include "test_util.hpp"
 #include "workload/prober.hpp"
 
@@ -216,46 +214,6 @@ TEST(SavedVariants, RoundTripStillCorrect) {
   EXPECT_TRUE(fx.guests[0]->integrity_ok());
   EXPECT_EQ(fx.guests[0]->state(), guest::OsState::kRunning);
   EXPECT_EQ(fx.guests[0]->find_service("sshd")->generation(), gen);
-}
-
-// --------------------------------------------------- load-aware policy
-
-TEST(LoadAwarePolicy, DefersUntilTrough) {
-  HostFixture fx(1);
-  double load = 0.9;
-  rejuv::RejuvenationPolicy::Config cfg;
-  cfg.os_interval = sim::kWeek;  // keep OS rejuvenation out of the way
-  cfg.vmm_interval = sim::kHour;
-  cfg.retry_delay = 5 * sim::kMinute;
-  cfg.load_probe = [&load] { return load; };
-  cfg.load_defer_threshold = 0.5;
-  cfg.max_load_defer = sim::kDay;
-  rejuv::RejuvenationPolicy policy(*fx.host, fx.guest_ptrs(), cfg);
-  policy.start();
-  // Busy for 2 h past the due time: the policy keeps deferring.
-  fx.sim.run_for(3 * sim::kHour);
-  EXPECT_EQ(policy.vmm_rejuvenations(), std::uint64_t{0});
-  EXPECT_GT(policy.load_deferrals(), std::uint64_t{5});
-  // Load drops: the deferred rejuvenation fires at the next check.
-  load = 0.1;
-  fx.sim.run_for(30 * sim::kMinute);
-  EXPECT_EQ(policy.vmm_rejuvenations(), std::uint64_t{1});
-}
-
-TEST(LoadAwarePolicy, MaxDeferBoundsStaleness) {
-  HostFixture fx(1);
-  rejuv::RejuvenationPolicy::Config cfg;
-  cfg.os_interval = sim::kWeek;
-  cfg.vmm_interval = sim::kHour;
-  cfg.retry_delay = 5 * sim::kMinute;
-  cfg.load_probe = [] { return 1.0; };  // permanently busy
-  cfg.load_defer_threshold = 0.5;
-  cfg.max_load_defer = 2 * sim::kHour;
-  rejuv::RejuvenationPolicy policy(*fx.host, fx.guest_ptrs(), cfg);
-  policy.start();
-  fx.sim.run_for(3 * sim::kHour + 30 * sim::kMinute);
-  // Due at 1 h, deferred until 3 h, then forced.
-  EXPECT_EQ(policy.vmm_rejuvenations(), std::uint64_t{1});
 }
 
 }  // namespace

@@ -53,54 +53,6 @@ void add_standard_vms(HostFixture& fx) {
   }
 }
 
-rejuv::AdmissionConfig enabled_admission() {
-  rejuv::AdmissionConfig a;
-  a.enabled = true;
-  return a;
-}
-
-// ------------------------------------------------- allocator mechanics
-
-TEST(MemoryPressure, AllocatorDistinguishesFragmentationFromExhaustion) {
-  mm::FrameAllocator alloc(16);
-  const auto frames = expand_runs(alloc.allocate(1, 16));
-  for (std::size_t i = 0; i < frames.size(); i += 2) alloc.release(frames[i]);
-  // 8 frames free, but no two adjacent.
-  EXPECT_EQ(alloc.free_frames(), 8);
-  EXPECT_EQ(alloc.largest_free_run(), 1);
-  EXPECT_GT(alloc.fragmentation(), 0.8);
-  try {
-    alloc.allocate_contiguous(2, 3);
-    FAIL() << "expected OutOfMachineMemory";
-  } catch (const mm::OutOfMachineMemory& e) {
-    EXPECT_NE(std::string(e.what()).find("fragmented"), std::string::npos);
-  }
-  // Single-frame runs still work, and the books stay balanced.
-  EXPECT_EQ(expand_runs(alloc.allocate_contiguous(2, 1)).size(), std::size_t{1});
-  EXPECT_TRUE(alloc.accounting_ok());
-}
-
-TEST(MemoryPressure, CompactionRestoresContiguousRuns) {
-  HostFixture fx;
-  add_overcommitted_vm(fx, "vm0", sim::kGiB, sim::kGiB);
-  add_overcommitted_vm(fx, "vm1", sim::kGiB, sim::kGiB);
-  // Balloon out the tail of vm0: the hole sits between vm0's remaining
-  // frames and vm1's range, fragmenting free memory.
-  auto* d0 = fx.host->vmm().find_domain_by_name("vm0");
-  ASSERT_NE(d0, nullptr);
-  mm::BalloonDriver balloon(d0->id(), fx.host->vmm().allocator(), d0->p2m());
-  EXPECT_EQ(balloon.inflate(4096), 4096);
-  const auto before = fx.host->vmm().allocator().largest_free_run();
-  const auto moved = fx.host->vmm().compact_memory();
-  EXPECT_GT(moved, 0);
-  EXPECT_GT(fx.host->vmm().allocator().largest_free_run(), before);
-  const auto report = fx.host->vmm().frame_conservation_report();
-  EXPECT_TRUE(report.ok());
-  // Compaction moved frames, not state.
-  EXPECT_TRUE(fx.guests[0]->integrity_ok());
-  EXPECT_TRUE(fx.guests[1]->integrity_ok());
-}
-
 // ------------------------------------------------- registry accounting
 
 TEST(MemoryPressure, DuplicatePutThrowsAndReplaceOverwritesDeliberately) {
@@ -160,65 +112,43 @@ TEST(MemoryPressure, RegistryBudgetRejectsOverflowAndSurvivesClear) {
 TEST(MemoryPressure, PlanFitsUnderUnlimitedBudget) {
   HostFixture fx(0, pressure_calib(0));
   add_standard_vms(fx);
-  rejuv::AdmissionController ctl(*fx.host, {});
+  rejuv::AdmissionController ctl(*fx.host);
   const auto plan = ctl.plan(fx.guest_ptrs());
   EXPECT_FALSE(plan.pressured());
   EXPECT_TRUE(plan.reclaims.empty());
   EXPECT_TRUE(plan.demote_saved.empty());
-  EXPECT_TRUE(plan.demote_cold.empty());
   EXPECT_EQ(plan.warm.size(), std::size_t{3});
 }
 
 TEST(MemoryPressure, PlanCoversMildShortfallByBallooningAlone) {
   HostFixture fx(0, pressure_calib(3000 * sim::kMiB));
   add_standard_vms(fx);
-  rejuv::AdmissionController ctl(*fx.host, {});
+  rejuv::AdmissionController ctl(*fx.host);
   const auto plan = ctl.plan(fx.guest_ptrs());
   EXPECT_TRUE(plan.pressured());
   ASSERT_FALSE(plan.reclaims.empty());
   EXPECT_EQ(plan.reclaims.front().guest->name(), "vm0");
   EXPECT_TRUE(plan.demote_saved.empty());
-  EXPECT_TRUE(plan.demote_cold.empty());
   EXPECT_EQ(plan.warm.size(), std::size_t{3});
 }
 
 TEST(MemoryPressure, PlanDemotesLargestWhenBallooningIsNotEnough) {
   HostFixture fx(0, pressure_calib(1800 * sim::kMiB));
   add_standard_vms(fx);
-  rejuv::AdmissionController ctl(*fx.host, {});
+  rejuv::AdmissionController ctl(*fx.host);
   const auto plan = ctl.plan(fx.guest_ptrs());
   EXPECT_TRUE(plan.pressured());
   ASSERT_EQ(plan.demote_saved.size(), std::size_t{1});
   EXPECT_EQ(plan.demote_saved[0]->name(), "vm0");
-  EXPECT_TRUE(plan.demote_cold.empty());
   EXPECT_EQ(plan.warm.size(), std::size_t{2});
   // A demoted VM's reclaim would be pointless; only survivors balloon.
   for (const auto& r : plan.reclaims) EXPECT_NE(r.guest->name(), "vm0");
 }
 
-TEST(MemoryPressure, PlanFallsToColdBeyondTheSavedDemotionCap) {
-  HostFixture fx(0, pressure_calib(1800 * sim::kMiB));
-  add_standard_vms(fx);
-  rejuv::AdmissionConfig cfg;
-  cfg.max_saved_demotions = 0;
-  rejuv::AdmissionController ctl(*fx.host, cfg);
-  const auto plan = ctl.plan(fx.guest_ptrs());
-  EXPECT_TRUE(plan.demote_saved.empty());
-  ASSERT_EQ(plan.demote_cold.size(), std::size_t{1});
-  EXPECT_EQ(plan.demote_cold[0]->name(), "vm0");
-
-  rejuv::AdmissionConfig no_disk;
-  no_disk.demote_to_saved = false;
-  const auto plan2 = rejuv::AdmissionController(*fx.host, no_disk)
-                         .plan(fx.guest_ptrs());
-  EXPECT_TRUE(plan2.demote_saved.empty());
-  EXPECT_EQ(plan2.demote_cold.size(), std::size_t{1});
-}
-
 TEST(MemoryPressure, ExistingRegionsEatTheAvailableBudget) {
   HostFixture fx(0, pressure_calib(3000 * sim::kMiB));
   add_standard_vms(fx);
-  rejuv::AdmissionController ctl(*fx.host, {});
+  rejuv::AdmissionController ctl(*fx.host);
   const auto before = ctl.available_budget_frames();
   mm::PreservedRegion stale;
   stale.name = "stale/old#1";
@@ -233,14 +163,13 @@ TEST(MemoryPressure, SupervisedPassBalloonsUnderMildPressureAndStaysWarm) {
   HostFixture fx(0, pressure_calib(3000 * sim::kMiB));
   add_standard_vms(fx);
   rejuv::SupervisorConfig cfg;
-  cfg.admission = enabled_admission();
+  cfg.admission = true;
   const auto report = fx.supervise(cfg);
   EXPECT_TRUE(report.success);
   EXPECT_TRUE(report.pressure.consulted);
   EXPECT_TRUE(report.pressure.pressured);
   EXPECT_GT(report.pressure.reclaimed_frames, 0);
   EXPECT_EQ(report.pressure.demoted_saved, std::size_t{0});
-  EXPECT_EQ(report.pressure.demoted_cold, std::size_t{0});
   EXPECT_EQ(report.resumed_vms, std::size_t{3});
   EXPECT_GE(report.recovery_count(rejuv::RecoveryAction::kBalloonReclaim),
             std::size_t{1});
@@ -251,13 +180,13 @@ TEST(MemoryPressure, SupervisedPassBalloonsUnderMildPressureAndStaysWarm) {
   EXPECT_TRUE(fx.host->vmm().frame_conservation_report().ok());
 }
 
-// ---------------------------------------- supervised ladder, rungs 2-3
+// ------------------------------------------ supervised ladder, rung 2
 
 TEST(MemoryPressure, SupervisedPassDemotesOneVmToDiskUnderHeavyPressure) {
   HostFixture fx(0, pressure_calib(1800 * sim::kMiB));
   add_standard_vms(fx);
   rejuv::SupervisorConfig cfg;
-  cfg.admission = enabled_admission();
+  cfg.admission = true;
   const auto report = fx.supervise(cfg);
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.pressure.demoted_saved, std::size_t{1});
@@ -273,28 +202,11 @@ TEST(MemoryPressure, SupervisedPassDemotesOneVmToDiskUnderHeavyPressure) {
   }
 }
 
-TEST(MemoryPressure, SupervisedPassDemotesToColdWhenDiskPathDisallowed) {
-  HostFixture fx(0, pressure_calib(1800 * sim::kMiB));
-  add_standard_vms(fx);
-  rejuv::SupervisorConfig cfg;
-  cfg.admission = enabled_admission();
-  cfg.admission.demote_to_saved = false;
-  const auto report = fx.supervise(cfg);
-  EXPECT_TRUE(report.success);
-  EXPECT_EQ(report.pressure.demoted_saved, std::size_t{0});
-  EXPECT_EQ(report.pressure.demoted_cold, std::size_t{1});
-  EXPECT_EQ(report.resumed_vms, std::size_t{2});
-  EXPECT_EQ(report.cold_booted_vms, std::size_t{1});
-  EXPECT_EQ(report.recovery_count(rejuv::RecoveryAction::kDemoteToCold),
-            std::size_t{1});
-  for (auto& g : fx.guests) EXPECT_EQ(g->state(), guest::OsState::kRunning);
-}
-
 TEST(MemoryPressure, AbsurdBudgetDemotesEveryVmAndStillRecovers) {
   HostFixture fx(0, pressure_calib(10 * sim::kMiB));
   add_standard_vms(fx);
   rejuv::SupervisorConfig cfg;
-  cfg.admission = enabled_admission();
+  cfg.admission = true;
   const auto report = fx.supervise(cfg);
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.pressure.demoted_saved, std::size_t{3});
@@ -304,23 +216,6 @@ TEST(MemoryPressure, AbsurdBudgetDemotesEveryVmAndStillRecovers) {
     EXPECT_EQ(g->state(), guest::OsState::kRunning);
     EXPECT_TRUE(g->integrity_ok());
   }
-}
-
-TEST(MemoryPressure, CompactionPassRunsBeforeSuspendWhenRequested) {
-  HostFixture fx(0, pressure_calib(3000 * sim::kMiB));
-  add_standard_vms(fx);
-  rejuv::SupervisorConfig cfg;
-  cfg.admission = enabled_admission();
-  cfg.admission.compact_before_suspend = true;
-  const auto report = fx.supervise(cfg);
-  EXPECT_TRUE(report.success);
-  // Admission ballooned pages out of the middle of the VMs' ranges, so
-  // compaction has real holes to squeeze out.
-  EXPECT_GT(report.pressure.compacted_frames, 0);
-  EXPECT_GE(report.recovery_count(rejuv::RecoveryAction::kCompactionPass),
-            std::size_t{1});
-  EXPECT_EQ(report.resumed_vms, std::size_t{3});
-  EXPECT_TRUE(fx.host->vmm().frame_conservation_report().ok());
 }
 
 // ----------------------------------------- admission-disabled hygiene
@@ -343,7 +238,7 @@ TEST(MemoryPressure, PressuredPassWithZeroRatesDrawsNoFaults) {
   HostFixture fx(0, pressure_calib(1800 * sim::kMiB));
   add_standard_vms(fx);
   rejuv::SupervisorConfig cfg;
-  cfg.admission = enabled_admission();
+  cfg.admission = true;
   const auto report = fx.supervise(cfg);
   EXPECT_TRUE(report.success);
   EXPECT_TRUE(report.pressure.pressured);
@@ -393,7 +288,7 @@ TEST(MemoryPressure, BalloonReclaimFailureEscalatesToDemotion) {
   faults.balloon_reclaim_failure_rate = 1.0;
   fx.host->configure_faults(faults);
   rejuv::SupervisorConfig cfg;
-  cfg.admission = enabled_admission();
+  cfg.admission = true;
   const auto report = fx.supervise(cfg);
   EXPECT_TRUE(report.success);
   // The planned reclaim would have covered the shortfall, but it failed;
@@ -427,7 +322,7 @@ TEST(MemoryPressure, LeakedRegionsParkAsStaleAndEatTheBudget) {
   EXPECT_EQ(stale, std::size_t{3});
   EXPECT_GT(fx.host->preserved().reserved_frames(), 0);
   EXPECT_TRUE(fx.host->vmm().frame_conservation_report().ok());
-  rejuv::AdmissionController ctl(*fx.host, {});
+  rejuv::AdmissionController ctl(*fx.host);
   EXPECT_LT(ctl.available_budget_frames() + fx.host->preserved().reserved_frames(),
             fx.host->vmm().allocator().total_frames());
 }
@@ -586,7 +481,7 @@ TEST(MemoryPressure, SupervisedRollingPassMarksPressuredHosts) {
   ClusterRig rig(cfg);
 
   cluster::Cluster::WaveConfig wave;
-  wave.supervisor.admission.enabled = true;
+  wave.supervisor.admission = true;
   bool done = false;
   cluster::Cluster::WaveReport report;
   rig.start_waves(wave, done, &report);
@@ -641,7 +536,7 @@ exp::ReplicationResult pressured_pass_body(const exp::ReplicationContext& ctx) {
   faults.image_corruption_rate = 0.4;  // feeds the leak's discard path
   host.configure_faults(faults);
   rejuv::SupervisorConfig cfg;
-  cfg.admission.enabled = true;
+  cfg.admission = true;
   rejuv::Supervisor sup(host, ptrs, cfg);
   bool done = false;
   sup.run([&done](const rejuv::SupervisorReport&) { done = true; });
@@ -666,8 +561,7 @@ exp::ReplicationResult pressured_pass_body(const exp::ReplicationContext& ctx) {
                 static_cast<double>(r.restored_vms),
                 static_cast<double>(r.cold_booted_vms),
                 static_cast<double>(r.pressure.reclaimed_frames),
-                static_cast<double>(r.pressure.demoted_saved +
-                                    r.pressure.demoted_cold)};
+                static_cast<double>(r.pressure.demoted_saved)};
   return out;
 }
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "hw/machine_memory.hpp"
-#include "mm/balloon.hpp"
 #include "mm/frame_allocator.hpp"
 #include "mm/p2m_table.hpp"
 #include "simcore/check.hpp"
@@ -51,27 +50,6 @@ class DenseAllocator {
     }
     free_ -= count;
     return out;
-  }
-
-  /// First fit from MFN 0; nullopt when no free run is long enough.
-  std::optional<std::vector<hw::FrameNumber>> allocate_contiguous(
-      DomainId owner, std::int64_t count) {
-    if (count == 0) return std::vector<hw::FrameNumber>{};
-    std::int64_t run = 0;
-    for (std::int64_t mfn = 0; mfn < static_cast<std::int64_t>(owner_.size());
-         ++mfn) {
-      run = at(mfn) == kNoDomain ? run + 1 : 0;
-      if (run == count) {
-        std::vector<hw::FrameNumber> out;
-        for (hw::FrameNumber f = mfn - count + 1; f <= mfn; ++f) {
-          at(f) = owner;
-          out.push_back(f);
-        }
-        free_ -= count;
-        return out;
-      }
-    }
-    return std::nullopt;
   }
 
   /// False (nothing claimed) unless every frame is free and named once.
@@ -119,24 +97,6 @@ class DenseAllocator {
     return true;
   }
 
-  [[nodiscard]] hw::FrameNumber lowest_free_from(hw::FrameNumber hint) const {
-    for (hw::FrameNumber f = std::max<hw::FrameNumber>(hint, 0);
-         f < static_cast<hw::FrameNumber>(owner_.size()); ++f) {
-      if (owner_[static_cast<std::size_t>(f)] == kNoDomain) return f;
-    }
-    return -1;
-  }
-
-  [[nodiscard]] std::int64_t largest_free_run() const {
-    std::int64_t best = 0;
-    std::int64_t run = 0;
-    for (const auto o : owner_) {
-      run = o == kNoDomain ? run + 1 : 0;
-      best = std::max(best, run);
-    }
-    return best;
-  }
-
   [[nodiscard]] std::int64_t owned(DomainId owner) const {
     return std::count(owner_.begin(), owner_.end(), owner);
   }
@@ -178,7 +138,7 @@ TEST_P(AllocatorRuns, MatchesDenseModel) {
   const auto any_frame = [&] { return rng.uniform_int(0, kFrames - 1); };
 
   for (int step = 0; step < 1500; ++step) {
-    const std::int64_t op = rng.uniform_int(0, 7);
+    const std::int64_t op = rng.uniform_int(0, 5);
     const DomainId owner = any_owner();
     SCOPED_TRACE("step " + std::to_string(step) + " op " + std::to_string(op));
     if (op == 0 || op == 1) {
@@ -190,15 +150,6 @@ TEST_P(AllocatorRuns, MatchesDenseModel) {
         ASSERT_THROW(runs.allocate(owner, count), mm::OutOfMachineMemory);
       }
     } else if (op == 2) {
-      const std::int64_t count = rng.uniform_int(0, 24);
-      const auto want = dense.allocate_contiguous(owner, count);
-      if (want) {
-        ASSERT_EQ(expand_runs(runs.allocate_contiguous(owner, count)), *want);
-      } else {
-        ASSERT_THROW(runs.allocate_contiguous(owner, count),
-                     mm::OutOfMachineMemory);
-      }
-    } else if (op == 3) {
       // A few runs, free or busy, sometimes overlapping one another.
       std::vector<hw::FrameNumber> frames;
       const std::int64_t pieces = rng.uniform_int(1, 3);
@@ -213,24 +164,20 @@ TEST_P(AllocatorRuns, MatchesDenseModel) {
       } else {
         ASSERT_THROW(runs.claim(owner, to_runs(frames)), InvariantViolation);
       }
-    } else if (op == 4) {
+    } else if (op == 3) {
       const hw::FrameNumber mfn = any_frame();
       if (dense.release(mfn)) {
         runs.release(mfn);
       } else {
         ASSERT_THROW(runs.release(mfn), InvariantViolation);
       }
-    } else if (op == 5) {
+    } else if (op == 4) {
       const hw::FrameNumber first = any_frame();
       const hw::FrameRun run{first, rng.uniform_int(0, kFrames - first)};
       ASSERT_EQ(runs.holds(owner, run), dense.holds(owner, run));
       ASSERT_EQ(runs.release_owned(owner, run), dense.release_owned(owner, run));
-    } else if (op == 6) {
-      ASSERT_EQ(runs.release_all(owner), dense.release_all(owner));
     } else {
-      const hw::FrameNumber hint = rng.uniform_int(-2, kFrames + 1);
-      ASSERT_EQ(runs.lowest_free_from(hint), dense.lowest_free_from(hint));
-      ASSERT_EQ(runs.largest_free_run(), dense.largest_free_run());
+      ASSERT_EQ(runs.release_all(owner), dense.release_all(owner));
     }
     for (hw::FrameNumber mfn = 0; mfn < kFrames; ++mfn) {
       ASSERT_EQ(runs.owner_of(mfn), dense.owner_of(mfn)) << "frame " << mfn;
@@ -438,88 +385,6 @@ TEST(MemoryTokens, RunScrubChecksItsRange) {
   EXPECT_THROW(m.scrub(hw::FrameRun{250, 7}), InvariantViolation);
   EXPECT_THROW(m.scrub(hw::FrameRun{3, -1}), InvariantViolation);
   m.scrub(hw::FrameRun{250, 6});  // ends exactly at the last frame
-}
-
-// ---------------------------------------------------------------------
-// Vmm::compact_memory
-// ---------------------------------------------------------------------
-
-TEST(CompactionRuns, MatchesPerPageReference) {
-  // A small host with fragmented memory: a ballooned VM whose P2M spans
-  // two machine runs, a destroyed VM's hole, and tokens in guest pages.
-  Calibration calib;
-  calib.machine.ram = 512 * sim::kMiB;
-  calib.dom0_memory = 64 * sim::kMiB;
-  HostFixture fx(0, calib);
-  auto& vmm = fx.host->vmm();
-  const DomainId a = vmm.create_domain_now("a", 32 * sim::kMiB, nullptr);
-  const DomainId b = vmm.create_domain_now("b", 32 * sim::kMiB, nullptr);
-  const DomainId c = vmm.create_domain_now("c", 32 * sim::kMiB, nullptr);
-  mm::BalloonDriver balloon(a, vmm.allocator(), vmm.domain(a).p2m());
-  ASSERT_EQ(balloon.inflate(3000), 3000);
-  const DomainId d = vmm.create_domain_now("d", 8 * sim::kMiB, nullptr);
-  ASSERT_EQ(balloon.deflate(1000), 1000);
-  vmm.destroy_domain(b);
-  for (const DomainId id : {a, c, d}) {
-    for (mm::Pfn pfn = 0; pfn < 2048; pfn += 97) {
-      vmm.guest_write(id, pfn, 0x1000 + static_cast<hw::ContentToken>(id * 5000 + pfn));
-    }
-  }
-  ASSERT_GE(vmm.domain(a).p2m().run_count(), std::size_t{2});
-
-  // The reference: the same pass over per-frame arrays.
-  const auto& memory = fx.host->machine().memory();
-  const std::int64_t frames = memory.frame_count();
-  std::vector<DomainId> owner(static_cast<std::size_t>(frames));
-  std::vector<hw::ContentToken> token(static_cast<std::size_t>(frames));
-  for (hw::FrameNumber f = 0; f < frames; ++f) {
-    owner[static_cast<std::size_t>(f)] = vmm.allocator().owner_of(f);
-    token[static_cast<std::size_t>(f)] = memory.read(f);
-  }
-  const std::vector<DomainId> ids = {kDomain0, a, c, d};  // ascending
-  std::vector<std::vector<hw::FrameNumber>> p2m;
-  for (const DomainId id : ids) {
-    const auto& t = vmm.domain(id).p2m();
-    std::vector<hw::FrameNumber> map;
-    for (mm::Pfn pfn = 0; pfn < t.pfn_count(); ++pfn) map.push_back(t.mfn_of(pfn));
-    p2m.push_back(std::move(map));
-  }
-  const auto lowest_free_from = [&](hw::FrameNumber hint) -> hw::FrameNumber {
-    for (hw::FrameNumber f = hint; f < frames; ++f) {
-      if (owner[static_cast<std::size_t>(f)] == kNoDomain) return f;
-    }
-    return -1;
-  };
-  hw::FrameNumber lowest_free = lowest_free_from(0);
-  std::int64_t want_moved = 0;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    for (auto& mfn : p2m[i]) {
-      if (mfn == mm::kNoFrame || lowest_free < 0 || lowest_free >= mfn) continue;
-      const hw::FrameNumber target = lowest_free;
-      owner[static_cast<std::size_t>(target)] = ids[i];
-      token[static_cast<std::size_t>(target)] = token[static_cast<std::size_t>(mfn)];
-      owner[static_cast<std::size_t>(mfn)] = kNoDomain;
-      mfn = target;
-      lowest_free = lowest_free_from(target + 1);
-      ++want_moved;
-    }
-  }
-  ASSERT_GT(want_moved, 0);
-
-  EXPECT_EQ(vmm.compact_memory(), want_moved);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto& t = vmm.domain(ids[i]).p2m();
-    for (mm::Pfn pfn = 0; pfn < t.pfn_count(); ++pfn) {
-      ASSERT_EQ(t.mfn_of(pfn), p2m[i][static_cast<std::size_t>(pfn)])
-          << "domain " << ids[i] << " pfn " << pfn;
-    }
-  }
-  for (hw::FrameNumber f = 0; f < frames; ++f) {
-    ASSERT_EQ(vmm.allocator().owner_of(f), owner[static_cast<std::size_t>(f)])
-        << "frame " << f;
-    ASSERT_EQ(memory.read(f), token[static_cast<std::size_t>(f)]) << "frame " << f;
-  }
-  EXPECT_TRUE(vmm.frame_conservation_report().ok());
 }
 
 }  // namespace

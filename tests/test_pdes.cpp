@@ -15,6 +15,7 @@
 #include "cluster/session_fleet.hpp"
 #include "cluster/vm_migrator.hpp"
 #include "simcore/check.hpp"
+#include "simcore/hash.hpp"
 #include "simcore/parallel.hpp"
 
 namespace {
@@ -198,9 +199,7 @@ TEST(SimulationWindow, AdvanceToRefusesToSkipEvents) {
 
 struct ClusterDigest {
   std::uint64_t h = 0;
-  void mix(std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  }
+  void mix(std::uint64_t v) { sim::hash_mix(h, v); }
 };
 
 // gtest prints a parameter's bytes into each case's name, so the values
@@ -307,8 +306,7 @@ std::uint64_t cluster_digest(std::size_t workers, Variant variant) {
   } else if (variant == Variant::kCrashScale || variant == Variant::kScrape) {
     engine.run_on(0, [&cl, &done, variant] {
       cluster::Cluster::WaveConfig wcfg;
-      wcfg.wave_size = 2;
-      wcfg.max_concurrent_down = 2;  // crash-down hosts count against this
+      wcfg.wave_size = 2;  // crash-down hosts count against this budget
       if (variant == Variant::kScrape) {
         // Production-shaped: the pass orders hosts from the scraped TSDB
         // alone, never probing host partitions for signals.

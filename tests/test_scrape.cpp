@@ -157,26 +157,26 @@ TEST(MetricsExporter, ServesWhileServingDropsWhileDown) {
 // -------------------------------------------------------- TimeSeriesStore
 
 TEST(TimeSeriesStore, WindowWrapsAndLatestWins) {
-  obs::TimeSeriesStore tsdb(1, {.window = 4});
-  for (int i = 0; i < 10; ++i) {
+  obs::TimeSeriesStore tsdb(1);
+  for (int i = 0; i < 70; ++i) {
     tsdb.ingest(0, "host_load", i * 100, static_cast<double>(i));
   }
   const auto latest = tsdb.latest(0, "host_load");
   ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->time, 900);
-  EXPECT_EQ(latest->value, 9.0);
+  EXPECT_EQ(latest->time, 6900);
+  EXPECT_EQ(latest->value, 69.0);
   EXPECT_FALSE(tsdb.latest(0, "unknown").has_value());
   tsdb.for_each_series(
       0, [](std::string_view name,
             const std::vector<obs::TimeSeriesStore::Sample>& window,
             const sim::LatencyHistogram& sketch) {
         EXPECT_EQ(name, "host_load");
-        ASSERT_EQ(window.size(), 4u);  // ring keeps the newest 4
+        ASSERT_EQ(window.size(), 64u);  // ring keeps the newest 64
         EXPECT_EQ(window.front().value, 6.0);
-        EXPECT_EQ(window.back().value, 9.0);
-        EXPECT_EQ(sketch.count(), 10u);  // sketch absorbs every sample
+        EXPECT_EQ(window.back().value, 69.0);
+        EXPECT_EQ(sketch.count(), 70u);  // sketch absorbs every sample
       });
-  EXPECT_EQ(tsdb.samples_ingested(), 10u);
+  EXPECT_EQ(tsdb.samples_ingested(), 70u);
 }
 
 TEST(TimeSeriesStore, StalenessIsPerInstanceAndSticky) {
@@ -207,10 +207,7 @@ TEST(TimeSeriesStore, DigestTracksContent) {
 // ----------------------------------------------------------- SloEvaluator
 
 TEST(SloEvaluator, BurnRateGateEngagesAndCools) {
-  obs::SloEvaluator slo(4, {.availability_target = 0.99,
-                            .pause_burn_rate = 2.0,
-                            .window_rounds = 4,
-                            .dark_after_misses = 3});
+  obs::SloEvaluator slo(4, {.pause_burn_rate = 2.0});
   EXPECT_FALSE(slo.admission_paused());
   // One bad round: 1 miss in 4 -> 25 % error rate -> burn 25 >> 2.
   slo.record(0, false);
@@ -218,13 +215,13 @@ TEST(SloEvaluator, BurnRateGateEngagesAndCools) {
   slo.end_round();
   EXPECT_TRUE(slo.admission_paused());
   EXPECT_NEAR(slo.burn_rate(), 25.0, 1e-9);
-  // Three clean rounds dilute the window below the threshold...
-  for (int r = 0; r < 3; ++r) {
+  // Seven clean rounds dilute the window below the threshold...
+  for (int r = 0; r < 7; ++r) {
     for (std::size_t h = 0; h < 4; ++h) slo.record(h, true);
     slo.end_round();
   }
-  EXPECT_TRUE(slo.admission_paused());  // 1/16 -> burn 6.25, still hot
-  // ...and the fourth pushes the bad round out entirely.
+  EXPECT_TRUE(slo.admission_paused());  // 1/32 -> burn 3.125, still hot
+  // ...and the eighth pushes the bad round out entirely.
   for (std::size_t h = 0; h < 4; ++h) slo.record(h, true);
   slo.end_round();
   EXPECT_FALSE(slo.admission_paused());
@@ -232,7 +229,7 @@ TEST(SloEvaluator, BurnRateGateEngagesAndCools) {
 }
 
 TEST(SloEvaluator, DarkTransitionFiresOnceUntilReset) {
-  obs::SloEvaluator slo(2, {.dark_after_misses = 3});
+  obs::SloEvaluator slo(2, {});
   EXPECT_FALSE(slo.record(0, false));
   EXPECT_FALSE(slo.record(0, false));
   EXPECT_TRUE(slo.record(0, false));  // exactly the 3rd consecutive miss
@@ -339,7 +336,6 @@ TEST(Scrape, StaleSeriesRefreshAfterPlannedRecovery) {
 TEST(Scrape, BurnRateGatePausesWaveAdmission) {
   ClusterRig rig(scrape_cluster(3));
   cluster::Cluster::ScrapeConfig sc = fast_scrape();
-  sc.slo.window_rounds = 4;
   sc.slo.pause_burn_rate = 2.0;  // one dead host in 3 = burn 33: trips
   rig.cl.start_scraping(sc);
   rig.cl.host(0).shutdown_dom0([] {});

@@ -119,13 +119,12 @@ TEST(Supervisor, BootHangTriggersWatchdogThenGivesUp) {
 
   SupervisorConfig cfg;
   cfg.preferred = rejuv::RebootKind::kCold;
-  cfg.max_step_retries = 1;
   const auto report = fx.supervise(cfg);
   EXPECT_FALSE(report.success);
   EXPECT_EQ(report.unrecovered_vms.size(), std::size_t{2});
-  // Per VM: initial attempt + 1 retry, each reaped by the watchdog.
+  // Per VM: initial attempt + 2 retries, each reaped by the watchdog.
   EXPECT_EQ(report.recovery_count(RecoveryAction::kWatchdogPowerOff),
-            std::size_t{4});
+            std::size_t{6});
   EXPECT_EQ(report.recovery_count(RecoveryAction::kGaveUp), std::size_t{2});
   EXPECT_EQ(report.cold_booted_vms, std::size_t{0});
   for (auto& g : fx.guests) {
@@ -139,7 +138,6 @@ TEST(Supervisor, RecoverBootsTheVmsAFailedPassLeftDown) {
       [] { FaultConfig f; f.boot_hang_rate = 1.0; return f; }());
   SupervisorConfig cfg;
   cfg.preferred = rejuv::RebootKind::kCold;
-  cfg.max_step_retries = 0;
   const auto failed = fx.supervise(cfg);
   ASSERT_FALSE(failed.success);
 
