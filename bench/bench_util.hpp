@@ -5,6 +5,7 @@
 // the bench binaries.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -151,6 +152,32 @@ struct SweepOptions {
   }
 };
 
+/// Parses one numeric flag token; exits 2 with "<flag>: '<tok>' is not a
+/// number" when the whole token is not one.
+inline double parse_number(const char* flag, const std::string& tok) {
+  char* end = nullptr;
+  const double v = std::strtod(tok.c_str(), &end);
+  if (tok.empty() || end == tok.c_str() || *end != '\0') {
+    std::fprintf(stderr, "%s: '%s' is not a number\n", flag, tok.c_str());
+    std::exit(2);
+  }
+  return v;
+}
+
+/// Parses a simulated duration in seconds for flags like --sim-seconds.
+/// Exits 2 with a clear error on a malformed token or on a value that is
+/// not finite or is under one microsecond (it would round to no time at
+/// all), before any fleet is built.
+inline double parse_positive_seconds(const char* flag, const std::string& tok) {
+  const double v = parse_number(flag, tok);
+  if (!std::isfinite(v) || !(v >= 1e-6)) {
+    std::fprintf(stderr, "%s: '%s' is not a time of at least 1e-6 s\n", flag,
+                 tok.c_str());
+    std::exit(2);
+  }
+  return v;
+}
+
 /// Parses a comma-separated sweep list ("0,0.01,0.05") for flags like
 /// --fault-rate and --overcommit. Exits with a clear error on malformed
 /// tokens, negative values, or duplicates -- a silently-misparsed sweep
@@ -164,12 +191,7 @@ inline std::vector<double> parse_value_list(const char* flag,
     const std::string tok = comma == std::string::npos
                                 ? list.substr(pos)
                                 : list.substr(pos, comma - pos);
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (tok.empty() || end == tok.c_str() || *end != '\0') {
-      std::fprintf(stderr, "%s: '%s' is not a number\n", flag, tok.c_str());
-      std::exit(2);
-    }
+    const double v = parse_number(flag, tok);
     if (v < 0.0) {
       std::fprintf(stderr, "%s: negative value '%s' rejected\n", flag,
                    tok.c_str());

@@ -315,9 +315,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--sessions") == 0) {
       if (const char* v = next()) o.sessions = std::strtoull(v, nullptr, 10);
     } else if (std::strcmp(argv[i], "--sim-seconds") == 0) {
-      if (const char* v = next()) o.sim_seconds = std::atof(v);
+      if (const char* v = next()) {
+        o.sim_seconds = rh::bench::parse_positive_seconds("--sim-seconds", v);
+      }
     } else if (std::strcmp(argv[i], "--check-interval-s") == 0) {
-      if (const char* v = next()) o.check_interval_s = std::atof(v);
+      if (const char* v = next()) {
+        o.check_interval_s =
+            rh::bench::parse_positive_seconds("--check-interval-s", v);
+      }
     } else if (std::strcmp(argv[i], "--fault-rate") == 0) {
       if (const char* v = next()) {
         o.rates = rh::bench::parse_value_list("--fault-rate", v);

@@ -224,6 +224,11 @@ int main(int argc, char** argv) {
   }
   std::printf("  digests across worker counts: %s\n",
               digests_equal ? "EQUAL (bitwise deterministic)" : "DIFFER");
+  // The full run digest, for the CI digest pin (`ctest -L digest`): a
+  // change that moves the engine's results the same way on every worker
+  // count passes the check above but not the pin.
+  std::printf("  digest=%016llx\n",
+              static_cast<unsigned long long>(scaling.front().digest));
 
   // --------------------------------------------------- lookahead sweep
   const std::size_t sweep_workers =

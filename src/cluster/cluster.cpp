@@ -355,14 +355,18 @@ void Cluster::wave_gather() {
     // Production-shaped ordering: the latest scraped samples, read
     // straight off the control partition's TimeSeriesStore. No
     // host-partition probe at all -- the scheduler sees exactly what the
-    // telemetry plane saw, up to one scrape interval old.
-    for (std::size_t h = 0; h < hosts_.size(); ++h) {
-      if (wave_->scheduled[h] != 0) continue;
+    // telemetry plane saw, up to one scrape interval old. Admission needs
+    // no signals, so it is decided first and only the candidates of a
+    // wave that will launch read the store.
+    std::vector<std::size_t> candidates;
+    const std::size_t k = wave_admit(candidates);
+    if (k == 0) return;
+    for (const std::size_t h : candidates) {
       const auto [load, headroom] = scraper_->wave_signals(h);
       wave_->load[h] = load;
       wave_->headroom[h] = headroom;
     }
-    wave_launch();
+    wave_launch(std::move(candidates), k);
     return;
   }
   wave_->replies_pending = wave_->remaining;
@@ -382,25 +386,47 @@ void Cluster::wave_collect(std::size_t host_index, std::uint64_t load,
                            std::int64_t headroom) {
   wave_->load[host_index] = load;
   wave_->headroom[host_index] = headroom;
-  if (--wave_->replies_pending == 0) wave_launch();
+  if (--wave_->replies_pending != 0) return;
+  std::vector<std::size_t> candidates;
+  const std::size_t k = wave_admit(candidates);
+  if (k != 0) wave_launch(std::move(candidates), k);
 }
 
-void Cluster::wave_launch() {
+std::size_t Cluster::wave_admit(std::vector<std::size_t>& candidates) {
   // SLO burn-rate gate (DESIGN.md §15): while the telemetry plane says
   // the fleet is eating error budget too fast, planned maintenance
   // admits nothing; the gate clearing kicks the pass awake.
   if (scrape_blocked_) {
     wave_->paused = true;
     ++wave_report_.admission_pauses;
-    return;
+    return 0;
   }
-  // Hosts currently down from an unplanned crash are not candidates (a
-  // turn cannot run on a dead host) but still count against the
-  // concurrent-downtime budget below.
-  std::vector<std::size_t> candidates;
-  for (std::size_t h = 0; h < hosts_.size(); ++h) {
-    if (wave_->scheduled[h] == 0 && crash_down_[h] == 0) candidates.push_back(h);
+  // The wave size is the downtime budget, and unplanned crashes spend it
+  // like planned turns: admission pauses when crashes alone exhaust it,
+  // and the next unplanned recovery replans the remaining order from live
+  // outcomes (wave_kick).
+  const std::size_t budget = static_cast<std::size_t>(wave_->config.wave_size);
+  const std::size_t down_now = unplanned_down_hosts();
+  std::size_t k = budget > down_now ? budget - down_now : 0;
+  if (k != 0) {
+    // Hosts currently down from an unplanned crash are not candidates (a
+    // turn cannot run on a dead host) but still count against the
+    // budget above.
+    for (std::size_t h = 0; h < hosts_.size(); ++h) {
+      if (wave_->scheduled[h] == 0 && crash_down_[h] == 0) {
+        candidates.push_back(h);
+      }
+    }
+    k = std::min(k, candidates.size());
   }
+  if (k == 0) {
+    wave_->paused = true;
+    ++wave_report_.admission_pauses;
+  }
+  return k;
+}
+
+void Cluster::wave_launch(std::vector<std::size_t> candidates, std::size_t k) {
   // Least-loaded hosts first so the wave drains as few active sessions as
   // possible; among equals, the memory-tightest (smallest preserved
   // headroom) host rejuvenates first; host index breaks remaining ties so
@@ -420,19 +446,6 @@ void Cluster::wave_launch() {
               }
               return a < b;
             });
-  // The wave size is the downtime budget, and unplanned crashes spend it
-  // like planned turns: admission pauses when crashes alone exhaust it,
-  // and the next unplanned recovery replans the remaining order from live
-  // outcomes (wave_kick).
-  const std::size_t budget = static_cast<std::size_t>(wave_->config.wave_size);
-  const std::size_t down_now = unplanned_down_hosts();
-  std::size_t k = budget > down_now ? budget - down_now : 0;
-  k = std::min(k, candidates.size());
-  if (k == 0) {
-    wave_->paused = true;
-    ++wave_report_.admission_pauses;
-    return;
-  }
   WaveReport::Wave wave;
   wave.started = sim_.now();
   wave.hosts.assign(candidates.begin(),

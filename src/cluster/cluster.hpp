@@ -280,7 +280,7 @@ class Cluster {
   /// skips the mirror. Runs on the host's partition.
   void collect_host_metrics(std::size_t host_index);
   /// The scraper's SLO gate (control partition): while blocked,
-  /// wave_launch admits nothing; clearing the block kicks a paused pass.
+  /// wave_admit admits nothing; clearing the block kicks a paused pass.
   void set_scrape_admission_blocked(bool blocked);
   /// Host-partition handler for one steady fault arrival.
   void steady_fault(std::size_t host_index, fault::FaultKind kind);
@@ -297,7 +297,13 @@ class Cluster {
   void wave_gather();
   void wave_collect(std::size_t host_index, std::uint64_t load,
                     std::int64_t headroom);
-  void wave_launch();
+  /// Admission for the next wave, which needs no signals: the SLO gate,
+  /// then the downtime budget left after unplanned crashes, then the
+  /// pending hosts not crash-down (filled into `candidates`). Returns how
+  /// many hosts the wave takes; 0 pauses the pass.
+  std::size_t wave_admit(std::vector<std::size_t>& candidates);
+  /// Orders `candidates` by their gathered signals and runs the first k.
+  void wave_launch(std::vector<std::size_t> candidates, std::size_t k);
   void wave_run_host(std::size_t host_index);
   void wave_host_done(std::size_t host_index, rejuv::SupervisorReport report);
   /// A launched turn found its host owned by an unplanned ladder: requeue.

@@ -1,6 +1,7 @@
 #include "cluster/session_fleet.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "simcore/check.hpp"
 
@@ -53,6 +54,12 @@ SessionFleet::SessionFleet(ShardedBalancer& balancer, Config config)
   ensure(config_.tick > 0, "SessionFleet: need a tick period");
   const std::uint64_t shards = balancer_.shard_count();
   slices_.resize(shards);
+  // A session is filed at most max(think, retry) after the next tick, so
+  // that many ticks plus the next one never wrap a slice's bucket ring.
+  const sim::Duration horizon = std::max(
+      config_.think_base + config_.think_spread, config_.retry_interval);
+  const auto ring_size = static_cast<std::size_t>(
+      (horizon + config_.tick - 1) / config_.tick + 1);
   // Block assignment: slice s holds sessions [s*M/S, (s+1)*M/S). Every
   // session is pinned to its slice's shard for dispatch.
   for (std::uint64_t s = 0; s < shards; ++s) {
@@ -68,6 +75,7 @@ SessionFleet::SessionFleet(ShardedBalancer& balancer, Config config)
     sl.down_unplanned.assign(n, 0);
     sl.completions.assign(n, 0);
     sl.failures.assign(n, 0);
+    sl.ring.resize(ring_size);
   }
 }
 
@@ -87,6 +95,7 @@ void SessionFleet::start(sim::ParallelSimulation& engine) {
     const std::int32_t p = balancer_.shard_partition(s);
     sl.sim = &engine.partition(p);
     const sim::SimTime now = sl.sim->now();
+    sl.tick0 = now;
     for (std::size_t i = 0; i < sl.next_due.size(); ++i) {
       // Hash-staggered first issue so a million sessions do not arrive in
       // one tick-aligned burst.
@@ -95,6 +104,7 @@ void SessionFleet::start(sim::ParallelSimulation& engine) {
                     ShardedBalancer::hash_key(~(sl.first + i)) %
                     static_cast<std::uint64_t>(config_.think_base +
                                                config_.think_spread + 1));
+      file(sl, static_cast<std::uint32_t>(i));
     }
     if (!sl.next_due.empty()) {
       engine.run_on(p, [this, s] { tick(s); });
@@ -105,25 +115,44 @@ void SessionFleet::start(sim::ParallelSimulation& engine) {
 
 void SessionFleet::stop() { stopped_ = true; }
 
-// The batched walk: one linear scan of the slice's columns per tick,
-// issuing every due idle session. This replaces a per-session timer per
-// request -- the scan touches flat arrays in index order.
+// The batched issue: the tick takes its bucket, so it touches only the
+// sessions due by now. Sorting the bucket issues them in ascending index,
+// the order a scan of the whole slice would find them.
 void SessionFleet::tick(std::uint32_t shard) {
   if (stopped_) return;
   Slice& sl = slices_[shard];
   const sim::SimTime now = sl.sim->now();
-  const std::size_t n = sl.next_due.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sl.issued_at[i] == kIdle && sl.next_due[i] <= now) {
-      issue(shard, static_cast<std::uint32_t>(i));
-    }
+  // From here on this tick has run: a session filed while it issues, or
+  // later at this same instant, waits for the next tick.
+  std::swap(sl.issuing, sl.ring[sl.next_tick % sl.ring.size()]);
+  ++sl.next_tick;
+  std::sort(sl.issuing.begin(), sl.issuing.end());
+  for (const std::uint32_t i : sl.issuing) {
+    ensure(sl.issued_at[i] == kIdle && sl.next_due[i] <= now,
+           "SessionFleet::tick: a filed session is in flight or not due");
+    issue(shard, i);
   }
+  sl.issuing.clear();
   sl.sim->after(config_.tick, [this, shard] { tick(shard); });
+}
+
+void SessionFleet::file(Slice& sl, std::uint32_t i) const {
+  const sim::SimTime next_at =
+      sl.tick0 + static_cast<sim::Duration>(sl.next_tick) * config_.tick;
+  std::uint64_t k = sl.next_tick;
+  if (sl.next_due[i] > next_at) {
+    k += static_cast<std::uint64_t>(
+        (sl.next_due[i] - next_at + config_.tick - 1) / config_.tick);
+  }
+  ensure(k - sl.next_tick < sl.ring.size(),
+         "SessionFleet: a session is due beyond the tick ring");
+  sl.ring[k % sl.ring.size()].push_back(i);
 }
 
 void SessionFleet::issue(std::uint32_t shard, std::uint32_t i) {
   Slice& sl = slices_[shard];
   sl.issued_at[i] = sl.sim->now();
+  ++sl.issued;
   balancer_.dispatch_on(shard, [this, shard, i](bool ok) {
     on_reply(shard, i, ok);
   });
@@ -163,6 +192,17 @@ void SessionFleet::on_reply(std::uint32_t shard, std::uint32_t i, bool ok) {
     }
     sl.next_due[i] = now + config_.retry_interval;
   }
+  file(sl, i);
+}
+
+sim::SimTime SessionFleet::next_due(std::uint64_t session) const {
+  ensure(session < config_.sessions, "SessionFleet::next_due: no such session");
+  // Block assignment: the owning slice is the last one starting at or
+  // before `session`.
+  const auto sl = std::prev(std::upper_bound(
+      slices_.begin(), slices_.end(), session,
+      [](std::uint64_t g, const Slice& s) { return g < s.first; }));
+  return sl->next_due[static_cast<std::size_t>(session - sl->first)];
 }
 
 void SessionFleet::begin_window(sim::SimTime now) {
@@ -175,6 +215,10 @@ void SessionFleet::begin_window(sim::SimTime now) {
     for (auto& d : sl.down_since) {
       if (d != kUp) d = now;
     }
+    sl.issued = 0;
+    sl.in_flight_at_begin = static_cast<std::uint64_t>(
+        std::count_if(sl.issued_at.begin(), sl.issued_at.end(),
+                      [](sim::SimTime t) { return t != kIdle; }));
   }
   window_start_ = now;
 }
@@ -184,11 +228,16 @@ SessionFleet::Stats SessionFleet::stats(sim::SimTime window_end) const {
   const auto window = static_cast<double>(window_end - window_start_);
   Stats out;
   double total_down = 0.0;
+  std::uint64_t issued = 0;
+  std::uint64_t in_flight_at_begin = 0;
   for (const auto& sl : slices_) {
     out.request_latency.merge(sl.latency);
+    issued += sl.issued;
+    in_flight_at_begin += sl.in_flight_at_begin;
     for (std::size_t i = 0; i < sl.downtime.size(); ++i) {
       out.completions += sl.completions[i];
       out.failures += sl.failures[i];
+      if (sl.issued_at[i] != kIdle) ++out.in_flight;
       sim::Duration d = sl.downtime[i];
       sim::Duration unplanned = sl.downtime_unplanned[i];
       if (sl.down_since[i] != kUp) {
@@ -205,6 +254,12 @@ SessionFleet::Stats SessionFleet::stats(sim::SimTime window_end) const {
       total_down += static_cast<double>(d);
     }
   }
+  // Conservation: every request issued in the window, or already out at
+  // its start, has completed, failed or is still out.
+  ensure(issued + in_flight_at_begin ==
+             out.completions + out.failures + out.in_flight,
+         "SessionFleet::stats: issued + in flight at begin must equal "
+         "completions + failures + in flight at end");
   const auto avail = [&](double p) {
     const auto d =
         static_cast<double>(out.session_downtime.percentile(p));

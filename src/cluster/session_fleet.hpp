@@ -4,14 +4,17 @@
 // connections, each one heap-allocated callback chain, so it tops out
 // around thousands of sessions. SessionFleet holds a million-session
 // closed loop as struct-of-arrays: per shard, a flat slice of (next_due,
-// issued_at, down_since, downtime, counters) columns, walked once per
-// tick by a single batched scan that issues every due request through the
-// session's pinned balancer shard. No per-session allocations, no
-// per-session timers: one ticker event per shard drives the whole slice
-// (DESIGN.md §12).
+// issued_at, down_since, downtime, counters) columns plus a ring of
+// due-tick buckets. A session that goes idle is filed under the first
+// tick at or after its next_due that has not yet run; each tick issues
+// its bucket in ascending session index through the session's pinned
+// balancer shard, so a tick touches only the sessions it issues, in the
+// order a scan of the whole slice would find them. No per-session
+// allocations, no per-session timers: one ticker event per shard drives
+// the whole slice (DESIGN.md §12).
 //
 // Sessions are block-assigned to shards; each slice lives on its shard's
-// partition of the parallel engine, so the scans themselves are
+// partition of the parallel engine, so the ticks themselves are
 // parallel-in-run and every mutation of a slice happens on its owning
 // partition.
 //
@@ -79,7 +82,8 @@ class SessionFleet {
     /// Back-off after a failed request (the session is down until a
     /// retry succeeds).
     sim::Duration retry_interval = 1 * sim::kSecond;
-    /// Batched-scan period: each shard's slice is walked once per tick.
+    /// Batched-issue period: each shard's slice issues its due sessions
+    /// once per tick.
     sim::Duration tick = 250 * sim::kMillisecond;
   };
 
@@ -88,6 +92,10 @@ class SessionFleet {
     std::uint64_t completions = 0;
     std::uint64_t failures = 0;
     std::uint64_t sessions_down_at_end = 0;
+    /// Sessions with a request outstanding at window end. stats()
+    /// ensure()s issues + in flight at begin == completions + failures +
+    /// in flight at end.
+    std::uint64_t in_flight = 0;
     sim::LatencyHistogram request_latency;
     /// Per-session total downtime inside the window (one sample per
     /// session, including the zero-downtime majority).
@@ -125,6 +133,10 @@ class SessionFleet {
   [[nodiscard]] Stats stats(sim::SimTime window_end) const;
 
   [[nodiscard]] std::uint64_t session_count() const { return config_.sessions; }
+  /// When session `session` is next due: its first issue time, then its
+  /// last reply's time plus its think time (retry interval after a
+  /// failure). Quiescent reads only.
+  [[nodiscard]] sim::SimTime next_due(std::uint64_t session) const;
   /// FNV-1a over every session's outcome columns; worker-count
   /// invariant. Quiescent reads only.
   [[nodiscard]] std::uint64_t state_digest() const;
@@ -149,11 +161,23 @@ class SessionFleet {
     /// Outages ever attributed unplanned on this slice (monotone; gates
     /// digest mixing so crash-free runs keep the pre-crash digest chain).
     std::uint64_t unplanned_marks = 0;
+    /// Due-tick buckets: tick k runs at tick0 + k * Config::tick and
+    /// issues ring[k % ring.size()]. Every idle session sits in exactly
+    /// one bucket; in-flight sessions sit in none.
+    std::vector<std::vector<std::uint32_t>> ring;
+    std::vector<std::uint32_t> issuing;  ///< the bucket the running tick issues
+    sim::SimTime tick0 = 0;
+    std::uint64_t next_tick = 0;  ///< first tick that has not run yet
+    std::uint64_t issued = 0;     ///< requests issued this window
+    std::uint64_t in_flight_at_begin = 0;
   };
   static constexpr sim::SimTime kIdle = -1;
   static constexpr sim::SimTime kUp = -1;
 
   void tick(std::uint32_t shard);
+  /// Files idle session i under the first tick not yet run whose time is
+  /// at or after its next_due.
+  void file(Slice& sl, std::uint32_t i) const;
   void issue(std::uint32_t shard, std::uint32_t i);
   void on_reply(std::uint32_t shard, std::uint32_t i, bool ok);
   [[nodiscard]] sim::Duration think_of(std::uint64_t global) const;

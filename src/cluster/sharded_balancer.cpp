@@ -1,30 +1,12 @@
 #include "cluster/sharded_balancer.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "simcore/check.hpp"
 #include "simcore/simulation.hpp"
 
 namespace rh::cluster {
-
-namespace {
-
-/// Sets `view`'s flag on every backend of `host_index`; true when any
-/// flag flipped.
-bool mark_host(const std::vector<ShardedBalancer::Backend>& backends,
-               std::vector<std::uint8_t>& view, std::size_t host_index,
-               bool on) {
-  const std::uint8_t want = on ? 1 : 0;
-  bool changed = false;
-  for (std::size_t b = 0; b < backends.size(); ++b) {
-    if (backends[b].host_index != host_index || view[b] == want) continue;
-    view[b] = want;
-    changed = true;
-  }
-  return changed;
-}
-
-}  // namespace
 
 ShardedBalancer::ShardedBalancer(sim::ParallelSimulation& engine,
                                  std::size_t shards,
@@ -61,6 +43,10 @@ void ShardedBalancer::add_backend(Backend backend) {
                       "the engine runs");
   const auto b = static_cast<std::uint32_t>(backends_.size());
   const std::size_t owner = backend.host_index % shards_.size();
+  if (backend.host_index >= host_backends_.size()) {
+    host_backends_.resize(backend.host_index + 1);
+  }
+  host_backends_[backend.host_index].push_back(b);
   backends_.push_back(std::move(backend));
   for (auto& sh : shards_) {
     sh.evicted.push_back(0);
@@ -85,16 +71,29 @@ void ShardedBalancer::broadcast(const Update& update) {
   }
 }
 
+bool ShardedBalancer::mark_host(std::vector<std::uint8_t>& view,
+                                std::size_t host_index, bool on) const {
+  if (host_index >= host_backends_.size()) return false;
+  const std::uint8_t want = on ? 1 : 0;
+  bool changed = false;
+  for (const std::uint32_t b : host_backends_[host_index]) {
+    if (view[b] == want) continue;
+    view[b] = want;
+    changed = true;
+  }
+  return changed;
+}
+
 void ShardedBalancer::set_host_evicted(std::size_t host_index, bool evicted) {
   broadcast([this, host_index, evicted](Shard& sh) {
-    mark_host(backends_, sh.evicted, host_index, evicted);
+    mark_host(sh.evicted, host_index, evicted);
   });
 }
 
 void ShardedBalancer::set_host_pressured(std::size_t host_index,
                                          bool pressured) {
   broadcast([this, host_index, pressured](Shard& sh) {
-    mark_host(backends_, sh.pressured, host_index, pressured);
+    mark_host(sh.pressured, host_index, pressured);
   });
 }
 
@@ -102,7 +101,7 @@ void ShardedBalancer::set_host_crashed(std::size_t host_index, bool crashed) {
   // Counts only real flips, so crashed_hosts stays balanced under
   // repeated broadcasts.
   broadcast([this, host_index, crashed](Shard& sh) {
-    if (!mark_host(backends_, sh.crashed, host_index, crashed)) return;
+    if (!mark_host(sh.crashed, host_index, crashed)) return;
     sh.crashed_hosts += crashed ? 1u : -1u;
     ++sh.crash_events;
   });
@@ -265,22 +264,25 @@ std::uint64_t ShardedBalancer::federated() const {
   return n;
 }
 
-std::size_t ShardedBalancer::evicted_backends() const {
-  std::size_t n = 0;
-  for (const auto e : shards_.front().evicted) n += e != 0 ? 1 : 0;
-  return n;
+namespace {
+
+std::size_t flagged(const std::vector<std::uint8_t>& view) {
+  return static_cast<std::size_t>(std::count_if(
+      view.begin(), view.end(), [](std::uint8_t f) { return f != 0; }));
 }
 
-std::size_t ShardedBalancer::pressured_backends() const {
-  std::size_t n = 0;
-  for (const auto p : shards_.front().pressured) n += p != 0 ? 1 : 0;
-  return n;
+}  // namespace
+
+std::size_t ShardedBalancer::evicted_backends(std::size_t shard) const {
+  return flagged(shards_.at(shard).evicted);
 }
 
-std::size_t ShardedBalancer::crashed_backends() const {
-  std::size_t n = 0;
-  for (const auto c : shards_.front().crashed) n += c != 0 ? 1 : 0;
-  return n;
+std::size_t ShardedBalancer::pressured_backends(std::size_t shard) const {
+  return flagged(shards_.at(shard).pressured);
+}
+
+std::size_t ShardedBalancer::crashed_backends(std::size_t shard) const {
+  return flagged(shards_.at(shard).crashed);
 }
 
 std::uint64_t ShardedBalancer::state_digest() const {

@@ -110,12 +110,12 @@ class ShardedBalancer {
   [[nodiscard]] std::uint64_t shard_federated(std::size_t shard) const {
     return shards_[shard].federated;
   }
-  /// Backends evicted on shard 0's view (all views agree when quiescent).
-  [[nodiscard]] std::size_t evicted_backends() const;
-  /// Backends marked pressured on shard 0's view. Quiescent reads only.
-  [[nodiscard]] std::size_t pressured_backends() const;
-  /// Backends crash-evicted on shard 0's view. Quiescent reads only.
-  [[nodiscard]] std::size_t crashed_backends() const;
+  /// Backends evicted on `shard`'s view (all views agree when quiescent).
+  [[nodiscard]] std::size_t evicted_backends(std::size_t shard = 0) const;
+  /// Backends marked pressured on `shard`'s view. Quiescent reads only.
+  [[nodiscard]] std::size_t pressured_backends(std::size_t shard = 0) const;
+  /// Backends crash-evicted on `shard`'s view. Quiescent reads only.
+  [[nodiscard]] std::size_t crashed_backends(std::size_t shard = 0) const;
   /// Hosts this shard's view currently knows to be crash-down. Safe to
   /// read from the shard's own partition mid-run: the session fleet uses
   /// it to attribute a beginning outage as planned vs unplanned.
@@ -172,8 +172,15 @@ class ShardedBalancer {
   void serve(Shard& sh, std::uint32_t b, std::shared_ptr<Request> state);
   void next_ring_hop(std::shared_ptr<Request> state);
   [[nodiscard]] bool quiescent() const { return !engine_.running(); }
+  /// Sets `view`'s flag on every backend of `host_index`; true when any
+  /// flag flipped.
+  bool mark_host(std::vector<std::uint8_t>& view, std::size_t host_index,
+                 bool on) const;
 
   std::vector<Backend> backends_;  ///< append-only; frozen once running
+  /// Per-host backend index built by add_backend, so a membership
+  /// broadcast flips one host's backends without walking the fleet.
+  std::vector<std::vector<std::uint32_t>> host_backends_;
   std::vector<Shard> shards_;
   sim::ParallelSimulation& engine_;
   std::int32_t first_shard_partition_;

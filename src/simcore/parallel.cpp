@@ -95,8 +95,7 @@ void ParallelSimulation::post(std::int32_t dst, Duration delay, InlineCallback f
   ensure(delay >= lookahead_,
          "ParallelSimulation::post: cross-partition delay below the "
          "lookahead would deliver inside the current safe window");
-  from.outbox.push_back(Message{from.sim.now() + delay, dst, src,
-                                from.next_seq++, std::move(fn)});
+  from.outbox.push_back(Message{from.sim.now() + delay, dst, std::move(fn)});
 }
 
 void ParallelSimulation::run_on(std::int32_t p, InlineCallback fn) {
@@ -170,35 +169,21 @@ void ParallelSimulation::participant_loop(std::size_t worker) {
 
 void ParallelSimulation::plan() {
   try {
-    // Drain every outbox in partition order, then stable-sort into the
-    // global (time, dst, src, seq) order. Insertion order into each
-    // destination calendar is exactly that order, and EventQueue breaks
-    // same-time ties by insertion order, so same-time deliveries from
-    // different sources fire in (src, seq) order on every run regardless
-    // of worker count.
+    // Drain every outbox in partition order, moving each message straight
+    // into its destination calendar. Per destination that inserts in
+    // (src, seq) order -- sources ascending, each outbox in its sender's
+    // program order -- and EventQueue pops by (time, insertion order), so
+    // same-time deliveries from different sources fire in (src, seq)
+    // order on every run regardless of worker count.
     for (auto& part : partitions_) {
-      if (part->outbox.empty()) continue;
-      merge_buf_.insert(merge_buf_.end(),
-                        std::make_move_iterator(part->outbox.begin()),
-                        std::make_move_iterator(part->outbox.end()));
-      part->outbox.clear();
-    }
-    if (!merge_buf_.empty()) {
-      std::stable_sort(merge_buf_.begin(), merge_buf_.end(),
-                       [](const Message& a, const Message& b) {
-                         if (a.time != b.time) return a.time < b.time;
-                         if (a.dst != b.dst) return a.dst < b.dst;
-                         if (a.src != b.src) return a.src < b.src;
-                         return a.seq < b.seq;
-                       });
-      for (auto& m : merge_buf_) {
+      for (auto& m : part->outbox) {
         // The schedule is legal by construction: delivery >= send + L >=
         // previous window end = the destination's current local now().
         partitions_[static_cast<std::size_t>(m.dst)]->sim.at(m.time,
                                                              std::move(m.fn));
       }
-      messages_ += merge_buf_.size();
-      merge_buf_.clear();
+      messages_ += part->outbox.size();
+      part->outbox.clear();
     }
 
     if (failure_ != nullptr) {

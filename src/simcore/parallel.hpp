@@ -21,10 +21,13 @@
 //     (static partition -> worker assignment, so the intra-partition
 //     event order never depends on scheduling);
 //   - cross-partition sends (post()) are appended to the sending
-//     partition's outbox and, at the window barrier, merged into the
-//     destination calendars in (time, dst, src, seq) order -- a total
-//     order independent of worker count, so 1-worker and N-worker runs
-//     are bitwise identical.
+//     partition's outbox and, at the window barrier, moved into their
+//     destination calendars outbox by outbox in partition order. Each
+//     destination thus receives its messages in (src, seq) order, where
+//     seq is the sender's program order, and its calendar pops them by
+//     (time, insertion order): the delivery order is (time, src, seq)
+//     per destination, independent of worker count, so 1-worker and
+//     N-worker runs are bitwise identical.
 //
 // Determinism contract: a run's observable state is a pure function of
 // (initial state, partitioning, lookahead); the worker count only moves
@@ -146,14 +149,11 @@ class ParallelSimulation {
   static constexpr SimTime kNoHorizon = std::numeric_limits<SimTime>::min();
   static constexpr SimTime kNoDeadline = std::numeric_limits<SimTime>::max();
 
-  /// One cross-partition message. seq is a per-sender counter, so the
-  /// (time, dst, src, seq) sort key is a total order and preserves each
-  /// sender's program order.
+  /// One cross-partition message, held in its sender's outbox in the
+  /// sender's program order until the next window barrier.
   struct Message {
     SimTime time = 0;
     std::int32_t dst = 0;
-    std::int32_t src = 0;
-    std::uint64_t seq = 0;
     InlineCallback fn;
   };
 
@@ -162,14 +162,13 @@ class ParallelSimulation {
   struct alignas(64) Partition {
     Simulation sim;
     std::vector<Message> outbox;
-    std::uint64_t next_seq = 1;
   };
 
   void run_loop(SimTime deadline, const std::function<bool()>* keep_going);
   void participant_loop(std::size_t worker);
   /// Runs on one thread while every worker waits at the barrier (the
-  /// last to arrive, or the caller before the first window): drains
-  /// outboxes, merges messages in (time, dst, src, seq) order, then
+  /// last to arrive, or the caller before the first window): drains the
+  /// outboxes in partition order into the destination calendars, then
   /// either opens the next window or raises done_.
   void plan();
   void capture_failure() noexcept;
@@ -191,7 +190,6 @@ class ParallelSimulation {
   SimTime deadline_ = kNoDeadline;
   const std::function<bool()>* keep_going_ = nullptr;
   std::atomic<SimTime> horizon_{kNoHorizon};
-  std::vector<Message> merge_buf_;
 
   std::mutex failure_mu_;
   std::exception_ptr failure_;

@@ -109,6 +109,32 @@ TEST(PdesEngine, MailboxMergeOrderIsTimeDstSrcSeq) {
   for (const auto& log : logs) EXPECT_EQ(log, want);
 }
 
+// Messages go straight from the outboxes into the destination calendar, so
+// a source that posts a later delivery before an earlier one must still
+// see them fire by time, and a same-time delivery from a second source
+// must fire after the first source's (ties broken by source partition).
+TEST(PdesEngine, DeliveriesFireByTimeThenSourceWhateverThePostOrder) {
+  using Arrival = std::pair<int, sim::SimTime>;  // (source, arrival time)
+  for (std::size_t workers : {1u, 2u, 3u}) {
+    sim::ParallelSimulation eng({.partitions = 3, .workers = workers});
+    eng.register_link(100);
+    std::vector<Arrival> log;
+    const auto arrival = [&eng, &log](int src) {
+      return [&eng, &log, src] {
+        log.emplace_back(src, eng.partition(0).now());
+      };
+    };
+    eng.run_on(2, [&] { eng.post(0, 100, arrival(2)); });
+    eng.run_on(1, [&] {
+      eng.post(0, 300, arrival(1));
+      eng.post(0, 100, arrival(1));
+    });
+    eng.run_until(1000);
+    const std::vector<Arrival> want = {{1, 100}, {2, 100}, {1, 300}};
+    EXPECT_EQ(log, want) << workers << " workers";
+  }
+}
+
 TEST(PdesEngine, CrossPartitionAtBelowHorizonThrowsLoudly) {
   sim::ParallelSimulation eng({.partitions = 2, .workers = 1});
   eng.register_link(100);

@@ -1,7 +1,8 @@
 // Sharded control plane + batched session store + wave scheduling
 // (DESIGN.md §12): hash routing, shard-local round-robin determinism,
 // federated failover when a shard empties, two-phase pressure spillover,
-// SessionFleet downtime accounting, and the wave scheduler's
+// per-host membership flips, SessionFleet downtime accounting, request
+// conservation and due-tick placement, and the wave scheduler's
 // signal-driven ordering / downtime-budget clamp.
 #include <cstdint>
 #include <limits>
@@ -204,6 +205,92 @@ TEST(ShardedBalancer, PressuredHomeSpillsOverThenServesAsLastResort) {
   EXPECT_EQ(rig.served_by(0), std::uint64_t{1});
 }
 
+// Membership broadcasts flip a host's backends through the per-host index
+// add_backend builds, so registration order must not matter: with
+// backends registered for hosts 1, 0, 1, 0, crash, evict and pressure of
+// host 0 flip exactly host 0's two backends on every shard's view.
+TEST(ShardedBalancer, HostFlagsFlipOnlyThatHostsBackendsOnEveryShard) {
+  ClusterRig rig(sharded(2, 2, 2));  // shard partitions 1 and 2
+  cluster::ShardedBalancer sb(rig.engine, 2, /*first_shard_partition=*/1,
+                              rig.engine.lookahead());
+  // b0 = host 1 vm 0, b1 = host 0 vm 0, b2 = host 1 vm 1, b3 = host 0 vm 1:
+  // shard 0 owns b1 and b3, shard 1 owns b0 and b2.
+  const std::pair<int, int> order[] = {{1, 0}, {0, 0}, {1, 1}, {0, 1}};
+  for (const auto& [h, v] : order) {
+    guest::GuestOs& os = rig.cl.guest(h, v);
+    sb.add_backend({&os,
+                    static_cast<guest::ApacheService*>(os.find_service("httpd")),
+                    {0, 1}, static_cast<std::size_t>(h), rig.cl.partition_of(h)});
+  }
+  const auto served_by_vm = [&rig](int h, int v) {
+    return static_cast<guest::ApacheService*>(
+               rig.cl.guest(h, v).find_service("httpd"))
+        ->requests_served();
+  };
+
+  enum class Flag { kCrashed, kEvicted, kPressured };
+  const auto set = [&sb](Flag flag, bool on) {
+    switch (flag) {
+      case Flag::kCrashed: sb.set_host_crashed(0, on); break;
+      case Flag::kEvicted: sb.set_host_evicted(0, on); break;
+      case Flag::kPressured: sb.set_host_pressured(0, on); break;
+    }
+  };
+  const auto flagged = [&sb](Flag flag, std::size_t shard) {
+    switch (flag) {
+      case Flag::kCrashed: return sb.crashed_backends(shard);
+      case Flag::kEvicted: return sb.evicted_backends(shard);
+      case Flag::kPressured: return sb.pressured_backends(shard);
+    }
+    return std::size_t{0};
+  };
+  for (const Flag flag : {Flag::kCrashed, Flag::kEvicted, Flag::kPressured}) {
+    for (const bool running : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "flag " << static_cast<int>(flag)
+                   << (running ? ", broadcast while running" : ", quiescent"));
+      const auto apply = [&](bool on) {
+        if (running) {
+          rig.run_on(0, [&set, flag, on] { set(flag, on); });
+          rig.run_for(sim::kSecond);  // lands one RPC latency later
+        } else {
+          set(flag, on);
+        }
+      };
+      apply(true);
+      for (std::size_t s = 0; s < 2; ++s) EXPECT_EQ(flagged(flag, s), 2u);
+      if (flag == Flag::kCrashed) {
+        EXPECT_EQ(sb.shard_unplanned_down(0), 1u);
+        EXPECT_EQ(sb.shard_unplanned_down(1), 1u);
+      }
+      // Two requests start on each shard. Shard 0's own backends are both
+      // flagged, so its requests spill over to shard 1, whose backends
+      // are both clear: host 1's two VMs take two requests each and host
+      // 0 takes none.
+      const std::uint64_t host0 = served_by_vm(0, 0) + served_by_vm(0, 1);
+      const std::uint64_t vm10 = served_by_vm(1, 0);
+      const std::uint64_t vm11 = served_by_vm(1, 1);
+      int served = 0;
+      for (std::size_t s = 0; s < 2; ++s) {
+        rig.run_on(sb.shard_partition(s), [&sb, &served, s] {
+          for (int r = 0; r < 2; ++r) {
+            sb.dispatch_on(s, [&served](bool ok) { served += ok ? 1 : 0; });
+          }
+        });
+      }
+      rig.run_for(5 * sim::kSecond);
+      EXPECT_EQ(served, 4);
+      EXPECT_EQ(served_by_vm(0, 0) + served_by_vm(0, 1), host0);
+      EXPECT_EQ(served_by_vm(1, 0), vm10 + 2);
+      EXPECT_EQ(served_by_vm(1, 1), vm11 + 2);
+
+      apply(false);
+      for (std::size_t s = 0; s < 2; ++s) EXPECT_EQ(flagged(flag, s), 0u);
+    }
+  }
+  EXPECT_EQ(sb.crash_broadcasts(), 4u);  // two flips per mode
+}
+
 // ------------------------------------------------------- session fleet
 
 TEST(SessionFleet, ClosedLoopReachesFullAvailabilityWithoutFaults) {
@@ -262,6 +349,157 @@ TEST(SessionFleet, OutageChargesPerSessionDowntimeIntoPercentiles) {
   EXPECT_LT(stats.pooled_availability, 1.0);
   EXPECT_LT(stats.availability_p99, 1.0);
   EXPECT_GT(stats.session_downtime.percentile(0.99), 0);
+}
+
+// Issues balance replies: stats() ensure()s issued + in flight at begin ==
+// completions + failures + in flight at end, across an outage, a
+// recovery and a stop (after which replies are dropped, so the requests
+// out at the stop stay in flight).
+TEST(SessionFleet, IssuesBalanceRepliesAndRequestsInFlight) {
+  ClusterRig rig(sharded(2, 2, 2));
+  cluster::SessionFleet fleet(rig.lb(),
+                              {.sessions = 16,
+                               .think_base = 1 * sim::kSecond,
+                               .think_spread = 1 * sim::kSecond,
+                               .retry_interval = 500 * sim::kMillisecond,
+                               .tick = 250 * sim::kMillisecond});
+  fleet.start(rig.engine);
+  rig.run_for(3 * sim::kSecond);
+  fleet.begin_window(rig.now());
+
+  rig.lb().set_host_evicted(0, true);
+  rig.lb().set_host_evicted(1, true);
+  rig.run_for(5 * sim::kSecond);
+  const auto outage = fleet.stats(rig.now());
+  EXPECT_GT(outage.failures, std::uint64_t{0});
+  EXPECT_LE(outage.in_flight, std::uint64_t{16});
+
+  rig.lb().set_host_evicted(0, false);
+  rig.lb().set_host_evicted(1, false);
+  rig.run_for(10 * sim::kSecond);
+  fleet.stop();
+  const auto at_stop = fleet.stats(rig.now());
+  EXPECT_GT(at_stop.completions, outage.completions);
+  EXPECT_GT(at_stop.in_flight, std::uint64_t{0});
+
+  rig.run_for(5 * sim::kSecond);
+  const auto later = fleet.stats(rig.now());
+  EXPECT_EQ(later.in_flight, at_stop.in_flight);
+  EXPECT_EQ(later.completions, at_stop.completions);
+  EXPECT_EQ(later.failures, at_stop.failures);
+}
+
+// Due-tick placement. Session 0's first issue is staggered by
+// hash_key(~0) % (think_base + think_spread + 1) after start, so a tick
+// period derived from that offset puts it exactly on, or 1 us after, a
+// tick.
+sim::Duration first_due_offset(sim::Duration think_base) {
+  return static_cast<sim::Duration>(
+      cluster::ShardedBalancer::hash_key(~std::uint64_t{0}) %
+      static_cast<std::uint64_t>(think_base + 1));
+}
+
+/// Runs every partition to `t`; returns the sessions then in flight.
+std::uint64_t in_flight_at(ClusterRig& rig, const cluster::SessionFleet& fleet,
+                           sim::SimTime t) {
+  rig.engine.run_until(t);
+  return fleet.stats(t).in_flight;
+}
+
+TEST(SessionFleet, SessionDueOnATickIssuesAtThatTick) {
+  ClusterRig rig(sharded(1, 1, 1));
+  const sim::Duration offset = first_due_offset(10 * sim::kSecond);
+  ASSERT_GT(offset, sim::kSecond);
+  cluster::SessionFleet fleet(rig.lb(), {.sessions = 1,
+                                         .think_base = 10 * sim::kSecond,
+                                         .think_spread = 0,
+                                         .tick = offset});
+  const sim::SimTime t0 = rig.now();
+  fleet.start(rig.engine);
+  ASSERT_EQ(fleet.next_due(0), t0 + offset);  // exactly tick 1
+  EXPECT_EQ(in_flight_at(rig, fleet, t0 + offset - 1), 0u);
+  EXPECT_EQ(in_flight_at(rig, fleet, t0 + offset), 1u);
+}
+
+TEST(SessionFleet, SessionDueJustAfterATickWaitsForTheNext) {
+  ClusterRig rig(sharded(1, 1, 1));
+  const sim::Duration tick = first_due_offset(10 * sim::kSecond) - 1;
+  ASSERT_GT(tick, sim::kSecond);
+  cluster::SessionFleet fleet(rig.lb(), {.sessions = 1,
+                                         .think_base = 10 * sim::kSecond,
+                                         .think_spread = 0,
+                                         .tick = tick});
+  const sim::SimTime t0 = rig.now();
+  fleet.start(rig.engine);
+  ASSERT_EQ(fleet.next_due(0), t0 + tick + 1);  // 1 us after tick 1
+  EXPECT_EQ(in_flight_at(rig, fleet, t0 + tick), 0u);
+  EXPECT_EQ(in_flight_at(rig, fleet, t0 + 2 * tick - 1), 0u);
+  EXPECT_EQ(in_flight_at(rig, fleet, t0 + 2 * tick), 1u);
+}
+
+// With zero think time a reply makes its session due at once. When the
+// reply lands on a tick instant after that tick already ran, the session
+// waits for the next tick.
+TEST(SessionFleet, SessionDueAtATickThatAlreadyRanWaitsForTheNext) {
+  // First measure the round trip D of a lone session's first request (it
+  // issues at start, since its stagger is 0 with zero think time).
+  const cluster::SessionFleet::Config think0{.sessions = 1,
+                                             .think_base = 0,
+                                             .think_spread = 0,
+                                             .tick = sim::kSecond};
+  sim::Duration round_trip = 0;
+  {
+    ClusterRig rig(sharded(1, 1, 1));
+    cluster::SessionFleet fleet(rig.lb(), think0);
+    const sim::SimTime t0 = rig.now();
+    fleet.start(rig.engine);
+    rig.engine.run_until(t0 + sim::kSecond - 1);
+    ASSERT_EQ(fleet.stats(rig.now()).completions, 1u);
+    round_trip = fleet.next_due(0) - t0;
+  }
+  ASSERT_GT(round_trip, 0);
+
+  // Same rig with tick = D: the reply lands at tick 1's instant, after
+  // tick 1 ran (it was scheduled at start, before the reply was sent).
+  ClusterRig rig(sharded(1, 1, 1));
+  cluster::SessionFleet::Config config = think0;
+  config.tick = round_trip;
+  cluster::SessionFleet fleet(rig.lb(), config);
+  const sim::SimTime t0 = rig.now();
+  fleet.start(rig.engine);
+  EXPECT_EQ(in_flight_at(rig, fleet, t0 + round_trip), 0u);
+  ASSERT_EQ(fleet.next_due(0), t0 + round_trip);  // due now, tick 1 gone
+  EXPECT_EQ(in_flight_at(rig, fleet, t0 + 2 * round_trip - 1), 0u);
+  EXPECT_EQ(in_flight_at(rig, fleet, t0 + 2 * round_trip), 1u);
+}
+
+// Sessions due in one tick issue in ascending index, whatever order their
+// replies filed them in. Host 0 is down but still in rotation, so on the
+// one shard's round robin the first request of a tick probes host 0's
+// backend, finds it down and is served by host 1 later than the second
+// request, which goes straight to host 1. With zero think time next_due is
+// the completion time, so the session issued first completes last.
+TEST(SessionFleet, SessionsDueInOneTickIssueInAscendingIndex) {
+  ClusterRig rig(sharded(2, 1, 1));  // one shard owns both hosts' VMs
+  bool down = false;
+  rig.cl.host(0).shutdown_dom0([&down] { down = true; });
+  rig.run_while([&down] { return !down; });
+  cluster::SessionFleet fleet(rig.lb(), {.sessions = 2,
+                                         .think_base = 0,
+                                         .think_spread = 0,
+                                         .tick = sim::kSecond});
+  const sim::SimTime t0 = rig.now();
+  fleet.start(rig.engine);
+  // Tick 0: both sessions are due at start, and session 0 issues first.
+  rig.engine.run_until(t0 + sim::kSecond - 1);
+  ASSERT_EQ(fleet.stats(rig.now()).completions, 2u);
+  EXPECT_GT(fleet.next_due(0), fleet.next_due(1));
+  // Tick 1: session 1's reply filed it first, but session 0 still issues
+  // first (the round robin is back at host 0's backend).
+  rig.engine.run_until(t0 + 2 * sim::kSecond - 1);
+  ASSERT_EQ(fleet.stats(rig.now()).completions, 4u);
+  EXPECT_GT(fleet.next_due(0), fleet.next_due(1));
+  EXPECT_GT(fleet.next_due(1), t0 + sim::kSecond);
 }
 
 // ------------------------------------------------------ wave scheduling
