@@ -5,15 +5,14 @@
 // the bench binaries.
 #pragma once
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "exp/runner.hpp"
+#include "fault/fault.hpp"
+#include "flags.hpp"
 #include "guest/apache.hpp"
 #include "guest/guest_os.hpp"
 #include "guest/jboss.hpp"
@@ -106,8 +105,43 @@ struct Testbed {
   }
 };
 
+/// The recovery ladders of the unplanned-crash sweeps (tab_microrecovery,
+/// fig_crashscale, fig_scrape). micro differs from warm only once a crash
+/// actually happens, so a rate-0 column is the control.
+struct Ladder {
+  const char* name;
+  rejuv::RebootKind kind;  ///< the planned pass's reboot kind
+  bool micro;              ///< crashes try in-place micro-recovery first
+};
+inline constexpr Ladder kLadders[] = {
+    {"micro", rejuv::RebootKind::kWarm, true},
+    {"warm", rejuv::RebootKind::kWarm, false},
+    {"saved", rejuv::RebootKind::kSaved, false},
+    {"cold", rejuv::RebootKind::kCold, false},
+};
+
+/// The supervisor config of `ladder`'s passes and recoveries.
+inline rejuv::SupervisorConfig ladder_config(const Ladder& ladder) {
+  rejuv::SupervisorConfig c;
+  c.preferred = ladder.kind;
+  if (ladder.micro) {
+    c.micro.enabled = true;
+    c.micro.success_rate = 0.85;  // ReHype's reported recovery rate
+  }
+  return c;
+}
+
+/// Steady VMM faults at `rate` per check: crashes at the rate, hangs at
+/// half of it -- rarer, and costlier to detect.
+inline fault::FaultConfig steady_vmm_faults(double rate) {
+  fault::FaultConfig f;
+  f.vmm_crash_rate = rate;
+  f.vmm_hang_rate = rate / 2.0;
+  return f;
+}
+
 /// Shared CLI for the replicated figure/table benches:
-///   --reps N       replications per sweep point (default 5)
+///   --reps N       replications per sweep point (default 5; 0 means 1)
 ///   --threads N    worker threads (default 0 = one per hardware thread)
 ///   --seed S       root seed of the replication grid (default 7)
 ///   --jitter F     Calibration::timing_jitter for replication testbeds
@@ -119,24 +153,18 @@ struct SweepOptions {
   double jitter = 0.02;
 
   static SweepOptions parse(int argc, char** argv) {
+    Flags flags;
+    return parse(argc, argv, flags);
+  }
+
+  /// Parses the four sweep flags plus the bench's own `flags`.
+  static SweepOptions parse(int argc, char** argv, Flags& flags) {
     SweepOptions opt;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-        opt.reps = static_cast<std::size_t>(std::atoll(argv[++i]));
-      } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-        opt.threads = static_cast<std::size_t>(std::atoll(argv[++i]));
-      } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-        opt.root_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-      } else if (std::strcmp(argv[i], "--jitter") == 0 && i + 1 < argc) {
-        opt.jitter = std::atof(argv[++i]);
-      } else {
-        std::fprintf(stderr,
-                     "usage: %s [--reps N] [--threads N] [--seed S] "
-                     "[--jitter F]\n",
-                     argv[0]);
-        std::exit(2);
-      }
-    }
+    flags.integer("--reps", opt.reps)
+        .integer("--threads", opt.threads)
+        .integer("--seed", opt.root_seed)
+        .number("--jitter", opt.jitter)
+        .parse(argc, argv);
     if (opt.reps == 0) opt.reps = 1;
     g_replication_jitter = opt.jitter;
     return opt;
@@ -151,64 +179,6 @@ struct SweepOptions {
     return spec;
   }
 };
-
-/// Parses one numeric flag token; exits 2 with "<flag>: '<tok>' is not a
-/// number" when the whole token is not one.
-inline double parse_number(const char* flag, const std::string& tok) {
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (tok.empty() || end == tok.c_str() || *end != '\0') {
-    std::fprintf(stderr, "%s: '%s' is not a number\n", flag, tok.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Parses a simulated duration in seconds for flags like --sim-seconds.
-/// Exits 2 with a clear error on a malformed token or on a value that is
-/// not finite or is under one microsecond (it would round to no time at
-/// all), before any fleet is built.
-inline double parse_positive_seconds(const char* flag, const std::string& tok) {
-  const double v = parse_number(flag, tok);
-  if (!std::isfinite(v) || !(v >= 1e-6)) {
-    std::fprintf(stderr, "%s: '%s' is not a time of at least 1e-6 s\n", flag,
-                 tok.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Parses a comma-separated sweep list ("0,0.01,0.05") for flags like
-/// --fault-rate and --overcommit. Exits with a clear error on malformed
-/// tokens, negative values, or duplicates -- a silently-misparsed sweep
-/// point wastes a whole replication grid before anyone notices.
-inline std::vector<double> parse_value_list(const char* flag,
-                                            const std::string& list) {
-  std::vector<double> out;
-  std::size_t pos = 0;
-  while (true) {
-    const auto comma = list.find(',', pos);
-    const std::string tok = comma == std::string::npos
-                                ? list.substr(pos)
-                                : list.substr(pos, comma - pos);
-    const double v = parse_number(flag, tok);
-    if (v < 0.0) {
-      std::fprintf(stderr, "%s: negative value '%s' rejected\n", flag,
-                   tok.c_str());
-      std::exit(2);
-    }
-    for (const double prev : out) {
-      if (prev == v) {
-        std::fprintf(stderr, "%s: duplicate value '%s'\n", flag, tok.c_str());
-        std::exit(2);
-      }
-    }
-    out.push_back(v);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
 
 /// Formats "mean±ci" with the given per-part printf format (e.g. "%.2f").
 inline std::string fmt_ci(double mean, double ci, const char* fmt = "%.2f") {

@@ -5,23 +5,15 @@
 // measured host-level numbers. Part 2 runs an actual DES cluster behind a
 // load balancer through a rolling warm rejuvenation and reports the
 // observed throughput dip.
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 
-#include "bench_util.hpp"
-#include "cluster/cluster.hpp"
-#include "cluster/session_fleet.hpp"
 #include "cluster/throughput_model.hpp"
 #include "cluster/vm_migrator.hpp"
+#include "fleet.hpp"
 #include "guest/sshd.hpp"
 #include "obs/export.hpp"
-#include "simcore/hash.hpp"
-#include "simcore/parallel.hpp"
 
 namespace {
 
@@ -153,122 +145,43 @@ SimRow simulated_once(std::uint64_t seed, double jitter, std::size_t workers,
   return row;
 }
 
-// --hosts/--shards: the datacenter-scale scenario (DESIGN.md §12). H
-// hosts of slimmed-down VMs behind S balancer shards (one partition
-// each), a struct-of-arrays SessionFleet holding the closed-loop
-// sessions, and wave-based rolling rejuvenation running through the
-// measurement window. Emits pooled p99/p999 availability and session
-// throughput into BENCH_scale.json plus a worker-count-invariant digest
-// line (CI diffs --workers 1 vs 4 at both --shards 1 and --shards 8).
-struct ScaleOptions {
-  int hosts = 100;
-  int shards = 4;
-  int wave = 8;
-  int vms_per_host = 2;
-  std::uint64_t sessions = 0;  ///< 0: 1100 per host (>= 1M at 1000 hosts)
-  double sim_seconds = 6.0;
-  std::size_t workers = 1;
-  std::uint64_t seed = rh::bench::kLegacyBenchSeed;
-  std::string out = "BENCH_scale.json";
-};
-
-int run_scale(const ScaleOptions& o) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  sim::ParallelSimulation engine(
-      {.partitions = 1 + o.shards + o.hosts, .workers = o.workers});
-  cluster::Cluster::Config cfg;
-  cfg.hosts = o.hosts;
-  cfg.vms_per_host = o.vms_per_host;
-  cfg.seed = o.seed;
-  cfg.shards = o.shards;
-  cfg.engine = &engine;
-  // Slim per-host footprint so 1000 hosts fit: small machines, small VMs,
-  // little replicated content. The figure measures control-plane scaling,
-  // not per-host memory realism.
-  cfg.calib.machine.ram = sim::kGiB;
-  cfg.calib.dom0_memory = 256 * sim::kMiB;
-  cfg.vm_memory = 128 * sim::kMiB;
-  cfg.files_per_vm = 4;
-  cfg.file_size = 32 * sim::kKiB;
-  // A fatter lookahead (500 us one-way) keeps the window count -- and the
-  // per-window barrier cost across 1000+ partitions -- affordable.
-  cfg.calib.link.latency = 500 * sim::kMicrosecond;
-  cluster::Cluster cl(engine.partition(0), cfg);
-
-  const std::uint64_t sessions =
-      o.sessions != 0 ? o.sessions
-                      : 1100ull * static_cast<std::uint64_t>(o.hosts);
-  cluster::SessionFleet::Config fc;
-  fc.sessions = sessions;
-  fc.think_base = 20 * sim::kSecond;
-  fc.think_spread = 20 * sim::kSecond;
-  fc.retry_interval = sim::kSecond;
-  fc.tick = 250 * sim::kMillisecond;
-  cluster::SessionFleet fleet(*cl.sharded_balancer(), fc);
-
-  bool ready = false;
-  cl.start([&ready] { ready = true; });
-  engine.run_while([&ready] { return !ready; });
-  fleet.start(engine);
+// --hosts/--shards: the datacenter-scale scenario (DESIGN.md §12), the
+// fleet of fleet.hpp with no faults. Emits pooled p99/p999 availability
+// and session throughput into BENCH_scale.json plus a
+// worker-count-invariant digest line (CI diffs --workers 1 vs 4 at both
+// --shards 1 and --shards 8).
+int run_scale(const bench::FleetOptions& o) {
+  bench::FleetRun run(o, 0.0);
+  run.boot();
   // Warm-up: let the staggered first requests reach steady state before
   // the measurement window opens.
-  engine.run_until(engine.partition(0).now() + 2 * sim::kSecond);
-  const sim::SimTime meas_start = engine.partition(0).now();
-  fleet.begin_window(meas_start);
+  run.open_window(2.0);
+  run.start_waves({});
+  run.close_window();
 
-  cluster::Cluster::WaveConfig wc;
-  wc.wave_size = o.wave;
-  wc.kind = rejuv::RebootKind::kWarm;
-  bool waves_done = false;
-  engine.run_on(0, [&cl, wc, &waves_done] {
-    cl.rolling_rejuvenation_waves(
-        wc, [&waves_done](const cluster::Cluster::WaveReport&) {
-          waves_done = true;
-        });
-  });
-  engine.run_until(meas_start + sim::from_seconds(o.sim_seconds));
-  const sim::SimTime meas_end = engine.partition(0).now();
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - wall_start)
-                          .count();
+  std::uint64_t digest = run.digest_prefix();
+  run.mix_waves(digest);
+  sim::hash_mix(digest, run.engine.messages_routed());
+  const bench::FleetCell cell = run.cell(digest);
+  const auto& stats = cell.stats;
+  const double wall = cell.wall;
 
-  const auto stats = fleet.stats(meas_end);
-  const auto& waves = cl.last_wave_report();
-
-  std::uint64_t digest = 0;
-  const auto mix = [&digest](std::uint64_t v) { sim::hash_mix(digest, v); };
-  for (std::int32_t p = 0; p < engine.partition_count(); ++p) {
-    mix(static_cast<std::uint64_t>(engine.partition(p).now()));
-    mix(engine.partition(p).executed_events());
-  }
-  mix(fleet.state_digest());
-  mix(cl.sharded_balancer()->state_digest());
-  for (const auto& w : waves.waves) {
-    mix(static_cast<std::uint64_t>(w.started));
-    mix(static_cast<std::uint64_t>(w.finished));
-    for (const auto h : w.hosts) mix(h);
-  }
-  for (const auto d : cl.rejuvenation_durations()) {
-    mix(static_cast<std::uint64_t>(d));
-  }
-  mix(engine.messages_routed());
-
-  const double sim_window = sim::to_seconds(meas_end - meas_start);
+  const double sim_window = sim::to_seconds(run.window_end - run.window_start);
   const double sessions_per_sec =
       wall > 0 ? static_cast<double>(stats.completions) / wall : 0.0;
+  const double sessions_per_sim_sec =
+      sim_window > 0 ? static_cast<double>(stats.completions) / sim_window
+                     : 0.0;
   std::printf("  scale: hosts=%d shards=%d wave=%d sessions=%llu workers=%zu "
               "digest=%016llx\n",
               o.hosts, o.shards, o.wave,
-              static_cast<unsigned long long>(sessions), o.workers,
+              static_cast<unsigned long long>(o.session_count()), o.workers,
               static_cast<unsigned long long>(digest));
   std::printf("    window %.1f sim-s in %.1f wall-s; %llu completions "
               "(%.0f sessions/s wall, %.0f/sim-s), %llu failures\n",
               sim_window, wall,
               static_cast<unsigned long long>(stats.completions),
-              sessions_per_sec,
-              sim_window > 0
-                  ? static_cast<double>(stats.completions) / sim_window
-                  : 0.0,
+              sessions_per_sec, sessions_per_sim_sec,
               static_cast<unsigned long long>(stats.failures));
   std::printf("    pooled availability %.6f; per-session p99 %.6f p999 %.6f "
               "(downtime p99 %.0f ms, p999 %.0f ms); %zu sessions still "
@@ -282,19 +195,16 @@ int run_scale(const ScaleOptions& o) {
               static_cast<std::size_t>(stats.sessions_down_at_end));
   std::printf("    waves: %zu started, %zu hosts rejuvenated (K=%d)%s; "
               "federated dispatches %llu, rejected %llu\n",
-              waves.waves.size(), cl.rejuvenation_durations().size(), o.wave,
-              waves_done ? ", pass complete" : ", pass still rolling",
-              static_cast<unsigned long long>(
-                  cl.sharded_balancer()->federated()),
-              static_cast<unsigned long long>(
-                  cl.sharded_balancer()->rejected()));
+              cell.waves_started, cell.hosts_rejuvenated, o.wave,
+              run.waves_done ? ", pass complete" : ", pass still rolling",
+              static_cast<unsigned long long>(cell.federated),
+              static_cast<unsigned long long>(cell.rejected));
   std::printf("    engine: %llu windows, %llu messages, %llu events "
               "(%.2fM events/s)\n",
-              static_cast<unsigned long long>(engine.windows_executed()),
-              static_cast<unsigned long long>(engine.messages_routed()),
-              static_cast<unsigned long long>(engine.total_executed_events()),
-              wall > 0 ? static_cast<double>(engine.total_executed_events()) /
-                             wall / 1e6
+              static_cast<unsigned long long>(run.engine.windows_executed()),
+              static_cast<unsigned long long>(run.engine.messages_routed()),
+              static_cast<unsigned long long>(cell.executed_events),
+              wall > 0 ? static_cast<double>(cell.executed_events) / wall / 1e6
                        : 0.0);
 
   std::ofstream js(o.out);
@@ -302,53 +212,15 @@ int run_scale(const ScaleOptions& o) {
     std::fprintf(stderr, "cannot write %s\n", o.out.c_str());
     return 1;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(digest));
-  js << "{\n"
-     << "  \"benchmark\": \"fig9_scale\",\n"
-     << "  \"hosts\": " << o.hosts << ",\n"
-     << "  \"shards\": " << o.shards << ",\n"
-     << "  \"vms_per_host\": " << o.vms_per_host << ",\n"
-     << "  \"wave_size\": " << o.wave << ",\n"
-     << "  \"workers\": " << o.workers << ",\n"
-     << "  \"concurrent_sessions\": " << sessions << ",\n"
-     << "  \"lookahead_us\": "
-     << static_cast<long long>(cfg.calib.link.latency) << ",\n"
+  o.write_json_head(js, "fig9_scale");
+  js << "  \"lookahead_us\": "
+     << static_cast<long long>(run.config.calib.link.latency) << ",\n"
      << "  \"sim_seconds\": " << sim_window << ",\n"
-     << "  \"wall_seconds\": " << wall << ",\n"
-     << "  \"completions\": " << stats.completions << ",\n"
-     << "  \"failures\": " << stats.failures << ",\n"
      << "  \"sessions_per_sec\": " << sessions_per_sec << ",\n"
-     << "  \"sessions_per_sim_sec\": "
-     << (sim_window > 0
-             ? static_cast<double>(stats.completions) / sim_window
-             : 0.0)
-     << ",\n"
-     << "  \"pooled_availability\": " << stats.pooled_availability << ",\n"
-     << "  \"p99_availability\": " << stats.availability_p99 << ",\n"
-     << "  \"p999_availability\": " << stats.availability_p999 << ",\n"
-     << "  \"planned_downtime_us\": " << stats.planned_downtime << ",\n"
-     << "  \"unplanned_downtime_us\": " << stats.unplanned_downtime << ",\n"
-     << "  \"p99_session_downtime_us\": "
-     << stats.session_downtime.percentile(99.0) << ",\n"
-     << "  \"p999_session_downtime_us\": "
-     << stats.session_downtime.percentile(99.9) << ",\n"
-     << "  \"p99_request_latency_us\": "
-     << stats.request_latency.percentile(99.0) << ",\n"
-     << "  \"waves_started\": " << waves.waves.size() << ",\n"
-     << "  \"hosts_rejuvenated\": " << cl.rejuvenation_durations().size()
-     << ",\n"
-     << "  \"federated_dispatches\": " << cl.sharded_balancer()->federated()
-     << ",\n"
-     << "  \"rejected_dispatches\": " << cl.sharded_balancer()->rejected()
-     << ",\n"
-     << "  \"events\": " << engine.total_executed_events() << ",\n"
-     << "  \"windows\": " << engine.windows_executed() << ",\n"
-     << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
-     << ",\n"
-     << "  \"digest\": \"" << buf << "\"\n"
-     << "}\n";
+     << "  \"sessions_per_sim_sec\": " << sessions_per_sim_sec << ",\n"
+     << "  \"windows\": " << run.engine.windows_executed() << ",\n  ";
+  cell.write_json(js, ",\n  ");
+  js << "\n}\n";
   std::printf("    wrote %s\n", o.out.c_str());
   return 0;
 }
@@ -437,48 +309,20 @@ int main(int argc, char** argv) {
   // jitter, and print its digest (CI diffs N=1 vs N=4).
   // --hosts/--shards/...: run ONLY the datacenter-scale scenario
   // (sharded balancer + session fleet + waves) and write BENCH_scale.json.
-  // All are stripped before SweepOptions so the default invocation (and
-  // its output) is untouched.
   std::string trace_path;
   std::size_t par_workers = 0;
-  ScaleOptions scale;
-  bool scale_mode = false;
-  std::vector<char*> rest = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      par_workers = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--hosts") == 0 && i + 1 < argc) {
-      scale.hosts = std::atoi(argv[++i]);
-      scale_mode = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      scale.shards = std::atoi(argv[++i]);
-      scale_mode = true;
-    } else if (std::strcmp(argv[i], "--wave") == 0 && i + 1 < argc) {
-      scale.wave = std::atoi(argv[++i]);
-      scale_mode = true;
-    } else if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
-      scale.sessions = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-      scale_mode = true;
-    } else if (std::strcmp(argv[i], "--sim-seconds") == 0 && i + 1 < argc) {
-      scale.sim_seconds = std::atof(argv[++i]);
-      scale_mode = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      scale.out = argv[++i];
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  const auto opt = rh::bench::SweepOptions::parse(
-      static_cast<int>(rest.size()), rest.data());
-  if (scale_mode) {
-    if (scale.hosts < 1 || scale.shards < 1 || scale.wave < 1 ||
-        scale.sim_seconds <= 0) {
-      std::fprintf(stderr, "scale mode needs hosts/shards/wave >= 1 and "
-                           "sim-seconds > 0\n");
-      return 2;
-    }
+  bench::FleetOptions scale{.hosts = 100,
+                            .shards = 4,
+                            .wave = 8,
+                            .sim_seconds = 6.0,
+                            .out = "BENCH_scale.json"};
+  bench::Flags flags;
+  flags.path("--trace", trace_path).integer("--workers", par_workers);
+  scale.bind_scale(flags);
+  const auto opt = bench::SweepOptions::parse(argc, argv, flags);
+  if (flags.given("--hosts") || flags.given("--shards") ||
+      flags.given("--wave") || flags.given("--sessions") ||
+      flags.given("--sim-seconds")) {
     scale.workers = par_workers > 0 ? par_workers : 1;
     scale.seed = opt.root_seed;
     return run_scale(scale);

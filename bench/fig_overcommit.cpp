@@ -117,24 +117,15 @@ RunResult run_one(rejuv::RebootKind kind, double ratio, std::uint64_t seed) {
 int main(int argc, char** argv) {
   std::vector<double> ratios = {1.0, 1.2, 1.5, 2.0};
   std::string out_path;
-  std::vector<char*> rest = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--overcommit") == 0 && i + 1 < argc) {
-      ratios = rh::bench::parse_value_list("--overcommit", argv[++i]);
-      for (const double r : ratios) {
-        if (r < 1.0) {
-          std::fprintf(stderr, "--overcommit: ratio %g below 1.0\n", r);
-          return 2;
-        }
-      }
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      rest.push_back(argv[i]);
+  rh::bench::Flags flags;
+  flags.values("--overcommit", ratios).path("--out", out_path);
+  const auto opt = rh::bench::SweepOptions::parse(argc, argv, flags);
+  for (const double r : ratios) {
+    if (r < 1.0) {
+      std::fprintf(stderr, "--overcommit: ratio %g below 1.0\n", r);
+      return 2;
     }
   }
-  const auto opt = rh::bench::SweepOptions::parse(
-      static_cast<int>(rest.size()), rest.data());
 
   rh::bench::print_header(
       "Overcommit sweep: availability and downtime vs overcommit ratio "
@@ -149,7 +140,7 @@ int main(int argc, char** argv) {
                                      rejuv::RebootKind::kCold};
   const char* names[] = {"warm", "saved", "cold"};
   // One grid per reboot kind sharing the root seed, so every kind faces
-  // the same replication substreams (same layout as tab_availability).
+  // the same replication substreams.
   exp::GridResult grids[3];
   for (std::size_t k = 0; k < 3; ++k) {
     grids[k] = exp::run_grid(
@@ -179,6 +170,7 @@ int main(int argc, char** argv) {
 
   if (out_path.empty()) return 0;
   std::string json = "{\n  \"benchmark\": \"overcommit_sweep\",\n";
+  json += "  " + rh::bench::argv_json() + ",\n";
   json += "  \"workload\": \"supervised rejuvenation of " +
           std::to_string(kVms) +
           " JBoss VMs, 1 h window, preserved budget 0.72 x usable\",\n";

@@ -16,11 +16,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "cluster/cluster.hpp"
 #include "cluster/session_fleet.hpp"
+#include "flags.hpp"
 #include "obs/observer.hpp"
 #include "simcore/hash.hpp"
 #include "simcore/parallel.hpp"
@@ -151,20 +151,11 @@ int main(int argc, char** argv) {
   double budget_seconds = 10.0;
   std::uint64_t ops = 1 << 22;
   std::string out_path = "BENCH_obs.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--budget-seconds") == 0 && i + 1 < argc) {
-      budget_seconds = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--ops") == 0 && i + 1 < argc) {
-      ops = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--budget-seconds S] [--out PATH] [--ops N]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  bench::Flags()
+      .number("--budget-seconds", budget_seconds)
+      .path("--out", out_path)
+      .integer("--ops", ops, 1)
+      .parse(argc, argv);
 
   struct Micro {
     const char* name;
@@ -217,6 +208,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(off.digest));
 
   std::string json = "{\n  \"benchmark\": \"observability\",\n";
+  json += "  " + bench::argv_json() + ",\n";
   json += "  \"contract\": \"observer off = one predicted branch per site, "
           "zero RNG draws, zero scheduled events; the cluster digests below "
           "must be equal\",\n";

@@ -21,13 +21,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/session_fleet.hpp"
+#include "flags.hpp"
 #include "simcore/hash.hpp"
 #include "simcore/parallel.hpp"
 
@@ -134,16 +134,6 @@ RunResult run_best_of(const RunConfig& rc, int reps) {
   return best;
 }
 
-std::vector<long> parse_list(const char* s) {
-  std::vector<long> out;
-  while (*s != '\0') {
-    char* end = nullptr;
-    out.push_back(std::strtol(s, &end, 10));
-    s = *end == ',' ? end + 1 : end;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -152,38 +142,25 @@ int main(int argc, char** argv) {
   std::vector<long> lookaheads = {50, 100, 200, 400, 800};
   int reps = 3;
   std::string out_path = "BENCH_pdes.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--hosts") == 0 && i + 1 < argc) {
-      base.hosts = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--vms") == 0 && i + 1 < argc) {
-      base.vms_per_host = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--sim-seconds") == 0 && i + 1 < argc) {
-      base.sim_seconds = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--connections") == 0 && i + 1 < argc) {
-      base.connections = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = parse_list(argv[++i]);
-    } else if (std::strcmp(argv[i], "--lookahead-us") == 0 && i + 1 < argc) {
-      lookaheads = parse_list(argv[++i]);
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::max(1, std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      base.hosts = 12;
-      base.sim_seconds = 5.0;
-      workers = {1, 2};
-      lookaheads = {100, 400};
-      reps = 1;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--hosts H] [--vms V] [--sim-seconds S] "
-                   "[--connections C] [--workers LIST] [--lookahead-us LIST] "
-                   "[--reps N] [--out PATH] [--quick]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  bench::Flags()
+      .integer("--hosts", base.hosts, 1)
+      .integer("--vms", base.vms_per_host, 1)
+      .seconds("--sim-seconds", base.sim_seconds)
+      .integer("--connections", base.connections)
+      .integers("--workers", workers)
+      .integers("--lookahead-us", lookaheads)
+      .integer("--reps", reps)
+      .path("--out", out_path)
+      .action("--quick",
+              [&] {
+                base.hosts = 12;
+                base.sim_seconds = 5.0;
+                workers = {1, 2};
+                lookaheads = {100, 400};
+                reps = 1;
+              })
+      .parse(argc, argv);
+  reps = std::max(1, reps);
 
   const unsigned hw = std::thread::hardware_concurrency();
   const bool degenerate = hw <= 1;
@@ -259,6 +236,7 @@ int main(int argc, char** argv) {
 
   // --------------------------------------------------------------- JSON
   std::string json = "{\n  \"benchmark\": \"pdes\",\n";
+  json += "  " + bench::argv_json() + ",\n";
   char buf[512];
   std::snprintf(buf, sizeof buf,
                 "  \"hosts\": %d,\n  \"vms_per_host\": %d,\n"

@@ -90,24 +90,16 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::size_t reps = 0;
   std::string out_path = "BENCH_runner.json";
-  std::vector<std::size_t> thread_counts;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      thread_counts = {static_cast<std::size_t>(std::atoll(argv[++i]))};
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--threads T] [--reps R] [--quick] [--out PATH]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  if (thread_counts.empty()) thread_counts = {1, 2, 4, 8};
+  std::size_t threads = 0;
+  bench::Flags flags;
+  flags.action("--quick", [&quick] { quick = true; })
+      .integer("--reps", reps)
+      .integer("--threads", threads)
+      .path("--out", out_path)
+      .parse(argc, argv);
+  const std::vector<std::size_t> thread_counts =
+      flags.given("--threads") ? std::vector<std::size_t>{threads}
+                               : std::vector<std::size_t>{1, 2, 4, 8};
   if (reps == 0) reps = quick ? 200 : 480;
 
   // Jitter on, so replications genuinely differ and the merge paths are
@@ -176,6 +168,7 @@ int main(int argc, char** argv) {
               bench::fmt_ci(largest.mean(2), largest.ci95(2), "%.1f").c_str());
 
   std::string json = "{\n  \"benchmark\": \"replication_runner\",\n";
+  json += "  " + bench::argv_json() + ",\n";
   json += "  \"workload\": \"warm, saved and cold rejuvenation of n JBoss "
           "VMs per replication (one Fig. 6 cell)\",\n";
   json += "  \"points\": " + std::to_string(spec.points) + ",\n";

@@ -208,6 +208,7 @@ void run_fault_sweep(const std::vector<double>& rates,
 
   if (out_path.empty()) return;
   std::string json = "{\n  \"benchmark\": \"availability_fault_sweep\",\n";
+  json += "  " + rh::bench::argv_json() + ",\n";
   json += "  \"workload\": \"supervised rejuvenation of 4 JBoss VMs, 1 h "
           "window, uniform per-mechanism fault rate\",\n";
   json += "  \"replications_per_point\": " + std::to_string(opt.reps) + ",\n";
@@ -244,21 +245,11 @@ void run_fault_sweep(const std::vector<double>& rates,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip the sweep-specific flags, then hand the rest to SweepOptions.
   std::vector<double> fault_rates;
   std::string out_path;
-  std::vector<char*> rest = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fault-rate") == 0 && i + 1 < argc) {
-      fault_rates = rh::bench::parse_value_list("--fault-rate", argv[++i]);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  const auto opt = rh::bench::SweepOptions::parse(
-      static_cast<int>(rest.size()), rest.data());
+  rh::bench::Flags flags;
+  flags.values("--fault-rate", fault_rates).path("--out", out_path);
+  const auto opt = rh::bench::SweepOptions::parse(argc, argv, flags);
   if (!fault_rates.empty()) {
     run_fault_sweep(fault_rates, out_path, opt);
     return 0;

@@ -35,28 +35,17 @@
 namespace {
 
 using namespace rh;
+using bench::kLadders;
 using bench::Testbed;
 
-struct Ladder {
-  const char* name;
-  rejuv::RebootKind planned;
-  bool micro;
-};
-
-constexpr Ladder kLadders[] = {
-    {"micro", rejuv::RebootKind::kWarm, true},
-    {"warm", rejuv::RebootKind::kWarm, false},
-    {"saved", rejuv::RebootKind::kSaved, false},
-    {"cold", rejuv::RebootKind::kCold, false},
-};
-constexpr std::size_t kLadderCount = 4;
+constexpr std::size_t kLadderCount = std::size(kLadders);
 
 /// Per-VM availability over a one-hour window: one planned supervised
 /// rejuvenation, then steady unplanned VMM crashes/hangs at `rate` per
 /// check, each answered by a fresh Supervisor ladder. The observer rides
 /// along so micro-attempt counters reach the merged point metrics.
-exp::ReplicationResult microrec_replication(const Ladder& ladder, double rate,
-                                            std::uint64_t seed) {
+exp::ReplicationResult microrec_replication(const bench::Ladder& ladder,
+                                            double rate, std::uint64_t seed) {
   Testbed tb(seed);
   tb.host->obs().set_enabled(true);
   tb.add_vms(4, sim::kGiB, Testbed::ServiceMix::kJboss);
@@ -71,19 +60,9 @@ exp::ReplicationResult microrec_replication(const Ladder& ladder, double rate,
   tb.sim.run_for(sim::kSecond);
 
   // Arm only the steady VMM kinds: this sweep is about unplanned failures,
-  // not about the planned pass's own mechanisms misbehaving. Hangs are
-  // modelled at half the crash rate -- rarer, and costlier to detect.
-  fault::FaultConfig faults;
-  faults.vmm_crash_rate = rate;
-  faults.vmm_hang_rate = rate / 2.0;
-  tb.host->configure_faults(faults);
-
-  rejuv::SupervisorConfig scfg;
-  scfg.preferred = ladder.planned;
-  if (ladder.micro) {
-    scfg.micro.enabled = true;
-    scfg.micro.success_rate = 0.85;  // ReHype's reported recovery rate
-  }
+  // not about the planned pass's own mechanisms misbehaving.
+  tb.host->configure_faults(bench::steady_vmm_faults(rate));
+  const rejuv::SupervisorConfig scfg = bench::ladder_config(ladder);
 
   const sim::SimTime start = tb.sim.now();
   const sim::SimTime end = start + sim::kHour;
@@ -139,18 +118,9 @@ std::string micro_counters(const obs::MetricsRegistry& m) {
 int main(int argc, char** argv) {
   std::vector<double> rates = {0.0, 0.05, 0.1, 0.2, 0.4};
   std::string out_path = "BENCH_microrec.json";
-  std::vector<char*> rest = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fault-rate") == 0 && i + 1 < argc) {
-      rates = rh::bench::parse_value_list("--fault-rate", argv[++i]);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  const auto opt = rh::bench::SweepOptions::parse(
-      static_cast<int>(rest.size()), rest.data());
+  rh::bench::Flags flags;
+  flags.values("--fault-rate", rates).path("--out", out_path);
+  const auto opt = rh::bench::SweepOptions::parse(argc, argv, flags);
 
   rh::bench::print_header(
       "Unplanned-crash resilience: availability vs steady VMM fault rate");
@@ -204,6 +174,7 @@ int main(int argc, char** argv) {
 
   if (out_path.empty()) return 0;
   std::string json = "{\n  \"benchmark\": \"microrecovery_fault_sweep\",\n";
+  json += "  " + rh::bench::argv_json() + ",\n";
   json += "  \"workload\": \"planned supervised rejuvenation of 4 JBoss VMs "
           "plus steady VMM crash/hang arrivals, 1 h window\",\n";
   json += "  \"replications_per_point\": " + std::to_string(opt.reps) + ",\n";

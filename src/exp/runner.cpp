@@ -100,10 +100,12 @@ GridResult run_grid(const GridSpec& spec, const ReplicationBody& body) {
   std::vector<ReplicationResult> results(ctxs.size());
   std::vector<std::exception_ptr> errors(ctxs.size());
 
-  const std::size_t threads =
+  // At most one thread per task: another would find no task to claim.
+  const std::size_t threads = std::min(
+      ctxs.size(),
       spec.threads != 0
           ? spec.threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency()));
   std::atomic<std::size_t> next{0};
   {
     // Each thread claims the next unrun task index until the grid is

@@ -118,6 +118,14 @@ TEST(ExpRunner, FourThreadsMatchSequentialOracle) {
   expect_bitwise_equal(seq, par);
 }
 
+TEST(ExpRunner, NeverStartsMoreThreadsThanTasks) {
+  const auto body = scrambled_body(12, false);
+  const auto seq = exp::run_grid_sequential(small_grid(1), body);
+  const auto par = exp::run_grid(small_grid(16), body);
+  EXPECT_EQ(par.threads_used, std::size_t{12});
+  expect_bitwise_equal(seq, par);
+}
+
 TEST(ExpRunner, ScrambledCompletionOrderStillMatches) {
   // Sleeps make tasks finish in roughly *reverse* submission order; the
   // fixed-order reduction must still produce byte-identical output.
