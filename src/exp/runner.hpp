@@ -109,11 +109,12 @@ struct GridResult {
   [[nodiscard]] const Reducer& point(std::size_t p) const { return points[p]; }
 };
 
-/// Runs the grid on `threads` worker threads, each claiming the next
-/// unrun task from one shared counter, and reduces in fixed order after
-/// joining them. The merged result is byte-identical for any thread count
-/// (see file comment). An exception thrown by a body is rethrown here,
-/// lowest task index first.
+/// Runs the grid on min(`threads`, task count) worker threads (`threads`
+/// 0 = one per hardware thread), each claiming the next unrun task from
+/// one shared counter, and reduces in fixed order after joining them;
+/// `threads_used` reports the count started. The merged result is
+/// byte-identical for any thread count (see file comment). An exception
+/// thrown by a body is rethrown here, lowest task index first.
 GridResult run_grid(const GridSpec& spec, const ReplicationBody& body);
 
 /// Reference implementation: same contexts, same reduction, plain loop on

@@ -68,12 +68,4 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const auto& e : other.summaries_) summary(e.name).merge(e.value);
 }
 
-void MetricsRegistry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  summaries_.clear();
-  index_.clear();
-}
-
 }  // namespace rh::obs

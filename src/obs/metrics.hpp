@@ -68,8 +68,6 @@ class MetricsRegistry {
   /// (see file comment).
   void merge(const MetricsRegistry& other);
 
-  void clear();
-
  private:
   enum class Type : std::uint8_t { kCounter, kGauge, kHistogram, kSummary };
   struct Slot {

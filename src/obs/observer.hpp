@@ -98,13 +98,6 @@ class Observer {
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
 
-  void clear() {
-    ring_.clear();
-    spans_.clear();
-    metrics_.clear();
-    ambient_ = kNoSpan;
-  }
-
  private:
   bool enabled_ = false;
   SpanId ambient_ = kNoSpan;

@@ -65,9 +65,4 @@ std::vector<SpanId> SpanRecorder::children_of(SpanId parent) const {
   return out;
 }
 
-void SpanRecorder::clear() {
-  records_.clear();
-  open_count_ = 0;
-}
-
 }  // namespace rh::obs

@@ -91,8 +91,6 @@ class SpanRecorder {
   /// Direct children of `parent` (kNoSpan = the roots), in open order.
   [[nodiscard]] std::vector<SpanId> children_of(SpanId parent) const;
 
-  void clear();
-
  private:
   std::vector<SpanRecord> records_;
   std::size_t open_count_ = 0;

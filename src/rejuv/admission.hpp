@@ -17,8 +17,8 @@
 //
 // plan() is pure: it mutates nothing and draws nothing from any RNG, so a
 // disabled admission controller leaves runs byte-identical. The
-// Supervisor executes the plan and emits a typed RecoveryEvent per action
-// (DESIGN.md §9).
+// Supervisor executes the plan and records a typed RecoveryAction for each
+// step (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>

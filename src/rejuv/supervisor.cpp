@@ -71,11 +71,8 @@ const char* to_string(RecoveryAction a) {
 }
 
 std::size_t SupervisorReport::recovery_count(RecoveryAction a) const {
-  std::size_t n = 0;
-  for (const auto& r : recoveries) {
-    if (r.action == a) ++n;
-  }
-  return n;
+  return static_cast<std::size_t>(
+      std::count(recoveries.begin(), recoveries.end(), a));
 }
 
 Supervisor::Supervisor(vmm::Host& host, std::vector<guest::GuestOs*> guests,
@@ -89,10 +86,9 @@ Supervisor::Supervisor(vmm::Host& host, std::vector<guest::GuestOs*> guests,
   for (const auto* g : guests_) ensure(g != nullptr, "Supervisor: null guest");
 }
 
-void Supervisor::record(RecoveryAction action, const std::string& subject,
-                        const std::string& detail) {
-  report_.recoveries.push_back({action, host_.sim().now(), subject, detail});
-  // Mirror the typed RecoveryEvent into the trace stream and bump the
+void Supervisor::record(RecoveryAction action) {
+  report_.recoveries.push_back(action);
+  // Mirror the recovery action into the trace stream and bump the
   // per-action counter that the availability sweeps aggregate.
   obs::Observer& obs = host_.obs();
   if (obs.enabled()) {
@@ -244,7 +240,7 @@ void Supervisor::handle_vmm_failure(fault::FaultKind kind) {
     if (config_.micro.enabled) {
       start_micro(kind);
     } else {
-      crash_fallback(kind, /*micro_exhausted=*/false);
+      crash_fallback(/*micro_exhausted=*/false);
     }
   };
   if (kind == fault::FaultKind::kVmmHang) {
@@ -258,7 +254,7 @@ void Supervisor::handle_vmm_failure(fault::FaultKind kind) {
   proceed();
 }
 
-void Supervisor::crash_fallback(fault::FaultKind kind, bool micro_exhausted) {
+void Supervisor::crash_fallback(bool micro_exhausted) {
   open_rung("hardware-reboot-after-crash");
   if (micro_exhausted) {
     // Micro-recovery gave up; whatever preserved state the attempts were
@@ -270,16 +266,7 @@ void Supervisor::crash_fallback(fault::FaultKind kind, bool micro_exhausted) {
   // Every domain died with the hypervisor; the guest objects must observe
   // that before they can be cold-booted.
   for (auto* g : guests_) g->force_power_off();
-  const char* detail =
-      micro_exhausted
-          ? "micro-recovery exhausted; hardware reboot and cold boot of "
-            "every VM"
-          : (kind == fault::FaultKind::kVmmHang
-                 ? "VMM hang detected by the watchdog; hardware reboot and "
-                   "cold boot of every VM"
-                 : "VMM crashed before rejuvenation could run; hardware "
-                   "reboot and cold boot of every VM");
-  record(RecoveryAction::kHardwareRebootAfterCrash, "vmm", detail);
+  record(RecoveryAction::kHardwareRebootAfterCrash);
   hardware_reset_step([this] {
     boot_then_finish("guest OS boot", guests_, RebootKind::kCold);
   });
@@ -316,48 +303,36 @@ void Supervisor::start_micro(fault::FaultKind kind) {
       g->force_power_off();
     }
   }
-  micro_attempt(kind, 0);
+  micro_attempt(0);
 }
 
-void Supervisor::micro_attempt(fault::FaultKind kind, int attempt) {
+void Supervisor::micro_attempt(int attempt) {
   ++report_.micro_attempts;
-  record(RecoveryAction::kMicroRecoveryAttempt, "vmm",
-         "in-place rebuild attempt " + std::to_string(attempt + 1) + " of " +
-             std::to_string(kMicroMaxAttempts));
+  record(RecoveryAction::kMicroRecoveryAttempt);
   const sim::Duration repair =
       kMicroAttemptBase +
       sim::transfer_time(micro_repair_bytes(), host_.calib().mem_copy_bps);
   const obs::SpanId span =
       host_.obs().span_open(host_.sim().now(), obs::Phase::kMicroRecovery,
                             "micro-recovery attempt");
-  host_.sim().after(host_.jittered(repair), [this, kind, attempt, span] {
+  host_.sim().after(host_.jittered(repair), [this, attempt, span] {
     host_.obs().span_close(span, host_.sim().now());
     if (host_.rng().uniform01() >= config_.micro.success_rate) {
-      record(RecoveryAction::kMicroRecoveryFailed, "vmm",
-             "heap/domain-metadata rebuild failed (attempt " +
-                 std::to_string(attempt + 1) + ")");
+      record(RecoveryAction::kMicroRecoveryFailed);
       if (attempt + 1 < kMicroMaxAttempts) {
-        micro_attempt(kind, attempt + 1);
+        micro_attempt(attempt + 1);
       } else {
-        crash_fallback(kind, /*micro_exhausted=*/true);
+        crash_fallback(/*micro_exhausted=*/true);
       }
       return;
     }
     const vmm::Vmm::MicroRecoveryReport vr = host_.micro_recover_vmm();
     if (!vr.ok()) {
-      record(RecoveryAction::kMicroRecoveryMetadataCorrupt, "vmm",
-             "rebuilt state unusable (" +
-                 std::to_string(vr.corrupt_domains.size()) +
-                 " corrupt snapshot(s), frames " +
-                 (vr.frames_consistent ? "consistent" : "inconsistent") +
-                 "); falling to hardware reboot");
-      crash_fallback(kind, /*micro_exhausted=*/true);
+      record(RecoveryAction::kMicroRecoveryMetadataCorrupt);
+      crash_fallback(/*micro_exhausted=*/true);
       return;
     }
-    record(RecoveryAction::kMicroRecoverySucceeded, "vmm",
-           "VMM rebuilt in place; " + std::to_string(vr.intact_regions) +
-               " of " + std::to_string(vr.regions_checked) +
-               " crash snapshot(s) intact");
+    record(RecoveryAction::kMicroRecoverySucceeded);
     report_.micro_recovered = true;
     micro_resume_phase();
   });
@@ -378,8 +353,7 @@ void Supervisor::micro_resume_phase() {
   for (auto* g : suspendable_guests()) {
     if (g->state() == guest::OsState::kSuspended) frozen.push_back(g);
   }
-  resume_verified(frozen, "crash snapshot", "failure",
-                  [this] { boot_rest(RebootKind::kWarm); });
+  resume_verified(frozen, [this] { boot_rest(RebootKind::kWarm); });
 }
 
 // ------------------------------------------------------------------ warm
@@ -401,18 +375,14 @@ void Supervisor::attempt_xexec(int attempt) {
           return;
         }
         if (attempt < kMaxStepRetries) {
-          record(RecoveryAction::kStepRetry, "xexec",
-                 "image load failed (attempt " + std::to_string(attempt + 1) +
-                     "); retrying after backoff");
+          record(RecoveryAction::kStepRetry);
           host_.sim().after(backoff(attempt),
                             [this, attempt] { attempt_xexec(attempt + 1); });
           return;
         }
         // Nothing has been disturbed yet -- every guest still answers -- so
         // degrading to the saved-VM reboot is a clean restart of the ladder.
-        record(RecoveryAction::kFallbackToSaved, "xexec",
-               "image load failed " + std::to_string(attempt + 1) +
-                   " times; degrading to saved-VM reboot");
+        record(RecoveryAction::kFallbackToSaved);
         start_saved();
       });
 }
@@ -506,9 +476,7 @@ void Supervisor::run_admission(std::function<void()> done) {
     if (host_.faults().roll(fault::FaultKind::kBalloonReclaimFailure,
                             host_.sim().now(),
                             "admission:" + r.guest->name())) {
-      record(RecoveryAction::kBalloonReclaim, r.guest->name(),
-             "balloon reclaim FAILED (injected); 0 of " +
-                 std::to_string(r.frames) + " frames reclaimed");
+      record(RecoveryAction::kBalloonReclaim);
       residual += r.frames;
       continue;
     }
@@ -518,9 +486,7 @@ void Supervisor::run_admission(std::function<void()> done) {
     const std::int64_t got = balloon.inflate(r.frames);
     report_.pressure.reclaimed_frames += got;
     residual += r.frames - got;
-    record(RecoveryAction::kBalloonReclaim, r.guest->name(),
-           "ballooned out " + std::to_string(got) + " of " +
-               std::to_string(r.frames) + " frames for admission");
+    record(RecoveryAction::kBalloonReclaim);
   }
   while (residual > 0) {
     const std::int64_t freed = escalate_demotion(plan);
@@ -530,14 +496,10 @@ void Supervisor::run_admission(std::function<void()> done) {
 
   report_.pressure.demoted_saved = plan.demote_saved.size();
   admit_saved_ = plan.demote_saved;
-  for (auto* g : admit_saved_) {
-    record(RecoveryAction::kDemoteToSaved, g->name(),
-           "preserved-memory shortfall; this VM takes the disk path while "
-           "its siblings stay warm");
+  for (std::size_t i = 0; i < admit_saved_.size(); ++i) {
+    record(RecoveryAction::kDemoteToSaved);
   }
-  save_to_disk(admit_saved_,
-               "demotion save lost to a disk write error; VM will cold boot",
-               std::move(done));
+  save_to_disk(admit_saved_, std::move(done));
 }
 
 void Supervisor::sweep_stale_regions() {
@@ -605,12 +567,10 @@ void Supervisor::warm_resume_phase() {
       preserved.push_back(g);
     }
   }
-  resume_verified(preserved, "preserved image", "reload",
-                  [this] { warm_restore_demoted(); });
+  resume_verified(preserved, [this] { warm_restore_demoted(); });
 }
 
-void Supervisor::resume_verified(const GuestList& candidates, const char* image,
-                                 const char* lost_in, Done next) {
+void Supervisor::resume_verified(const GuestList& candidates, Done next) {
   // Verify every preserved image before resuming anything: a checksum
   // mismatch means that VM's image rotted in RAM, and resuming it would
   // hand the guest corrupted state. The ladder for that VM alone is a
@@ -621,17 +581,13 @@ void Supervisor::resume_verified(const GuestList& candidates, const char* image,
       // The suspend never recorded an image (injected allocation failure
       // or a budget rejection): this VM's RAM state is gone, but only
       // this VM's.
-      record(RecoveryAction::kPreservedImageLost, g->name(),
-             std::string("no ") + image + " survived the " + lost_in +
-                 "; cold-booting this VM only");
+      record(RecoveryAction::kPreservedImageLost);
       g->force_power_off();
       cold_list_.push_back(g);
     } else if (host_.vmm().preserved_image_intact(g->name())) {
       intact.push_back(g);
     } else {
-      record(RecoveryAction::kColdBootSingleVm, g->name(),
-             std::string(image) +
-                 " failed its checksum; cold-booting this VM only");
+      record(RecoveryAction::kColdBootSingleVm);
       discard_preserved_image(g->name());
       g->force_power_off();
       cold_list_.push_back(g);
@@ -671,10 +627,7 @@ void Supervisor::warm_restore_demoted() {
   step(
       "restore demoted VMs from disk",
       [this, to_restore](Done done) {
-        restore_from_disk(to_restore,
-                          "demotion restore failed with a disk read error; "
-                          "VM will cold boot",
-                          std::move(done));
+        restore_from_disk(to_restore, std::move(done));
       },
       [this] { boot_rest(RebootKind::kWarm); });
 }
@@ -690,10 +643,7 @@ void Supervisor::start_saved() {
   step(
       "save VMs to disk",
       [this](Done done) {
-        save_to_disk(suspendable_guests(),
-                     "saved image lost to a disk write error; VM will cold "
-                     "boot",
-                     std::move(done));
+        save_to_disk(suspendable_guests(), std::move(done));
       },
       [this] {
         // Plain reboot: hardware reset (POST), boot loader, fresh VMM,
@@ -724,10 +674,8 @@ void Supervisor::saved_restore_phase() {
   step(
       "restore VMs from disk",
       [this](Done done) {
-        restore_from_disk(
-            with_disk_image(suspendable_guests()),
-            "restore failed with a disk read error; VM will cold boot",
-            std::move(done));
+        restore_from_disk(with_disk_image(suspendable_guests()),
+                          std::move(done));
       },
       [this] { boot_rest(RebootKind::kSaved); });
 }
@@ -775,18 +723,17 @@ void Supervisor::shutdown_guests(const GuestList& guests, Done done) {
       std::move(done));
 }
 
-void Supervisor::save_to_disk(const GuestList& guests, const char* lost_detail,
-                              Done done) {
+void Supervisor::save_to_disk(const GuestList& guests, Done done) {
   for_each_parallel(
       guests,
-      [this, lost_detail](guest::GuestOs& g, Done guest_done) {
+      [this](guest::GuestOs& g, Done guest_done) {
         host_.vmm().save_domain_to_disk(
             g.domain_id(), host_.images(),
-            [this, &g, lost_detail, guest_done = std::move(guest_done)] {
+            [this, &g, guest_done = std::move(guest_done)] {
               if (host_.images().find(g.name()) == nullptr) {
                 // The write failed after the domain was torn down: the
                 // VM's state is gone. Next rung: cold boot that VM.
-                record(RecoveryAction::kFallbackToCold, g.name(), lost_detail);
+                record(RecoveryAction::kFallbackToCold);
                 g.force_power_off();
                 cold_list_.push_back(&g);
               }
@@ -796,21 +743,18 @@ void Supervisor::save_to_disk(const GuestList& guests, const char* lost_detail,
       std::move(done));
 }
 
-void Supervisor::restore_from_disk(const GuestList& guests,
-                                   const char* failed_detail, Done done) {
+void Supervisor::restore_from_disk(const GuestList& guests, Done done) {
   // Unlike on-memory resume, restores are spread out by their (long) disk
   // reads, so the domains are not created "simultaneously" and the Xen
   // creation artifact does not trigger.
   for_each_parallel(
       guests,
-      [this, failed_detail](guest::GuestOs& g, Done guest_done) {
+      [this](guest::GuestOs& g, Done guest_done) {
         host_.vmm().restore_domain_from_disk(
             g.name(), host_.images(), &g,
-            [this, &g, failed_detail,
-             guest_done = std::move(guest_done)](DomainId id) {
+            [this, &g, guest_done = std::move(guest_done)](DomainId id) {
               if (id == kNoDomain) {
-                record(RecoveryAction::kFallbackToCold, g.name(),
-                       failed_detail);
+                record(RecoveryAction::kFallbackToCold);
                 g.force_power_off();
                 cold_list_.push_back(&g);
               } else {
@@ -865,9 +809,7 @@ void Supervisor::supervised_boot(guest::GuestOs& g, int attempt,
       kBootWatchdog, [this, &g, attempt, settled, shared_done] {
         if (*settled) return;
         *settled = true;
-        record(RecoveryAction::kWatchdogPowerOff, g.name(),
-               "boot hung past the watchdog (attempt " +
-                   std::to_string(attempt + 1) + "); forced power-off");
+        record(RecoveryAction::kWatchdogPowerOff);
         g.force_power_off();
         if (attempt < kMaxStepRetries) {
           host_.sim().after(backoff(attempt), [this, &g, attempt,
@@ -876,9 +818,7 @@ void Supervisor::supervised_boot(guest::GuestOs& g, int attempt,
           });
           return;
         }
-        record(RecoveryAction::kGaveUp, g.name(),
-               "boot hung " + std::to_string(attempt + 1) +
-                   " times; leaving the VM down");
+        record(RecoveryAction::kGaveUp);
         report_.unrecovered_vms.push_back(g.name());
         (*shared_done)(false);
       });

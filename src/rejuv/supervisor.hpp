@@ -24,7 +24,7 @@
 //   VMM crash (aging won the race) ------------->    hardware reboot +
 //                                                    cold boot of all VMs
 //
-// Every recovery decision is recorded as a typed RecoveryEvent so tests
+// Every recovery decision is recorded as a typed RecoveryAction so tests
 // (and the cluster layer) can assert the exact ladder taken, and so the
 // fault-rate sweeps can attribute availability loss to causes.
 #pragma once
@@ -73,14 +73,6 @@ enum class RecoveryAction : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(RecoveryAction a);
-
-/// One recovery decision, for post-mortem accounting and assertions.
-struct RecoveryEvent {
-  RecoveryAction action = RecoveryAction::kStepRetry;
-  sim::SimTime at = 0;
-  std::string subject;  ///< step name or VM name
-  std::string detail;
-};
 
 struct SupervisorConfig {
   /// The mechanism to attempt first; the ladder only descends from here.
@@ -132,7 +124,8 @@ struct SupervisorReport {
   /// rebuilt over preserved RAM and the frozen VMs resumed).
   bool micro_recovered = false;
   std::vector<std::string> unrecovered_vms;
-  std::vector<RecoveryEvent> recoveries;
+  /// Every recovery decision of the pass, in order.
+  std::vector<RecoveryAction> recoveries;
   MemoryPressure pressure;
   /// Every step the pass ran, in order (Fig. 7's operation breakdown).
   std::vector<StepRecord> steps;
@@ -228,7 +221,7 @@ class Supervisor {
   /// One rebuild attempt: charges 200 ms + metadata/mem_copy_bps,
   /// then draws success. Failure retries up to kMicroMaxAttempts, then
   /// falls to crash_fallback; success validates metadata and resumes.
-  void micro_attempt(fault::FaultKind kind, int attempt);
+  void micro_attempt(int attempt);
   /// Resumes every frozen guest whose preserved image survived; per-VM
   /// corruption degrades that VM to a cold boot (siblings still resume).
   void micro_resume_phase();
@@ -236,7 +229,7 @@ class Supervisor {
   /// cold boot of every VM. `micro_exhausted` distinguishes "never tried
   /// micro" (the legacy crash path, byte-identical) from "micro gave up"
   /// (preserved state must be abandoned first).
-  void crash_fallback(fault::FaultKind kind, bool micro_exhausted);
+  void crash_fallback(bool micro_exhausted);
   /// Bytes the rebuild must walk: every crash snapshot in the registry
   /// plus per-domain heap metadata.
   [[nodiscard]] sim::Bytes micro_repair_bytes() const;
@@ -249,22 +242,18 @@ class Supervisor {
   /// Gracefully shuts down guest OSes (parallel).
   void shutdown_guests(const GuestList& guests, Done done);
   /// Saves guests' domains to disk (image writes serialise on the disk). A
-  /// VM whose image is lost to a write error falls to a cold boot,
-  /// recorded with `lost_detail`.
-  void save_to_disk(const GuestList& guests, const char* lost_detail,
-                    Done done);
+  /// VM whose image is lost to a write error falls to a cold boot.
+  void save_to_disk(const GuestList& guests, Done done);
   /// Restores guests from their disk images. A VM whose read fails falls
-  /// to a cold boot, recorded with `failed_detail`.
-  void restore_from_disk(const GuestList& guests, const char* failed_detail,
-                         Done done);
+  /// to a cold boot.
+  void restore_from_disk(const GuestList& guests, Done done);
   /// The guests among `guests` that have a disk image.
   [[nodiscard]] GuestList with_disk_image(const GuestList& guests) const;
-  /// Verifies each candidate's preserved `image` ("preserved image" or
-  /// "crash snapshot"); a lost or corrupt one sends that VM alone to a
-  /// cold boot. Then resumes the intact ones as the "on-memory resume"
-  /// step and notes their simultaneous creation.
-  void resume_verified(const GuestList& candidates, const char* image,
-                       const char* lost_in, Done next);
+  /// Verifies each candidate's preserved image (or crash snapshot); a
+  /// lost or corrupt one sends that VM alone to a cold boot. Then resumes
+  /// the intact ones as the "on-memory resume" step and notes their
+  /// simultaneous creation.
+  void resume_verified(const GuestList& candidates, Done next);
   /// Boots the degraded VMs plus the driver domains, then finishes as
   /// `kind`.
   void boot_rest(RebootKind kind);
@@ -295,8 +284,7 @@ class Supervisor {
   /// Driver domains: must be shut down and rebooted even by warm/saved
   /// reboots (they cannot be suspended; Sec. 7).
   [[nodiscard]] GuestList driver_domain_guests() const;
-  void record(RecoveryAction action, const std::string& subject,
-              const std::string& detail);
+  void record(RecoveryAction action);
   /// Closes the current ladder-rung span (if any) and opens a new one
   /// under the pass span; every mechanism the ladder descends through gets
   /// its own kLadderRung window.

@@ -43,8 +43,6 @@ double Rng::uniform01() {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   ensure(lo <= hi, "Rng::uniform_int: lo > hi");
   const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;

@@ -25,9 +25,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double uniform01();
 
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
-
   /// Uniform integer in [lo, hi] (inclusive). Precondition: lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 

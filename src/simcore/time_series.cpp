@@ -51,9 +51,4 @@ std::optional<SimTime> RateRecorder::last_event_before(SimTime before) const {
   return std::prev(it)->time;
 }
 
-void RateRecorder::clear() {
-  events_.clear();
-  total_ = 0.0;
-}
-
 }  // namespace rh::sim

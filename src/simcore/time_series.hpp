@@ -40,8 +40,6 @@ class RateRecorder {
   /// Time of the last recorded event strictly before `before`, if any.
   [[nodiscard]] std::optional<SimTime> last_event_before(SimTime before) const;
 
-  void clear();
-
  private:
   std::vector<Sample> events_;
   double total_ = 0.0;

@@ -136,14 +136,6 @@ struct Calibration {
   sim::Bytes heap_leak_per_domain_cycle = 0;
   /// Heap bytes leaked when an error path runs (changeset-11752 class).
   sim::Bytes heap_leak_per_error_path = 0;
-  /// Memory xenstored holds right after dom0 boots.
-  sim::Bytes xenstored_base_memory = 4 * sim::kMiB;
-  /// Bytes xenstored leaks per domain-management operation (the
-  /// changeset-8640 bug class in the privileged VM; Sec. 2). 0 = no aging.
-  sim::Bytes xenstored_leak_per_domain_op = 0;
-  /// Memory budget for dom0's control daemons; exceeding it models the
-  /// privileged VM's out-of-memory degradation.
-  sim::Bytes dom0_daemon_budget = 64 * sim::kMiB;
 
   // ------------------------------------------------- artifacts/ablations
   /// If false, the post-reload VMM ignores the preserved-region registry

@@ -22,20 +22,6 @@ ExecState ExecState::deserialize(mm::ByteReader& r) {
   return s;
 }
 
-const char* to_string(DomainState s) {
-  switch (s) {
-    case DomainState::kCreated: return "created";
-    case DomainState::kRunning: return "running";
-    case DomainState::kSuspending: return "suspending";
-    case DomainState::kSuspendedInMemory: return "suspended-in-memory";
-    case DomainState::kSavedToDisk: return "saved-to-disk";
-    case DomainState::kShuttingDown: return "shutting-down";
-    case DomainState::kHalted: return "halted";
-    case DomainState::kDead: return "dead";
-  }
-  return "unknown";
-}
-
 Domain::Domain(DomainId id, std::string name, sim::Bytes memory_size,
                bool privileged)
     : id_(id),

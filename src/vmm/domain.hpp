@@ -60,8 +60,6 @@ enum class DomainState : std::uint8_t {
   kDead,               ///< destroyed; memory released
 };
 
-[[nodiscard]] const char* to_string(DomainState s);
-
 class Domain {
  public:
   Domain(DomainId id, std::string name, sim::Bytes memory_size, bool privileged);

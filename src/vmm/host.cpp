@@ -30,8 +30,8 @@ Vmm& Host::vmm() {
 
 std::unique_ptr<Vmm> Host::new_vmm(BootMode mode) {
   ++vmm_generation_;
-  return std::make_unique<Vmm>(sim_, calib_, machine_, preserved_, xenstore_,
-                               rng_, faults_, mode);
+  return std::make_unique<Vmm>(sim_, calib_, machine_, preserved_, rng_,
+                               faults_, mode);
 }
 
 void Host::configure_faults(const fault::FaultConfig& config) {
@@ -82,7 +82,6 @@ Vmm::MicroRecoveryReport Host::micro_recover_vmm() {
   dom0_state_ = Dom0State::kRunning;
   vmm_ready_at_ = sim_.now();
   dom0_up_at_ = sim_.now();
-  restart_daemons();
   return vmm_->micro_recover();
 }
 
@@ -104,13 +103,6 @@ void Host::end_recovery() {
   recovery_in_progress_ = false;
 }
 
-void Host::restart_daemons() {
-  // xenstored restarts with dom0: fresh state, repopulated from the
-  // hypervisor's view of the live domains.
-  xenstore_.clear();
-  if (vmm_ != nullptr) vmm_->repopulate_store();
-}
-
 void Host::instant_start() {
   ensure(vmm_ == nullptr, "Host::instant_start: already started");
   vmm_ = new_vmm(BootMode::kFresh);
@@ -118,7 +110,6 @@ void Host::instant_start() {
   dom0_state_ = Dom0State::kRunning;
   vmm_ready_at_ = sim_.now();
   dom0_up_at_ = sim_.now();
-  restart_daemons();
 }
 
 void Host::shutdown_dom0(std::function<void()> on_down) {
@@ -147,7 +138,6 @@ void Host::boot_vmm(BootMode mode, std::function<void()> on_up) {
     sim_.after(jittered(calib_.dom0_userland_boot), [this, span, on_up] {
       dom0_state_ = Dom0State::kRunning;
       dom0_up_at_ = sim_.now();
-      restart_daemons();
       obs_.span_close(span, sim_.now());
       on_up();
     });
@@ -162,19 +152,9 @@ void Host::restart_dom0(std::function<void()> on_up) {
     sim_.after(jittered(calib_.dom0_userland_boot), [this, on_up = std::move(on_up)] {
       dom0_state_ = Dom0State::kRunning;
       dom0_up_at_ = sim_.now();
-      restart_daemons();
       on_up();
     });
   });
-}
-
-sim::Bytes Host::xenstored_memory() const {
-  return calib_.xenstored_base_memory + xenstore_.memory_footprint();
-}
-
-double Host::dom0_daemon_pressure() const {
-  return static_cast<double>(xenstored_memory()) /
-         static_cast<double>(calib_.dom0_daemon_budget);
 }
 
 void Host::quick_reload(std::function<void()> on_up) {

@@ -137,21 +137,8 @@ class Host {
 
   /// EXTENSION (the paper's stated future work): reboot *only* domain 0's
   /// userland, without rebooting the VMM or touching the domain Us. The
-  /// guests keep running but are unreachable while the bridge is down;
-  /// dom0's control daemons (xenstored) restart with fresh state.
+  /// guests keep running but are unreachable while the bridge is down.
   void restart_dom0(std::function<void()> on_up);
-
-  // ------------------------------------------------ dom0 daemon aging
-  /// The control-plane store (xenstored's contents). Restarted (emptied
-  /// and repopulated from live domains) whenever dom0 boots.
-  [[nodiscard]] XenStore& xenstore() { return xenstore_; }
-
-  /// Memory held by xenstored right now: its base footprint plus every
-  /// live store node (including leaked backlog; Sec. 2's privileged-VM
-  /// aging).
-  [[nodiscard]] sim::Bytes xenstored_memory() const;
-  /// xenstored memory as a fraction of the dom0 daemon budget.
-  [[nodiscard]] double dom0_daemon_pressure() const;
 
   // ----------------------------------------------------------- telemetry
   /// When the current VMM instance became ready ("reboot completed").
@@ -185,7 +172,6 @@ class Host {
  private:
   void boot_vmm(BootMode mode, std::function<void()> on_up);
   std::unique_ptr<Vmm> new_vmm(BootMode mode);
-  void restart_daemons();
 
   sim::Simulation& sim_;
   Calibration calib_;
@@ -194,7 +180,6 @@ class Host {
   hw::Machine machine_;
   mm::PreservedRegionRegistry preserved_;
   ImageStore images_;
-  XenStore xenstore_;
   net::Link link_;
   fault::FaultInjector faults_;
   std::unique_ptr<Vmm> vmm_;

@@ -204,15 +204,6 @@ bool Vmm::preserved_image_intact(const std::string& name) const {
   return preserved_.intact(std::string(kRegionPrefix) + name);
 }
 
-std::vector<std::string> Vmm::preserved_domain_names() const {
-  std::vector<std::string> out;
-  const std::string prefix = kRegionPrefix;
-  for (const auto& name : preserved_.names()) {
-    if (name.rfind(prefix, 0) == 0) out.push_back(name.substr(prefix.size()));
-  }
-  return out;
-}
-
 void Vmm::resume_domain_on_memory(const std::string& name, GuestHooks* hooks,
                                   std::function<void(DomainId)> done) {
   ensure(static_cast<bool>(done), "resume: callback required");
@@ -266,8 +257,6 @@ void Vmm::resume_domain_on_memory(const std::string& name, GuestHooks* hooks,
         dom->set_state(DomainState::kCreated);
         Domain& ref = *dom;
         domains_[id] = std::move(dom);
-        register_domain_in_store(ref);
-        note_domain_op();
         preserved_.erase(region_name);
 
         // Re-attaching memory scales (mildly) with image size and runs

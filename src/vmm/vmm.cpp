@@ -17,13 +17,12 @@ void XendQueue::enqueue(sim::Duration d, sim::InlineCallback done) {
 }
 
 Vmm::Vmm(sim::Simulation& sim, const Calibration& calib, hw::Machine& machine,
-         mm::PreservedRegionRegistry& preserved, XenStore& xenstore,
-         sim::Rng& rng, fault::FaultInjector& faults, BootMode mode)
+         mm::PreservedRegionRegistry& preserved, sim::Rng& rng,
+         fault::FaultInjector& faults, BootMode mode)
     : sim_(sim),
       calib_(calib),
       machine_(machine),
       preserved_(preserved),
-      xenstore_(xenstore),
       rng_(rng),
       faults_(faults),
       mode_(mode),
@@ -169,43 +168,7 @@ Domain& Vmm::make_domain(const std::string& name, sim::Bytes memory,
   dom->set_hooks(hooks);
   Domain& ref = *dom;
   domains_[id] = std::move(dom);
-  register_domain_in_store(ref);
-  if (!privileged) note_domain_op();
   return ref;
-}
-
-void Vmm::register_domain_in_store(const Domain& d) {
-  const std::string base = "/local/domain/" + std::to_string(d.id());
-  xenstore_.write(base + "/name", d.name());
-  xenstore_.write(base + "/memory/target",
-                  std::to_string(d.memory_size() / sim::kKiB));
-  if (!d.privileged()) {
-    xenstore_.write(base + "/device/vbd/768/state", "4");   // connected
-    xenstore_.write(base + "/device/vif/0/state", "4");
-    xenstore_.write("/vm/" + d.name() + "/uuid",
-                    std::to_string(d.exec().cpu_context));
-  }
-}
-
-void Vmm::repopulate_store() {
-  for (const auto& [id, dom] : domains_) {
-    if (dom->state() != DomainState::kDead) register_domain_in_store(*dom);
-  }
-}
-
-void Vmm::note_domain_op() {
-  ++domain_ops_;
-  // The changeset-8640 bug class: stale transaction buffers pile up in
-  // xenstored on every domain-management operation. Modelled as backlog
-  // nodes whose footprint equals the configured per-op leak exactly.
-  const sim::Bytes leak = calib_.xenstored_leak_per_domain_op;
-  if (leak > 0) {
-    const std::string name = "tx" + std::to_string(domain_ops_);
-    const auto pad = std::max<sim::Bytes>(
-        0, leak - XenStore::kNodeOverhead - static_cast<sim::Bytes>(name.size()));
-    xenstore_.write("/stale/" + name,
-                    std::string(static_cast<std::size_t>(pad), 'x'));
-  }
 }
 
 void Vmm::create_domain(const std::string& name, sim::Bytes memory,
@@ -241,9 +204,6 @@ void Vmm::destroy_domain(DomainId id) {
     heap_.leak(calib_.heap_leak_per_domain_cycle);
   }
   d.set_state(DomainState::kDead);
-  xenstore_.remove("/local/domain/" + std::to_string(id));
-  xenstore_.remove("/vm/" + d.name());
-  note_domain_op();
   domains_.erase(id);
 }
 

@@ -24,7 +24,6 @@
 #include "vmm/domain.hpp"
 #include "vmm/save_restore.hpp"
 #include "vmm/vmm_heap.hpp"
-#include "vmm/xenstore.hpp"
 
 namespace rh::vmm {
 
@@ -60,8 +59,8 @@ class Vmm {
   static constexpr const char* kRegionPrefix = "domain/";
 
   Vmm(sim::Simulation& sim, const Calibration& calib, hw::Machine& machine,
-      mm::PreservedRegionRegistry& preserved, XenStore& xenstore,
-      sim::Rng& rng, fault::FaultInjector& faults, BootMode mode);
+      mm::PreservedRegionRegistry& preserved, sim::Rng& rng,
+      fault::FaultInjector& faults, BootMode mode);
 
   Vmm(const Vmm&) = delete;
   Vmm& operator=(const Vmm&) = delete;
@@ -127,9 +126,6 @@ class Vmm {
 
   /// Suspends every running unprivileged domain (in parallel).
   void suspend_all_on_memory(std::function<void()> done);
-
-  /// Names of domains with preserved in-memory images.
-  [[nodiscard]] std::vector<std::string> preserved_domain_names() const;
 
   /// Whether a preserved in-memory image exists for `name`. Under memory
   /// pressure a suspend can complete without recording one (budget
@@ -256,12 +252,6 @@ class Vmm {
   [[nodiscard]] mm::FrameAllocator& allocator() { return allocator_; }
   [[nodiscard]] XendQueue& xend() { return xend_; }
   [[nodiscard]] sim::Duration boot_scrub_duration() const { return scrub_duration_; }
-  /// Count of domain-management operations (create/resume/restore/destroy)
-  /// processed by this VMM instance; drives the xenstored aging model.
-  [[nodiscard]] std::uint64_t domain_ops() const { return domain_ops_; }
-
-  /// Re-registers every live domain in the (freshly restarted) store.
-  void repopulate_store();
   [[nodiscard]] const Calibration& calib() const { return calib_; }
   [[nodiscard]] sim::Simulation& sim() { return sim_; }
   [[nodiscard]] hw::Machine& machine() { return machine_; }
@@ -287,11 +277,6 @@ class Vmm {
   /// plus the frozen frame runs, charged at the paper's P2M size.
   mm::PreservedRegion preserved_record(Domain& d);
 
-  /// Registers a domain's control-plane entries in the xenstore.
-  void register_domain_in_store(const Domain& d);
-  /// Accounts one domain-management operation (and its xenstored leak).
-  void note_domain_op();
-
   // Boot-sequence stages shared by boot() and boot_instantly().
   void reserve_preserved_regions();
   void build_dom0();
@@ -304,7 +289,6 @@ class Vmm {
   const Calibration& calib_;
   hw::Machine& machine_;
   mm::PreservedRegionRegistry& preserved_;
-  XenStore& xenstore_;
   sim::Rng& rng_;
   fault::FaultInjector& faults_;
   BootMode mode_;
@@ -317,7 +301,6 @@ class Vmm {
   bool ready_ = false;
   bool xexec_loaded_ = false;
   sim::Duration scrub_duration_ = 0;
-  std::uint64_t domain_ops_ = 0;
 };
 
 }  // namespace rh::vmm

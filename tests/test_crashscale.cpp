@@ -3,12 +3,14 @@
 // readmit membership riding the sharded balancer, failure-reactive wave
 // admission (unplanned outages count against the downtime budget), and
 // the session fleet's planned-vs-unplanned downtime attribution.
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
+#include "cluster/metrics_scraper.hpp"
 #include "cluster/session_fleet.hpp"
 #include "cluster/sharded_balancer.hpp"
 #include "test_util.hpp"
@@ -186,6 +188,110 @@ TEST(SteadyFaultsAtScale, RetryOntoAnUnplannedLadderBacksOff) {
   EXPECT_GT(rig.cl.unplanned_report().failures, std::uint64_t{0});
   rig.cl.stop_steady_faults();
   EXPECT_FALSE(rig.cl.rolling_in_progress());
+}
+
+// How many of the pass's waves launched `host`.
+std::size_t waves_with(const cluster::Cluster::WaveReport& report,
+                       std::size_t host) {
+  return static_cast<std::size_t>(std::count_if(
+      report.waves.begin(), report.waves.end(), [host](const auto& w) {
+        return std::count(w.hosts.begin(), w.hosts.end(), host) != 0;
+      }));
+}
+
+TEST(SteadyFaultsAtScale, CrashBetweenLaunchAndTurnRequeuesTheHost) {
+  // A steady crash lands on host 1 after the wave picked it and before
+  // its turn arrives: the launch decision and the turn are one link
+  // latency apart, and the crash notice trails the crash by another. The
+  // turn must be handed back and the host requeued, not run into the
+  // unplanned ladder's overlap guard.
+  const cluster::Cluster::Config config = crash_cluster(2, 1, /*rate=*/0.0);
+  const sim::Duration latency = config.calib.link.latency;
+  ClusterRig rig(config);
+  fault::FaultConfig crash;
+  crash.vmm_crash_rate = 1.0;
+  rig.cl.host(1).configure_faults(crash);
+  rig.run_for(sim::kSecond);  // every partition clock at one time
+  cluster::Cluster::SteadyFaultsConfig sfc;
+  sfc.process.check_interval = sim::kSecond;
+  rig.cl.start_steady_faults(sfc);
+
+  // The pass's signal probe is a round trip (2 latencies) and the turn
+  // lands one latency after the launch. Starting the pass 1.5 latencies
+  // before the first check puts the crash after the probe answered and
+  // before the turn arrives, and its notice after the launch.
+  rig.run_for(sfc.process.check_interval - 3 * latency / 2);
+  bool done = false;
+  cluster::Cluster::WaveReport report;
+  cluster::Cluster::WaveConfig wcfg;
+  wcfg.wave_size = 2;
+  rig.start_waves(wcfg, done, &report);
+  rig.run_while(
+      [&] { return rig.cl.last_wave_report().deferred_turns == 0; });
+  ASSERT_FALSE(done);
+  ASSERT_EQ(rig.cl.last_wave_report().waves.size(), std::size_t{1});
+  EXPECT_EQ(rig.cl.last_wave_report().waves[0].hosts,
+            (std::vector<std::size_t>{0, 1}));
+
+  // Dry the fault source up so the unplanned ladder and the requeued
+  // turn can finish.
+  rig.cl.stop_steady_faults();
+  rig.cl.host(1).configure_faults({});
+  rig.run_while([&done] { return !done; });
+  ASSERT_TRUE(done);
+  EXPECT_GE(report.deferred_turns, std::size_t{1});
+  // Host 1 left the first wave without an outcome and ran in a later one.
+  EXPECT_EQ(report.waves[0].outcome_hosts, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(waves_with(report, 1), std::size_t{2});
+  EXPECT_EQ(report.hosts_rejuvenated, std::size_t{2});
+  EXPECT_EQ(report.hosts_rejuvenated + report.recovered_hosts.size() +
+                report.unrecovered_hosts.size(),
+            std::size_t{2});
+  const auto& rep = rig.cl.unplanned_report();
+  EXPECT_EQ(rep.failures, std::uint64_t{1});
+  EXPECT_EQ(rep.recoveries, std::uint64_t{1});
+}
+
+TEST(SteadyFaultsAtScale, LadderExhaustedWhilePendingEndsTheHostUnrecovered) {
+  // Micro-recovery off, so host 1's unplanned ladder is a hardware reboot
+  // and cold boots, and every boot hangs: the ladder exhausts while the
+  // rolling pass still has the host pending. The pass must skip the host
+  // as unrecovered -- once, without launching a turn on it -- and the
+  // scraper must flag it for a flight-recorder dump.
+  ClusterRig rig(crash_cluster(2, 1, /*rate=*/0.0));
+  rig.cl.start_scraping({});
+  fault::FaultConfig doomed;
+  doomed.vmm_crash_rate = 1.0;
+  doomed.boot_hang_rate = 1.0;
+  rig.cl.host(1).configure_faults(doomed);
+  cluster::Cluster::SteadyFaultsConfig sfc;
+  sfc.process.check_interval = sim::kSecond;
+  rig.cl.start_steady_faults(sfc);
+  rig.run_while([&] { return rig.cl.unplanned_down_hosts() == 0; });
+
+  bool done = false;
+  cluster::Cluster::WaveReport report;
+  cluster::Cluster::WaveConfig wcfg;
+  wcfg.wave_size = 2;
+  rig.start_waves(wcfg, done, &report);
+  // Disarm as soon as the first ladder gives up, before a second one
+  // can start on the host.
+  rig.run_while([&] { return rig.cl.unplanned_report().unrecovered == 0; });
+  rig.cl.stop_steady_faults();
+  rig.run_while([&done] { return !done; });
+  ASSERT_TRUE(done);
+
+  const auto& rep = rig.cl.unplanned_report();
+  EXPECT_EQ(rep.failures, std::uint64_t{1});
+  EXPECT_EQ(rep.unrecovered, std::uint64_t{1});
+  EXPECT_EQ(report.unrecovered_hosts, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(report.hosts_rejuvenated, std::size_t{1});
+  // Skipped while pending: no wave launched it and no retry ran on it.
+  EXPECT_EQ(waves_with(report, 1), std::size_t{0});
+  EXPECT_TRUE(report.retries.empty());
+  const auto& flagged = rig.cl.scraper()->flight_records();
+  ASSERT_EQ(flagged.size(), std::size_t{1});
+  EXPECT_EQ(flagged[0].host, std::size_t{1});
 }
 
 TEST(SteadyFaultsAtScale, FleetSplitsPlannedFromUnplannedDowntime) {

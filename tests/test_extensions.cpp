@@ -1,6 +1,6 @@
 // Extension features beyond the paper's core evaluation:
 //  - driver domains (Sec. 7: cannot be suspended; raise warm downtime)
-//  - dom0-only restart (the paper's stated future work) + xenstored aging
+//  - dom0-only restart (the paper's stated future work)
 //  - saved-VM related-work variants: compressed images, RAM-disk target
 #include <gtest/gtest.h>
 
@@ -117,54 +117,6 @@ TEST(Dom0Restart, RequiresHostUp) {
   fx.host->shutdown_dom0([&] { down = true; });
   run_until_flag(fx.sim, down);
   EXPECT_THROW(fx.host->restart_dom0([] {}), InvariantViolation);
-}
-
-// ----------------------------------------------------- xenstored aging
-
-TEST(XenstoredAging, LeakGrowsWithDomainOps) {
-  Calibration calib;
-  calib.xenstored_leak_per_domain_op = 64 * sim::kKiB;
-  HostFixture fx(0, calib);
-  const auto base = fx.host->xenstored_memory();
-  // Base footprint plus dom0's own store entries.
-  EXPECT_NEAR(static_cast<double>(base), 4.0 * sim::kMiB, 16.0 * sim::kKiB);
-  for (int i = 0; i < 8; ++i) {
-    const DomainId id =
-        fx.host->vmm().create_domain_now("d", 16 * sim::kMiB, nullptr);
-    fx.host->vmm().destroy_domain(id);
-  }
-  // 16 ops * 64 KiB = 1 MiB of leaked backlog (plus the one-off /stale
-  // parent node); the domains' own entries were cleanly removed.
-  EXPECT_NEAR(static_cast<double>(fx.host->xenstored_memory() - base),
-              static_cast<double>(sim::kMiB), 1024.0);
-  EXPECT_GT(fx.host->dom0_daemon_pressure(), 0.07);
-  // The leak is visible as real store nodes.
-  EXPECT_EQ(fx.host->xenstore().list("/stale").size(), std::size_t{16});
-}
-
-TEST(XenstoredAging, Dom0RestartResetsTheLeak) {
-  Calibration calib;
-  calib.xenstored_leak_per_domain_op = 256 * sim::kKiB;
-  HostFixture fx(1, calib);
-  for (int i = 0; i < 10; ++i) {
-    const DomainId id =
-        fx.host->vmm().create_domain_now("churn", 16 * sim::kMiB, nullptr);
-    fx.host->vmm().destroy_domain(id);
-  }
-  const auto grown = fx.host->xenstored_memory();
-  EXPECT_GT(grown, 8 * sim::kMiB);
-  bool up = false;
-  fx.host->restart_dom0([&] { up = true; });
-  run_until_flag(fx.sim, up);
-  // Fresh xenstored: backlog gone, only the live domains' entries remain
-  // (repopulated from the hypervisor) -- and the guest never rebooted.
-  EXPECT_NEAR(static_cast<double>(fx.host->xenstored_memory()),
-              4.0 * sim::kMiB, 16.0 * sim::kKiB);
-  EXPECT_TRUE(fx.host->xenstore().list("/stale").empty());
-  EXPECT_EQ(fx.guests[0]->state(), guest::OsState::kRunning);
-  // vm0's entries are back in the repopulated store.
-  const auto id = std::to_string(fx.guests[0]->domain_id());
-  EXPECT_TRUE(fx.host->xenstore().exists("/local/domain/" + id + "/name"));
 }
 
 // ----------------------------------------------- saved-VM variants

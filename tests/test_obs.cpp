@@ -324,7 +324,7 @@ TEST(SupervisorObs, RecoveryActionsAreMirroredAsTypedEvents) {
   sup.run([&done](const rejuv::SupervisorReport&) { done = true; });
   run_until_flag(fx.sim, done, 12 * sim::kHour);
   const auto& obs = fx.host->obs();
-  // Every RecoveryEvent of the report is mirrored into the event ring...
+  // Every recovery action of the report is mirrored into the event ring...
   std::size_t typed = 0;
   obs.events().for_each([&](const obs::TraceEvent& e) {
     if (e.kind == obs::EventKind::kRecovery) ++typed;
