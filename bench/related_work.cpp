@@ -63,8 +63,7 @@ int main() {
               "eliminates both.\n");
 
   // Privileged-VM aging: dom0-only restart (the paper's future work).
-  rh::bench::print_header(
-      "Extension: dom0-only restart vs full warm reboot (xenstored aging)");
+  rh::bench::print_header("Extension: dom0-only restart vs full warm reboot");
   Testbed tb;
   tb.add_vms(n, sim::kGiB, Testbed::ServiceMix::kSsh);
   auto& g = *tb.guests[0];

@@ -12,8 +12,6 @@ PageCache::PageCache(GuestMemoryBacking& backing, mm::Pfn region_start_pfn,
       pages_per_block_(pages_per_block) {
   ensure(capacity_blocks > 0, "PageCache: capacity must be positive");
   ensure(pages_per_block > 0, "PageCache: pages_per_block must be positive");
-  free_slots_.reserve(static_cast<std::size_t>(capacity_blocks));
-  for (std::int64_t s = capacity_blocks - 1; s >= 0; --s) free_slots_.push_back(s);
 }
 
 bool PageCache::lookup(const FileBlock& key) {
@@ -28,7 +26,7 @@ bool PageCache::lookup(const FileBlock& key) {
   if (backing_.mem_read(slot_pfn(e.slot)) != e.token) {
     ++stale_;
     ++misses_;
-    free_slots_.push_back(e.slot);
+    recycled_slots_.push_back(e.slot);
     lru_.erase(it->second);
     map_.erase(it);
     return false;
@@ -42,9 +40,11 @@ bool PageCache::lookup(const FileBlock& key) {
 void PageCache::insert(const FileBlock& key) {
   if (map_.count(key) > 0) return;  // raced in by a concurrent read
   std::int64_t slot = 0;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
+  if (!recycled_slots_.empty()) {
+    slot = recycled_slots_.back();
+    recycled_slots_.pop_back();
+  } else if (next_fresh_slot_ < capacity_) {
+    slot = next_fresh_slot_++;
   } else {
     // Evict LRU.
     const Entry victim = lru_.back();
@@ -59,7 +59,7 @@ void PageCache::insert(const FileBlock& key) {
 }
 
 void PageCache::clear() {
-  for (const auto& e : lru_) free_slots_.push_back(e.slot);
+  for (const auto& e : lru_) recycled_slots_.push_back(e.slot);
   lru_.clear();
   map_.clear();
 }

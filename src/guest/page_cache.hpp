@@ -91,7 +91,10 @@ class PageCache {
   std::int64_t pages_per_block_;
   LruList lru_;  // front = most recent
   std::unordered_map<FileBlock, LruList::iterator, FileBlockHash> map_;
-  std::vector<std::int64_t> free_slots_;
+  // Free slots: recycled ones are reused first (last freed first), then
+  // the never-used slots [next_fresh_slot_, capacity_) in ascending order.
+  std::vector<std::int64_t> recycled_slots_;
+  std::int64_t next_fresh_slot_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t stale_ = 0;

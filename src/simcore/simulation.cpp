@@ -16,14 +16,14 @@ void set_current_partition(std::int32_t p) noexcept { tl_current_partition = p; 
 EventId Simulation::at(SimTime t, InlineCallback fn) {
   ensure(t >= now_, "Simulation::at: cannot schedule in the past");
   if (partition_id_ >= 0) check_cross_partition(t);
-  return queue_.push(t, std::move(fn));
+  return last_scheduled_ = queue_.push(t, std::move(fn));
 }
 
 EventId Simulation::after(Duration delay, InlineCallback fn) {
   ensure(delay >= 0, "Simulation::after: negative delay");
   const SimTime t = now_ + delay;
   if (partition_id_ >= 0) check_cross_partition(t);
-  return queue_.push(t, std::move(fn));
+  return last_scheduled_ = queue_.push(t, std::move(fn));
 }
 
 void Simulation::check_cross_partition(SimTime t) const {

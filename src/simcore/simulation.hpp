@@ -93,6 +93,12 @@ class Simulation {
   /// Total events executed so far (for diagnostics and microbenchmarks).
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
+  /// The event at(), after() or an engine mailbox delivery scheduled on
+  /// this calendar most recently, pending or not (kInvalidEventId before
+  /// the first). A component whose own pending event is still this one
+  /// knows nothing was scheduled after it.
+  [[nodiscard]] EventId last_scheduled() const { return last_scheduled_; }
+
   // ------------------------------------------- partitioned execution
   /// Runs every event with time < `end` (or <= `end` when `inclusive`,
   /// used by the engine for the final window of a run_until), then
@@ -121,6 +127,7 @@ class Simulation {
   SimTime now_ = 0;
   bool stopped_ = false;
   std::uint64_t executed_ = 0;
+  EventId last_scheduled_ = kInvalidEventId;
   std::int32_t partition_id_ = -1;
   const std::atomic<SimTime>* safe_horizon_ = nullptr;
 };

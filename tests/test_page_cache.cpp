@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <unordered_map>
+#include <vector>
 
 #include "guest/page_cache.hpp"
 #include "simcore/check.hpp"
@@ -23,6 +24,51 @@ class FakeBacking final : public guest::GuestMemoryBacking {
  private:
   std::unordered_map<mm::Pfn, hw::ContentToken> store_;
 };
+
+/// FakeBacking that records where the cache writes, in order.
+class RecordingBacking final : public guest::GuestMemoryBacking {
+ public:
+  void mem_write(mm::Pfn pfn, hw::ContentToken token) override {
+    writes.push_back(pfn);
+    mem_.mem_write(pfn, token);
+  }
+  [[nodiscard]] hw::ContentToken mem_read(mm::Pfn pfn) const override {
+    return mem_.mem_read(pfn);
+  }
+  void scrub(mm::Pfn pfn) { mem_.mem_write(pfn, hw::kScrubbed); }
+
+  std::vector<mm::Pfn> writes;
+
+ private:
+  FakeBacking mem_;
+};
+
+TEST(PageCache, SlotOrderRecycledFirstThenFreshAscendingThenLru) {
+  RecordingBacking mem;
+  // Four 2-page slots at pfns 100, 102, 104, 106.
+  guest::PageCache cache(mem, 100, 4, 2);
+  cache.insert({1, 0});  // fresh slot 0
+  cache.insert({1, 1});  // fresh slot 1
+  cache.clear();         // recycles MRU to LRU: {1,1}'s slot, then {1,0}'s
+  cache.insert({2, 0});  // recycled slot 0 (last freed)
+  cache.insert({2, 1});  // recycled slot 1
+  cache.insert({2, 2});  // fresh slot 2
+  cache.insert({2, 3});  // fresh slot 3
+  cache.insert({2, 4});  // full: evicts LRU {2,0} from slot 0
+  mem.scrub(102);
+  EXPECT_FALSE(cache.lookup({2, 1}));  // stale: slot 1 recycled
+  cache.insert({2, 5});                // slot 1
+  mem.scrub(104);
+  mem.scrub(106);
+  EXPECT_FALSE(cache.lookup({2, 2}));  // slot 2 recycled
+  EXPECT_FALSE(cache.lookup({2, 3}));  // slot 3 recycled
+  cache.insert({2, 6});                // slot 3 (last freed)
+  cache.insert({2, 7});                // slot 2
+  EXPECT_EQ(mem.writes, (std::vector<mm::Pfn>{100, 102, 100, 102, 104, 106, 100,
+                                                102, 106, 104}));
+  EXPECT_EQ(cache.cached_blocks(), 4);
+  EXPECT_EQ(cache.stale_hits(), 3U);
+}
 
 TEST(PageCache, MissThenHit) {
   FakeBacking mem;
