@@ -21,12 +21,6 @@ constexpr int kMaxHostRetries = 2;
 constexpr sim::Duration kHostRetryBase = 30 * sim::kMinute;
 constexpr sim::Duration kHostRetryCap = 2 * sim::kHour;
 
-sim::Duration host_retry_backoff(int attempt) {
-  sim::Duration delay = kHostRetryBase;
-  for (int k = 0; k < attempt && delay < kHostRetryCap; ++k) delay *= 2;
-  return std::min(delay, kHostRetryCap);
-}
-
 /// The engine `config` names, checked against the cluster's partition
 /// layout before any member is built on it.
 sim::ParallelSimulation& checked_engine(sim::Simulation& sim,
@@ -343,24 +337,21 @@ void Cluster::rolling_rejuvenation_waves(
   wave_gather();
 }
 
-// Fans one signal probe out to every pending host. The probe runs on the
-// host's partition and the values travel back over the mailboxes, so the
-// schedule derived from them is worker-count invariant.
+// Admission needs no signals, so it is decided first on both paths: a
+// paused pass reads no store and sends no probe.
 void Cluster::wave_gather() {
   if (wave_->remaining == 0) {
     wave_retry(0);
     return;
   }
+  std::vector<std::size_t> candidates;
+  const std::size_t k = wave_admit(candidates);
+  if (k == 0) return;
   if (wave_->config.signals == WaveSignalSource::kScraped) {
     // Production-shaped ordering: the latest scraped samples, read
     // straight off the control partition's TimeSeriesStore. No
     // host-partition probe at all -- the scheduler sees exactly what the
-    // telemetry plane saw, up to one scrape interval old. Admission needs
-    // no signals, so it is decided first and only the candidates of a
-    // wave that will launch read the store.
-    std::vector<std::size_t> candidates;
-    const std::size_t k = wave_admit(candidates);
-    if (k == 0) return;
+    // telemetry plane saw, up to one scrape interval old.
     for (const std::size_t h : candidates) {
       const auto [load, headroom] = scraper_->wave_signals(h);
       wave_->load[h] = load;
@@ -369,9 +360,11 @@ void Cluster::wave_gather() {
     wave_launch(std::move(candidates), k);
     return;
   }
-  wave_->replies_pending = wave_->remaining;
-  for (std::size_t h = 0; h < hosts_.size(); ++h) {
-    if (wave_->scheduled[h] != 0) continue;
+  // Wire-tap: one signal probe per candidate. The probe runs on the
+  // host's partition and the values travel back over the mailboxes, so
+  // the schedule derived from them is worker-count invariant.
+  wave_->replies_pending = candidates.size();
+  for (const std::size_t h : candidates) {
     to_host(h, [this, h] {
       const auto [load, headroom] =
           host_signals(h, hosts_[h]->obs().enabled());
@@ -387,6 +380,8 @@ void Cluster::wave_collect(std::size_t host_index, std::uint64_t load,
   wave_->load[host_index] = load;
   wave_->headroom[host_index] = headroom;
   if (--wave_->replies_pending != 0) return;
+  // Crashes or the SLO gate may have moved during the round trip, so the
+  // launch takes a fresh admission decision.
   std::vector<std::size_t> candidates;
   const std::size_t k = wave_admit(candidates);
   if (k != 0) wave_launch(std::move(candidates), k);
@@ -527,13 +522,6 @@ void Cluster::wave_host_done(std::size_t host_index,
     if (report.completed != report.attempted) {
       wave_report_.degraded_hosts.push_back(host_index);
     }
-    if (report.pressure.pressured) {
-      // The host came back, but only by shedding preserved memory: its
-      // admission controller had to reclaim or demote. Drain load away
-      // from it rather than feeding the overcommit.
-      balancer_.set_host_pressured(host_index, true);
-      wave_report_.pressured_hosts.push_back(host_index);
-    }
   }
   wave.outcomes.push_back(std::move(report));
   if (--wave_->inflight == 0) {
@@ -561,8 +549,11 @@ void Cluster::wave_retry(int attempt) {
     return;
   }
   const std::size_t host_index = wave_->retry_queue[wave_->retry_next];
-  sim_.after(host_retry_backoff(attempt), [this, host_index, attempt,
-                                           scfg = wave_->config.supervisor] {
+  const sim::Duration backoff =
+      sim::capped_backoff(kHostRetryBase, kHostRetryCap,
+                          static_cast<std::uint64_t>(attempt));
+  sim_.after(backoff, [this, host_index, attempt,
+                       scfg = wave_->config.supervisor] {
     to_host(host_index, [this, host_index, attempt, scfg] {
       vmm::Host& h = *hosts_[host_index];
       if (!h.up() || h.recovery_in_progress()) {

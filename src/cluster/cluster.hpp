@@ -87,8 +87,8 @@ class Cluster {
   /// Where rolling_rejuvenation_waves reads its per-host ordering
   /// signals from.
   enum class WaveSignalSource : std::uint8_t {
-    /// Wire-tap: probe every pending host's in-process gauges over the
-    /// mailboxes before each wave (the historical behaviour).
+    /// Wire-tap: probe each admitted candidate's in-process gauges over
+    /// the mailboxes before each wave (the historical behaviour).
     kWireTap,
     /// Production-shaped: read the latest scraped samples from the
     /// MetricsScraper's TimeSeriesStore -- no direct gauge reads at all.
@@ -202,11 +202,6 @@ class Cluster {
     /// Hosts that came back, but on a lower rung than the wave asked for
     /// (completed != attempted: a mid-wave ladder descent).
     std::vector<std::size_t> degraded_hosts;
-    /// Hosts whose turn succeeded but whose admission controller reported
-    /// preserved-memory pressure (demand over budget). They stay in
-    /// service as a last resort, but the balancer stops preferring them
-    /// -- backpressure instead of deepening the overcommit.
-    std::vector<std::size_t> pressured_hosts;
     /// Hosts a wave turn evicted that an end-of-pass retry brought back.
     std::vector<std::size_t> recovered_hosts;
     /// Hosts still out of rotation when the pass ended: their turn and
@@ -219,9 +214,12 @@ class Cluster {
     /// Planned host-level downtime: summed wave-turn ladder durations
     /// (the unplanned share lives in Cluster::unplanned_report()).
     sim::Duration planned_downtime = 0;
-    /// Times wave admission paused because unplanned crashes exhausted the
-    /// downtime budget (or every pending host was crash-down);
-    /// the next unplanned recovery replans and resumes the pass.
+    /// Times wave admission paused: the SLO gate was shut, unplanned
+    /// crashes exhausted the downtime budget, or every pending host was
+    /// crash-down. Admission is decided before any signal is read, so
+    /// every kick that finds the pass paused and the budget still spent
+    /// counts once. The next unplanned recovery (or the gate opening)
+    /// replans and resumes the pass.
     std::size_t admission_pauses = 0;
     /// Wave turns that arrived at a host an unplanned ladder already
     /// owned; the turn was requeued and replanned, not run.
@@ -237,18 +235,18 @@ class Cluster {
   /// under a rejuv::Supervisor, so a mid-wave fault walks the degradation
   /// ladder (micro-recovery, warm->saved->cold) instead of aborting the
   /// pass; outcomes land in the WaveReport. A host left unrecovered is evicted
-  /// from the balancer and retried after the last wave; a pressured
-  /// host is marked on the balancer. Before each wave the scheduler
-  /// gathers live signals from every pending host
-  /// -- served-request load and preserved-budget headroom, mirrored into
-  /// the host's MetricsRegistry when observability is on -- and
-  /// rejuvenates the least-loaded hosts first (tie-break: smaller
-  /// headroom, then host index), so the wave drains as few active
-  /// sessions as possible while prioritising memory-tight hosts.
-  /// Signals are gathered over the mailboxes, so the schedule is bitwise
-  /// reproducible for any worker count. Overlapping passes are an
-  /// invariant violation: a second call while a pass is in flight would
-  /// drop the first pass's state mid-reboot, so it fails fast instead.
+  /// from the balancer and retried after the last wave. Before each wave
+  /// the scheduler decides admission (wave_admit), then gathers live
+  /// signals from every admitted candidate -- served-request load and
+  /// preserved-budget headroom, mirrored into the host's MetricsRegistry
+  /// when observability is on -- and rejuvenates the least-loaded hosts
+  /// first (tie-break: smaller headroom, then host index), so the wave
+  /// drains as few active sessions as possible while prioritising
+  /// memory-tight hosts. Signals are gathered over the mailboxes, so the
+  /// schedule is bitwise reproducible for any worker count. Overlapping
+  /// passes are an invariant violation: a second call while a pass is in
+  /// flight would drop the first pass's state mid-reboot, so it fails fast
+  /// instead.
   /// Invoke from control-partition context (engine.run_on(0, ...)).
   void rolling_rejuvenation_waves(
       WaveConfig config, std::function<void(const WaveReport&)> on_done);
@@ -300,7 +298,9 @@ class Cluster {
   /// Admission for the next wave, which needs no signals: the SLO gate,
   /// then the downtime budget left after unplanned crashes, then the
   /// pending hosts not crash-down (filled into `candidates`). Returns how
-  /// many hosts the wave takes; 0 pauses the pass.
+  /// many hosts the wave takes; 0 pauses the pass. Both signal paths call
+  /// it before reading a signal; the wire-tap path calls it again when
+  /// its probes are back.
   std::size_t wave_admit(std::vector<std::size_t>& candidates);
   /// Orders `candidates` by their gathered signals and runs the first k.
   void wave_launch(std::vector<std::size_t> candidates, std::size_t k);

@@ -185,10 +185,7 @@ void SessionFleet::on_reply(std::uint32_t shard, std::uint32_t i, bool ok) {
       sl.down_since[i] = issued;
       // Cause attribution, sampled once at outage start from the shard's
       // own membership view (partition-local, so worker-count invariant).
-      if (balancer_.shard_unplanned_down(shard) > 0) {
-        sl.down_unplanned[i] = 1;
-        ++sl.unplanned_marks;
-      }
+      if (balancer_.shard_unplanned_down(shard) > 0) sl.down_unplanned[i] = 1;
     }
     sl.next_due[i] = now + config_.retry_interval;
   }
@@ -286,15 +283,7 @@ std::uint64_t SessionFleet::state_digest() const {
       mix(static_cast<std::uint64_t>(sl.failures[i]));
       mix(static_cast<std::uint64_t>(sl.downtime[i]));
       mix(static_cast<std::uint64_t>(sl.next_due[i]));
-    }
-    // Attribution columns join the digest only once an outage on this
-    // slice was ever charged unplanned: crash-free runs keep the exact
-    // pre-crash digest chain.
-    if (sl.unplanned_marks != 0) {
-      mix(sl.unplanned_marks);
-      for (const auto u : sl.downtime_unplanned) {
-        mix(static_cast<std::uint64_t>(u));
-      }
+      mix(static_cast<std::uint64_t>(sl.downtime_unplanned[i]));
     }
   }
   return h;

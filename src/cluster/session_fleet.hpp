@@ -158,9 +158,6 @@ class SessionFleet {
     std::vector<std::uint32_t> completions;
     std::vector<std::uint32_t> failures;
     sim::LatencyHistogram latency;
-    /// Outages ever attributed unplanned on this slice (monotone; gates
-    /// digest mixing so crash-free runs keep the pre-crash digest chain).
-    std::uint64_t unplanned_marks = 0;
     /// Due-tick buckets: tick k runs at tick0 + k * Config::tick and
     /// issues ring[k % ring.size()]. Every idle session sits in exactly
     /// one bucket; in-flight sessions sit in none.

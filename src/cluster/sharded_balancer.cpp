@@ -50,7 +50,6 @@ void ShardedBalancer::add_backend(Backend backend) {
   backends_.push_back(std::move(backend));
   for (auto& sh : shards_) {
     sh.evicted.push_back(0);
-    sh.pressured.push_back(0);
     sh.crashed.push_back(0);
     sh.next_file.push_back(0);
   }
@@ -87,13 +86,6 @@ bool ShardedBalancer::mark_host(std::vector<std::uint8_t>& view,
 void ShardedBalancer::set_host_evicted(std::size_t host_index, bool evicted) {
   broadcast([this, host_index, evicted](Shard& sh) {
     mark_host(sh.evicted, host_index, evicted);
-  });
-}
-
-void ShardedBalancer::set_host_pressured(std::size_t host_index,
-                                         bool pressured) {
-  broadcast([this, host_index, pressured](Shard& sh) {
-    mark_host(sh.pressured, host_index, pressured);
   });
 }
 
@@ -151,7 +143,6 @@ void ShardedBalancer::try_shard(std::shared_ptr<Request> state) {
     const std::uint32_t b = sh.owned[sh.rr % sh.owned.size()];
     ++sh.rr;
     if (sh.evicted[b] != 0 || sh.crashed[b] != 0) continue;
-    if (sh.pressured[b] != 0 && !state->allow_pressured) continue;
     // Probe RPC: reachability lives host-side. The reply re-checks the
     // shard's membership view before anything is served.
     const Backend& be = backends_[b];
@@ -174,11 +165,10 @@ void ShardedBalancer::try_shard(std::shared_ptr<Request> state) {
 void ShardedBalancer::probe_reply(bool up, std::uint32_t b,
                                   std::shared_ptr<Request> state) {
   Shard& sh = shards_[state->current_shard];
-  // Membership re-check: an eviction (or pressure flag) that landed while
-  // the probe was in flight must win -- the stale "up" reply alone never
-  // puts a backend back in rotation.
-  if (!up || sh.evicted[b] != 0 || sh.crashed[b] != 0 ||
-      (sh.pressured[b] != 0 && !state->allow_pressured)) {
+  // Membership re-check: an eviction that landed while the probe was in
+  // flight must win -- the stale "up" reply alone never puts a backend
+  // back in rotation.
+  if (!up || sh.evicted[b] != 0 || sh.crashed[b] != 0) {
     try_shard(std::move(state));
     return;
   }
@@ -224,21 +214,7 @@ void ShardedBalancer::next_ring_hop(std::shared_ptr<Request> state) {
     });
     return;
   }
-  if (!state->allow_pressured) {
-    // Second lap: nothing unpressured answered anywhere on the ring, so
-    // accept pressured backends as a last resort, starting back at home.
-    state->allow_pressured = true;
-    state->shards_left = static_cast<std::uint32_t>(shards_.size());
-    const auto home = static_cast<std::size_t>(state->home_shard);
-    state->current_shard = state->home_shard;
-    state->probes_left =
-        static_cast<std::uint32_t>(shards_[home].owned.size());
-    engine_.post(shard_partition(home), rpc_latency_,
-                 [this, state = std::move(state)]() mutable {
-      try_shard(std::move(state));
-    });
-    return;
-  }
+  // The lap is done and no shard served: reject.
   ++shards_[state->current_shard].rejected;
   const std::int32_t reply = state->reply_partition;
   engine_.post(reply, rpc_latency_, [state = std::move(state)] {
@@ -277,10 +253,6 @@ std::size_t ShardedBalancer::evicted_backends(std::size_t shard) const {
   return flagged(shards_.at(shard).evicted);
 }
 
-std::size_t ShardedBalancer::pressured_backends(std::size_t shard) const {
-  return flagged(shards_.at(shard).pressured);
-}
-
 std::size_t ShardedBalancer::crashed_backends(std::size_t shard) const {
   return flagged(shards_.at(shard).crashed);
 }
@@ -298,14 +270,9 @@ std::uint64_t ShardedBalancer::state_digest() const {
     mix(sh.federated);
     for (const auto f : sh.next_file) mix(f);
     for (const auto e : sh.evicted) mix(e);
-    for (const auto p : sh.pressured) mix(p);
-    // Crash-membership state is mixed only once a broadcast has touched
-    // this shard: crash-free runs keep the exact pre-crash digest chain.
-    if (sh.crash_events != 0) {
-      mix(sh.crash_events);
-      mix(sh.crashed_hosts);
-      for (const auto c : sh.crashed) mix(c);
-    }
+    mix(sh.crash_events);
+    mix(sh.crashed_hosts);
+    for (const auto c : sh.crashed) mix(c);
   }
   return h;
 }

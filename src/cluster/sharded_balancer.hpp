@@ -10,12 +10,12 @@
 // one shard it is the paper's single round-robin balancer; the cluster
 // then places that shard on its control partition.
 //
-// Federation: when a shard's own backends are all evicted, pressured or
-// unreachable, the request spills over to the next shard in ring order,
-// first refusing pressured backends everywhere, then (second lap)
-// accepting them as a last resort. Ring order from the home shard is a
-// pure function of the session key, so failover is deterministic and
-// bitwise identical for any worker count.
+// Federation: when a shard's own backends are all evicted, crash-down or
+// unreachable, the request spills over to the next shard in ring order.
+// It makes one lap: its home shard, then one hop per other shard, then it
+// is served or rejected. Ring order from the home shard is a pure
+// function of the session key, so failover is deterministic and bitwise
+// identical for any worker count.
 #pragma once
 
 #include <cstdint>
@@ -75,10 +75,6 @@ class ShardedBalancer {
   /// broadcast through the mailboxes and lands on all shards one RPC
   /// latency later (deterministically, like any other message).
   void set_host_evicted(std::size_t host_index, bool evicted);
-  /// Same broadcast for the memory-pressure flag: a pressured host stays
-  /// in service but only receives requests when nothing unpressured
-  /// answers anywhere on the ring.
-  void set_host_pressured(std::size_t host_index, bool pressured);
   /// Crash-evict/readmit membership broadcast for *unplanned* downtime
   /// (DESIGN.md §14): takes a crashed host's backends out of every shard's
   /// view like an administrative eviction, but on its own flag so a crash
@@ -112,8 +108,6 @@ class ShardedBalancer {
   }
   /// Backends evicted on `shard`'s view (all views agree when quiescent).
   [[nodiscard]] std::size_t evicted_backends(std::size_t shard = 0) const;
-  /// Backends marked pressured on `shard`'s view. Quiescent reads only.
-  [[nodiscard]] std::size_t pressured_backends(std::size_t shard = 0) const;
   /// Backends crash-evicted on `shard`'s view. Quiescent reads only.
   [[nodiscard]] std::size_t crashed_backends(std::size_t shard = 0) const;
   /// Hosts this shard's view currently knows to be crash-down. Safe to
@@ -127,8 +121,8 @@ class ShardedBalancer {
     return shards_.front().crash_events;
   }
 
-  /// FNV-1a over every shard's cursors and counters; worker-count
-  /// invariant. Quiescent reads only.
+  /// FNV-1a over every shard's cursors, counters and membership views;
+  /// worker-count invariant. Quiescent reads only.
   [[nodiscard]] std::uint64_t state_digest() const;
 
  private:
@@ -138,7 +132,6 @@ class ShardedBalancer {
     std::vector<std::uint32_t> owned;      ///< backend indices, add order
     std::size_t rr = 0;                    ///< shard-local round-robin
     std::vector<std::uint8_t> evicted;     ///< per-backend membership view
-    std::vector<std::uint8_t> pressured;   ///< per-backend pressure view
     std::vector<std::uint8_t> crashed;     ///< per-backend crash-down view
     std::vector<std::uint32_t> next_file;  ///< shard-local file cursors
     std::uint64_t dispatched = 0;
@@ -155,9 +148,8 @@ class ShardedBalancer {
     std::int32_t reply_partition = -1;  ///< where done() must run
     std::uint32_t home_shard = 0;
     std::uint32_t current_shard = 0;
-    std::uint32_t shards_left = 0;   ///< ring hops left in this lap
-    std::uint32_t probes_left = 0;   ///< candidates left on current shard
-    bool allow_pressured = false;    ///< second-lap last-resort flag
+    std::uint32_t shards_left = 0;  ///< shards left on the lap, this one too
+    std::uint32_t probes_left = 0;  ///< candidates left on current shard
   };
 
   /// Applies `update(shard)` to every shard's membership view: directly

@@ -1,6 +1,5 @@
 #include "rejuv/policy.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "simcore/check.hpp"
@@ -28,10 +27,7 @@ RejuvenationPolicy::RejuvenationPolicy(vmm::Host& host,
 }
 
 sim::Duration RejuvenationPolicy::retry_backoff(std::uint64_t k) {
-  // min(cap, delay * 2^k) without overflow: stop doubling at the cap.
-  sim::Duration d = config_.retry_delay;
-  for (std::uint64_t i = 0; i < k && d < config_.retry_delay_cap; ++i) d *= 2;
-  return std::min(d, config_.retry_delay_cap);
+  return sim::capped_backoff(config_.retry_delay, config_.retry_delay_cap, k);
 }
 
 void RejuvenationPolicy::start() {

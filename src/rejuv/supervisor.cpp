@@ -1,7 +1,6 @@
 #include "rejuv/supervisor.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -31,9 +30,8 @@ constexpr sim::Duration kBootWatchdog = 10 * sim::kMinute;
 constexpr sim::Duration kHangDetection = sim::kSecond;
 
 sim::Duration backoff(int attempt) {
-  double d = static_cast<double>(kBackoffBase) * std::ldexp(1.0, attempt);
-  d = std::min(d, static_cast<double>(kBackoffCap));
-  return std::max<sim::Duration>(1, static_cast<sim::Duration>(d));
+  return sim::capped_backoff(kBackoffBase, kBackoffCap,
+                             static_cast<std::uint64_t>(attempt));
 }
 
 }  // namespace

@@ -50,4 +50,13 @@ constexpr Duration transfer_time(Bytes size, double bytes_per_second) {
                                static_cast<double>(kSecond));
 }
 
+/// Capped exponential backoff: min(cap, base * 2^attempt). Doubling stops
+/// at the cap, so no attempt count overflows.
+constexpr Duration capped_backoff(Duration base, Duration cap,
+                                  std::uint64_t attempt) {
+  Duration d = base;
+  for (std::uint64_t k = 0; k < attempt && d < cap; ++k) d *= 2;
+  return d < cap ? d : cap;
+}
+
 }  // namespace rh::sim

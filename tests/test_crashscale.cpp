@@ -96,8 +96,7 @@ TEST(SteadyFaultsAtScale, WaveAdmissionPausesUntilCrashBudgetFrees) {
   ASSERT_EQ(rig.cl.unplanned_down_hosts(), std::size_t{2});
 
   // With every host crash-down, the unplanned outages exhaust the budget:
-  // the wave must pause instead of admitting turns onto dead hosts. The
-  // signal gather takes one round trip before admission decides.
+  // the wave must pause instead of admitting turns onto dead hosts.
   bool done = false;
   cluster::Cluster::WaveConfig wcfg;
   wcfg.wave_size = 1;
@@ -123,6 +122,33 @@ TEST(SteadyFaultsAtScale, WaveAdmissionPausesUntilCrashBudgetFrees) {
   EXPECT_GT(report.planned_downtime, sim::Duration{0});
   // Unplanned ladders ran alongside the planned pass the whole time.
   EXPECT_GT(rig.cl.unplanned_report().failures, std::uint64_t{0});
+}
+
+TEST(SteadyFaultsAtScale, PausedWireTapPassSendsNoProbe) {
+  // Observed hosts: a wire-tap signal probe mirrors host.load into the
+  // probed host's metrics, so a probe that ran leaves that gauge behind.
+  cluster::Cluster::Config config = crash_cluster(2, 2, /*rate=*/1.0);
+  config.observe = true;
+  ClusterRig rig(config);
+  cluster::Cluster::SteadyFaultsConfig sfc;
+  sfc.process.check_interval = 500 * sim::kMillisecond;
+  rig.cl.start_steady_faults(sfc);
+  rig.run_for(2 * sim::kSecond);
+  ASSERT_EQ(rig.cl.unplanned_down_hosts(), std::size_t{2});
+
+  // The crash budget is spent before the pass starts: admission pauses
+  // it at once, and no host is probed for signals it would not use.
+  bool done = false;
+  rig.start_waves({.wave_size = 1}, done);
+  rig.run_for(sim::kSecond);
+  ASSERT_EQ(rig.cl.unplanned_down_hosts(), std::size_t{2});
+  EXPECT_FALSE(done);
+  EXPECT_GE(rig.cl.last_wave_report().admission_pauses, std::size_t{1});
+  for (int h = 0; h < 2; ++h) {
+    for (const auto& g : rig.cl.host(h).obs().metrics().gauges()) {
+      EXPECT_NE(g.name, "host.load") << "host " << h << " was probed";
+    }
+  }
 }
 
 TEST(SteadyFaultsAtScale, FaultsDuringAnOwnedLadderAreAbsorbed) {

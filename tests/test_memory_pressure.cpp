@@ -13,12 +13,10 @@
 #include <string>
 
 #include "cluster/cluster.hpp"
-#include "cluster/sharded_balancer.hpp"
 #include "exp/runner.hpp"
 #include "mm/balloon.hpp"
 #include "rejuv/admission.hpp"
 #include "rejuv/supervisor.hpp"
-#include "simcore/parallel.hpp"
 #include "test_util.hpp"
 
 namespace rh::test {
@@ -407,72 +405,7 @@ TEST(MemoryPressure, ReducedAllocationBootPopulatesOnlyTheWorkingSet) {
 
 // ----------------------------------------------------------- cluster
 
-TEST(MemoryPressure, BalancerStopsPlacingOnPressuredHostsButFallsBack) {
-  // The one shard on partition 0, host A on partition 1, host B on 2.
-  constexpr sim::Duration kLatency = 200;
-  sim::ParallelSimulation engine({.partitions = 3, .workers = 1});
-  engine.register_link(kLatency);
-  vmm::Host host_a(engine.partition(1), {}, 42);
-  vmm::Host host_b(engine.partition(2), {}, 43);
-  host_a.instant_start();
-  host_b.instant_start();
-  cluster::ShardedBalancer balancer(engine, 1, /*first_shard_partition=*/0,
-                                    kLatency);
-  std::vector<std::unique_ptr<guest::GuestOs>> guests;
-  std::vector<guest::ApacheService*> apaches;
-  for (vmm::Host* host : {&host_a, &host_b}) {
-    auto g = std::make_unique<guest::GuestOs>(
-        *host, host == &host_a ? "web-a" : "web-b", sim::kGiB);
-    g->add_service(std::make_unique<guest::ApacheService>());
-    g->vfs().create_file("doc", sim::kMiB);
-    bool up = false;
-    g->create_and_boot([&up] { up = true; });
-    engine.run_while([&up] { return !up; });
-    ASSERT_TRUE(up);
-    auto* apache =
-        static_cast<guest::ApacheService*>(g->find_service("httpd"));
-    balancer.add_backend({g.get(), apache, {0},
-                          /*host_index=*/host == &host_a ? 0u : 1u,
-                          /*partition=*/host == &host_a ? 1 : 2});
-    apaches.push_back(apache);
-    guests.push_back(std::move(g));
-  }
-  const auto serve_one = [&] {
-    bool done = false, ok = false;
-    engine.run_on(0, [&] {
-      balancer.dispatch(0, [&](bool served) {
-        ok = served;
-        done = true;
-      });
-    });
-    engine.run_while([&done] { return !done; });
-    EXPECT_TRUE(done);
-    return ok;
-  };
-  // Unpressured: round-robin spreads over both hosts.
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(serve_one());
-  EXPECT_EQ(apaches[0]->requests_served(), 2);
-  EXPECT_EQ(apaches[1]->requests_served(), 2);
-  // Pressured host A stops receiving placements...
-  balancer.set_host_pressured(0, true);
-  EXPECT_EQ(balancer.pressured_backends(), std::size_t{1});
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(serve_one());
-  EXPECT_EQ(apaches[0]->requests_served(), 2);
-  EXPECT_EQ(apaches[1]->requests_served(), 6);
-  // ...but is a fallback, not an eviction: with host B down, traffic
-  // returns to A instead of being rejected.
-  guests[1]->force_power_off();
-  EXPECT_TRUE(serve_one());
-  EXPECT_EQ(apaches[0]->requests_served(), 3);
-  EXPECT_EQ(balancer.rejected(), std::uint64_t{0});
-  // Clearing the mark restores normal placement.
-  balancer.set_host_pressured(0, false);
-  EXPECT_EQ(balancer.pressured_backends(), std::size_t{0});
-  EXPECT_TRUE(serve_one());
-  EXPECT_EQ(apaches[0]->requests_served(), 4);
-}
-
-TEST(MemoryPressure, SupervisedRollingPassMarksPressuredHosts) {
+TEST(MemoryPressure, SupervisedRollingPassUnderPressureKeepsHostsInService) {
   cluster::Cluster::Config cfg;
   cfg.hosts = 2;
   cfg.vms_per_host = 2;
@@ -487,8 +420,9 @@ TEST(MemoryPressure, SupervisedRollingPassMarksPressuredHosts) {
   rig.start_waves(wave, done, &report);
   rig.run_while([&done] { return !done; });
   ASSERT_TRUE(done);
-  rig.run_for(sim::kSecond);  // the pressure broadcast lands one RPC later
-  // Both hosts completed their turn (degraded, not evicted)...
+  rig.run_for(sim::kSecond);  // a membership broadcast lands one RPC later
+  // Both hosts completed their turn under pressure (degraded, not
+  // evicted)...
   EXPECT_TRUE(report.fully_recovered());
   EXPECT_EQ(report.hosts_rejuvenated, std::size_t{2});
   EXPECT_TRUE(report.retries.empty());
@@ -499,10 +433,7 @@ TEST(MemoryPressure, SupervisedRollingPassMarksPressuredHosts) {
       EXPECT_TRUE(pass.pressure.pressured);
     }
   }
-  // ...and both are marked pressured: still in service as a fallback,
-  // but no longer preferred for new placements.
-  EXPECT_EQ(report.pressured_hosts, (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(rig.lb().pressured_backends(), std::size_t{4});
+  // ...and both stay in service.
   EXPECT_EQ(rig.lb().evicted_backends(), std::size_t{0});
   EXPECT_EQ(rig.reachable_vms(), std::size_t{4});
 }

@@ -380,7 +380,6 @@ std::uint64_t cluster_digest(std::size_t workers, Variant variant) {
     d.mix(report.hosts_rejuvenated);
     d.mix(report.recovered_hosts.size());
     d.mix(report.unrecovered_hosts.size());
-    d.mix(report.pressured_hosts.size());
   }
   if (variant == Variant::kCrashWave) {
     const auto& report = cl.last_wave_report();

@@ -1,6 +1,6 @@
 // Sharded control plane + batched session store + wave scheduling
 // (DESIGN.md §12): hash routing, shard-local round-robin determinism,
-// federated failover when a shard empties, two-phase pressure spillover,
+// federated failover when a shard empties, one ring lap per request,
 // per-host membership flips, SessionFleet downtime accounting, request
 // conservation and due-tick placement, and the wave scheduler's
 // signal-driven ordering / downtime-budget clamp.
@@ -131,6 +131,27 @@ TEST(ShardedBalancer, AllBackendsEvictedRejects) {
   EXPECT_EQ(rig.lb().dispatched(), std::uint64_t{0});
 }
 
+// One lap: a request no shard can serve visits its home shard, hops once
+// to each other shard and is rejected. Dispatched from the control
+// partition that is one routing hop, S - 1 ring hops and the rejection
+// reply: S + 1 engine messages on an S-shard ring.
+TEST(ShardedBalancer, RejectedRequestMakesOneLapOfTheRing) {
+  for (const int shards : {2, 4}) {
+    SCOPED_TRACE(::testing::Message() << shards << " shards");
+    ClusterRig rig(sharded(shards, shards, 1));  // shard s owns host s
+    for (int h = 0; h < shards; ++h) {
+      rig.lb().set_host_crashed(static_cast<std::size_t>(h), true);
+    }
+    const std::uint64_t before = rig.engine.messages_routed();
+    rig.run_for(sim::kSecond);
+    ASSERT_EQ(rig.engine.messages_routed(), before);  // the rig is idle
+    EXPECT_EQ(rig.serve({0}), 0);
+    EXPECT_EQ(rig.lb().rejected(), std::uint64_t{1});
+    EXPECT_EQ(rig.engine.messages_routed() - before,
+              static_cast<std::uint64_t>(shards) + 1);
+  }
+}
+
 TEST(ShardedBalancer, CrashEvictionRoutesAroundThenReadmits) {
   ClusterRig rig(sharded(4, 2, 1));  // shard 0 owns hosts {0, 2}
   rig.lb().set_host_crashed(0, true);
@@ -185,30 +206,10 @@ TEST(ShardedBalancer, CrashAndAdminEvictionAreIndependent) {
   EXPECT_EQ(rig.served_by(2), std::uint64_t{2});
 }
 
-TEST(ShardedBalancer, PressuredHomeSpillsOverThenServesAsLastResort) {
-  ClusterRig rig(sharded(2, 2, 1));  // shard s owns host s
-  rig.lb().set_host_pressured(0, true);
-  const std::uint64_t key = key_homed_to(rig.lb(), 0);
-  int served = 0;
-  // First phase: the pressured home backend is skipped and the request
-  // federates to the unpressured shard 1.
-  served += rig.serve({key});
-  EXPECT_EQ(served, 1);
-  EXPECT_EQ(rig.lb().federated(), std::uint64_t{1});
-  EXPECT_EQ(rig.served_by(1), std::uint64_t{1});
-  // Second phase: everything pressured -- the second lap accepts the home
-  // backend rather than failing the request.
-  rig.lb().set_host_pressured(1, true);
-  served += rig.serve({key});
-  EXPECT_EQ(served, 2);
-  EXPECT_EQ(rig.lb().rejected(), std::uint64_t{0});
-  EXPECT_EQ(rig.served_by(0), std::uint64_t{1});
-}
-
 // Membership broadcasts flip a host's backends through the per-host index
 // add_backend builds, so registration order must not matter: with
-// backends registered for hosts 1, 0, 1, 0, crash, evict and pressure of
-// host 0 flip exactly host 0's two backends on every shard's view.
+// backends registered for hosts 1, 0, 1, 0, crash and evict of host 0
+// flip exactly host 0's two backends on every shard's view.
 TEST(ShardedBalancer, HostFlagsFlipOnlyThatHostsBackendsOnEveryShard) {
   ClusterRig rig(sharded(2, 2, 2));  // shard partitions 1 and 2
   cluster::ShardedBalancer sb(rig.engine, 2, /*first_shard_partition=*/1,
@@ -228,23 +229,21 @@ TEST(ShardedBalancer, HostFlagsFlipOnlyThatHostsBackendsOnEveryShard) {
         ->requests_served();
   };
 
-  enum class Flag { kCrashed, kEvicted, kPressured };
+  enum class Flag { kCrashed, kEvicted };
   const auto set = [&sb](Flag flag, bool on) {
     switch (flag) {
       case Flag::kCrashed: sb.set_host_crashed(0, on); break;
       case Flag::kEvicted: sb.set_host_evicted(0, on); break;
-      case Flag::kPressured: sb.set_host_pressured(0, on); break;
     }
   };
   const auto flagged = [&sb](Flag flag, std::size_t shard) {
     switch (flag) {
       case Flag::kCrashed: return sb.crashed_backends(shard);
       case Flag::kEvicted: return sb.evicted_backends(shard);
-      case Flag::kPressured: return sb.pressured_backends(shard);
     }
     return std::size_t{0};
   };
-  for (const Flag flag : {Flag::kCrashed, Flag::kEvicted, Flag::kPressured}) {
+  for (const Flag flag : {Flag::kCrashed, Flag::kEvicted}) {
     for (const bool running : {false, true}) {
       SCOPED_TRACE(::testing::Message()
                    << "flag " << static_cast<int>(flag)
@@ -476,11 +475,11 @@ TEST(SessionFleet, SessionDueAtATickThatAlreadyRanWaitsForTheNext) {
 // Sessions due in one tick issue in ascending index, whatever order their
 // replies filed them in. Host 0 is down but still in rotation, so on the
 // one shard's round robin the first request of a tick probes host 0's
-// backend, finds it down and is served by host 1 later than the second
+// backend, finds it down and is served by host 2 later than the second
 // request, which goes straight to host 1. With zero think time next_due is
 // the completion time, so the session issued first completes last.
 TEST(SessionFleet, SessionsDueInOneTickIssueInAscendingIndex) {
-  ClusterRig rig(sharded(2, 1, 1));  // one shard owns both hosts' VMs
+  ClusterRig rig(sharded(3, 1, 1));  // one shard owns all three hosts' VMs
   bool down = false;
   rig.cl.host(0).shutdown_dom0([&down] { down = true; });
   rig.run_while([&down] { return !down; });

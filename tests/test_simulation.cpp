@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <limits>
+
 #include "simcore/check.hpp"
 #include "simcore/simulation.hpp"
+#include "simcore/types.hpp"
 
 namespace rh::test {
 namespace {
@@ -102,6 +107,28 @@ TEST(Simulation, RunForAdvancesRelative) {
   s.run();
   s.run_for(90);
   EXPECT_EQ(s.now(), 100);
+}
+
+// min(cap, base * 2^attempt): doubling up to the cap, then the cap for
+// every later attempt, however large.
+TEST(CappedBackoff, DoublesFromTheBaseThenHoldsAtTheCap) {
+  const sim::Duration base = 2 * sim::kSecond;
+  const sim::Duration cap = 5 * sim::kMinute;
+  const sim::Duration want[] = {base,      2 * base,  4 * base,  8 * base,
+                                16 * base, 32 * base, 64 * base, 128 * base,
+                                cap,       cap};
+  for (std::uint64_t k = 0; k < std::size(want); ++k) {
+    EXPECT_EQ(sim::capped_backoff(base, cap, k), want[k]) << "attempt " << k;
+  }
+  EXPECT_EQ(sim::capped_backoff(base, cap,
+                                std::numeric_limits<std::uint64_t>::max()),
+            cap);
+  // A cap that is not a power-of-two multiple of the base is still met
+  // exactly, and a base at the cap never grows.
+  EXPECT_EQ(sim::capped_backoff(3, 10, 1), 6);
+  EXPECT_EQ(sim::capped_backoff(3, 10, 2), 10);
+  EXPECT_EQ(sim::capped_backoff(10, 10, 0), 10);
+  EXPECT_EQ(sim::capped_backoff(10, 10, 5), 10);
 }
 
 }  // namespace
