@@ -92,14 +92,19 @@ struct Testbed {
   }
 
   /// Runs a fault-free rejuvenation of the given kind to completion;
-  /// returns the finished pass's report.
+  /// returns the finished pass's report. The calendar runs until the
+  /// pass's last event, which stops it, so probers may sleep through the
+  /// reboot's quiet stretches.
   rejuv::SupervisorReport rejuvenate(rejuv::RebootKind kind) {
     rejuv::SupervisorConfig config;
     config.preferred = kind;
     rejuv::Supervisor pass(*host, guest_ptrs(), config);
     bool done = false;
-    pass.run([&done](const rejuv::SupervisorReport&) { done = true; });
-    while (!done && sim.pending_events() > 0) sim.step();
+    pass.run([this, &done](const rejuv::SupervisorReport&) {
+      done = true;
+      sim.stop();
+    });
+    if (!done) sim.run();
     if (!done) throw InvariantViolation("bench: rejuvenation stalled");
     return pass.report();
   }

@@ -54,6 +54,7 @@ void ShardedBalancer::add_backend(Backend backend) {
     sh.next_file.push_back(0);
   }
   shards_[owner].owned.push_back(b);
+  ++shards_[owner].in_rotation;
 }
 
 // Mid-run, each shard's view is partition-local state, so the change is
@@ -70,22 +71,27 @@ void ShardedBalancer::broadcast(const Update& update) {
   }
 }
 
-bool ShardedBalancer::mark_host(std::vector<std::uint8_t>& view,
+bool ShardedBalancer::mark_host(Shard& sh, std::vector<std::uint8_t>& view,
                                 std::size_t host_index, bool on) const {
   if (host_index >= host_backends_.size()) return false;
+  // Only the shard that owns the host counts its backends in rotation.
+  const bool owner = &sh == &shards_[host_index % shards_.size()];
   const std::uint8_t want = on ? 1 : 0;
   bool changed = false;
   for (const std::uint32_t b : host_backends_[host_index]) {
     if (view[b] == want) continue;
+    const bool was_in = sh.evicted[b] == 0 && sh.crashed[b] == 0;
     view[b] = want;
     changed = true;
+    if (owner && was_in) --sh.in_rotation;
+    if (owner && sh.evicted[b] == 0 && sh.crashed[b] == 0) ++sh.in_rotation;
   }
   return changed;
 }
 
 void ShardedBalancer::set_host_evicted(std::size_t host_index, bool evicted) {
   broadcast([this, host_index, evicted](Shard& sh) {
-    mark_host(sh.evicted, host_index, evicted);
+    mark_host(sh, sh.evicted, host_index, evicted);
   });
 }
 
@@ -93,7 +99,7 @@ void ShardedBalancer::set_host_crashed(std::size_t host_index, bool crashed) {
   // Counts only real flips, so crashed_hosts stays balanced under
   // repeated broadcasts.
   broadcast([this, host_index, crashed](Shard& sh) {
-    if (!mark_host(sh.crashed, host_index, crashed)) return;
+    if (!mark_host(sh, sh.crashed, host_index, crashed)) return;
     sh.crashed_hosts += crashed ? 1u : -1u;
     ++sh.crash_events;
   });
@@ -138,6 +144,12 @@ void ShardedBalancer::start_on(std::size_t shard,
 // probe RPC suspends the loop until its reply lands back on this shard.
 void ShardedBalancer::try_shard(std::shared_ptr<Request> state) {
   Shard& sh = shards_[state->current_shard];
+  if (sh.in_rotation == 0) {
+    // A dry shard: the walk below would skip every candidate left, so its
+    // cursor takes all those steps at once.
+    sh.rr += state->probes_left;
+    state->probes_left = 0;
+  }
   while (state->probes_left > 0) {
     --state->probes_left;
     const std::uint32_t b = sh.owned[sh.rr % sh.owned.size()];

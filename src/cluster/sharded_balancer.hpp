@@ -131,6 +131,7 @@ class ShardedBalancer {
   struct alignas(64) Shard {
     std::vector<std::uint32_t> owned;      ///< backend indices, add order
     std::size_t rr = 0;                    ///< shard-local round-robin
+    std::uint32_t in_rotation = 0;  ///< owned backends neither evicted nor crashed
     std::vector<std::uint8_t> evicted;     ///< per-backend membership view
     std::vector<std::uint8_t> crashed;     ///< per-backend crash-down view
     std::vector<std::uint32_t> next_file;  ///< shard-local file cursors
@@ -164,10 +165,11 @@ class ShardedBalancer {
   void serve(Shard& sh, std::uint32_t b, std::shared_ptr<Request> state);
   void next_ring_hop(std::shared_ptr<Request> state);
   [[nodiscard]] bool quiescent() const { return !engine_.running(); }
-  /// Sets `view`'s flag on every backend of `host_index`; true when any
-  /// flag flipped.
-  bool mark_host(std::vector<std::uint8_t>& view, std::size_t host_index,
-                 bool on) const;
+  /// Sets `view` (`sh.evicted` or `sh.crashed`) on every backend of
+  /// `host_index` and keeps `sh.in_rotation` in step; true when any flag
+  /// flipped.
+  bool mark_host(Shard& sh, std::vector<std::uint8_t>& view,
+                 std::size_t host_index, bool on) const;
 
   std::vector<Backend> backends_;  ///< append-only; frozen once running
   /// Per-host backend index built by add_backend, so a membership

@@ -1,5 +1,6 @@
 #include "simcore/simulation.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "simcore/check.hpp"
@@ -8,6 +9,19 @@ namespace rh::sim {
 
 namespace {
 thread_local std::int32_t tl_current_partition = -1;
+
+/// Holds a run's horizon for the length of the run, a throwing event
+/// included; between runs the horizon is "not running".
+class HorizonScope {
+ public:
+  HorizonScope(SimTime& slot, SimTime horizon) : slot_(slot) { slot_ = horizon; }
+  ~HorizonScope() { slot_ = std::numeric_limits<SimTime>::min(); }
+  HorizonScope(const HorizonScope&) = delete;
+  HorizonScope& operator=(const HorizonScope&) = delete;
+
+ private:
+  SimTime& slot_;
+};
 }  // namespace
 
 std::int32_t current_partition() noexcept { return tl_current_partition; }
@@ -51,6 +65,7 @@ bool Simulation::step() {
 
 void Simulation::run() {
   stopped_ = false;
+  const HorizonScope scope(run_horizon_, std::numeric_limits<SimTime>::max());
   while (!stopped_ && step()) {
   }
 }
@@ -58,6 +73,10 @@ void Simulation::run() {
 void Simulation::run_until(SimTime deadline) {
   ensure(deadline >= now_, "Simulation::run_until: deadline in the past");
   stopped_ = false;
+  const HorizonScope scope(run_horizon_,
+                           deadline == std::numeric_limits<SimTime>::max()
+                               ? deadline
+                               : deadline + 1);
   while (!stopped_ && !queue_.empty() && queue_.next_time() <= deadline) {
     step();
   }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 
 #include "simcore/event_queue.hpp"
 #include "simcore/inline_callback.hpp"
@@ -99,6 +100,19 @@ class Simulation {
   /// knows nothing was scheduled after it.
   [[nodiscard]] EventId last_scheduled() const { return last_scheduled_; }
 
+  /// The earliest time at which an event that no event of the current run
+  /// scheduled can land on this calendar: deadline + 1 inside
+  /// run_until(deadline), never (SimTime max) inside run(), the engine's
+  /// safe horizon inside a window, and now() otherwise (between runs and
+  /// under step(), the caller may schedule anything). Before it, only
+  /// this run's own events change what is pending.
+  [[nodiscard]] SimTime run_horizon() const {
+    const SimTime h = partition_id_ >= 0
+                          ? safe_horizon_->load(std::memory_order_relaxed)
+                          : run_horizon_;
+    return h > now_ ? h : now_;
+  }
+
   // ------------------------------------------- partitioned execution
   /// Runs every event with time < `end` (or <= `end` when `inclusive`,
   /// used by the engine for the final window of a run_until), then
@@ -128,6 +142,7 @@ class Simulation {
   bool stopped_ = false;
   std::uint64_t executed_ = 0;
   EventId last_scheduled_ = kInvalidEventId;
+  SimTime run_horizon_ = std::numeric_limits<SimTime>::min();  // not running
   std::int32_t partition_id_ = -1;
   const std::atomic<SimTime>* safe_horizon_ = nullptr;
 };

@@ -1,6 +1,7 @@
 #include "workload/prober.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "simcore/check.hpp"
@@ -9,7 +10,7 @@ namespace rh::workload {
 
 /// Probers ticking on one calendar event, in the order their own events
 /// would have fired.
-struct Prober::Group : std::enable_shared_from_this<Group> {
+struct Prober::Group {
   Group(sim::Simulation& s, sim::Duration i) : sim(s), interval(i) {}
 
   sim::Simulation& sim;
@@ -17,18 +18,35 @@ struct Prober::Group : std::enable_shared_from_this<Group> {
   std::vector<Prober*> members;
   sim::EventId pending = sim::kInvalidEventId;
   sim::SimTime due = 0;
-  std::size_t cursor = 0;  // the next member to probe while ticking
-  bool ticking = false;
-
-  /// An emptied group cancels its tick.
-  void cancel_if_empty() {
-    if (!members.empty()) return;
-    sim.cancel(pending);
-    pending = sim::kInvalidEventId;
-  }
 };
 
 thread_local std::weak_ptr<Prober::Group> Prober::last_scheduled_group_;
+
+namespace {
+
+/// True while this thread runs probe callbacks.
+thread_local bool tl_probing = false;
+
+/// Runs `probe_all` and checks that its callbacks were pure reads: start()
+/// and stop() refuse to run meanwhile, and afterwards `sim` must have
+/// nothing scheduled or cancelled and must not have been stopped.
+template <class Fn>
+void probe_purely(const sim::Simulation& sim, const Fn& probe_all) {
+  const sim::EventId last = sim.last_scheduled();
+  const std::size_t pending = sim.pending_events();
+  const bool stopped = sim.stopped();
+  struct Flag {
+    Flag() { tl_probing = true; }
+    ~Flag() { tl_probing = false; }
+  } flag;
+  probe_all();
+  ensure(sim.last_scheduled() == last && sim.pending_events() == pending &&
+             sim.stopped() == stopped,
+         "Prober: a probe callback scheduled or cancelled an event or "
+         "stopped the Simulation; a probe must be a pure read");
+}
+
+}  // namespace
 
 Prober::Prober(sim::Simulation& sim, Config config, std::function<bool()> up)
     : sim_(sim), config_(config), up_(std::move(up)) {
@@ -39,17 +57,16 @@ Prober::Prober(sim::Simulation& sim, Config config, std::function<bool()> up)
 Prober::~Prober() { stop(); }
 
 void Prober::start() {
+  ensure(!tl_probing, "Prober::start: called from a probe callback");
   ensure(!running_, "Prober::start: already running");
   running_ = true;
   first_probe_ = true;
-  probe();
-  if (!running_) return;  // the callback stopped this prober
+  probe_purely(sim_, [this] { probe(1); });
   // Join the group whose tick this prober's own would directly follow:
-  // due at the same instant, with nothing scheduled since, not even by
-  // this probe's callback.
+  // due at the same instant, with nothing scheduled since.
   auto g = last_scheduled_group_.lock();
   if (g && &g->sim == &sim_ && g->interval == config_.interval &&
-      !g->ticking && g->pending == sim_.last_scheduled() &&
+      g->pending == sim_.last_scheduled() &&
       g->due == sim_.now() + config_.interval) {
     g->members.push_back(this);
     group_ = std::move(g);
@@ -57,26 +74,21 @@ void Prober::start() {
   }
   group_ = std::make_shared<Group>(sim_, config_.interval);
   group_->members.push_back(this);
-  schedule(group_);
+  schedule(group_, config_.interval);
 }
 
 void Prober::stop() {
+  ensure(!tl_probing, "Prober::stop: called from a probe callback");
   running_ = false;
   if (!group_) return;
-  const std::shared_ptr<Group> g = std::move(group_);
-  auto& members = g->members;
-  const auto it = std::find(members.begin(), members.end(), this);
-  // Stopped from inside the group's tick: keep the cursor on the next
-  // member to probe.
-  if (g->ticking && static_cast<std::size_t>(it - members.begin()) < g->cursor) {
-    --g->cursor;
-  }
-  members.erase(it);
-  g->cancel_if_empty();
+  auto& members = group_->members;
+  members.erase(std::find(members.begin(), members.end(), this));
+  if (members.empty()) group_->sim.cancel(group_->pending);
+  group_.reset();
 }
 
-void Prober::probe() {
-  ++probes_;
+void Prober::probe(std::uint64_t ticks) {
+  probes_ += ticks;
   const bool up = up_();
   if (first_probe_ || up != last_up_) {
     transitions_.push_back({sim_.now(), up});
@@ -85,8 +97,8 @@ void Prober::probe() {
   last_up_ = up;
 }
 
-void Prober::schedule(const std::shared_ptr<Group>& g) {
-  g->due = g->sim.now() + g->interval;
+void Prober::schedule(const std::shared_ptr<Group>& g, sim::Duration delay) {
+  g->due = g->sim.now() + delay;
   g->pending = g->sim.at(g->due, [g = g.get()] { tick(*g); });
   // Re-pointing the registry costs two atomic updates; a group that
   // reschedules itself usually finds it pointing there already.
@@ -94,41 +106,26 @@ void Prober::schedule(const std::shared_ptr<Group>& g) {
   if (last.owner_before(g) || g.owner_before(last)) last = g;
 }
 
-void Prober::tick(Group& group) {
-  // A callback that stops members may drop the group's last owner.
-  std::shared_ptr<Group> g = group.shared_from_this();
-  sim::Simulation& sim = g->sim;
-  // Rescheduled first, where the first member's own tick would go unless
-  // its callback schedules an event (then the split below moves it).
-  schedule(g);
-  g->ticking = true;
-  for (g->cursor = 0; g->cursor < g->members.size();) {
-    Prober* p = g->members[g->cursor++];
-    const bool was_stopped = sim.stopped();
-    p->probe();
-    ensure(was_stopped || !sim.stopped() || g->cursor == g->members.size(),
-           "Prober: a probe callback stopped the Simulation between two "
-           "probers that share a tick");
-    if (sim.last_scheduled() == g->pending) continue;
-    // p's callback scheduled an event. p's own tick and those of the
-    // members after it would have been scheduled behind that event, so
-    // they move to a group scheduled now.
-    std::size_t first = g->cursor;
-    if (first > 0 && g->members[first - 1] == p) --first;
-    if (first == g->members.size()) continue;
-    auto split = std::make_shared<Group>(sim, g->interval);
-    split->members.assign(g->members.begin() + static_cast<std::ptrdiff_t>(first),
-                          g->members.end());
-    split->cursor = g->cursor - first;
-    g->members.resize(first);
-    g->ticking = false;
-    g->cancel_if_empty();
-    for (Prober* m : split->members) m->group_ = split;
-    schedule(split);
-    split->ticking = true;
-    g = std::move(split);
-  }
-  g->ticking = false;
+void Prober::tick(Group& g) {
+  // Before the calendar's next event and the run's horizon nothing changes
+  // what a probe reads: the group sleeps to the first tick at or after the
+  // earlier of the two, and each member counts the ticks skipped as probes
+  // that read this tick's answer. With neither bounded (run() with nothing
+  // else pending) it ticks every interval, as one event per prober would.
+  const sim::Simulation& sim = g.sim;
+  sim::SimTime wake = sim.run_horizon();
+  if (sim.pending_events() > 0) wake = std::min(wake, sim.next_event_time());
+  const sim::Duration gap = wake - sim.now();
+  const bool bounded = wake <= std::numeric_limits<sim::SimTime>::max() - g.interval;
+  const auto ticks = static_cast<std::uint64_t>(
+      bounded && gap > g.interval ? (gap - 1) / g.interval + 1 : 1);
+  probe_purely(sim, [&g, ticks] {
+    for (Prober* p : g.members) p->probe(ticks);
+  });
+  // Scheduled after the probes, which schedule nothing, so its place among
+  // same-time events is the one rescheduling every interval gives.
+  schedule(g.members.front()->group_,
+           static_cast<sim::Duration>(ticks) * g.interval);
 }
 
 std::optional<sim::Duration> Prober::outage_after(sim::SimTime from) const {

@@ -5,17 +5,18 @@
 // prober sends a probe every `interval` from the client host and records
 // up/down transitions; downtime is the width of the down window.
 //
-// Probers whose ticks would fire back to back share one calendar event (a
-// Group), which probes them in start order and reschedules once. A prober
+// A probe is a pure read of state that only events change. Probers whose
+// ticks would fire back to back share one calendar event (a Group), which
+// probes them in start order and then schedules itself once: at the first
+// tick at or after the earlier of the calendar's next event and the run's
+// horizon (Simulation::run_horizon()), since a tick before both would read
+// the answers just recorded. The skipped ticks count as sent probes. A prober
 // started on the same Simulation with the same interval joins the group
 // whose tick is the last event scheduled there and is due at
-// now + interval: with nothing scheduled between their ticks, one
-// event per prober would have fired them consecutively at every later
-// tick too, because a probe only reads state and reschedules itself. A
-// probe callback that does schedule an event splits itself and the
-// members after it off into a group scheduled behind that event, where
-// their own ticks would have gone. So every transition is the one a
-// prober per event records; only executed-event counts fall.
+// now + interval: one event per prober would have fired them consecutively
+// at every later tick too. So every transition and probes_sent() is the
+// one a prober per event per interval records; only executed-event counts
+// fall.
 #pragma once
 
 #include <functional>
@@ -34,10 +35,10 @@ class Prober {
     sim::Duration interval = 100 * sim::kMillisecond;
   };
 
-  /// `up` is evaluated at each probe instant and must say whether the
-  /// target service would answer. It may schedule events, but must not
-  /// stop the Simulation while a later member of its group waits to probe
-  /// at the same tick (checked).
+  /// `up` is evaluated at probe instants and must say whether the target
+  /// service would answer. It must be a pure read: it may not schedule or
+  /// cancel events, start or stop a prober, or stop the Simulation
+  /// (checked: the probe throws InvariantViolation).
   Prober(sim::Simulation& sim, Config config, std::function<bool()> up);
   ~Prober();
   Prober(const Prober&) = delete;
@@ -72,8 +73,8 @@ class Prober {
  private:
   struct Group;
 
-  void probe();
-  static void schedule(const std::shared_ptr<Group>& g);
+  void probe(std::uint64_t ticks);  // one read, counted as `ticks` probes
+  static void schedule(const std::shared_ptr<Group>& g, sim::Duration delay);
   static void tick(Group& g);
 
   /// The group this thread scheduled most recently, the only one a
@@ -88,7 +89,7 @@ class Prober {
   Config config_;
   std::function<bool()> up_;
   std::vector<Transition> transitions_;
-  std::shared_ptr<Group> group_;  // null while stopped
+  std::shared_ptr<Group> group_;  // null while stopped; members own it
   bool running_ = false;
   bool last_up_ = false;
   bool first_probe_ = true;

@@ -10,6 +10,7 @@
 #include "exp/runner.hpp"
 #include "reference_prober.hpp"
 #include "simcore/check.hpp"
+#include "simcore/parallel.hpp"
 #include "simcore/random.hpp"
 #include "simcore/simulation.hpp"
 #include "workload/prober.hpp"
@@ -84,29 +85,36 @@ TEST(Prober, TotalDowntimeAcrossMultipleOutages) {
 
 TEST(Prober, StopCancelsFutureProbes) {
   sim::Simulation s;
-  int calls = 0;
+  std::vector<sim::SimTime> calls;
   workload::Prober p(s, {}, [&] {
-    ++calls;
+    calls.push_back(s.now());
     return true;
   });
   p.start();
   s.run_until(sim::kSecond);
   p.stop();
-  const int at_stop = calls;
+  const std::size_t at_stop = calls.size();
   s.run_until(10 * sim::kSecond);
-  EXPECT_EQ(calls, at_stop);
-  EXPECT_EQ(p.probes_sent(), static_cast<std::uint64_t>(calls));
+  EXPECT_EQ(calls.size(), at_stop);
+  // One probe per instant in [0, 1 s]; the ticks it slept through read
+  // the answer it had and count as sent, but call nothing.
+  EXPECT_EQ(p.probes_sent(), 11U);
+  EXPECT_LE(calls.size(), 11U);
+  EXPECT_TRUE(std::all_of(calls.begin(), calls.end(),
+                          [](sim::SimTime t) { return t <= sim::kSecond; }));
 }
 
-
-// ------------------------------------------- shared ticks vs the reference
+// ------------------------------------------ sleeping groups vs the reference
 //
 // workload::Prober lets probers whose ticks would fire back to back share
-// one calendar event. The seeded scenarios below drive it and the
-// one-event-per-prober ReferenceProber through the same schedule. Every
-// probe and every scripted event appends (time, who) to a log, so the two
-// runs must agree on the order of everything that happened, not only on
-// what the probers recorded.
+// one calendar event, which sleeps through the ticks before the calendar's
+// next event and the run's horizon. The seeded scenarios below drive it
+// and the one-event-per-prober ReferenceProber through the same schedule
+// under four drivers. Probe callbacks are pure reads; every flip, start,
+// stop, restart and destroy is a scripted event or happens between runs,
+// and appends (time, id) to its calendar's log, so the two runs must agree
+// on the order of everything scripted, not only on what the probers
+// recorded.
 
 /// What one prober recorded, in a form both prober types convert to.
 struct ProberRecord {
@@ -121,6 +129,7 @@ struct ProberRecord {
 };
 
 constexpr sim::SimTime kHorizon = 20 * sim::kSecond;
+constexpr sim::Duration kStep = 50 * sim::kMillisecond;
 
 template <typename P>
 ProberRecord record(const P& p) {
@@ -134,73 +143,92 @@ ProberRecord record(const P& p) {
   return r;
 }
 
+using Log = std::vector<std::pair<sim::SimTime, int>>;
+
 struct ScenarioResult {
   std::vector<ProberRecord> probers;
-  std::vector<std::pair<sim::SimTime, int>> log;
+  std::vector<Log> logs;  // one per calendar
   std::uint64_t events = 0;
 };
 
+/// How a scenario is run to kHorizon, in slices that end at the drawn
+/// slice ends; between slices the driver applies the drawn inserts.
+enum class Driver {
+  kRunUntil,  ///< run_until(end)
+  kRun,       ///< run(), stopped by an event at the end
+  kStep,      ///< step() until an event at the end raises a flag
+  kEngine1,   ///< four engine partitions, flips arrive as messages; 1 worker
+  kEngine4,   ///< the same on 4 workers
+};
+
+constexpr int kPartitions = 4;
+/// The engine's lookahead: wide enough that a window spans several ticks.
+constexpr sim::Duration kLookahead = 250 * sim::kMillisecond;
+
 /// A seeded schedule of prober starts, stops, restarts, destructions and
-/// state flips. Drawn up front, so both prober types replay the same one.
+/// state flips. Drawn up front, so every prober type and driver replays
+/// the same one. Under the engine, target t and the probers reading it
+/// live on partition t % kPartitions.
 struct Scenario {
   struct ProberPlan {
     int target = 0;
     sim::Duration interval = 0;
-    /// Every third probe schedules a flip of `flip_target`, 0, 1 or 2
-    /// intervals ahead, in turn.
-    bool schedules = false;
-    int flip_target = 0;
-    /// At its `stop_at_call`-th probe, stops prober `stops` (and restarts
-    /// it right away when `restarts`); -1 for none.
-    int stops = -1;
-    int stop_at_call = 0;
-    bool restarts = false;
   };
   struct Burst {
     sim::SimTime at = 0;
     std::vector<int> probers;  // started back to back, in this order
-    /// noise[i]: flips scheduled right after the i-th start (the last
-    /// entry: after the whole burst), as (time, target).
-    std::vector<std::vector<std::pair<sim::SimTime, int>>> noise;
+    /// noise[i]: flips of targets on the i-th prober's partition,
+    /// scheduled right after it starts, as (time, target).
+    std::vector<Log> noise;
   };
   struct Action {
     sim::SimTime at = 0;
     int prober = 0;
     enum Kind { kStop, kStopRestart, kRestart, kDestroy } kind = kStop;
   };
+  /// Between two slices: flip `target` at once, outside any event, or
+  /// schedule its flip `ticks` steps after the first tick instant at or
+  /// after the slice's end.
+  struct Insert {
+    int target = 0;
+    bool direct = false;
+    int ticks = 0;
+  };
 
   std::vector<ProberPlan> probers;
   std::vector<Burst> bursts;
-  std::vector<std::pair<sim::SimTime, int>> early_flips;  // scheduled first
+  Log early_flips;  // scheduled first
   std::vector<Action> actions;
-  int targets = 5;
+  std::vector<sim::SimTime> slice_ends;  // ascending, the last is kHorizon
+  std::vector<std::vector<Insert>> inserts;  // after each slice but the last
+  int targets = 2 * kPartitions;
 };
 
-/// A multiple of 50 ms in [lo, hi], so it can coincide with prober
-/// ticks: every start and interval is a multiple of 50 ms too.
+/// A multiple of kStep in [lo, hi], so it can coincide with prober ticks:
+/// every start and interval is a multiple of kStep too.
 sim::SimTime tick_time(sim::Rng& rng, sim::SimTime lo, sim::SimTime hi) {
-  const sim::Duration step = 50 * sim::kMillisecond;
-  return step * rng.uniform_int(lo / step, hi / step);
+  return kStep * rng.uniform_int(lo / kStep, hi / kStep);
 }
 
 Scenario draw_scenario(std::uint64_t seed) {
   sim::Rng rng(seed);
   Scenario sc;
-  const sim::Duration intervals[] = {50 * sim::kMillisecond,
-                                     100 * sim::kMillisecond,
-                                     100 * sim::kMillisecond,
-                                     200 * sim::kMillisecond};
+  const sim::Duration intervals[] = {kStep, 2 * kStep, 2 * kStep, 4 * kStep};
   const auto pick = [&rng](std::int64_t n) { return rng.uniform_int(0, n - 1); };
+  // Another target on the same engine partition.
+  const auto sibling = [&](int target) {
+    return (target + kPartitions * static_cast<int>(pick(2))) % sc.targets;
+  };
   for (int i = 0; i < 10; ++i) {
-    sc.early_flips.emplace_back(tick_time(rng, 0, kHorizon),
+    sc.early_flips.emplace_back(tick_time(rng, sim::kSecond, kHorizon),
                                 static_cast<int>(pick(sc.targets)));
   }
   const int bursts = 1 + static_cast<int>(pick(4));
   for (int b = 0; b < bursts; ++b) {
     Scenario::Burst burst;
-    // Burst 0 starts at 0 with a clean pair: two probers on one interval,
-    // nothing scheduled between them, neither callback scheduling before
-    // they first tick together. So every scenario shares a tick.
+    // Burst 0 starts at 0 with a clean pair: two probers on one interval
+    // and one partition, nothing scheduled between them. So every
+    // scenario shares a tick.
     burst.at = b == 0 ? 0 : tick_time(rng, 0, 5 * sim::kSecond);
     const int k = b == 0 ? 2 + static_cast<int>(pick(11))
                          : 1 + static_cast<int>(pick(12));
@@ -208,120 +236,125 @@ Scenario draw_scenario(std::uint64_t seed) {
     for (int i = 0; i < k; ++i) {
       const bool clean = b == 0 && i < 2;
       Scenario::ProberPlan p;
-      p.target = static_cast<int>(pick(sc.targets));
+      p.target = clean && i == 1 ? sibling(sc.probers.back().target)
+                                 : static_cast<int>(pick(sc.targets));
       p.interval = !clean && pick(5) == 0 ? intervals[pick(4)] : base;
-      p.schedules = !clean && pick(4) == 0;
-      p.flip_target = static_cast<int>(pick(sc.targets));
-      burst.probers.push_back(static_cast<int>(sc.probers.size()));
-      sc.probers.push_back(p);
-      std::vector<std::pair<sim::SimTime, int>> noise;
-      if (!(b == 0 && i == 0) && pick(4) == 0) {
+      Log noise;
+      if (!clean && pick(4) == 0) {
         noise.emplace_back(burst.at + base * rng.uniform_int(0, 3),
-                           static_cast<int>(pick(sc.targets)));
+                           sibling(p.target));
       }
+      burst.probers.push_back(static_cast<int>(sc.probers.size()));
       burst.noise.push_back(std::move(noise));
+      sc.probers.push_back(p);
     }
-    std::vector<std::pair<sim::SimTime, int>> after;
-    for (int n = static_cast<int>(pick(3)); n > 0; --n) {
-      after.emplace_back(burst.at + base * rng.uniform_int(0, 3),
-                         static_cast<int>(pick(sc.targets)));
-    }
-    burst.noise.push_back(std::move(after));
     sc.bursts.push_back(std::move(burst));
   }
   const auto n = static_cast<std::int64_t>(sc.probers.size());
-  // Callbacks that stop (and maybe restart) another prober mid-tick: up to
-  // two disjoint (stopper, victim) pairs, so no prober is restarted from
-  // inside its own probe.
-  std::vector<std::int64_t> used;
-  for (int pair = 0; pair < 2 && n - static_cast<std::int64_t>(used.size()) >= 2;
-       ++pair) {
-    const auto fresh = [&] {
-      for (;;) {
-        const std::int64_t i = pick(n);
-        if (std::find(used.begin(), used.end(), i) == used.end()) {
-          used.push_back(i);
-          return i;
-        }
-      }
-    };
-    auto& stopper = sc.probers[static_cast<std::size_t>(fresh())];
-    stopper.stops = static_cast<int>(fresh());
-    stopper.stop_at_call = 5 + static_cast<int>(pick(20));
-    stopper.restarts = pick(2) == 0;
-  }
   for (int i = 0; i < 4; ++i) {
-    Scenario::Action a;
-    a.at = tick_time(rng, sim::kSecond, 15 * sim::kSecond);
-    a.prober = static_cast<int>(pick(n));
-    a.kind = static_cast<Scenario::Action::Kind>(pick(3));
-    sc.actions.push_back(a);
+    sc.actions.push_back({tick_time(rng, sim::kSecond, 15 * sim::kSecond),
+                          static_cast<int>(pick(n)),
+                          static_cast<Scenario::Action::Kind>(pick(3))});
   }
   if (pick(3) == 0) {
     sc.actions.push_back({tick_time(rng, sim::kSecond, 15 * sim::kSecond),
                           static_cast<int>(pick(n)),
                           Scenario::Action::kDestroy});
   }
+  // Slice ends at tick instants and half-way between them.
+  for (int i = static_cast<int>(pick(4)); i > 0; --i) {
+    sc.slice_ends.push_back(tick_time(rng, sim::kSecond, kHorizon - sim::kSecond) +
+                            (pick(2) == 0 ? kStep / 2 : 0));
+  }
+  std::sort(sc.slice_ends.begin(), sc.slice_ends.end());
+  sc.slice_ends.erase(std::unique(sc.slice_ends.begin(), sc.slice_ends.end()),
+                      sc.slice_ends.end());
+  sc.slice_ends.push_back(kHorizon);
+  for (std::size_t i = 0; i + 1 < sc.slice_ends.size(); ++i) {
+    std::vector<Scenario::Insert> inserts;
+    for (int j = 1 + static_cast<int>(pick(3)); j > 0; --j) {
+      inserts.push_back({static_cast<int>(pick(sc.targets)), pick(3) == 0,
+                         static_cast<int>(pick(4))});
+    }
+    sc.inserts.push_back(std::move(inserts));
+  }
   return sc;
 }
 
 template <typename P>
-ScenarioResult run_scenario(const Scenario& sc) {
-  sim::Simulation s;
+ScenarioResult run_scenario(const Scenario& sc, Driver driver) {
+  const bool on_engine = driver == Driver::kEngine1 || driver == Driver::kEngine4;
+  const int calendars = on_engine ? kPartitions : 1;
+  sim::Simulation single;
+  sim::ParallelSimulation engine(
+      {.partitions = kPartitions, .workers = driver == Driver::kEngine4 ? 4u : 1u});
+  engine.register_link(kLookahead);
+  const auto home = [calendars](int target) { return target % calendars; };
+  const auto cal = [&](int h) -> sim::Simulation& {
+    return on_engine ? engine.partition(h) : single;
+  };
+
   ScenarioResult out;
-  std::vector<bool> up(static_cast<std::size_t>(sc.targets), true);
-  const auto flip = [&](sim::SimTime t, int target, int id) {
-    s.at(t, [&out, &up, &s, target, id] {
-      up[static_cast<std::size_t>(target)] = !up[static_cast<std::size_t>(target)];
-      out.log.emplace_back(s.now(), -1 - id);
-    });
+  out.logs.resize(static_cast<std::size_t>(calendars));
+  const auto log = [&](int h, int id) {
+    out.logs[static_cast<std::size_t>(h)].emplace_back(cal(h).now(), id);
+  };
+  std::vector<char> up(static_cast<std::size_t>(sc.targets), 1);
+  const auto flip_now = [&](int target, int id) {
+    up[static_cast<std::size_t>(target)] ^= 1;
+    log(home(target), id);
+  };
+  const auto flip_at = [&](sim::SimTime t, int target, int id) {
+    cal(home(target)).at(t, [&flip_now, target, id] { flip_now(target, id); });
   };
   for (std::size_t i = 0; i < sc.early_flips.size(); ++i) {
-    flip(sc.early_flips[i].first, sc.early_flips[i].second, static_cast<int>(i));
+    const auto [t, target] = sc.early_flips[i];
+    const int id = -1 - static_cast<int>(i);
+    if (!on_engine) {
+      flip_at(t, target, id);
+      continue;
+    }
+    // Sent by the next partition, one to three steps beyond the lookahead
+    // ahead of its arrival.
+    const int dst = home(target);
+    const sim::Duration delay = kLookahead + kStep * static_cast<sim::Duration>(i % 3);
+    engine.partition((dst + 1) % kPartitions).at(t - delay, [&, dst, delay, target, id] {
+      engine.post(dst, delay, [&flip_now, target, id] { flip_now(target, id); });
+    });
   }
 
   const std::size_t n = sc.probers.size();
   std::vector<std::unique_ptr<P>> probers(n);
-  std::vector<int> calls(n, 0);
   out.probers.resize(n);
+  const auto home_of = [&](std::size_t i) { return home(sc.probers[i].target); };
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& plan = sc.probers[i];
-    probers[i] = std::make_unique<P>(
-        s, typename P::Config{plan.interval}, [&, i, plan] {
-          const int call = ++calls[i];
-          out.log.emplace_back(s.now(), static_cast<int>(i));
-          if (plan.schedules && call % 3 == 0) {
-            flip(s.now() + plan.interval * (call / 3 % 3), plan.flip_target,
-                 1000 + static_cast<int>(i));
-          }
-          if (plan.stops >= 0 && call == plan.stop_at_call) {
-            auto& victim = probers[static_cast<std::size_t>(plan.stops)];
-            if (victim) {
-              victim->stop();
-              if (plan.restarts) victim->start();
-            }
-          }
-          return up[static_cast<std::size_t>(plan.target)];
-        });
+    const auto target = static_cast<std::size_t>(sc.probers[i].target);
+    probers[i] = std::make_unique<P>(cal(home_of(i)),
+                                     typename P::Config{sc.probers[i].interval},
+                                     [&up, target] { return up[target] != 0; });
   }
   for (const auto& burst : sc.bursts) {
-    s.at(burst.at, [&] {
-      for (std::size_t k = 0; k <= burst.probers.size(); ++k) {
-        if (k < burst.probers.size()) {
-          // A stopper may have restarted it already: stop is a no-op if not.
-          if (auto& p = probers[static_cast<std::size_t>(burst.probers[k])]) {
+    for (int h = 0; h < calendars; ++h) {
+      cal(h).at(burst.at, [&, h] {
+        for (std::size_t k = 0; k < burst.probers.size(); ++k) {
+          const auto i = static_cast<std::size_t>(burst.probers[k]);
+          if (home_of(i) != h) continue;
+          // Destroyed already, or restarted: stop is a no-op if stopped.
+          if (auto& p = probers[i]) {
             p->stop();
             p->start();
           }
+          for (const auto& [t, target] : burst.noise[k]) flip_at(t, target, 2000);
         }
-        for (const auto& [t, target] : burst.noise[k]) flip(t, target, 2000);
-      }
-    });
+      });
+    }
   }
   for (const auto& a : sc.actions) {
-    s.at(a.at, [&, a] {
-      auto& p = probers[static_cast<std::size_t>(a.prober)];
-      out.log.emplace_back(s.now(), -5000 - a.prober);
+    const auto i = static_cast<std::size_t>(a.prober);
+    const int h = home_of(i);
+    cal(h).at(a.at, [&, a, i, h] {
+      auto& p = probers[i];
+      log(h, -5000 - a.prober);
       if (!p) return;
       switch (a.kind) {
         case Scenario::Action::kStop:
@@ -333,7 +366,7 @@ ScenarioResult run_scenario(const Scenario& sc) {
           break;
         case Scenario::Action::kRestart:
           p->stop();
-          s.after(150 * sim::kMillisecond, [&p] {
+          cal(h).after(150 * sim::kMillisecond, [&p] {
             if (p) {
               p->stop();
               p->start();
@@ -341,14 +374,51 @@ ScenarioResult run_scenario(const Scenario& sc) {
           });
           break;
         case Scenario::Action::kDestroy:
-          out.probers[static_cast<std::size_t>(a.prober)] = record(*p);
+          out.probers[i] = record(*p);
           p.reset();
           break;
       }
     });
   }
-  s.run_until(kHorizon);
-  out.events = s.executed_events();
+
+  for (std::size_t slice = 0; slice < sc.slice_ends.size(); ++slice) {
+    const sim::SimTime end = sc.slice_ends[slice];
+    switch (driver) {
+      case Driver::kRunUntil:
+        single.run_until(end);
+        break;
+      case Driver::kRun:
+        single.at(end, [&] {
+          log(0, -6000);
+          single.stop();
+        });
+        single.run();
+        break;
+      case Driver::kStep: {
+        bool reached = false;
+        single.at(end, [&] {
+          log(0, -7000);
+          reached = true;
+        });
+        while (!reached) single.step();
+        break;
+      }
+      case Driver::kEngine1:
+      case Driver::kEngine4:
+        engine.run_until(end);
+        break;
+    }
+    if (slice + 1 == sc.slice_ends.size()) break;
+    const sim::SimTime next_tick = (end + kStep - 1) / kStep * kStep;
+    for (const auto& ins : sc.inserts[slice]) {
+      if (ins.direct) {
+        flip_now(ins.target, 3000);
+      } else {
+        flip_at(next_tick + kStep * ins.ticks, ins.target, 3001);
+      }
+    }
+  }
+  out.events = on_engine ? engine.total_executed_events() : single.executed_events();
   for (std::size_t i = 0; i < n; ++i) {
     if (probers[i]) out.probers[i] = record(*probers[i]);
   }
@@ -359,106 +429,147 @@ TEST(ProberShared, MatchesOneEventPerProberOnSeededScenarios) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     SCOPED_TRACE(seed);
     const Scenario sc = draw_scenario(seed);
-    const ScenarioResult want = run_scenario<ReferenceProber>(sc);
-    const ScenarioResult got = run_scenario<workload::Prober>(sc);
-    ASSERT_EQ(got.probers.size(), want.probers.size());
-    for (std::size_t i = 0; i < want.probers.size(); ++i) {
-      SCOPED_TRACE(i);
-      EXPECT_EQ(got.probers[i].transitions, want.probers[i].transitions);
-      EXPECT_EQ(got.probers[i].probes, want.probers[i].probes);
-      EXPECT_EQ(got.probers[i].outage, want.probers[i].outage);
-      EXPECT_EQ(got.probers[i].late_outage, want.probers[i].late_outage);
-      EXPECT_EQ(got.probers[i].downtime, want.probers[i].downtime);
-      EXPECT_EQ(got.probers[i].up, want.probers[i].up);
+    for (const Driver driver : {Driver::kRunUntil, Driver::kRun, Driver::kStep,
+                                Driver::kEngine1, Driver::kEngine4}) {
+      SCOPED_TRACE(static_cast<int>(driver));
+      const ScenarioResult want = run_scenario<ReferenceProber>(sc, driver);
+      const ScenarioResult got = run_scenario<workload::Prober>(sc, driver);
+      ASSERT_EQ(got.probers.size(), want.probers.size());
+      for (std::size_t i = 0; i < want.probers.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(got.probers[i].transitions, want.probers[i].transitions);
+        EXPECT_EQ(got.probers[i].probes, want.probers[i].probes);
+        EXPECT_EQ(got.probers[i].outage, want.probers[i].outage);
+        EXPECT_EQ(got.probers[i].late_outage, want.probers[i].late_outage);
+        EXPECT_EQ(got.probers[i].downtime, want.probers[i].downtime);
+        EXPECT_EQ(got.probers[i].up, want.probers[i].up);
+      }
+      EXPECT_EQ(got.logs, want.logs);
+      // Burst 0's clean pair shares at least its first tick.
+      EXPECT_LT(got.events, want.events);
     }
-    EXPECT_EQ(got.log, want.log);
-    // Burst 0's clean pair shares at least its first tick.
-    EXPECT_LT(got.events, want.events);
   }
 }
 
-/// Executed events of `n` probers started back to back and run 10 s.
-template <typename P>
-std::uint64_t events_of_a_burst(int n) {
+/// Executed events of `n` probers started back to back and driven to
+/// 10 s by `drive`.
+template <typename P, typename Drive>
+std::uint64_t events_of_a_burst(int n, const Drive& drive) {
   sim::Simulation s;
   std::vector<std::unique_ptr<P>> probers;
   for (int i = 0; i < n; ++i) {
     probers.push_back(std::make_unique<P>(s, typename P::Config{}, [] { return true; }));
     probers.back()->start();
   }
-  s.run_until(10 * sim::kSecond);
+  drive(s);
   for (const auto& p : probers) EXPECT_EQ(p->probes_sent(), 101U);
   return s.executed_events();
 }
 
 TEST(ProberShared, ProbersStartedTogetherShareOneEvent) {
-  EXPECT_EQ(events_of_a_burst<ReferenceProber>(11), 1100U);
-  EXPECT_EQ(events_of_a_burst<workload::Prober>(11), 100U);
+  const auto run_until = [](sim::Simulation& s) { s.run_until(10 * sim::kSecond); };
+  // step() hands control back after every event, so nothing is skipped.
+  const auto step = [](sim::Simulation& s) {
+    while (s.next_event_time() <= 10 * sim::kSecond) s.step();
+  };
+  EXPECT_EQ(events_of_a_burst<ReferenceProber>(11, run_until), 1100U);
+  EXPECT_LE(events_of_a_burst<workload::Prober>(11, run_until), 2U);
+  EXPECT_EQ(events_of_a_burst<workload::Prober>(11, step), 100U);
 }
 
-TEST(ProberShared, CallbackThatSchedulesSplitsTheGroup) {
-  // At b's third probe (200 ms) its callback flips c's state one interval
-  // ahead. b's and c's own next ticks would have been scheduled behind
-  // the flip, so c sees it at 300 ms, not one tick later.
+TEST(ProberShared, SleepsNoFurtherThanTheRunUntilDeadline) {
+  // With an event pending at 10 s, the group could sleep from 100 ms to
+  // 10 s, but run_until(1 s) hands control back at 1 s, and a flip
+  // scheduled then for 1.1 s, the first tick after the deadline, must be
+  // seen at the next tick, 1.2 s, as one event per prober sees it.
   const auto run = [](auto* tag) {
     using P = std::remove_pointer_t<decltype(tag)>;
     sim::Simulation s;
-    bool c_up = true;
-    int b_calls = 0;
-    std::vector<sim::SimTime> a_probes;
-    P a(s, {}, [&] {
-      a_probes.push_back(s.now());
-      return true;
-    });
-    P b(s, {}, [&] {
-      if (++b_calls == 3) s.after(100 * sim::kMillisecond, [&] { c_up = false; });
-      return true;
-    });
-    P c(s, {}, [&] { return c_up; });
-    a.start();
-    b.start();
-    c.start();
+    bool up = true;
+    s.at(10 * sim::kSecond, [] {});
+    P p(s, {}, [&up] { return up; });
+    p.start();
     s.run_until(sim::kSecond);
-    EXPECT_EQ(a_probes.size(), 11U);
-    return std::make_pair(c.down_at_after(0), s.executed_events());
+    s.at(1100 * sim::kMillisecond, [&up] { up = false; });
+    s.run_until(2 * sim::kSecond);
+    return std::make_pair(p.down_at_after(0), p.probes_sent());
   };
   const auto want = run(static_cast<ReferenceProber*>(nullptr));
-  const auto got = run(static_cast<workload::Prober*>(nullptr));
-  ASSERT_TRUE(want.first.has_value());
-  EXPECT_EQ(*want.first, 300 * sim::kMillisecond);
-  EXPECT_EQ(got.first, want.first);
-  // One event for all three until the split at 200 ms; then a alone and
-  // {b, c} together: 2 + 8 * 2 ticks, plus the flip.
-  EXPECT_EQ(want.second, 31U);
-  EXPECT_EQ(got.second, 19U);
+  ASSERT_EQ(want.first, std::optional<sim::SimTime>(1200 * sim::kMillisecond));
+  EXPECT_EQ(want.second, 21U);
+  EXPECT_EQ(run(static_cast<workload::Prober*>(nullptr)), want);
 }
 
-TEST(ProberShared, CallbackThatStopsTheSimulationBetweenMembersThrows) {
+// A probe callback must be a pure read; the prober throws on what it can
+// see of a callback that is not.
+TEST(ProberShared, CallbackThatSchedulesOrCancelsThrows) {
+  {
+    sim::Simulation s;
+    workload::Prober a(s, {}, [&s] {
+      if (s.now() > 0) s.after(sim::kMillisecond, [] {});
+      return true;
+    });
+    a.start();
+    EXPECT_THROW(s.run_until(sim::kSecond), InvariantViolation);
+  }
+  {
+    sim::Simulation s;
+    workload::Prober a(s, {}, [&s] {
+      s.after(sim::kMillisecond, [] {});
+      return true;
+    });
+    EXPECT_THROW(a.start(), InvariantViolation);
+  }
+  {
+    sim::Simulation s;
+    const sim::EventId later = s.at(10 * sim::kSecond, [] {});
+    workload::Prober a(s, {}, [&s, later] {
+      if (s.now() > 0) s.cancel(later);
+      return true;
+    });
+    a.start();
+    EXPECT_THROW(s.run_until(sim::kSecond), InvariantViolation);
+  }
+}
+
+TEST(ProberShared, CallbackThatStopsTheSimulationThrows) {
+  // Between two members that share a tick, and as the last member alike.
+  for (const int stopper : {0, 1}) {
+    SCOPED_TRACE(stopper);
+    sim::Simulation s;
+    const auto make = [&s, stopper](int self) {
+      return std::make_unique<workload::Prober>(
+          s, workload::Prober::Config{}, [&s, stopper, self] {
+            if (self == stopper && s.now() > 0) s.stop();
+            return true;
+          });
+    };
+    auto a = make(0);
+    auto b = make(1);
+    a->start();
+    b->start();
+    EXPECT_THROW(s.run_until(sim::kSecond), InvariantViolation);
+  }
+}
+
+TEST(ProberShared, CallbackThatStopsAProberThrows) {
   sim::Simulation s;
-  workload::Prober a(s, {}, [&] {
-    if (s.now() > 0) s.stop();
-    return true;
-  });
   workload::Prober b(s, {}, [] { return true; });
-  a.start();
-  b.start();
-  EXPECT_THROW(s.run_until(sim::kSecond), InvariantViolation);
-}
-
-TEST(ProberShared, LastMemberMayStopTheSimulation) {
-  sim::Simulation s;
-  workload::Prober a(s, {}, [] { return true; });
-  workload::Prober b(s, {}, [&] {
-    if (s.now() == 500 * sim::kMillisecond) s.stop();
+  workload::Prober a(s, {}, [&s, &b] {
+    if (s.now() > 0) b.stop();
     return true;
   });
-  a.start();
   b.start();
-  s.run_until(sim::kSecond);
-  EXPECT_TRUE(s.stopped());
-  EXPECT_EQ(s.now(), 500 * sim::kMillisecond);
-  EXPECT_EQ(a.probes_sent(), 6U);
-  EXPECT_EQ(b.probes_sent(), 6U);
+  a.start();
+  EXPECT_THROW(s.run_until(sim::kSecond), InvariantViolation);
+  // Starting one from a callback throws as well.
+  sim::Simulation s2;
+  workload::Prober c(s2, {}, [] { return true; });
+  workload::Prober d(s2, {}, [&c] {
+    c.start();
+    return true;
+  });
+  EXPECT_THROW(d.start(), InvariantViolation);
 }
 
 TEST(ProberShared, StoppingEveryMemberCancelsTheSharedEvent) {

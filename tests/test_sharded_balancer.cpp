@@ -152,6 +152,43 @@ TEST(ShardedBalancer, RejectedRequestMakesOneLapOfTheRing) {
   }
 }
 
+// A shard with no owned backend in rotation takes what is left of a
+// request's walk in one step: its cursor advances by the candidates left,
+// as the one-by-one walk's does, so once the shard refills the next
+// request is served by the backend the walk would have picked.
+TEST(ShardedBalancer, DryShardAdvancesTheCursorAsTheWalkDoes) {
+  ClusterRig rig(sharded(6, 2, 1));  // shard 0 owns hosts {0, 2, 4}
+  const std::uint64_t key = key_homed_to(rig.lb(), 0);
+  rig.lb().set_host_crashed(2, true);
+  rig.lb().set_host_crashed(4, true);
+  // The request probes host 0 (cursor 0 -> 1). Host 0's crash lands on
+  // shard 0 while the probe is in flight, so the reply finds the shard dry
+  // with two candidates left (cursor 1 -> 3) and the request moves on to
+  // shard 1.
+  int served = 0;
+  rig.run_on(0, [&] {
+    rig.lb().dispatch(key, [&served](bool ok) { served += ok ? 1 : 0; });
+    rig.lb().set_host_crashed(0, true);
+  });
+  rig.run_for(5 * sim::kSecond);
+  EXPECT_EQ(served, 1);
+  EXPECT_EQ(rig.lb().shard_federated(1), std::uint64_t{1});
+  // Two more visits to the dry shard, a whole lap each (cursor 3 -> 9).
+  served += rig.serve({key, key});
+  EXPECT_EQ(served, 3);
+  EXPECT_EQ(rig.lb().federated(), std::uint64_t{3});
+  // Refilled, shard 0 serves from cursor 9: its first backend, host 0.
+  for (const std::size_t h : {0, 2, 4}) rig.lb().set_host_crashed(h, false);
+  served += rig.serve({key});
+  EXPECT_EQ(served, 4);
+  EXPECT_EQ(rig.lb().federated(), std::uint64_t{3});
+  EXPECT_EQ(rig.served_by(0), std::uint64_t{1});
+  EXPECT_EQ(rig.served_by(2), std::uint64_t{0});
+  // The state the one-by-one walk leaves, cursors included (the digest a
+  // build that walks every candidate prints).
+  EXPECT_EQ(rig.lb().state_digest(), 0x87cafff04c01a49dull);
+}
+
 TEST(ShardedBalancer, CrashEvictionRoutesAroundThenReadmits) {
   ClusterRig rig(sharded(4, 2, 1));  // shard 0 owns hosts {0, 2}
   rig.lb().set_host_crashed(0, true);
