@@ -532,24 +532,29 @@ TEST(ProberShared, CallbackThatSchedulesOrCancelsThrows) {
   }
 }
 
-TEST(ProberShared, CallbackThatStopsTheSimulationThrows) {
-  // Between two members that share a tick, and as the last member alike.
-  for (const int stopper : {0, 1}) {
-    SCOPED_TRACE(stopper);
-    sim::Simulation s;
-    const auto make = [&s, stopper](int self) {
-      return std::make_unique<workload::Prober>(
-          s, workload::Prober::Config{}, [&s, stopper, self] {
-            if (self == stopper && s.now() > 0) s.stop();
-            return true;
-          });
-    };
-    auto a = make(0);
-    auto b = make(1);
-    a->start();
-    b->start();
-    EXPECT_THROW(s.run_until(sim::kSecond), InvariantViolation);
-  }
+TEST(ProberShared, CallbackThatStopsTheSimulationBetweenMembersThrows) {
+  sim::Simulation s;
+  workload::Prober a(s, {}, [&] {
+    if (s.now() > 0) s.stop();
+    return true;
+  });
+  workload::Prober b(s, {}, [] { return true; });
+  a.start();
+  b.start();
+  EXPECT_THROW(s.run_until(sim::kSecond), InvariantViolation);
+}
+
+TEST(ProberShared, LastMemberThatStopsTheSimulationThrows) {
+  // The last member of a shared tick is held to the same pure-read rule.
+  sim::Simulation s;
+  workload::Prober a(s, {}, [] { return true; });
+  workload::Prober b(s, {}, [&] {
+    if (s.now() > 0) s.stop();
+    return true;
+  });
+  a.start();
+  b.start();
+  EXPECT_THROW(s.run_until(sim::kSecond), InvariantViolation);
 }
 
 TEST(ProberShared, CallbackThatStopsAProberThrows) {
